@@ -287,42 +287,16 @@ func uniquePrefix(c *netlist.Netlist, base string) string {
 	}
 }
 
-// outputReachingFFs returns the flip-flops whose state can reach a primary
-// output, possibly through further flip-flops: one reverse pass from the
-// output pins, crossing register boundaries backward — linear in the
-// circuit, however many flip-flops there are.
-func outputReachingFFs(c *netlist.Netlist) map[netlist.GateID]bool {
-	marked := make([]bool, len(c.Nets))
-	var stack []netlist.NetID
-	push := func(n netlist.NetID) {
-		if n != netlist.InvalidNet && !marked[n] {
-			marked[n] = true
-			stack = append(stack, n)
-		}
+// outputCone returns the fan-in cone of the primary outputs
+// (netlist.FaninCone): a flip-flop is in it exactly when its state can reach
+// a primary output, possibly through further flip-flops.
+func outputCone(c *netlist.Netlist) []bool {
+	pos := c.PrimaryOutputs()
+	seeds := make([]netlist.NetID, len(pos))
+	for i, g := range pos {
+		seeds[i] = c.Gate(g).Ins[0]
 	}
-	for _, g := range c.PrimaryOutputs() {
-		push(c.Gate(g).Ins[0])
-	}
-	ffs := map[netlist.GateID]bool{}
-	for len(stack) > 0 {
-		net := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		d := c.Net(net).Driver
-		if d == netlist.InvalidGate {
-			continue
-		}
-		g := c.Gate(d)
-		if g.Kind == netlist.KDead {
-			continue
-		}
-		if g.Kind.IsState() {
-			ffs[d] = true
-		}
-		for _, in := range g.Ins {
-			push(in)
-		}
-	}
-	return ffs
+	return c.FaninCone(seeds...)
 }
 
 // ObsFn selects the observation points of a scenario on the transformed
@@ -365,7 +339,7 @@ func ObserveOnline(c *netlist.Netlist) []sim.ObsPoint {
 	for _, g := range c.PrimaryOutputs() {
 		pts = append(pts, sim.ObsPoint{Gate: g, Pin: 0})
 	}
-	reaching := outputReachingFFs(c)
+	reaching := outputCone(c)
 	for _, f := range c.FlipFlops() {
 		if reaching[f] {
 			pts = append(pts, sim.ObsPoint{Gate: f, Pin: netlist.DffD})

@@ -274,7 +274,7 @@ func NewUnroller(c *netlist.Netlist, sm *fault.SiteMap, u Unroll) (*Unroller, er
 	// D-cone of the final frame. The probes read the original D nets, which
 	// Extend never touches — capture identity across depths is structural,
 	// not maintained.
-	reaching := outputReachingFFs(c)
+	reaching := outputCone(c)
 	var captures []netlist.GateID
 	for _, ff := range b.ffs {
 		if !reaching[ff.gate] {

@@ -247,6 +247,29 @@ func TestCampaignPatternCoverage(t *testing.T) {
 	}
 }
 
+// TestCampaignRaggedPatternSetFails feeds the pattern provider a set with a
+// row shorter than its inputs: the campaign fails with an error naming the
+// set and the cycle, instead of an index panic in the provider's goroutine
+// taking the whole process down.
+func TestCampaignRaggedPatternSetFails(t *testing.T) {
+	n := benchCircuit(t)
+	u := fault.NewUniverse(n)
+	var inputs []netlist.NetID
+	for _, g := range n.PrimaryInputs() {
+		inputs = append(inputs, n.Gates[g].Out)
+	}
+	stim := sim.Stimulus{Inputs: inputs, Cycles: [][]logic.V{
+		{logic.One, logic.Zero, logic.One, logic.One, logic.Zero},
+		{logic.Zero},
+	}}
+	_, err := RunCampaign(context.Background(), n, u, []Scenario{
+		{Name: "online-obs", Observe: constraint.ObserveOutputs},
+	}, Options{Patterns: []PatternSet{{Name: "ragged", Stim: stim}}})
+	if err == nil || !strings.Contains(err.Error(), `pattern set "ragged"`) || !strings.Contains(err.Error(), "cycle 1") {
+		t.Fatalf("err = %v, want one naming pattern set \"ragged\" and cycle 1", err)
+	}
+}
+
 // TestMissionCoverageExcludesStemDetections pins the stem-attribution edge:
 // a Tie-disconnected stem is classified functionally untestable from the
 // scenario's viewpoint, yet even a mission-legal stimulus (the tied input

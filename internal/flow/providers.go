@@ -548,12 +548,17 @@ type PatternSet struct {
 }
 
 // PatternProvider grades externally supplied mission stimuli with
-// sim.GradeSeq and streams the detected faults into the mission channel —
-// the ROADMAP's "functional pattern import". Because mission detections and
-// scenario untestability proofs merge into the same lattice, a stimulus
-// that detects a fault some scenario proved functionally untestable fails
-// the campaign with a fault.ConflictError: either the scenario transform
-// was unsound or the stimulus drives the design outside its mission model.
+// sim.GradeSeqSitesObs and streams the detected faults into the mission
+// channel — the ROADMAP's "functional pattern import". The grader skips
+// faults no observation point can see, drops each fault in the cycle it is
+// detected and regroups the survivors, so a set's cost tracks the faults it
+// has yet to detect. A malformed set (a row that does not drive every
+// input) fails the provider with an error naming the set and the cycle.
+// Because mission detections and scenario untestability proofs merge into
+// the same lattice, a stimulus that detects a fault some scenario proved
+// functionally untestable fails the campaign with a fault.ConflictError:
+// either the scenario transform was unsound or the stimulus drives the
+// design outside its mission model.
 type PatternProvider struct {
 	// ProviderName is the delta source name; empty means "patterns".
 	ProviderName string

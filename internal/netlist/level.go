@@ -71,18 +71,25 @@ func (n *Netlist) Levelize() ([]GateID, error) {
 	return order, nil
 }
 
-// FaninCone returns the set of live gates in the transitive fanin of the
-// given nets, stopping at (and including) sources.
-func (n *Netlist) FaninCone(roots ...NetID) map[GateID]bool {
-	seen := map[GateID]bool{}
+// FaninCone marks the live gates in the transitive fanin of the given nets:
+// cone[g] reports whether gate g's output can reach one of them. The walk
+// crosses flip-flops (their D and reset pins are fanin like any other),
+// stops at primary inputs and ties, and skips dead drivers, so it is the
+// sequential, any-number-of-cycles notion of reachability: a flip-flop in
+// the cone of the primary outputs holds state an on-line test can read out
+// eventually, and a gate outside the cone of every observation point can
+// never influence one, however long the circuit runs. One pass, linear in
+// the circuit.
+func (n *Netlist) FaninCone(roots ...NetID) []bool {
+	cone := make([]bool, len(n.Gates))
 	var stack []GateID
 	push := func(net NetID) {
 		if net == InvalidNet {
 			return
 		}
 		drv := n.Nets[net].Driver
-		if drv != InvalidGate && !seen[drv] && n.Gates[drv].Kind != KDead {
-			seen[drv] = true
+		if drv != InvalidGate && !cone[drv] && n.Gates[drv].Kind != KDead {
+			cone[drv] = true
 			stack = append(stack, drv)
 		}
 	}
@@ -96,7 +103,7 @@ func (n *Netlist) FaninCone(roots ...NetID) map[GateID]bool {
 			push(in)
 		}
 	}
-	return seen
+	return cone
 }
 
 // FanoutCone returns the set of live gates in the transitive fanout of the

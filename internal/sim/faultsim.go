@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math/bits"
+
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
@@ -77,6 +80,22 @@ type Stimulus struct {
 	Cycles [][]logic.V     // Cycles[c][i] drives Inputs[i] in cycle c
 }
 
+// check rejects a stimulus the simulator cannot apply to n: an input that is
+// not a net of n, or a cycle that does not drive exactly the listed inputs.
+func (st Stimulus) check(n *netlist.Netlist) error {
+	for i, net := range st.Inputs {
+		if net < 0 || int(net) >= len(n.Nets) {
+			return fmt.Errorf("stimulus input %d is net %d, netlist %q has %d nets", i, net, n.Name, len(n.Nets))
+		}
+	}
+	for c, cyc := range st.Cycles {
+		if len(cyc) != len(st.Inputs) {
+			return fmt.Errorf("stimulus cycle %d drives %d values, want one per input (%d)", c, len(cyc), len(st.Inputs))
+		}
+	}
+	return nil
+}
+
 // GradeSeq fault-simulates the given faults against a sequential stimulus,
 // fault-parallel: 63 faulty machines share each simulation pass with one
 // good reference machine in slot 63. A fault is detected in the cycle where
@@ -99,77 +118,262 @@ func GradeSeqSites(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 }
 
 // GradeSeqSitesObs is GradeSeqSites recording into a telemetry registry (nil
-// disables recording). Counters:
+// disables recording). It returns an error, before simulating anything, for
+// a stimulus whose inputs are not nets of n or whose cycles do not drive
+// exactly its inputs.
 //
-//	sim.gradeseq.lanes  fault lanes graded — one per fault, 63 share a word
-//	sim.gradeseq.words  fault-parallel simulation passes (63-lane batches);
-//	                    lanes/(63*words) is the lane utilization
-//	sim.gradeseq.cycles clock cycles simulated, summed over all passes
+// Grading follows PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992) in three
+// steps, none of which changes which faults are detected:
+//
+//   - Screen. A fault none of whose sites lies in the fan-in cone of an
+//     observation pin (netlist.FaninCone, through gates and flip-flops)
+//     cannot make an observed value differ in any cycle, so it is not
+//     simulated.
+//   - Drop. Every word advances cycle by cycle on one Simulator, and a fault
+//     leaves its word in the cycle it is detected. Grading stops early once
+//     every fault is detected.
+//   - Regroup. Whenever the survivors fit in fewer words, they are packed
+//     into ceil(live/63) words. Each lane's source-net values (flip-flop
+//     outputs, inputs, ties) move with it. Every other net is recomputed
+//     from the sources each cycle, so a word's state between cycles is just
+//     those values plus its injections.
+//
+// Counters:
+//
+//	sim.gradeseq.unobservable faults the screen skipped
+//	sim.gradeseq.lanes        faults simulated, one lane each
+//	sim.gradeseq.words        words the simulated faults were first packed
+//	                          into, 63 lanes to a word
+//	sim.gradeseq.cycles       word-cycles simulated; shrinks as faults drop
+//	sim.gradeseq.regroups     times the survivors were packed into fewer words
 func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 	observe []ObsPoint, faults []fault.FID, sm *fault.SiteMap, reg *obs.Registry) (*fault.Set, error) {
 
-	mLanes := reg.Counter("sim.gradeseq.lanes")
-	mWords := reg.Counter("sim.gradeseq.words")
-	mCycles := reg.Counter("sim.gradeseq.cycles")
-
+	if err := stim.check(n); err != nil {
+		return nil, err
+	}
 	detected := fault.NewSet(u)
-	const goodSlot = logic.WordBits - 1
-	const lanes = logic.WordBits - 1
+	if len(faults) == 0 {
+		return detected, nil
+	}
+	s, err := New(n)
+	if err != nil {
+		return nil, err
+	}
+	graded := observableFaults(u, observe, faults, sm)
+	reg.Counter("sim.gradeseq.unobservable").Add(int64(len(faults) - len(graded)))
+	reg.Counter("sim.gradeseq.lanes").Add(int64(len(graded)))
+	if len(graded) == 0 {
+		return detected, nil
+	}
+	ws := newSeqWords(s, u, sm, graded)
+	reg.Counter("sim.gradeseq.words").Add(int64(ws.num))
+	mCycles := reg.Counter("sim.gradeseq.cycles")
+	mRegroups := reg.Counter("sim.gradeseq.regroups")
 
-	for base := 0; base < len(faults); base += lanes {
-		hi := base + lanes
-		if hi > len(faults) {
-			hi = len(faults)
-		}
-		batch := faults[base:hi]
-		mLanes.Add(int64(len(batch)))
-		mWords.Inc()
-		mCycles.Add(int64(len(stim.Cycles)))
-
-		s, err := New(n)
-		if err != nil {
-			return nil, err
-		}
-		for lane, fid := range batch {
-			f := u.FaultOf(fid)
-			s.AddInjection(Injection{Site: f.Site, SA: f.SA, Mask: 1 << uint(lane)})
-			for _, rep := range sm.Replicas(f.Gate) {
-				s.AddInjection(Injection{
-					Site: fault.Site{Gate: rep, Pin: f.Pin}, SA: f.SA, Mask: 1 << uint(lane)})
-			}
-		}
-		s.ClearState(logic.X)
-
-		caught := make([]bool, len(batch))
-		for _, cyc := range stim.Cycles {
+	for _, cyc := range stim.Cycles {
+		mCycles.Add(int64(ws.num))
+		for w := 0; w < ws.num; w++ {
+			ws.load(w)
 			for i, net := range stim.Inputs {
 				s.SetInputV(net, cyc[i])
 			}
 			s.EvalComb()
-			for _, p := range observe {
-				v := s.ObsVal(p)
-				var diffMask uint64
-				switch v.Get(goodSlot) {
-				case logic.One:
-					diffMask = v.L0
-				case logic.Zero:
-					diffMask = v.L1
-				default:
-					continue
-				}
-				for lane := range batch {
-					if diffMask&(1<<uint(lane)) != 0 {
-						caught[lane] = true
-					}
-				}
-			}
+			caught := observedDiff(s, observe) & ws.live[w]
 			s.CommitState()
+			ws.save(w)
+			ws.drop(w, caught, detected)
 		}
-		for lane, fid := range batch {
-			if caught[lane] {
-				detected.Add(fid)
-			}
+		if ws.alive == 0 {
+			break
+		}
+		if words(ws.alive) < ws.num {
+			ws.regroup()
+			mRegroups.Inc()
 		}
 	}
 	return detected, nil
+}
+
+// observableFaults returns, in order, the faults with at least one site —
+// primary or replica — in the fan-in cone of an observation pin. A fault on
+// an input pin is in the cone when its gate is, or when the pin is itself
+// an observation point.
+func observableFaults(u *fault.Universe, observe []ObsPoint, faults []fault.FID, sm *fault.SiteMap) []fault.FID {
+	n := u.N
+	seeds := make([]netlist.NetID, len(observe))
+	obsPin := make(map[ObsPoint]bool, len(observe))
+	for i, p := range observe {
+		seeds[i] = n.Gates[p.Gate].Ins[p.Pin]
+		obsPin[p] = true
+	}
+	cone := n.FaninCone(seeds...)
+	reaches := func(g netlist.GateID, pin int32) bool {
+		return cone[g] || obsPin[ObsPoint{Gate: g, Pin: pin}]
+	}
+	var out []fault.FID
+	for _, fid := range faults {
+		f := u.FaultOf(fid)
+		ok := reaches(f.Gate, f.Pin)
+		for _, rep := range sm.Replicas(f.Gate) {
+			ok = ok || reaches(rep, f.Pin)
+		}
+		if ok {
+			out = append(out, fid)
+		}
+	}
+	return out
+}
+
+// Every word carries faultLanes faulty machines in lanes 0..faultLanes-1 and
+// the good machine in goodSlot, the last lane.
+const (
+	faultLanes = logic.WordBits - 1
+	goodSlot   = faultLanes
+)
+
+// observedDiff returns the lanes whose value at some observation point is
+// known and differs from the good machine's known value.
+func observedDiff(s *Simulator, observe []ObsPoint) uint64 {
+	var diff uint64
+	for _, p := range observe {
+		v := s.ObsVal(p)
+		switch v.Get(goodSlot) {
+		case logic.One:
+			diff |= v.L0
+		case logic.Zero:
+			diff |= v.L1
+		}
+	}
+	return diff
+}
+
+// seqWords holds the faulty machines of one sequential grading run between
+// cycles: lane l of word w grades fids[w*faultLanes+l], and the word keeps its
+// source-net values and its injections. The simulator holds one word at a
+// time.
+type seqWords struct {
+	s     *Simulator
+	u     *fault.Universe
+	sm    *fault.SiteMap
+	fids  []fault.FID
+	num   int           // words in use
+	cur   int           // word installed in the simulator, or -1
+	alive int           // lanes not yet detected, over all words
+	live  []uint64      // per word: lanes not yet detected
+	inj   [][]Injection // per word: the injections of its lanes
+	state []logic.PV    // per word: len(s.sources) source-net values
+}
+
+func newSeqWords(s *Simulator, u *fault.Universe, sm *fault.SiteMap, fids []fault.FID) *seqWords {
+	num := words(len(fids))
+	ws := &seqWords{
+		s: s, u: u, sm: sm, fids: fids,
+		live: make([]uint64, num),
+		inj:  make([][]Injection, num),
+		// The zero PV is X in every slot: the state every machine starts in.
+		state: make([]logic.PV, num*len(s.sources)),
+	}
+	ws.pack(len(fids))
+	return ws
+}
+
+// words returns how many words it takes to hold the given number of faulty
+// machines.
+func words(lanes int) int { return (lanes + faultLanes - 1) / faultLanes }
+
+// pack makes the first lanes entries of fids the live lanes of the first
+// words(lanes) words and rebuilds those words' injections.
+func (ws *seqWords) pack(lanes int) {
+	ws.fids = ws.fids[:lanes]
+	ws.num = words(lanes)
+	ws.cur = -1
+	ws.alive = lanes
+	for w := 0; w < ws.num; w++ {
+		lo := w * faultLanes
+		hi := min(lo+faultLanes, lanes)
+		ws.live[w] = 1<<uint(hi-lo) - 1
+		inj := ws.inj[w][:0]
+		for l, fid := range ws.fids[lo:hi] {
+			f := ws.u.FaultOf(fid)
+			mask := uint64(1) << uint(l)
+			inj = append(inj, Injection{Site: f.Site, SA: f.SA, Mask: mask})
+			for _, rep := range ws.sm.Replicas(f.Gate) {
+				inj = append(inj, Injection{Site: fault.Site{Gate: rep, Pin: f.Pin}, SA: f.SA, Mask: mask})
+			}
+		}
+		ws.inj[w] = inj
+	}
+}
+
+// sources returns word w's source-net values.
+func (ws *seqWords) sources(w int) []logic.PV {
+	k := len(ws.s.sources)
+	return ws.state[w*k : (w+1)*k]
+}
+
+// load installs word w in the simulator: its injections and its source-net
+// values. A lone word stays installed from cycle to cycle.
+func (ws *seqWords) load(w int) {
+	if ws.cur == w {
+		return
+	}
+	ws.cur = w
+	s := ws.s
+	s.ClearInjections()
+	for _, in := range ws.inj[w] {
+		s.AddInjection(in)
+	}
+	for i, v := range ws.sources(w) {
+		s.vals[s.N.Gates[s.sources[i]].Out] = v
+	}
+}
+
+// save stores the simulator's source-net values as word w's. A lone word
+// needs no copy: it stays installed, and regrouping needs two words.
+func (ws *seqWords) save(w int) {
+	if ws.num == 1 {
+		return
+	}
+	s := ws.s
+	st := ws.sources(w)
+	for i, g := range s.sources {
+		st[i] = s.vals[s.N.Gates[g].Out]
+	}
+}
+
+// drop records the caught lanes of word w as detected and retires them.
+func (ws *seqWords) drop(w int, caught uint64, detected *fault.Set) {
+	for c := caught; c != 0; c &= c - 1 {
+		detected.Add(ws.fids[w*faultLanes+bits.TrailingZeros64(c)])
+	}
+	ws.live[w] &^= caught
+	ws.alive -= bits.OnesCount64(caught)
+}
+
+// regroup packs the surviving lanes, in order, into the first
+// words(ws.alive) words. A lane only ever moves to a lower position
+// w*faultLanes+l, so packing in place never overwrites a lane still to be
+// moved. The good slot needs no move: every word runs the same good machine.
+func (ws *seqWords) regroup() {
+	k := 0
+	for w := 0; w < ws.num; w++ {
+		for live := ws.live[w]; live != 0; live &= live - 1 {
+			l := bits.TrailingZeros64(live)
+			if dw, dl := k/faultLanes, k%faultLanes; dw != w || dl != l {
+				ws.fids[k] = ws.fids[w*faultLanes+l]
+				moveLane(ws.sources(dw), dl, ws.sources(w), l)
+			}
+			k++
+		}
+	}
+	ws.pack(k)
+}
+
+// moveLane copies lane sl of src into lane dl of dst, value by value.
+func moveLane(dst []logic.PV, dl int, src []logic.PV, sl int) {
+	for i := range dst {
+		dst[i].L0 = dst[i].L0&^(1<<uint(dl)) | (src[i].L0>>uint(sl)&1)<<uint(dl)
+		dst[i].L1 = dst[i].L1&^(1<<uint(dl)) | (src[i].L1>>uint(sl)&1)<<uint(dl)
+	}
 }

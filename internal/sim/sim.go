@@ -3,7 +3,10 @@
 //
 //   - pattern-parallel single-fault (PPSFP) combinational grading, and
 //   - fault-parallel sequential grading (63 faulty machines + 1 good
-//     reference machine per 64-bit word), used to grade SBST programs.
+//     reference machine per 64-bit word), used to grade SBST programs and
+//     mission traces. It skips faults with no structural path to an
+//     observation point, drops each fault in the cycle it is detected, and
+//     packs the survivors into fewer words as they thin out.
 //
 // The simulator is cycle-based: EvalComb settles the combinational network
 // in one levelized pass, Step additionally commits flip-flop state. DFFR

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"olfui/internal/fault"
@@ -415,6 +416,37 @@ func TestGradeSeqManyFaultBatches(t *testing.T) {
 	}
 	if det.Count() != len(all) {
 		t.Errorf("detected %d/%d buffer-chain faults", det.Count(), len(all))
+	}
+}
+
+// TestGradeSeqRejectsMalformedStimulus pins the stimulus check: a cycle that
+// does not drive exactly the listed inputs, or an input that is not a net of
+// the circuit, is an error naming the cycle or input, not an index panic.
+func TestGradeSeqRejectsMalformedStimulus(t *testing.T) {
+	n := netlist.New("ragged")
+	a, b := n.Input("a"), n.Input("b")
+	n.OutputPort("po", n.And("g", a, b))
+	u := fault.NewUniverse(n)
+	all := make([]fault.FID, u.NumFaults())
+	for i := range all {
+		all[i] = fault.FID(i)
+	}
+	ok := []logic.V{logic.One, logic.One}
+	for _, tc := range []struct {
+		name   string
+		inputs []netlist.NetID
+		cycles [][]logic.V
+		want   string
+	}{
+		{"short row", []netlist.NetID{a, b}, [][]logic.V{ok, {logic.One}}, "cycle 1"},
+		{"long row", []netlist.NetID{a, b}, [][]logic.V{ok, ok, {logic.One, logic.One, logic.One}}, "cycle 2"},
+		{"net past the end", []netlist.NetID{a, netlist.NetID(len(n.Nets))}, [][]logic.V{ok}, "input 1"},
+		{"negative net", []netlist.NetID{netlist.InvalidNet, b}, [][]logic.V{ok}, "input 0"},
+	} {
+		_, err := GradeSeq(n, u, Stimulus{Inputs: tc.inputs, Cycles: tc.cycles}, OutputObsPoints(n), all)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
 	}
 }
 
