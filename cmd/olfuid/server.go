@@ -29,7 +29,7 @@ type runSpec struct {
 	Shards         int `json:"shards"`          // full-scan baseline shards (default 1)
 	ScenarioShards int `json:"scenario_shards"` // per-scenario class shards (default 1)
 	MaxFrames      int `json:"max_frames"`      // >0 sweeps the reach scenario to this depth budget
-	Workers        int `json:"workers"`         // campaign-wide worker budget (0 = NumCPU)
+	Workers        int `json:"workers"`         // campaign-wide worker budget (0 = NumCPU, at most maxWorkers)
 	// NoSched disables the dynamic work-stealing scheduler: providers fall
 	// back to the static shard partitions Shards/ScenarioShards describe.
 	// NOTE: the journal fingerprint covers the provider roster, and the
@@ -50,6 +50,13 @@ type runSpec struct {
 	// server mid-campaign at a predictable point; production runs leave it 0.
 	DeltaDelayMS int `json:"delta_delay_ms"`
 }
+
+// maxWorkers bounds a run's worker budget. Every provider builds one engine
+// per worker, up to its live class count, so the budget multiplies memory.
+const maxWorkers = 256
+
+// maxSpecBytes bounds a submitted run spec's body.
+const maxSpecBytes = 1 << 20
 
 func (sp *runSpec) normalize() error {
 	if sp.Width == 0 {
@@ -77,8 +84,8 @@ func (sp *runSpec) normalize() error {
 		return fmt.Errorf("max_frames (%d) must be 0 or >= frames (%d)", sp.MaxFrames, sp.Frames)
 	case sp.MaxFrames > 16:
 		return fmt.Errorf("max_frames must be <= 16, got %d", sp.MaxFrames)
-	case sp.Workers < 0:
-		return fmt.Errorf("workers must be >= 0, got %d", sp.Workers)
+	case sp.Workers < 0 || sp.Workers > maxWorkers:
+		return fmt.Errorf("workers must be in [0,%d], got %d", maxWorkers, sp.Workers)
 	case sp.DeltaDelayMS < 0 || sp.DeltaDelayMS > 60_000:
 		return fmt.Errorf("delta_delay_ms must be in [0,60000], got %d", sp.DeltaDelayMS)
 	}
@@ -468,7 +475,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec runSpec
-	if err := json.NewDecoder(req.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes)).Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad run spec: %v", err)
 		return
 	}

@@ -65,14 +65,32 @@ func TestServerHTTP(t *testing.T) {
 	hs := httptest.NewServer(srv.routes())
 	defer hs.Close()
 
-	// Bad specs are rejected before anything is queued.
-	resp, err := http.Post(hs.URL+"/runs", "application/json", strings.NewReader(`{"width":-1}`))
-	if err != nil {
-		t.Fatal(err)
+	// Bad specs are rejected before anything is queued: out-of-range knobs,
+	// a worker budget that would build an engine fleet per provider, and a
+	// body over the size limit. They go to a listener of their own, closed
+	// before any run starts: the server drops the oversized body's
+	// connection, and closing it lingers for half a second.
+	bad := httptest.NewServer(srv.routes())
+	for _, body := range []string{
+		`{"width":-1}`,
+		`{"workers":100000}`,
+		`{"width":8,"pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
+	} {
+		resp, err := http.Post(bad.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad spec %.40q: got %d, want 400", body, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad spec: got %d, want 400", resp.StatusCode)
+	bad.Close()
+	srv.mu.Lock()
+	queued := len(srv.order)
+	srv.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("bad specs queued %d runs", queued)
 	}
 
 	// Unknown runs 404 everywhere.
@@ -88,7 +106,7 @@ func TestServerHTTP(t *testing.T) {
 	}
 
 	// Submit a small real run.
-	resp, err = http.Post(hs.URL+"/runs", "application/json", strings.NewReader(`{"width":2,"frames":1}`))
+	resp, err := http.Post(hs.URL+"/runs", "application/json", strings.NewReader(`{"width":2,"frames":1}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,19 @@
 //
 // The engine searches over assignments to the controllable inputs — primary
 // inputs plus flip-flop outputs treated as pseudo-inputs — using five-valued
-// D-calculus implication (logic.D5) on the levelized netlist. Each decision
-// step forward-implies the whole circuit, then either reports detection (a
-// fault effect D/D̄ reached an observation point), derives the next objective
-// (activate the fault, then advance the D-frontier), or backtracks. Because
-// PODEM's decision tree ranges over all input assignments and every pruning
-// rule is monotone (implication only refines X toward known values, never the
-// reverse), exhausting the tree is a proof of untestability — which is
-// exactly what the on-line functionally-untestable-fault identification flow
-// needs: Untestable verdicts are certificates, not failures to detect.
+// D-calculus implication (logic.D5) on the levelized netlist. Each search
+// first computes its fault's relevance cone (cone.go): the gates a fault
+// effect can reach, plus their combinational fan-in — every value the search
+// ever reads. Each decision step then forward-implies only the part of that
+// cone the step changed (event-driven, selective trace), and either reports
+// detection (a fault effect D/D̄ reached an observation point), derives the
+// next objective (activate the fault, then advance the D-frontier), or
+// backtracks. Because PODEM's decision tree ranges over all input
+// assignments and every pruning rule is monotone (implication only refines X
+// toward known values, never the reverse), exhausting the tree is a proof of
+// untestability — which is exactly what the on-line
+// functionally-untestable-fault identification flow needs: Untestable
+// verdicts are certificates, not failures to detect.
 //
 // Heuristics are SCOAP-lite (netlist.Annotations): objectives pick the
 // D-frontier gate with the lowest output observability, and a multiple
@@ -173,7 +177,9 @@ type Options struct {
 	// Metrics, when non-nil, receives the run's engine telemetry: per-class
 	// verdict counters mirroring Stats ("atpg.classes", "atpg.classes.*",
 	// "atpg.patterns"), search-work counters ("atpg.backtracks",
-	// "atpg.decisions", "atpg.implications"), drop-grader traffic
+	// "atpg.decisions", "atpg.implications", and "atpg.gate_evals", the
+	// gate evaluations those implication passes and probes actually ran),
+	// drop-grader traffic
 	// ("atpg.drop.graded" / "atpg.drop.hits" — the hit rate of fault
 	// dropping), abort attribution ("atpg.abort.limit" / "atpg.abort.cancel")
 	// and the per-class search-time histogram ("atpg.search_ns"). Handles
@@ -234,9 +240,15 @@ type Result struct {
 	// Decisions counts the decision-stack pushes (initial assignments; flips
 	// are counted by Backtracks).
 	Decisions int
-	// Implications counts full implication passes — the search's unit of
-	// raw simulation work.
+	// Implications counts implication passes: one per decision step, plus
+	// the search's initial pass. Passes are event-driven, so a pass costs
+	// what the step changed; GateEvals measures that cost.
 	Implications int
+	// GateEvals counts the gate evaluations the search ran: one per
+	// combinational gate an implication pass re-evaluated, and one per gate
+	// per rail a batched probe evaluated. It is the search's unit of raw
+	// simulation work.
+	GateEvals int
 	// Elapsed is the wall-clock time of this search.
 	Elapsed time.Duration
 }
@@ -271,7 +283,6 @@ type Engine struct {
 	deadIn []bool
 	// pIdx[net] is the assignable index of a net, -1 otherwise.
 	pIdx []int32
-	obs  []sim.ObsPoint
 	// obsMask[g] has bit p set when input pin p of gate g is an
 	// observation point — the X-path pruning DFS tests pins in its inner
 	// loop, so the check must not hash. Pins >= 64 (pathologically wide
@@ -297,8 +308,26 @@ type Engine struct {
 	injPinWide map[netlist.Pin]bool
 	stack      []decision
 	backtracks int
+	gateEvals  int
+	// changed lists the assignables whose value the current decision step
+	// changed (pushed, flipped or popped): the seeds of the next
+	// event-driven implication pass.
+	changed []int32
+
+	// Relevance cone of the current injection (see cone.go). cone holds
+	// one flag byte per gate; coneGates lists N's combinational gates and
+	// coneF F's, both in levelized order; coneSrc lists N's source gates;
+	// coneObs lists the observation points a fault effect can reach.
+	cone      []uint8
+	coneGates []netlist.GateID
+	coneF     []netlist.GateID
+	coneSrc   []netlist.GateID
+	coneObs   []sim.ObsPoint
+	coneWork  []netlist.GateID   // cone-walk worklist
+	implQ     [][]netlist.GateID // event-driven implication queues by level
 
 	dfront []netlist.GateID
+	roots  []netlist.NetID // nextObjectives scratch
 	// X-path DFS scratch: visited is epoch-stamped (valid when equal to
 	// visitEp) so each call costs O(touched), not O(nets) clearing, and the
 	// DFS stack is an engine-owned arena instead of a per-call allocation.
@@ -307,7 +336,10 @@ type Engine struct {
 	xstack  []netlist.NetID
 	objs    []objective // nextObjectives scratch
 	demand  []objDemand
-	buckets [][]netlist.NetID // multiple-backtrace worklist by level
+	// netDemand holds the multiple-backtrace demand per net, valid where
+	// visited carries the current backtrace's epoch.
+	netDemand []objDemand
+	buckets   [][]netlist.NetID // multiple-backtrace worklist by level
 
 	// Batched-probe arenas (see probe.go): dual-rail ternary values per net,
 	// packed candidate inputs per assignable, and the slot-to-candidate maps.
@@ -345,13 +377,14 @@ func NewWithAnnotations(n *netlist.Netlist, ann *netlist.Annotations, opts Optio
 		ann:        ann,
 		opts:       opts,
 		pIdx:       make([]int32, len(n.Nets)),
-		obs:        obs,
 		obsMask:    make([]uint64, len(n.Gates)),
 		obsPin:     make(map[netlist.Pin]bool),
 		val:        make([]logic.D5, len(n.Nets)),
 		injOut:     make([]bool, len(n.Gates)),
 		injPinMask: make([]uint64, len(n.Gates)),
 		visited:    make([]uint32, len(n.Nets)),
+		netDemand:  make([]objDemand, len(n.Nets)),
+		cone:       make([]uint8, len(n.Gates)),
 		probeGood:  make([]logic.PV, len(n.Nets)),
 		probeBad:   make([]logic.PV, len(n.Nets)),
 	}
@@ -394,6 +427,7 @@ func NewWithAnnotations(n *netlist.Netlist, ann *netlist.Annotations, opts Optio
 		}
 	}
 	e.buckets = make([][]netlist.NetID, maxLvl+1)
+	e.implQ = make([][]netlist.GateID, maxLvl+1)
 	return e
 }
 

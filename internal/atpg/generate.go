@@ -32,12 +32,14 @@ type Stats struct {
 	SimDropped int // classes detected by fault simulation alone, never targeted
 	Patterns   int // patterns in the emitted test set
 	Backtracks int // total decision flips across all targeted faults
-	// Decisions and Implications total the searches' decision-stack pushes
-	// and implication passes — the raw work the telemetry layer tracks for
-	// throughput tuning (Stats keeps them so shard merges and tests can
-	// reconcile against the obs counters).
+	// Decisions, Implications and GateEvals total the searches'
+	// decision-stack pushes, implication passes and gate evaluations — the
+	// raw work the telemetry layer tracks for throughput tuning (Stats keeps
+	// them so shard merges and tests can reconcile against the obs
+	// counters).
 	Decisions    int
 	Implications int
+	GateEvals    int
 	Elapsed      time.Duration
 }
 
@@ -64,6 +66,7 @@ func (s *Stats) Add(t Stats) {
 	s.Backtracks += t.Backtracks
 	s.Decisions += t.Decisions
 	s.Implications += t.Implications
+	s.GateEvals += t.GateEvals
 	if t.Elapsed > s.Elapsed {
 		s.Elapsed = t.Elapsed
 	}
@@ -222,6 +225,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		mBacktracks   = reg.Counter("atpg.backtracks")
 		mDecisions    = reg.Counter("atpg.decisions")
 		mImplications = reg.Counter("atpg.implications")
+		mGateEvals    = reg.Counter("atpg.gate_evals")
 		mAbortLimit   = reg.Counter("atpg.abort.limit")
 		mAbortCancel  = reg.Counter("atpg.abort.cancel")
 		mDropGraded   = reg.Counter("atpg.drop.graded")
@@ -358,9 +362,11 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		st.Backtracks += w.res.Backtracks
 		st.Decisions += w.res.Decisions
 		st.Implications += w.res.Implications
+		st.GateEvals += w.res.GateEvals
 		mBacktracks.Add(int64(w.res.Backtracks))
 		mDecisions.Add(int64(w.res.Decisions))
 		mImplications.Add(int64(w.res.Implications))
+		mGateEvals.Add(int64(w.res.GateEvals))
 		hSearch.Observe(w.res.Elapsed.Nanoseconds())
 		// A class dropped while its search was in flight needs no further
 		// accounting — the verdicts cannot disagree, only overlap.

@@ -1,8 +1,6 @@
 package atpg
 
 import (
-	"sort"
-
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
@@ -56,11 +54,11 @@ func (e *Engine) nextObjectives() []objective {
 	// Phase 2: a fault effect is in flight. Advance the D-frontier.
 	e.computeFrontier()
 	if len(e.dfront) > 0 {
-		roots := make([]netlist.NetID, 0, len(e.dfront))
+		e.roots = e.roots[:0]
 		for _, gid := range e.dfront {
-			roots = append(roots, e.n.Gates[gid].Out)
+			e.roots = append(e.roots, e.n.Gates[gid].Out)
 		}
-		if e.xPathFrom(roots) {
+		if e.xPathFrom(e.roots) {
 			for _, gid := range e.dfront {
 				if obj, ok := e.gateObjective(gid); ok {
 					e.objs = append(e.objs, obj)
@@ -116,12 +114,14 @@ func (e *Engine) appendActivations() []objective {
 
 // computeFrontier collects the D-frontier: gates with at least one fault
 // effect on an input and an output that can still evolve (carries an X
-// component), sorted most-observable first (lowest SCOAP CO).
+// component), sorted most-observable first (lowest SCOAP CO). Only F gates
+// can read a fault effect, so the scan covers F alone; the insertion sort is
+// stable, so equal-CO gates keep their levelized order.
 func (e *Engine) computeFrontier() {
 	e.dfront = e.dfront[:0]
-	for _, gid := range e.ann.Order() {
+	for _, gid := range e.coneF {
 		g := &e.n.Gates[gid]
-		if g.Out == netlist.InvalidNet || !e.val[g.Out].HasX() {
+		if !e.val[g.Out].HasX() {
 			continue
 		}
 		for p := range g.Ins {
@@ -131,9 +131,15 @@ func (e *Engine) computeFrontier() {
 			}
 		}
 	}
-	sort.SliceStable(e.dfront, func(i, j int) bool {
-		return e.ann.CO[e.n.Gates[e.dfront[i]].Out] < e.ann.CO[e.n.Gates[e.dfront[j]].Out]
-	})
+	for i := 1; i < len(e.dfront); i++ {
+		gid := e.dfront[i]
+		co := e.ann.CO[e.n.Gates[gid].Out]
+		j := i
+		for ; j > 0 && e.ann.CO[e.n.Gates[e.dfront[j-1]].Out] > co; j-- {
+			e.dfront[j] = e.dfront[j-1]
+		}
+		e.dfront[j] = gid
+	}
 }
 
 // observable reports whether a gate input pin is one of the engine's
@@ -184,14 +190,7 @@ func (e *Engine) xPathFrom(roots []netlist.NetID) bool {
 	// Epoch stamps make "visited" reset O(1) and the stack is engine-owned:
 	// this DFS runs once or more per decision step, so it must not clear an
 	// O(nets) array or allocate.
-	e.visitEp++
-	if e.visitEp == 0 { // stamp wraparound: invalidate stale entries
-		for i := range e.visited {
-			e.visited[i] = 0
-		}
-		e.visitEp = 1
-	}
-	ep := e.visitEp
+	ep := e.nextEpoch()
 	stack := e.xstack[:0]
 	defer func() { e.xstack = stack[:0] }()
 	for _, net := range roots {
@@ -222,6 +221,19 @@ func (e *Engine) xPathFrom(roots []netlist.NetID) bool {
 		}
 	}
 	return false
+}
+
+// nextEpoch starts a new visited epoch and returns it, invalidating every
+// stamp of earlier ones.
+func (e *Engine) nextEpoch() uint32 {
+	e.visitEp++
+	if e.visitEp == 0 { // stamp wraparound: invalidate stale entries
+		for i := range e.visited {
+			e.visited[i] = 0
+		}
+		e.visitEp = 1
+	}
+	return e.visitEp
 }
 
 // gateObjective proposes an objective that advances the fault effect through

@@ -38,16 +38,19 @@ func (e *Engine) GenerateInjection(inj fault.Injection) (res Result) {
 		res.Backtracks = e.backtracks
 		res.Decisions = decisions
 		res.Implications = implications
+		res.GateEvals = e.gateEvals
 		res.Elapsed = time.Since(start)
 	}()
 	e.setInjection(inj)
+	e.buildCone()
 	for i := range e.assigns {
 		e.assigns[i] = logic.X
 	}
 	e.stack = e.stack[:0]
 	e.backtracks = 0
+	e.gateEvals = 0
 
-	e.imply()
+	e.implyCone()
 	implications++
 	for {
 		// A completed detection wins over cancellation: if the implication
@@ -82,6 +85,7 @@ func (e *Engine) GenerateInjection(inj fault.Injection) (res Result) {
 				flipped = oc == probePushProven
 			}
 			e.assigns[idx] = v
+			e.changed = append(e.changed, idx)
 			e.stack = append(e.stack, decision{idx: idx, val: v, flipped: flipped})
 			decisions++
 			advanced = true
@@ -102,6 +106,7 @@ func (e *Engine) GenerateInjection(inj fault.Injection) (res Result) {
 
 // backtrack resolves a conflict: it flips the deepest unflipped decision
 // (undoing everything below it) or, if none remains, reports exhaustion.
+// Every assignable it flips or clears joins Engine.changed.
 func (e *Engine) backtrack() bool {
 	for len(e.stack) > 0 {
 		top := &e.stack[len(e.stack)-1]
@@ -109,10 +114,12 @@ func (e *Engine) backtrack() bool {
 			top.flipped = true
 			top.val = top.val.Not()
 			e.assigns[top.idx] = top.val
+			e.changed = append(e.changed, top.idx)
 			e.backtracks++
 			return true
 		}
 		e.assigns[top.idx] = logic.X
+		e.changed = append(e.changed, top.idx)
 		e.stack = e.stack[:len(e.stack)-1]
 	}
 	return false

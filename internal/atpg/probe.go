@@ -121,41 +121,45 @@ func (e *Engine) probeDecision(idx int32, v logic.V) (int32, logic.V, probeOutco
 	return idx, v, probePush
 }
 
-// probeEval settles good and faulty machines over the whole circuit in one
-// levelized dual-rail pass from the packed candidate inputs, mirroring
-// imply() with PV words in place of D5 values.
+// probeEval settles good and faulty machines over the relevance cone N in
+// one levelized dual-rail pass from the packed candidate inputs, mirroring
+// implyCone with PV words in place of D5 values. The good rail covers all of
+// N; the faulty rail is evaluated on F alone, because outside F the faulty
+// machine equals the good one: no fault effect reaches those gates, and none
+// of them carries a site.
 func (e *Engine) probeEval() {
-	for i := range e.n.Gates {
-		g := &e.n.Gates[i]
+	for _, gid := range e.coneSrc {
+		g := &e.n.Gates[gid]
 		var pv logic.PV
 		switch g.Kind {
 		case netlist.KTie0:
 			pv = logic.PVAllZero
 		case netlist.KTie1:
 			pv = logic.PVAllOne
-		case netlist.KInput, netlist.KDFF, netlist.KDFFR:
-			pv = e.probeIn[e.pIdx[g.Out]]
 		default:
-			continue
+			pv = e.probeIn[e.pIdx[g.Out]]
 		}
 		e.probeGood[g.Out] = pv
-		if e.injOut[i] {
+		if e.injOut[gid] {
 			pv = logic.PVSplat(e.sa)
 		}
 		e.probeBad[g.Out] = pv
 	}
-	for _, gid := range e.ann.Order() {
+	for _, gid := range e.coneGates {
 		g := &e.n.Gates[gid]
-		if g.Out == netlist.InvalidNet {
+		good := e.probeEvalGate(gid, g, e.probeGood, false)
+		e.probeGood[g.Out] = good
+		if e.cone[gid]&coneF == 0 {
+			e.probeBad[g.Out] = good
 			continue
 		}
-		e.probeGood[g.Out] = e.probeEvalGate(gid, g, e.probeGood, false)
 		bad := e.probeEvalGate(gid, g, e.probeBad, true)
 		if e.injOut[gid] {
 			bad = logic.PVSplat(e.sa)
 		}
 		e.probeBad[g.Out] = bad
 	}
+	e.gateEvals += len(e.coneGates) + len(e.coneF)
 }
 
 // probePinVal reads input pin p of gate g from the given rail, applying the
@@ -208,16 +212,17 @@ func (e *Engine) probeEvalGate(gid netlist.GateID, g *netlist.Gate, vals []logic
 			e.probePinVal(gid, g, netlist.MuxD0, vals, faulty),
 			e.probePinVal(gid, g, netlist.MuxD1, vals, faulty))
 	}
-	// Unreachable: the levelized order holds only evaluable gates, and
+	// Unreachable: the cone's gate list holds only combinational gates, and
 	// probeEval handles sources before this is called.
 	panic("atpg: probe cannot evaluate gate kind")
 }
 
 // probeDetectMask returns the slots where some observation point's good and
-// faulty values are both known and differ.
+// faulty values are both known and differ. Only the points in the fault's
+// cone can differ.
 func (e *Engine) probeDetectMask() uint64 {
 	var det uint64
-	for _, p := range e.obs {
+	for _, p := range e.coneObs {
 		g := &e.n.Gates[p.Gate]
 		good := e.probeGood[g.Ins[p.Pin]]
 		bad := e.probePinVal(p.Gate, g, int(p.Pin), e.probeBad, true)

@@ -1,0 +1,103 @@
+package atpg_test
+
+import (
+	"fmt"
+	"testing"
+
+	"olfui/internal/atpg"
+	"olfui/internal/bench"
+	"olfui/internal/constraint"
+	"olfui/internal/fault"
+	"olfui/internal/flow"
+	"olfui/internal/netlist"
+	"olfui/internal/sim"
+)
+
+// benchClone builds the mission clone of sc over the width-8 bench design,
+// as a campaign's scenario provider does: the constrained clone, its
+// replica site map and its observation points.
+func benchClone(t testing.TB, sc flow.Scenario) (*netlist.Netlist, *fault.SiteMap, []sim.ObsPoint) {
+	t.Helper()
+	clone := bench.Build(8)
+	sm, err := constraint.ApplyMapped(clone, sc.Transforms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clone, sm, sc.Observe(clone)
+}
+
+// TestConeSearchMatchesReferenceOnBench pins every search on the bench
+// design's mission clones — the scenarios the campaign benchmark runs, at 2
+// and 3 unrolled frames — to the full-pass reference engine, at the
+// benchmark's backtrack limit, with the probe at its default threshold and
+// engaged from the first backtrack. These clones hold the hard faults: the
+// searches that end Aborted spend thousands of backtracks each.
+func TestConeSearchMatchesReferenceOnBench(t *testing.T) {
+	done := map[string]bool{}
+	for _, frames := range []int{2, 3} {
+		for _, sc := range bench.Scenarios(frames) {
+			var key string
+			for _, tr := range sc.Transforms {
+				key += tr.Describe() + " "
+			}
+			if done[key] { // scenarios without an unroll do not depend on frames
+				continue
+			}
+			done[key] = true
+			clone, sm, obs := benchClone(t, sc)
+			u := fault.NewUniverse(clone)
+			for _, probe := range []int{0, 1} {
+				t.Run(fmt.Sprintf("%s/frames=%d/probe=%d", sc.Name, frames, probe), func(t *testing.T) {
+					t.Parallel()
+					s, b := atpg.CheckReference(t, clone, u, atpg.Options{
+						BacktrackLimit: 2048,
+						ProbeThreshold: probe,
+						Sites:          sm,
+						ObsPoints:      obs,
+					})
+					t.Logf("%d searches, %d backtracks matched the reference", s, b)
+				})
+			}
+		}
+	}
+}
+
+// TestSearchAllocsIndependentOfSteps pins that a decision step allocates
+// nothing: one Aborted search of the mission-reach clone must allocate the
+// same number of times whether it stops at 256 backtracks or runs on to
+// 2048. Whatever a search allocates, it allocates once, up front.
+func TestSearchAllocsIndependentOfSteps(t *testing.T) {
+	clone, sm, obs := benchClone(t, bench.Scenarios(2)[2])
+	ann, err := clone.Annotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func(limit int) *atpg.Engine {
+		return atpg.NewWithAnnotations(clone, ann, atpg.Options{BacktrackLimit: limit, Sites: sm, ObsPoints: obs})
+	}
+	u := fault.NewUniverse(clone)
+	long := engine(2048)
+	var target fault.Fault
+	found := false
+	for id := 0; id < u.NumFaults() && !found; id++ {
+		target = u.FaultOf(fault.FID(id))
+		found = long.Generate(target).Verdict == atpg.Aborted
+	}
+	if !found {
+		t.Fatal("no fault of the mission-reach clone aborts at limit 2048")
+	}
+	allocs := func(limit int) float64 {
+		e := engine(limit)
+		if r := e.Generate(target); r.Verdict != atpg.Aborted || r.Backtracks != limit+1 {
+			t.Fatalf("limit %d: %v after %d backtracks, want aborted after %d",
+				limit, r.Verdict, r.Backtracks, limit+1)
+		}
+		return testing.AllocsPerRun(3, func() { e.Generate(target) })
+	}
+	short, full := allocs(256), allocs(2048)
+	if short != full {
+		t.Fatalf("%s: %v allocations at limit 256, %v at limit 2048; a decision step allocates",
+			u.Describe(target), short, full)
+	}
+	t.Logf("%s: %v allocations per search at either limit", u.Describe(target), full)
+}

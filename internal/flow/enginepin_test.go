@@ -1,0 +1,81 @@
+package flow_test
+
+import (
+	"context"
+	"testing"
+
+	"olfui/internal/atpg"
+	"olfui/internal/bench"
+	"olfui/internal/fault"
+	"olfui/internal/flow"
+	"olfui/internal/obs"
+)
+
+// TestCampaignEnginePins pins whole single-worker campaigns on the bench
+// design: the classification digest and the search-work counters. With one
+// worker the campaign is deterministic, so any change to the PODEM engine
+// that alters a verdict, a pattern (which changes what fault dropping
+// removes) or the search trajectory (backtracks, decisions, implication
+// passes) shows up here. Speedups to the engine must keep all four equal.
+// The gate-evaluation count is pinned too: it is the engine's work, and it
+// repeats exactly run to run; a change that alters it should say why.
+func TestCampaignEnginePins(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		width     int
+		limit     int
+		maxFrames int
+		digest    string
+		backtracks,
+		decisions,
+		implications,
+		gateEvals int64
+	}{
+		{
+			// The abort-tail benchmark workload: olfui -workers 1 -limit 2048.
+			name: "abort-tail", width: 8, limit: 2048,
+			digest:     "1618aeb715afe81636c486580f808e6f57e3a99a70c2d459046887fed4c68230",
+			backtracks: 43002, decisions: 48009, implications: 92064,
+			gateEvals: 6843735,
+		},
+		{
+			// A swept campaign: olfui -width 16 -limit 64 -sweep -max-frames 4
+			// -workers 1.
+			name: "swept", width: 16, limit: 64, maxFrames: 4,
+			digest:     "6a197e3a4e0b7b80b78c71d2c9aa9157df6b5085853e441415dc50a60a7e4841",
+			backtracks: 6020, decisions: 17582, implications: 25637,
+			gateEvals: 1990974,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := bench.Build(tc.width)
+			if err := n.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.New()
+			r, err := flow.RunCampaign(context.Background(), n, fault.NewUniverse(n), bench.Scenarios(2), flow.Options{
+				ATPG:      atpg.Options{BacktrackLimit: tc.limit},
+				Workers:   1,
+				MaxFrames: tc.maxFrames,
+				Metrics:   reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.ClassDigest(); got != tc.digest {
+				t.Errorf("class digest %s, want %s", got, tc.digest)
+			}
+			snap := reg.Snapshot()
+			for name, want := range map[string]int64{
+				"atpg.backtracks":   tc.backtracks,
+				"atpg.decisions":    tc.decisions,
+				"atpg.implications": tc.implications,
+				"atpg.gate_evals":   tc.gateEvals,
+			} {
+				if got := snap.Counter(name); got != want {
+					t.Errorf("%s = %d, want %d", name, got, want)
+				}
+			}
+		})
+	}
+}

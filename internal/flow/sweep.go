@@ -507,6 +507,7 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		work.Backtracks += out.Stats.Backtracks
 		work.Decisions += out.Stats.Decisions
 		work.Implications += out.Stats.Implications
+		work.GateEvals += out.Stats.GateEvals
 		work.Elapsed += out.Stats.Elapsed
 		for i := range out.Patterns {
 			var st sim.Pattern

@@ -19,7 +19,7 @@ import (
 type statSum struct {
 	classes, detected, untestable, aborted int64
 	simDropped, patterns, backtracks       int64
-	decisions, implications                int64
+	decisions, implications, gateEvals     int64
 }
 
 func (s *statSum) add(st atpg.Stats) {
@@ -32,6 +32,7 @@ func (s *statSum) add(st atpg.Stats) {
 	s.backtracks += int64(st.Backtracks)
 	s.decisions += int64(st.Decisions)
 	s.implications += int64(st.Implications)
+	s.gateEvals += int64(st.GateEvals)
 }
 
 // TestRegistryMatchesStats is the telemetry layer's exactness pin: one
@@ -89,12 +90,13 @@ func TestRegistryMatchesStats(t *testing.T) {
 		"atpg.backtracks":          want.backtracks,
 		"atpg.decisions":           want.decisions,
 		"atpg.implications":        want.implications,
+		"atpg.gate_evals":          want.gateEvals,
 	} {
 		if got := snap.Counter(name); got != wantV {
 			t.Errorf("%s = %d, want %d (summed stats)", name, got, wantV)
 		}
 	}
-	if want.classes == 0 || want.detected == 0 || want.untestable == 0 {
+	if want.classes == 0 || want.detected == 0 || want.untestable == 0 || want.gateEvals == 0 {
 		t.Fatalf("degenerate campaign: %+v", want)
 	}
 
