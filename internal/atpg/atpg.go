@@ -181,8 +181,10 @@ type Options struct {
 	// gate evaluations those implication passes and probes actually ran),
 	// drop-grader traffic
 	// ("atpg.drop.graded" / "atpg.drop.hits" — the hit rate of fault
-	// dropping), abort attribution ("atpg.abort.limit" / "atpg.abort.cancel")
-	// and the per-class search-time histogram ("atpg.search_ns"). Handles
+	// dropping — and "atpg.drop.grade_ns", the coordinator's wall time
+	// grading patterns to drop faults), abort attribution
+	// ("atpg.abort.limit" / "atpg.abort.cancel") and the per-class
+	// search-time histogram ("atpg.search_ns"). Handles
 	// resolve once per run; every hot-path record is a single atomic add, so
 	// the registry is cheap enough to leave always on. Nil disables all
 	// recording at the cost of one branch per record.

@@ -230,6 +230,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		mAbortCancel  = reg.Counter("atpg.abort.cancel")
 		mDropGraded   = reg.Counter("atpg.drop.graded")
 		mDropHits     = reg.Counter("atpg.drop.hits")
+		mDropGradeNs  = reg.Counter("atpg.drop.grade_ns")
 		mLearned      = reg.Counter("atpg.learned_untestable")
 		hSearch       = reg.Histogram("atpg.search_ns")
 		mQueueWait    = reg.Counter("sched.queue_wait_ns")
@@ -338,7 +339,9 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	}()
 
 	// The coordinator owns the status map: it fault-simulates each
-	// generated pattern, drops hits, and acks the producing worker.
+	// generated pattern, drops hits, and acks the producing worker. One set
+	// collects every pattern's hits.
+	dropped := fault.NewSet(u)
 	done := ctx.Done()
 	for {
 		var w workItem
@@ -383,8 +386,11 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 				st.Patterns++
 				mPatterns.Inc()
 				mDropGraded.Add(int64(len(live)))
-				dropped := grader.Grade(
+				gradeStart := time.Now()
+				dropped.Clear()
+				grader.GradeInto(dropped,
 					[]sim.Pattern{w.res.Pattern}, []sim.Pattern{w.res.State}, live)
+				mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
 				mDropHits.Add(int64(dropped.Count()))
 				dropped.ForEach(func(fid fault.FID) {
 					if status.Get(fid) == fault.Aborted {

@@ -23,6 +23,9 @@ func (s *Set) Remove(id FID) { s.words[id>>6] &^= 1 << uint(id&63) }
 // Has reports membership.
 func (s *Set) Has(id FID) bool { return s.words[id>>6]&(1<<uint(id&63)) != 0 }
 
+// Clear removes every member, keeping the set's storage.
+func (s *Set) Clear() { clear(s.words) }
+
 // Count returns the cardinality.
 func (s *Set) Count() int {
 	c := 0

@@ -99,6 +99,10 @@ func TestRegistryMatchesStats(t *testing.T) {
 	if want.classes == 0 || want.detected == 0 || want.untestable == 0 || want.gateEvals == 0 {
 		t.Fatalf("degenerate campaign: %+v", want)
 	}
+	// Every pattern is drop-graded under the coordinator's timer.
+	if want.patterns != 0 && snap.Counter("atpg.drop.grade_ns") == 0 {
+		t.Errorf("atpg.drop.grade_ns = 0 after %d patterns", want.patterns)
+	}
 
 	// Every search lands one sample in the latency histogram; resolved-
 	// before-dispatch classes never search, so count <= classes.

@@ -105,3 +105,35 @@ func BenchmarkGraderReuse(b *testing.B) {
 		gr.Grade(patterns, nil, faults)
 	}
 }
+
+// BenchmarkGraderSparsePattern measures the ATPG drop loop's real shape: one
+// PODEM-style pattern with 80% of its inputs at X, graded against every
+// fault of the datapath. Few nets settle to a definite value, so the
+// definite-net screen, not the cone evaluation, sets the cost.
+func BenchmarkGraderSparsePattern(b *testing.B) {
+	n := benchDatapath(b)
+	u := fault.NewUniverse(n)
+	gr, err := NewGrader(n, u)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	p := make(Pattern, len(n.PrimaryInputs()))
+	for i := range p {
+		p[i] = logic.X
+	}
+	for _, i := range rng.Perm(len(p))[:len(p)/5] {
+		p[i] = logic.FromBit(rng.Uint64())
+	}
+	patterns := []Pattern{p}
+	var faults []fault.FID
+	for i := 0; i < u.NumFaults(); i++ {
+		faults = append(faults, fault.FID(i))
+	}
+	dst := fault.NewSet(u)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst.Clear()
+		gr.GradeInto(dst, patterns, nil, faults)
+	}
+}

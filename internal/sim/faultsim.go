@@ -54,7 +54,7 @@ func OutputObsPoints(n *netlist.Netlist) []ObsPoint {
 // ObsVal reads the current value at an observation point, with injections
 // applied.
 func (s *Simulator) ObsVal(p ObsPoint) logic.PV {
-	return s.pinVal(p.Gate, &s.N.Gates[p.Gate], int(p.Pin))
+	return s.read(p.Gate, p.Pin, s.N.Gates[p.Gate].Ins[p.Pin])
 }
 
 // GradeComb fault-simulates the given faults against the patterns using
@@ -262,7 +262,7 @@ type seqWords struct {
 	alive int           // lanes not yet detected, over all words
 	live  []uint64      // per word: lanes not yet detected
 	inj   [][]Injection // per word: the injections of its lanes
-	state []logic.PV    // per word: len(s.sources) source-net values
+	state []logic.PV    // per word: len(s.srcNets) source-net values
 }
 
 func newSeqWords(s *Simulator, u *fault.Universe, sm *fault.SiteMap, fids []fault.FID) *seqWords {
@@ -272,7 +272,7 @@ func newSeqWords(s *Simulator, u *fault.Universe, sm *fault.SiteMap, fids []faul
 		live: make([]uint64, num),
 		inj:  make([][]Injection, num),
 		// The zero PV is X in every slot: the state every machine starts in.
-		state: make([]logic.PV, num*len(s.sources)),
+		state: make([]logic.PV, num*len(s.srcNets)),
 	}
 	ws.pack(len(fids))
 	return ws
@@ -308,7 +308,7 @@ func (ws *seqWords) pack(lanes int) {
 
 // sources returns word w's source-net values.
 func (ws *seqWords) sources(w int) []logic.PV {
-	k := len(ws.s.sources)
+	k := len(ws.s.srcNets)
 	return ws.state[w*k : (w+1)*k]
 }
 
@@ -325,7 +325,7 @@ func (ws *seqWords) load(w int) {
 		s.AddInjection(in)
 	}
 	for i, v := range ws.sources(w) {
-		s.vals[s.N.Gates[s.sources[i]].Out] = v
+		s.vals[s.srcNets[i]] = v
 	}
 }
 
@@ -337,8 +337,8 @@ func (ws *seqWords) save(w int) {
 	}
 	s := ws.s
 	st := ws.sources(w)
-	for i, g := range s.sources {
-		st[i] = s.vals[s.N.Gates[g].Out]
+	for i, net := range s.srcNets {
+		st[i] = s.vals[net]
 	}
 }
 

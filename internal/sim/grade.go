@@ -12,14 +12,19 @@ import (
 // so tight generate-then-drop loops (the ATPG fleet driver) neither rebuild
 // levelized state nor churn the allocator per pattern.
 //
-// Grading is event-driven: the good machine is settled once per 64-pattern
-// word, and each fault then re-evaluates only the cone reachable from its
-// injection sites, recording changed nets in an undo log that is rolled back
-// before the next fault. Values are identical to a full faulty-machine pass —
-// a gate's output can differ from the good machine only if an input net
-// differs or the gate itself carries an injection, and both cases are seeded
-// or scheduled (see TestGraderEventDrivenMatchesFullEval). A Grader is not
-// safe for concurrent use.
+// Per 64-pattern word the good machine is settled once by a full pass of the
+// op program. A definite-net screen then picks the candidates: a gate whose
+// inputs are all X outputs X, so a fault can differ from the good machine
+// only if some site of it sits on a net with a definite good value opposite
+// its stuck value. One scan of the net values walks a per-net index of the
+// universe's sites and keeps the listed, not yet detected faults it meets.
+// Each candidate then re-evaluates only the ops reachable from its injection
+// sites, in order position, recording changed nets in an undo log that is
+// rolled back before the next candidate. Values are identical to a full
+// faulty-machine pass — a gate's output can differ from the good machine
+// only if an input net differs or the gate itself carries an injection, and
+// both cases are seeded or scheduled (see TestGraderMatchesFullEvalReference).
+// A Grader is not safe for concurrent use.
 type Grader struct {
 	n     *netlist.Netlist
 	u     *fault.Universe
@@ -34,11 +39,21 @@ type Grader struct {
 	piVals []logic.PV
 	ffVals []logic.PV
 
+	// Definite-net screen. siteStart/siteIdx is a CSR over nets listing
+	// every universe site i with a site of its fault pair (2i s-a-0, 2i+1
+	// s-a-1), primary or replica, on the net. mark[fid] == stamp marks a
+	// listed, not yet detected fault of the current word.
+	siteStart []int32
+	siteIdx   []int32
+	mark      []uint32
+	stamp     uint32
+	cands     []fault.FID
+
 	// Per-fault event-driven scratch. epoch stamps replace clearing: a
 	// sched/chStamp entry is valid only when it equals the current epoch.
 	epoch    uint64
-	sched    []uint64 // per gate: epoch when scheduled
-	heap     []int32  // min-heap of pending order positions
+	sched    []uint64 // per op position: epoch when scheduled
+	heap     []int32  // min-heap of pending op positions
 	chStamp  []uint64 // per net: epoch when changed
 	chIdx    []int32  // per net: undo-log index when changed
 	undoNets []netlist.NetID
@@ -46,7 +61,9 @@ type Grader struct {
 
 	// Observation points indexed two ways: by the net their pin reads (a
 	// changed net can flip them) and by their gate (a pin injection on the
-	// obs gate can flip them with no net change).
+	// obs gate can flip them with no net change). obsNet[i] is the net
+	// point i reads.
+	obsNet       []netlist.NetID
 	obsNetStart  []int32
 	obsNetIdx    []int32
 	obsGateStart []int32
@@ -108,26 +125,15 @@ func NewGraderSites(n *netlist.Netlist, u *fault.Universe, obsPts []ObsPoint, sm
 		obsPts = CombObsPoints(n)
 	}
 	gr := &Grader{
-		n:       n,
-		u:       u,
-		sm:      sm,
-		good:    good,
-		graph:   good.Graph(),
-		pis:     n.PrimaryInputs(),
-		ffs:     n.FlipFlops(),
-		obs:     obsPts,
-		sched:   make([]uint64, len(n.Gates)),
-		chStamp: make([]uint64, len(n.Nets)),
-		chIdx:   make([]int32, len(n.Nets)),
+		n:     n,
+		u:     u,
+		sm:    sm,
+		good:  good,
+		graph: good.Graph(),
+		obs:   obsPts,
+		mark:  make([]uint32, u.NumFaults()),
 	}
-	gr.piVals = make([]logic.PV, len(gr.pis))
-	gr.ffVals = make([]logic.PV, len(gr.ffs))
-	gr.obsNetStart, gr.obsNetIdx = buildObsCSR(len(n.Nets), obsPts, func(p ObsPoint) int32 {
-		return int32(n.Gates[p.Gate].Ins[p.Pin])
-	})
-	gr.obsGateStart, gr.obsGateIdx = buildObsCSR(len(n.Gates), obsPts, func(p ObsPoint) int32 {
-		return int32(p.Gate)
-	})
+	gr.sync()
 	return gr, nil
 }
 
@@ -140,52 +146,97 @@ func (gr *Grader) Graph() *netlist.Graph { return gr.graph }
 // Extend re-synchronizes the grader with a netlist that grew by appended
 // gates and nets since construction (constraint.Unroller.Extend): the shared
 // graph and good machine extend in place from the supplied topological order
-// (netlist.Graph.Extend documents the order contract), the input and
-// flip-flop lists are re-read, per-gate/per-net scratch grows — zero epoch
-// stamps are always stale, so appended entries need no initialization — and
-// the observation CSRs are rebuilt over the new key ranges. The observation
-// points themselves, the universe and the site map are the ones supplied at
-// construction: the unroll extension contract keeps all three valid (capture
-// probes never move, appended gates are site-free, replica growth is visible
-// through the shared SiteMap). This is what lets a depth sweep keep one warm
-// grader instead of rebuilding the full CSR and simulator per depth.
+// (netlist.Graph.Extend documents the order contract) and recompile, and the
+// grader's own tables are re-read — input and flip-flop lists, per-op and
+// per-net scratch (zero epoch stamps are always stale, so appended entries
+// need no initialization), the observation CSRs, and the screen's site
+// index, which must follow both re-spliced pins and the replicas the site
+// map gained. The observation points themselves, the universe and the site
+// map are the ones supplied at construction: the unroll extension contract
+// keeps all three valid (capture probes never move, appended gates are
+// site-free, replica growth is visible through the shared SiteMap). This is
+// what lets a depth sweep keep one warm grader instead of rebuilding the
+// full CSR and simulator per depth.
 func (gr *Grader) Extend(order []netlist.GateID) error {
 	if err := gr.good.Extend(order); err != nil {
 		return err
 	}
-	gr.pis = gr.n.PrimaryInputs()
-	gr.ffs = gr.n.FlipFlops()
-	for len(gr.piVals) < len(gr.pis) {
-		gr.piVals = append(gr.piVals, logic.PV{})
-	}
-	gr.piVals = gr.piVals[:len(gr.pis)]
-	for len(gr.ffVals) < len(gr.ffs) {
-		gr.ffVals = append(gr.ffVals, logic.PV{})
-	}
-	gr.ffVals = gr.ffVals[:len(gr.ffs)]
-	for len(gr.sched) < len(gr.n.Gates) {
-		gr.sched = append(gr.sched, 0)
-	}
-	for len(gr.chStamp) < len(gr.n.Nets) {
-		gr.chStamp = append(gr.chStamp, 0)
-	}
-	for len(gr.chIdx) < len(gr.n.Nets) {
-		gr.chIdx = append(gr.chIdx, 0)
-	}
-	gr.obsNetStart, gr.obsNetIdx = buildObsCSR(len(gr.n.Nets), gr.obs, func(p ObsPoint) int32 {
-		return int32(gr.n.Gates[p.Gate].Ins[p.Pin])
-	})
-	gr.obsGateStart, gr.obsGateIdx = buildObsCSR(len(gr.n.Gates), gr.obs, func(p ObsPoint) int32 {
-		return int32(p.Gate)
-	})
+	gr.sync()
 	return nil
 }
 
+// sync sizes and rebuilds every table derived from the netlist, the graph's
+// order and the site map.
+func (gr *Grader) sync() {
+	n := gr.n
+	gr.pis = n.PrimaryInputs()
+	gr.ffs = n.FlipFlops()
+	gr.piVals = resize(gr.piVals, len(gr.pis))
+	gr.ffVals = resize(gr.ffVals, len(gr.ffs))
+	gr.sched = resize(gr.sched, len(gr.good.ops))
+	gr.chStamp = resize(gr.chStamp, len(n.Nets))
+	gr.chIdx = resize(gr.chIdx, len(n.Nets))
+	gr.obsNet = resize(gr.obsNet, len(gr.obs))
+	for i, p := range gr.obs {
+		gr.obsNet[i] = n.Gates[p.Gate].Ins[p.Pin]
+	}
+	gr.obsNetStart, gr.obsNetIdx = buildObsCSR(len(n.Nets), gr.obs, func(i int, _ ObsPoint) int32 {
+		return int32(gr.obsNet[i])
+	})
+	gr.obsGateStart, gr.obsGateIdx = buildObsCSR(len(n.Gates), gr.obs, func(_ int, p ObsPoint) int32 {
+		return int32(p.Gate)
+	})
+	gr.buildSiteIndex()
+}
+
+// buildSiteIndex rebuilds the screen's net-to-site CSR at its exact size:
+// one pass counts the sites per net, a second fills them. Counting into
+// siteStart[net+2] and filling through siteStart[net+1] as the cursor leaves
+// siteStart[net] at each net's first entry without a separate cursor array.
+func (gr *Grader) buildSiteIndex() {
+	nets := len(gr.n.Nets)
+	start := resize(gr.siteStart, nets+2)
+	clear(start)
+	gr.forEachSiteNet(func(net netlist.NetID, _ int32) { start[net+2]++ })
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	idx := resize(gr.siteIdx, int(start[nets+1]))
+	gr.forEachSiteNet(func(net netlist.NetID, site int32) {
+		idx[start[net+1]] = site
+		start[net+1]++
+	})
+	gr.siteStart, gr.siteIdx = start[:nets+1], idx
+}
+
+// forEachSiteNet calls fn with the net of every site of every universe
+// fault pair — the universe site itself and the same pin on each of its
+// gate's replicas — skipping sites the netlist no longer has (pins of a
+// tombstoned gate).
+func (gr *Grader) forEachSiteNet(fn func(net netlist.NetID, site int32)) {
+	visit := func(g netlist.GateID, pin int32, site int32) {
+		gate := &gr.n.Gates[g]
+		switch {
+		case pin == fault.OutputPin && gate.Out != netlist.InvalidNet:
+			fn(gate.Out, site)
+		case pin >= 0 && int(pin) < len(gate.Ins):
+			fn(gate.Ins[pin], site)
+		}
+	}
+	for i := 0; i < gr.u.NumSites(); i++ {
+		s := gr.u.Site(i)
+		visit(s.Gate, s.Pin, int32(i))
+		for _, rep := range gr.sm.Replicas(s.Gate) {
+			visit(rep, s.Pin, int32(i))
+		}
+	}
+}
+
 // buildObsCSR groups observation-point indices by an int32 key (net or gate).
-func buildObsCSR(keys int, obsPts []ObsPoint, keyOf func(ObsPoint) int32) (start, idx []int32) {
+func buildObsCSR(keys int, obsPts []ObsPoint, keyOf func(int, ObsPoint) int32) (start, idx []int32) {
 	start = make([]int32, keys+1)
-	for _, p := range obsPts {
-		start[keyOf(p)+1]++
+	for i, p := range obsPts {
+		start[keyOf(i, p)+1]++
 	}
 	for i := 1; i < len(start); i++ {
 		start[i] += start[i-1]
@@ -194,7 +245,7 @@ func buildObsCSR(keys int, obsPts []ObsPoint, keyOf func(ObsPoint) int32) (start
 	fill := make([]int32, keys)
 	copy(fill, start[:keys])
 	for i, p := range obsPts {
-		k := keyOf(p)
+		k := keyOf(i, p)
 		idx[fill[k]] = int32(i)
 		fill[k]++
 	}
@@ -204,17 +255,27 @@ func buildObsCSR(keys int, obsPts []ObsPoint, keyOf func(ObsPoint) int32) (start
 // Grade fault-simulates the given faults against the pattern set,
 // pattern-parallel (64 patterns per pass), and returns the set of detected
 // faults. statePatterns drives flip-flop outputs as pseudo-inputs (aligned
-// with Netlist.FlipFlops); nil holds all state at X.
+// with Netlist.FlipFlops); nil holds all state at X. It is GradeInto on a
+// fresh set.
 func (gr *Grader) Grade(patterns, statePatterns []Pattern, faults []fault.FID) *fault.Set {
 	detected := fault.NewSet(gr.u)
+	gr.GradeInto(detected, patterns, statePatterns, faults)
+	return detected
+}
+
+// GradeInto is Grade adding the detected faults to dst, a set over the
+// grader's universe, instead of a fresh set. Faults already in dst count as
+// detected: they are neither screened nor simulated. A fault listed twice is
+// graded once. Once its scratch has grown to the largest call, GradeInto
+// does not allocate.
+func (gr *Grader) GradeInto(dst *fault.Set, patterns, statePatterns []Pattern, faults []fault.FID) {
 	for base := 0; base < len(patterns); base += logic.WordBits {
 		hi := base + logic.WordBits
 		if hi > len(patterns) {
 			hi = len(patterns)
 		}
-		gr.gradeBatch(patterns[base:hi], sliceOrNil(statePatterns, base, hi), faults, detected)
+		gr.gradeBatch(patterns[base:hi], sliceOrNil(statePatterns, base, hi), faults, dst)
 	}
-	return detected
 }
 
 func sliceOrNil(ps []Pattern, lo, hi int) []Pattern {
@@ -257,27 +318,11 @@ func (gr *Grader) gradeBatch(patterns, statePatterns []Pattern, faults []fault.F
 	}
 	s.EvalComb()
 
-	for _, fid := range faults {
-		if detected.Has(fid) {
-			continue
-		}
+	for _, fid := range gr.candidates(faults, detected) {
 		f := gr.u.FaultOf(fid)
-		// Activation screen: a lane can only produce a definite good-vs-faulty
-		// difference if the good machine drives some injection site to the
-		// definite opposite of the stuck value there. In the remaining lanes
-		// the injection replaces v or X with v — an information-order
-		// refinement — and every gate function is monotone in Kleene logic, so
-		// the faulty machine refines the good one net-by-net and Diff (which
-		// needs definite values on both sides) can never fire at an
-		// observation point. One word test per site replaces the full cone
-		// evaluation for the (frequent) unactivated case.
-		if !gr.activated(f) {
-			gr.mScreened.Inc()
-			continue
-		}
 		// Inject the fault's whole site set — itself plus any replicas —
-		// without materializing an Injection value: this loop runs per live
-		// fault per pattern batch, so the single-site path must stay
+		// without materializing an Injection value: this loop runs per
+		// candidate per pattern batch, so the single-site path must stay
 		// allocation-free.
 		s.AddInjection(Injection{Site: f.Site, SA: f.SA, Mask: ^uint64(0)})
 		for _, rep := range gr.sm.Replicas(f.Gate) {
@@ -295,30 +340,54 @@ func (gr *Grader) gradeBatch(patterns, statePatterns []Pattern, faults []fault.F
 	}
 }
 
-// activated reports whether any lane of the settled good machine drives any
-// of the fault's injection sites to the definite opposite of the stuck value
-// — the necessary condition for the injection to be more than a refinement
-// of the good values. The site's good read is its net's value (injections
-// exist only in the faulty machine), so one PV mask test per site suffices.
-func (gr *Grader) activated(f fault.Fault) bool {
-	if gr.siteActivated(gr.u.NetOf(f.Site), f.SA) {
-		return true
+// candidates returns the listed faults, not yet in detected, that the
+// settled good machine can activate: some lane drives some site of the
+// fault to the definite opposite of its stuck value. In every other lane the
+// injection replaces v or X with v — an information-order refinement — and
+// every gate function is monotone in Kleene logic, so the faulty machine
+// refines the good one net by net and Diff (which needs definite values on
+// both sides) can never fire at an observation point. The rest of the listed
+// faults count as screened.
+//
+// A site's good value is its net's value (injections exist only in the
+// faulty machine), and only a net with a definite lane can activate
+// anything, so one scan of the net values visits the definite nets and
+// walks their sites: a 1 lane activates the site's stuck-at-0 fault, a 0
+// lane its stuck-at-1 fault. A mark per fault admits each listed fault once.
+func (gr *Grader) candidates(faults []fault.FID, detected *fault.Set) []fault.FID {
+	gr.stamp++
+	if gr.stamp == 0 {
+		clear(gr.mark)
+		gr.stamp = 1
 	}
-	for _, rep := range gr.sm.Replicas(f.Gate) {
-		if gr.siteActivated(gr.u.NetOf(fault.Site{Gate: rep, Pin: f.Pin}), f.SA) {
-			return true
+	st := gr.stamp
+	listed := 0
+	for _, fid := range faults {
+		if gr.mark[fid] != st && !detected.Has(fid) {
+			gr.mark[fid] = st
+			listed++
 		}
 	}
-	return false
-}
-
-// siteActivated: some lane of net's good value is the definite opposite of sa.
-func (gr *Grader) siteActivated(net netlist.NetID, sa logic.V) bool {
-	v := gr.good.vals[net]
-	if sa == logic.Zero {
-		return v.L1 != 0
+	cands := gr.cands[:0]
+	s := gr.good
+	for net, v := range s.vals[:s.nets] {
+		if v.L0|v.L1 == 0 {
+			continue
+		}
+		for _, site := range gr.siteIdx[gr.siteStart[net]:gr.siteStart[net+1]] {
+			if sa0 := fault.FID(2 * site); v.L1 != 0 && gr.mark[sa0] == st {
+				gr.mark[sa0] = 0
+				cands = append(cands, sa0)
+			}
+			if sa1 := fault.FID(2*site + 1); v.L0 != 0 && gr.mark[sa1] == st {
+				gr.mark[sa1] = 0
+				cands = append(cands, sa1)
+			}
+		}
 	}
-	return v.L0 != 0
+	gr.cands = cands
+	gr.mScreened.Add(int64(listed - len(cands)))
+	return cands
 }
 
 // evalConeDetect re-settles only the injection sites' output cone on top of
@@ -332,26 +401,26 @@ func (gr *Grader) evalConeDetect() bool {
 	gr.undoNets = gr.undoNets[:0]
 	gr.undoVals = gr.undoVals[:0]
 
-	// Seed from the injection sites. Source gates (pos < 0) are re-evaluated
-	// immediately — they have no combinational inputs, only a refreshed
-	// output the injection may override. Everything else is scheduled.
-	for _, gid := range s.injGates {
-		g := &s.N.Gates[gid]
-		if pos := gr.graph.Pos(gid); pos >= 0 {
-			gr.schedule(pos, gid, ep)
-		} else if g.Out != netlist.InvalidNet {
-			gr.writeNet(g.Out, s.refreshSource(gid, g), ep)
+	// Seed from the injection sites. Source gates have no combinational
+	// inputs, only a held output the injection may override, so they are
+	// re-evaluated immediately. Everything else is scheduled.
+	for _, g := range s.injSrcs {
+		out := s.N.Gates[g].Out
+		gr.writeNet(out, s.sourceVal(g, out), ep)
+	}
+	for _, g := range s.injGates {
+		if pos := gr.graph.Pos(g); pos >= 0 {
+			gr.schedule(pos, ep)
 		}
 	}
-	// Drain in topological-position order, so each gate is evaluated at most
-	// once with all of its faulty input values already settled.
+	// Drain in op order, so each gate is evaluated at most once with all of
+	// its faulty input values already settled.
 	for len(gr.heap) > 0 {
-		gid := gr.graph.At(gr.popMin())
-		g := &s.N.Gates[gid]
-		if g.Out == netlist.InvalidNet {
+		o := &s.ops[gr.popMin()]
+		if o.out == netlist.InvalidNet {
 			continue // KOutput marker: nothing to compute
 		}
-		gr.writeNet(g.Out, s.outVal(gid, s.evalGate(gid, g)), ep)
+		gr.writeNet(o.out, s.eval(o), ep)
 	}
 
 	// Only two things can flip an observation point: its net changed, or its
@@ -360,21 +429,20 @@ func (gr *Grader) evalConeDetect() bool {
 	for i, net := range gr.undoNets {
 		for _, oi := range gr.obsNetIdx[gr.obsNetStart[net]:gr.obsNetStart[net+1]] {
 			p := gr.obs[oi]
-			bad := s.pinVal(p.Gate, &s.N.Gates[p.Gate], int(p.Pin))
-			if gr.undoVals[i].Diff(bad) != 0 {
+			if gr.undoVals[i].Diff(s.read(p.Gate, p.Pin, net)) != 0 {
 				return true
 			}
 		}
 	}
-	for _, gid := range s.injGates {
-		for _, oi := range gr.obsGateIdx[gr.obsGateStart[gid]:gr.obsGateStart[gid+1]] {
+	for _, g := range s.injGates {
+		for _, oi := range gr.obsGateIdx[gr.obsGateStart[g]:gr.obsGateStart[g+1]] {
 			p := gr.obs[oi]
-			net := s.N.Gates[p.Gate].Ins[p.Pin]
+			net := gr.obsNet[oi]
 			good := s.vals[net]
 			if gr.chStamp[net] == ep {
 				good = gr.undoVals[gr.chIdx[net]]
 			}
-			if good.Diff(s.pinVal(p.Gate, &s.N.Gates[p.Gate], int(p.Pin))) != 0 {
+			if good.Diff(s.read(p.Gate, p.Pin, net)) != 0 {
 				return true
 			}
 		}
@@ -399,18 +467,17 @@ func (gr *Grader) writeNet(net netlist.NetID, nv logic.PV, ep uint64) {
 	s.vals[net] = nv
 	for _, c := range gr.graph.Consumers(net) {
 		if pos := gr.graph.Pos(c); pos >= 0 {
-			gr.schedule(pos, c, ep)
+			gr.schedule(pos, ep)
 		}
 	}
 }
 
-// schedule pushes a gate's order position onto the pending min-heap once per
-// epoch.
-func (gr *Grader) schedule(pos int32, gid netlist.GateID, ep uint64) {
-	if gr.sched[gid] == ep {
+// schedule pushes an op position onto the pending min-heap once per epoch.
+func (gr *Grader) schedule(pos int32, ep uint64) {
+	if gr.sched[pos] == ep {
 		return
 	}
-	gr.sched[gid] = ep
+	gr.sched[pos] = ep
 	h := append(gr.heap, pos)
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -423,7 +490,7 @@ func (gr *Grader) schedule(pos int32, gid netlist.GateID, ep uint64) {
 	gr.heap = h
 }
 
-// popMin removes and returns the smallest pending order position.
+// popMin removes and returns the smallest pending op position.
 func (gr *Grader) popMin() int32 {
 	h := gr.heap
 	min := h[0]

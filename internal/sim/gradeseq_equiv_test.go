@@ -19,9 +19,9 @@ import (
 )
 
 // referenceGradeSeq is the definitional sequential grader GradeSeqSitesObs
-// must match: every word of 63 faults gets its own Simulator and runs every
-// cycle of the stimulus. No screen, no fault dropping, no regrouping — just
-// the detection rule.
+// must match: every word of 63 faults gets its own netlist-walking refSim
+// and runs every cycle of the stimulus. No screen, no fault dropping, no
+// regrouping, no compiled kernel — just the detection rule.
 func referenceGradeSeq(n *netlist.Netlist, u *fault.Universe, stim sim.Stimulus,
 	observe []sim.ObsPoint, faults []fault.FID, sm *fault.SiteMap) (*fault.Set, error) {
 
@@ -36,7 +36,7 @@ func referenceGradeSeq(n *netlist.Netlist, u *fault.Universe, stim sim.Stimulus,
 		}
 		batch := faults[base:hi]
 
-		s, err := sim.New(n)
+		s, err := newRefSim(n)
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +53,7 @@ func referenceGradeSeq(n *netlist.Netlist, u *fault.Universe, stim sim.Stimulus,
 		caught := make([]bool, len(batch))
 		for _, cyc := range stim.Cycles {
 			for i, net := range stim.Inputs {
-				s.SetInputV(net, cyc[i])
+				s.SetInput(net, logic.PVSplat(cyc[i]))
 			}
 			s.EvalComb()
 			for _, p := range observe {

@@ -8,10 +8,12 @@
 //     observation point, drops each fault in the cycle it is detected, and
 //     packs the survivors into fewer words as they thin out.
 //
-// The simulator is cycle-based: EvalComb settles the combinational network
-// in one levelized pass, Step additionally commits flip-flop state. DFFR
-// reset is treated synchronously (RSTN=0 forces Q to 0 at the next Step),
-// which is sufficient for the mission-mode analyses in this library.
+// The simulator is cycle-based and compiled: New turns the levelized
+// combinational order into a flat program of ops, one per gate, and
+// EvalComb settles the network by running that program once. Step
+// additionally commits flip-flop state. DFFR reset is treated synchronously
+// (RSTN=0 forces Q to 0 at the next Step), which is sufficient for the
+// mission-mode analyses in this library.
 package sim
 
 import (
@@ -30,24 +32,86 @@ type Injection struct {
 	Mask uint64 // machines affected
 }
 
-// Simulator is a 64-way parallel ternary simulator for one netlist.
+// op is one compiled gate evaluation. Op i of Simulator.ops evaluates the
+// gate at position i of the graph's order, so a position indexes its op.
+type op struct {
+	kind netlist.Kind
+	out  netlist.NetID // InvalidNet for a KOutput marker, which is a no-op
+	in   int32         // first input net in Simulator.ins
+	n    int32         // input count
+	inj  int32         // 0, or the gate's injAt entry (see AddInjection)
+}
+
+// flop is one compiled flip-flop: its Q, D and RSTN nets (RSTN is
+// InvalidNet for a plain KDFF).
+type flop struct {
+	gate       netlist.GateID
+	q, d, rstn netlist.NetID
+}
+
+// tie is one compiled constant source.
+type tie struct {
+	out netlist.NetID
+	v   logic.PV
+}
+
+// pinMask is the injected override of one pin: lanes in k read the forced
+// rails f0/f1 instead of the net value. A lane in k set in neither rail
+// reads X.
+type pinMask struct{ k, f0, f1 uint64 }
+
+func (m *pinMask) apply(v logic.PV) logic.PV {
+	return logic.PV{L0: v.L0&^m.k | m.f0, L1: v.L1&^m.k | m.f1}
+}
+
+// add forces sa in the lanes of mask, over any earlier injection there.
+func (m *pinMask) add(mask uint64, sa logic.V) {
+	m.k |= mask
+	m.f0 &^= mask
+	m.f1 &^= mask
+	switch sa {
+	case logic.Zero:
+		m.f0 |= mask
+	case logic.One:
+		m.f1 |= mask
+	}
+}
+
+// Simulator is a 64-way parallel ternary simulator for one netlist. It runs
+// a compiled program: one op per gate of the levelized order, each holding
+// the gate kind, the output net and a range of input nets in one shared
+// slice, so a settle never touches the netlist's gate structs. Injected
+// gates take a slower path that reads every pin through its override mask;
+// all other ops read the net values directly.
 type Simulator struct {
 	N     *netlist.Netlist
 	graph *netlist.Graph
-	vals  []logic.PV // per net
-	next  []logic.PV // per gate: pending FF next-state
-	ffs   []netlist.GateID
-	// sources lists every gate EvalComb must refresh before the levelized
-	// pass (ties, inputs, flip-flops), so the refresh loop doesn't scan the
-	// whole gate array.
-	sources []netlist.GateID
+	// vals holds one value per net of the compiled netlist (nets of them),
+	// then one scratch slot per input of the widest gate (see evalInjected).
+	vals []logic.PV
+	nets int
+	ops  []op
+	ins  []netlist.NetID
+	// scratchIn is the offset in ins of the scratch slots' net IDs.
+	scratchIn int32
+	ties      []tie
+	ffs       []flop
+	next      []logic.PV // per flip-flop: pending next state
+	// srcNets lists the output nets of every source gate (inputs, ties,
+	// flip-flops) in gate order: the values that carry a machine's state
+	// from one cycle to the next.
+	srcNets []netlist.NetID
 
-	// injByGate is a dense per-gate injection table; injGates tracks which
-	// entries are non-empty so ClearInjections is O(injected sites). The
-	// per-pin guard in the hot loop is one slice-length load — profiling
-	// showed the map this replaces cost ~a third of all grading CPU.
-	injByGate [][]Injection
-	injGates  []netlist.GateID
+	// Injections. A gate with any injection owns a block of pin masks in
+	// masks: its output at masks[injAt[g]-1], input pin p at
+	// masks[injAt[g]+p]. injAt[g] is 0 for a gate without injections, and
+	// the gate's op (if any) carries the same value in op.inj, so only
+	// flagged ops take the masked path. injSrcs lists the injected source
+	// gates, whose output override EvalComb applies before the ops run.
+	injAt    []int32
+	masks    []pinMask
+	injGates []netlist.GateID
+	injSrcs  []netlist.GateID
 }
 
 // New builds a simulator. The netlist must levelize (no combinational
@@ -57,22 +121,75 @@ func New(n *netlist.Netlist) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{
-		N:         n,
-		graph:     graph,
-		vals:      make([]logic.PV, len(n.Nets)),
-		next:      make([]logic.PV, len(n.Gates)),
-		ffs:       n.FlipFlops(),
-		injByGate: make([][]Injection, len(n.Gates)),
+	s := &Simulator{N: n, graph: graph}
+	s.compile()
+	return s, nil
+}
+
+// compile builds the op program and the source and flip-flop tables from
+// the graph's order and the netlist's current pins, and sizes the per-net
+// and per-gate state. Net values already present are kept; new nets start
+// at X. Injections must be clear.
+func (s *Simulator) compile() {
+	n := s.N
+	order := s.graph.Order()
+	pins, widest := 0, 0
+	for _, gid := range order {
+		k := len(n.Gates[gid].Ins)
+		pins += k
+		widest = max(widest, k)
 	}
+	s.ops = resize(s.ops, len(order))
+	s.ins = resize(s.ins, pins+widest)[:0]
+	for i, gid := range order {
+		g := &n.Gates[gid]
+		s.ops[i] = op{kind: g.Kind, out: g.Out, in: int32(len(s.ins)), n: int32(len(g.Ins))}
+		s.ins = append(s.ins, g.Ins...)
+	}
+	s.scratchIn = int32(len(s.ins))
+	for p := 0; p < widest; p++ {
+		s.ins = append(s.ins, netlist.NetID(len(n.Nets)+p))
+	}
+
+	// Values of existing nets survive; the scratch slots move up behind the
+	// new nets, and everything beyond the old nets starts at X.
+	s.vals = resize(s.vals, len(n.Nets)+widest)
+	for i := s.nets; i < len(s.vals); i++ {
+		s.vals[i] = logic.PVAllX
+	}
+	s.nets = len(n.Nets)
+
+	s.ties, s.ffs, s.srcNets = s.ties[:0], s.ffs[:0], s.srcNets[:0]
 	for i := range n.Gates {
-		switch n.Gates[i].Kind {
-		case netlist.KTie0, netlist.KTie1, netlist.KInput, netlist.KDFF, netlist.KDFFR:
-			s.sources = append(s.sources, netlist.GateID(i))
+		g := &n.Gates[i]
+		if !g.Kind.IsSource() {
+			continue
+		}
+		s.srcNets = append(s.srcNets, g.Out)
+		switch g.Kind {
+		case netlist.KTie0:
+			s.ties = append(s.ties, tie{out: g.Out, v: logic.PVAllZero})
+		case netlist.KTie1:
+			s.ties = append(s.ties, tie{out: g.Out, v: logic.PVAllOne})
+		case netlist.KDFF, netlist.KDFFR:
+			f := flop{gate: netlist.GateID(i), q: g.Out, d: g.Ins[netlist.DffD], rstn: netlist.InvalidNet}
+			if g.Kind == netlist.KDFFR {
+				f.rstn = g.Ins[netlist.DffRstN]
+			}
+			s.ffs = append(s.ffs, f)
 		}
 	}
-	s.ClearState(logic.X)
-	return s, nil
+	s.next = resize(s.next, len(s.ffs))
+	s.injAt = resize(s.injAt, len(n.Gates))
+}
+
+// resize returns s cut or extended to length n; entries past len(s) are
+// zero.
+func resize[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }
 
 // Graph returns the simulator's forward-propagation index (shared, read-only).
@@ -81,51 +198,58 @@ func (s *Simulator) Graph() *netlist.Graph { return s.graph }
 // Extend re-synchronizes the simulator with a netlist that grew by appended
 // gates and nets since New (e.g. constraint.Unroller.Extend): the shared
 // graph is extended in place from the supplied topological order (see
-// netlist.Graph.Extend for the order contract), new nets start at X, and the
-// source and flip-flop lists are recomputed — appending can both add sources
+// netlist.Graph.Extend for the order contract) and the op program is
+// recompiled from it — an unroll extension re-splices the pins of old gates
+// as well as appending new ones. New nets start at X, and the source and
+// flip-flop tables are rebuilt, because appending can both add sources
 // (synthetic inputs) and retire flip-flops (splice tombstones). State on
 // pre-existing nets is preserved. Injections must be clear across the call.
 func (s *Simulator) Extend(order []netlist.GateID) error {
 	if err := s.graph.Extend(s.N, order); err != nil {
 		return err
 	}
-	for len(s.vals) < len(s.N.Nets) {
-		s.vals = append(s.vals, logic.PVSplat(logic.X))
-	}
-	for len(s.next) < len(s.N.Gates) {
-		s.next = append(s.next, logic.PV{})
-	}
-	for len(s.injByGate) < len(s.N.Gates) {
-		s.injByGate = append(s.injByGate, nil)
-	}
-	s.sources = s.sources[:0]
-	for i := range s.N.Gates {
-		switch s.N.Gates[i].Kind {
-		case netlist.KTie0, netlist.KTie1, netlist.KInput, netlist.KDFF, netlist.KDFFR:
-			s.sources = append(s.sources, netlist.GateID(i))
-		}
-	}
-	s.ffs = s.N.FlipFlops()
+	s.compile()
 	return nil
 }
 
-// AddInjection registers a stuck-at injection. Call ClearInjections to
-// remove all of them.
+// AddInjection registers a stuck-at injection. Where its lanes overlap an
+// earlier injection on the same pin, the later one wins. Call
+// ClearInjections to remove all of them.
 func (s *Simulator) AddInjection(in Injection) {
 	g := in.Site.Gate
-	if len(s.injByGate[g]) == 0 {
-		s.injGates = append(s.injGates, g)
+	gate := &s.N.Gates[g]
+	if in.Site.Pin < fault.OutputPin || int(in.Site.Pin) >= len(gate.Ins) {
+		panic(fmt.Sprintf("sim: injection on pin %d of %v gate %q", in.Site.Pin, gate.Kind, gate.Name))
 	}
-	s.injByGate[g] = append(s.injByGate[g], in)
+	m := s.injAt[g]
+	if m == 0 {
+		m = int32(len(s.masks)) + 1
+		for range 1 + len(gate.Ins) {
+			s.masks = append(s.masks, pinMask{})
+		}
+		s.injAt[g] = m
+		s.injGates = append(s.injGates, g)
+		if pos := s.graph.Pos(g); pos >= 0 {
+			s.ops[pos].inj = m
+		} else if gate.Kind.IsSource() {
+			s.injSrcs = append(s.injSrcs, g)
+		}
+	}
+	s.masks[m+in.Site.Pin].add(in.Mask, in.SA)
 }
 
 // ClearInjections removes all registered injections. Capacity is retained,
 // so inject/clear cycles stop allocating after warm-up.
 func (s *Simulator) ClearInjections() {
 	for _, g := range s.injGates {
-		s.injByGate[g] = s.injByGate[g][:0]
+		s.injAt[g] = 0
+		if pos := s.graph.Pos(g); pos >= 0 {
+			s.ops[pos].inj = 0
+		}
 	}
 	s.injGates = s.injGates[:0]
+	s.injSrcs = s.injSrcs[:0]
+	s.masks = s.masks[:0]
 }
 
 // ClearState sets every net (including flip-flop outputs) to v in all slots.
@@ -148,95 +272,91 @@ func (s *Simulator) SetInputV(net netlist.NetID, v logic.V) {
 // NetVal returns the current value of a net.
 func (s *Simulator) NetVal(net netlist.NetID) logic.PV { return s.vals[net] }
 
-// pinVal reads input pin p of gate g with injections applied.
-func (s *Simulator) pinVal(g netlist.GateID, gate *netlist.Gate, p int) logic.PV {
-	v := s.vals[gate.Ins[p]]
-	if injs := s.injByGate[g]; len(injs) != 0 {
-		for _, in := range injs {
-			if int(in.Site.Pin) == p {
-				v = logic.Select(in.Mask, logic.PVSplat(in.SA), v)
-			}
-		}
+// read returns the value input pin (or fault.OutputPin) pin of gate g sees
+// on net, with the gate's injections applied.
+func (s *Simulator) read(g netlist.GateID, pin int32, net netlist.NetID) logic.PV {
+	v := s.vals[net]
+	if m := s.injAt[g]; m != 0 {
+		v = s.masks[m+pin].apply(v)
 	}
 	return v
 }
 
-func (s *Simulator) outVal(g netlist.GateID, v logic.PV) logic.PV {
-	if injs := s.injByGate[g]; len(injs) != 0 {
-		for _, in := range injs {
-			if in.Site.Pin == fault.OutputPin {
-				v = logic.Select(in.Mask, logic.PVSplat(in.SA), v)
-			}
-		}
-	}
-	return v
+// sourceVal is the output value of an injected source gate: its net value
+// (the state, input or constant EvalComb keeps there) through the output
+// override.
+func (s *Simulator) sourceVal(g netlist.GateID, out netlist.NetID) logic.PV {
+	return s.masks[s.injAt[g]-1].apply(s.vals[out])
 }
 
-// refreshSource recomputes a source gate's output value exactly as EvalComb's
-// refresh loop does: ties drive their constants, input and flip-flop gates
-// keep the current state value, and output injections apply on top.
-func (s *Simulator) refreshSource(gid netlist.GateID, g *netlist.Gate) logic.PV {
-	switch g.Kind {
-	case netlist.KTie0:
-		return s.outVal(gid, logic.PVAllZero)
-	case netlist.KTie1:
-		return s.outVal(gid, logic.PVAllOne)
-	default: // KInput, KDFF, KDFFR
-		return s.outVal(gid, s.vals[g.Out])
-	}
-}
-
-// EvalComb performs one full levelized pass over the combinational network,
-// updating every non-source net from the current inputs and state. Source
-// gates (inputs, ties, flip-flops) also refresh their output nets so tie
-// values and injections on them take effect.
+// EvalComb settles the combinational network: ties drive their constants,
+// injected sources (inputs, ties, flip-flops) apply their output overrides
+// to the held values, then every op runs once in levelized order.
 func (s *Simulator) EvalComb() {
-	for _, gid := range s.sources {
-		g := &s.N.Gates[gid]
-		s.vals[g.Out] = s.refreshSource(gid, g)
+	for _, t := range s.ties {
+		s.vals[t.out] = t.v
 	}
-	for _, gid := range s.graph.Order() {
-		g := &s.N.Gates[gid]
-		if g.Out == netlist.InvalidNet {
-			continue // KOutput: nothing to compute
+	for _, g := range s.injSrcs {
+		out := s.N.Gates[g].Out
+		s.vals[out] = s.sourceVal(g, out)
+	}
+	for i := range s.ops {
+		if o := &s.ops[i]; o.out != netlist.InvalidNet {
+			s.vals[o.out] = s.eval(o)
 		}
-		s.vals[g.Out] = s.outVal(gid, s.evalGate(gid, g))
 	}
 }
 
-func (s *Simulator) evalGate(gid netlist.GateID, g *netlist.Gate) logic.PV {
-	switch g.Kind {
+// eval computes an op's output value from the current net values.
+func (s *Simulator) eval(o *op) logic.PV {
+	if o.inj != 0 {
+		return s.evalInjected(o)
+	}
+	vals := s.vals
+	ins := s.ins[o.in : o.in+o.n]
+	switch o.kind {
 	case netlist.KBuf:
-		return s.pinVal(gid, g, 0)
+		return vals[ins[0]]
 	case netlist.KNot:
-		return s.pinVal(gid, g, 0).Not()
+		return vals[ins[0]].Not()
 	case netlist.KAnd, netlist.KNand:
-		v := s.pinVal(gid, g, 0)
-		for p := 1; p < len(g.Ins); p++ {
-			v = v.And(s.pinVal(gid, g, p))
+		v := vals[ins[0]]
+		for _, in := range ins[1:] {
+			v = v.And(vals[in])
 		}
-		if g.Kind == netlist.KNand {
+		if o.kind == netlist.KNand {
 			v = v.Not()
 		}
 		return v
 	case netlist.KOr, netlist.KNor:
-		v := s.pinVal(gid, g, 0)
-		for p := 1; p < len(g.Ins); p++ {
-			v = v.Or(s.pinVal(gid, g, p))
+		v := vals[ins[0]]
+		for _, in := range ins[1:] {
+			v = v.Or(vals[in])
 		}
-		if g.Kind == netlist.KNor {
+		if o.kind == netlist.KNor {
 			v = v.Not()
 		}
 		return v
 	case netlist.KXor:
-		return s.pinVal(gid, g, 0).Xor(s.pinVal(gid, g, 1))
+		return vals[ins[0]].Xor(vals[ins[1]])
 	case netlist.KXnor:
-		return s.pinVal(gid, g, 0).Xor(s.pinVal(gid, g, 1)).Not()
+		return vals[ins[0]].Xor(vals[ins[1]]).Not()
 	case netlist.KMux2:
-		return logic.PVMux(s.pinVal(gid, g, netlist.MuxS),
-			s.pinVal(gid, g, netlist.MuxD0), s.pinVal(gid, g, netlist.MuxD1))
+		return logic.PVMux(vals[ins[netlist.MuxS]], vals[ins[netlist.MuxD0]], vals[ins[netlist.MuxD1]])
 	}
-	panic(fmt.Sprintf("sim: cannot evaluate %v gate %q", g.Kind, g.Name))
+	panic(fmt.Sprintf("sim: cannot evaluate %v gate", o.kind))
+}
+
+// evalInjected evaluates a flagged op: it copies every pin value, through
+// the pin's mask, into the scratch slots behind the nets, runs an unflagged
+// copy of the op over those slots, and applies the output mask.
+func (s *Simulator) evalInjected(o *op) logic.PV {
+	base := s.nets
+	for p, net := range s.ins[o.in : o.in+o.n] {
+		s.vals[base+p] = s.masks[o.inj+int32(p)].apply(s.vals[net])
+	}
+	bare := op{kind: o.kind, in: s.scratchIn, n: o.n}
+	return s.masks[o.inj-1].apply(s.eval(&bare))
 }
 
 // Step settles the combinational network, then clocks every flip-flop.
@@ -249,18 +369,19 @@ func (s *Simulator) Step() {
 // combinational values. Callers that need to sample outputs between
 // settling and the clock edge use EvalComb + CommitState directly.
 func (s *Simulator) CommitState() {
-	for _, f := range s.ffs {
-		g := &s.N.Gates[f]
-		d := s.pinVal(f, g, netlist.DffD)
-		if g.Kind == netlist.KDFFR {
-			rstn := s.pinVal(f, g, netlist.DffRstN)
-			d = logic.PVMux(rstn, logic.PVAllZero, d)
+	for i, f := range s.ffs {
+		d := s.read(f.gate, netlist.DffD, f.d)
+		if f.rstn != netlist.InvalidNet {
+			d = logic.PVMux(s.read(f.gate, netlist.DffRstN, f.rstn), logic.PVAllZero, d)
 		}
-		s.next[f] = d
+		s.next[i] = d
 	}
-	for _, f := range s.ffs {
-		g := &s.N.Gates[f]
-		s.vals[g.Out] = s.outVal(f, s.next[f])
+	for i, f := range s.ffs {
+		v := s.next[i]
+		if m := s.injAt[f.gate]; m != 0 {
+			v = s.masks[m-1].apply(v)
+		}
+		s.vals[f.q] = v
 	}
 }
 

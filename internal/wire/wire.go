@@ -160,7 +160,8 @@ func NewSnapshot(s *fault.AccumulatorSnapshot) *Message {
 }
 
 // payload returns the single payload the message's kind names, or an error
-// if the kind is unknown or the payload is absent.
+// if the kind is unknown, the payload is absent, or the message carries a
+// payload its kind does not name.
 func (m *Message) payload() (any, error) {
 	var p any
 	switch m.Kind {
@@ -182,12 +183,24 @@ func (m *Message) payload() (any, error) {
 	if p == nil {
 		return nil, fmt.Errorf("wire: %s message without %s payload", m.Kind, m.Kind)
 	}
+	for _, other := range []struct {
+		kind string
+		set  bool
+	}{
+		{KindDelta, m.Delta != nil},
+		{KindEvent, m.Event != nil},
+		{KindSnapshot, m.Snapshot != nil},
+	} {
+		if other.set && other.kind != m.Kind {
+			return nil, fmt.Errorf("wire: %s message also carries a %s payload", m.Kind, other.kind)
+		}
+	}
 	return p, nil
 }
 
 // Encode serializes a message, verifying the envelope is well-formed (current
-// version, known kind, payload present) so a malformed frame is caught at the
-// sender, where the bug is.
+// version, known kind, exactly the named payload present) so a malformed
+// frame is caught at the sender, where the bug is.
 func Encode(m *Message) ([]byte, error) {
 	if m.V != Version {
 		return nil, fmt.Errorf("wire: encoding version %d, this build speaks %d", m.V, Version)
@@ -199,7 +212,8 @@ func Encode(m *Message) ([]byte, error) {
 }
 
 // Decode parses a message and verifies the envelope: the version must be the
-// one this build speaks, the kind known, and the matching payload present.
+// one this build speaks, the kind known, and the matching payload the only
+// one present.
 func Decode(data []byte) (*Message, error) {
 	var m Message
 	if err := json.Unmarshal(data, &m); err != nil {

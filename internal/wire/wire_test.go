@@ -143,6 +143,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"missing payload": `{"v":1,"kind":"delta"}`,
 		"wrong payload":   `{"v":1,"kind":"event","delta":{"source":"s","seq":0}}`,
 		"no version":      `{"kind":"delta","delta":{"source":"s","seq":0}}`,
+		"extra payloads": `{"v":1,"kind":"delta","delta":{"source":"s","seq":0},` +
+			`"event":{"provider":"p","channel":"c","time":"2024-01-01T00:00:00Z","seq":0},` +
+			`"snapshot":{"statuses":"AA==","attribution":[0]}}`,
+		"extra snapshot": `{"v":1,"kind":"event","event":{"provider":"p","channel":"c","time":"2024-01-01T00:00:00Z","seq":0},` +
+			`"snapshot":{"statuses":"","attribution":[]}}`,
 	}
 	for name, raw := range cases {
 		if _, err := Decode([]byte(raw)); err == nil {
@@ -160,5 +165,11 @@ func TestEncodeRejectsMalformed(t *testing.T) {
 	}
 	if _, err := Encode(&Message{V: Version, Kind: KindSnapshot}); err == nil {
 		t.Error("missing payload encoded")
+	}
+	if _, err := Encode(&Message{V: Version, Kind: KindDelta, Delta: &Delta{}, Event: &Event{}, Snapshot: &Snapshot{}}); err == nil {
+		t.Error("message with extra payloads encoded")
+	}
+	if _, err := Encode(&Message{V: Version, Kind: KindEvent, Event: &Event{}, Delta: &Delta{}}); err == nil {
+		t.Error("event message with a delta payload encoded")
 	}
 }
