@@ -45,6 +45,7 @@ import (
 	"olfui/internal/fault"
 	"olfui/internal/flow"
 	"olfui/internal/journal"
+	"olfui/internal/netlist"
 	"olfui/internal/obs"
 	"olfui/internal/sim"
 	"olfui/internal/testutil"
@@ -200,8 +201,12 @@ func runReport(ctx context.Context, cfg config, reg *obs.Registry) error {
 		for _, line := range sweepChecks {
 			fmt.Println(line)
 		}
-		if err := oracleSample(r); err != nil {
+		lines, err := scenarioSelfchecks(r)
+		if err != nil {
 			return err
+		}
+		for _, line := range lines {
+			fmt.Println(line)
 		}
 	}
 	fmt.Println("OK")
@@ -273,44 +278,21 @@ func runCampaign(ctx context.Context, cfg config, reg *obs.Registry) (*flow.Repo
 }
 
 // sweepSelfcheck builds the per-depth observer -selfcheck wires into a swept
-// campaign: at every depth, a sample of the depth's untestability verdicts is
+// campaign: at every depth, every untestability verdict of the depth is
 // exhaustively re-proven on the live clone under the current multi-frame
 // injection map — synchronously, before the clone is extended further. The
 // summary lines are collected for run to print with the other selfchecks.
 func sweepSelfcheck(lines *[]string) func(string, flow.SweepDepth) error {
 	return func(name string, d flow.SweepDepth) error {
-		if got := len(testutil.Controllables(d.Clone)); got > testutil.MaxExhaustiveInputs {
-			*lines = append(*lines, fmt.Sprintf("  sweep selfcheck %q k=%d: skipped (%d controllables)",
-				name, d.Frames, got))
-			return nil
-		}
-		o, err := testutil.NewOracle(d.Clone, d.Obs)
+		line, err := reproveUntestable(fmt.Sprintf("sweep selfcheck %q k=%d", name, d.Frames),
+			d.Clone, d.Obs, d.Universe, d.Status, d.Sites)
 		if err != nil {
 			return err
 		}
-		checked := 0
-		for id := 0; id < d.Universe.NumFaults() && checked < maxOracleSamples; id++ {
-			fid := fault.FID(id)
-			if d.Status.Get(fid) != fault.Untestable {
-				continue
-			}
-			f := d.Universe.FaultOf(fid)
-			if detectable, w := o.DetectableInjection(d.Sites.Expand(f)); detectable {
-				return fmt.Errorf("sweep selfcheck %q k=%d: %s marked untestable but detected by %v",
-					name, d.Frames, d.Universe.Describe(f), w)
-			}
-			checked++
-		}
-		*lines = append(*lines, fmt.Sprintf(
-			"  sweep selfcheck %q k=%d: %d untestability verdicts exhaustively confirmed (multi-frame injection)",
-			name, d.Frames, checked))
+		*lines = append(*lines, line)
 		return nil
 	}
 }
-
-// maxOracleSamples bounds how many untestability verdicts each exhaustive
-// selfcheck re-proves per scenario or swept depth.
-const maxOracleSamples = 24
 
 // printExamples lists a few faults of the paper's headline category:
 // detected by full-scan ATPG yet functionally untestable.
@@ -381,46 +363,56 @@ func crossCheck(r *flow.Report, u *fault.Universe) error {
 	return nil
 }
 
-// oracleSample exhaustively verifies a sample of each scenario's
-// untestability verdicts on the scenario's own clone, expanding every fault
-// through the scenario's site map so multi-frame verdicts are re-proven
-// against the same joint injection the engine searched.
-func oracleSample(r *flow.Report) error {
-	const maxPerScenario = maxOracleSamples
+// scenarioSelfchecks exhaustively re-proves every untestability verdict of
+// each scenario on the scenario's own clone and returns one summary line per
+// scenario.
+func scenarioSelfchecks(r *flow.Report) ([]string, error) {
+	var lines []string
 	for _, sr := range r.Scenarios {
+		label := fmt.Sprintf("selfcheck %q", sr.Scenario.Name)
 		if sr.Restored {
 			// A journal-restored result carries no clone or site map to
 			// re-prove against; its verdicts were checked when first produced.
-			fmt.Printf("  selfcheck %q: skipped (restored from journal)\n", sr.Scenario.Name)
+			lines = append(lines, "  "+label+": skipped (restored from journal)")
 			continue
 		}
-		if got := len(testutil.Controllables(sr.Clone)); got > testutil.MaxExhaustiveInputs {
-			fmt.Printf("  selfcheck %q: skipped (%d controllables)\n", sr.Scenario.Name, got)
-			continue
-		}
-		o, err := testutil.NewOracle(sr.Clone, sr.Obs)
+		line, err := reproveUntestable(label, sr.Clone, sr.Obs, sr.Universe, sr.Outcome.Status, sr.Sites)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		checked := 0
-		for id := 0; id < sr.Universe.NumFaults() && checked < maxPerScenario; id++ {
-			fid := fault.FID(id)
-			if sr.Outcome.Status.Get(fid) != fault.Untestable {
-				continue
-			}
-			f := sr.Universe.FaultOf(fid)
-			if detectable, w := o.DetectableInjection(sr.Sites.Expand(f)); detectable {
-				return fmt.Errorf("selfcheck %q: %s marked untestable but detected by %v",
-					sr.Scenario.Name, sr.Universe.Describe(f), w)
-			}
-			checked++
-		}
-		mode := "single-site"
-		if !sr.Sites.Empty() {
-			mode = "multi-frame"
-		}
-		fmt.Printf("  selfcheck %q: %d untestability verdicts exhaustively confirmed (%s injection)\n",
-			sr.Scenario.Name, checked, mode)
+		lines = append(lines, line)
 	}
-	return nil
+	return lines, nil
+}
+
+// reproveUntestable exhaustively re-proves, on clone, every fault of the
+// clone's universe u that status marks Untestable, expanding each fault
+// through sites so that multi-frame verdicts are re-proven against the same
+// joint injection the engine searched. It returns label's summary line: how many
+// verdicts the oracle confirmed, or "skipped" when clone has more
+// controllables than the oracle accepts. It errors on the first verdict the
+// oracle refutes.
+func reproveUntestable(label string, clone *netlist.Netlist, obs []sim.ObsPoint, u *fault.Universe,
+	status *fault.StatusMap, sites *fault.SiteMap) (string, error) {
+	if got := len(testutil.Controllables(clone)); got > testutil.MaxExhaustiveInputs {
+		return fmt.Sprintf("  %s: skipped (%d controllables)", label, got), nil
+	}
+	o, err := testutil.NewOracle(clone, obs)
+	if err != nil {
+		return "", err
+	}
+	checked := 0
+	for _, fid := range status.FaultsWith(fault.Untestable) {
+		f := u.FaultOf(fid)
+		if detectable, w := o.DetectableInjection(sites.Expand(f)); detectable {
+			return "", fmt.Errorf("%s: %s marked untestable but detected by %v", label, u.Describe(f), w)
+		}
+		checked++
+	}
+	mode := "single-site"
+	if !sites.Empty() {
+		mode = "multi-frame"
+	}
+	return fmt.Sprintf("  %s: %d untestability verdicts exhaustively confirmed (%s injection)",
+		label, checked, mode), nil
 }

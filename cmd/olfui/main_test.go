@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -269,7 +270,7 @@ func TestLoadPatternSets(t *testing.T) {
 seq add
 1010110000001
 011101000000X  # trailing comment
-seq xor
+seq	xor
 1001000100001
 `)
 	sets, err := loadPatternSets(n, path)
@@ -292,17 +293,23 @@ seq xor
 		t.Fatalf("%d stimulus inputs, want 13", len(sets[0].Stim.Inputs))
 	}
 
-	for name, bad := range map[string]string{
-		"row before seq": "1010110000001\n",
-		"short row":      "seq s\n101\n",
-		"bad symbol":     "seq s\n2010110000001\n",
-		"empty seq":      "seq s\n",
-		"duplicate seq":  "seq s\n1010110000001\nseq s\n1010110000001\n",
-		"nameless seq":   "seq \n1010110000001\n",
-		"no sequences":   "# nothing\n",
+	for name, tc := range map[string]struct{ stim, cause string }{
+		"row before seq": {"1010110000001\n", `cycle row before any "seq" header`},
+		"short row":      {"seq s\n101\n", "row has 3 symbols, circuit has 13 primary inputs"},
+		"bad symbol":     {"seq s\n2010110000001\n", "bad symbol '2'"},
+		"empty seq":      {"seq s\n", `sequence "s" has no cycles`},
+		"duplicate seq":  {"seq s\n1010110000001\nseq s\n1010110000001\n", `duplicate sequence "s"`},
+		"nameless seq":   {"seq \n1010110000001\n", "seq without a name"},
+		"no sequences":   {"# nothing\n", "no sequences found"},
+		"long line":      {"seq s\n" + strings.Repeat("0", 1<<16) + "\n", "token too long"},
 	} {
-		if _, err := loadPatternSets(n, writeStim(t, bad)); err == nil {
+		path := writeStim(t, tc.stim)
+		_, err := loadPatternSets(n, path)
+		switch {
+		case err == nil:
 			t.Errorf("%s: want error", name)
+		case !strings.Contains(err.Error(), tc.cause) || !strings.Contains(err.Error(), path):
+			t.Errorf("%s: error %q does not name %s and %q", name, err, path, tc.cause)
 		}
 	}
 }
@@ -376,6 +383,46 @@ func TestRunSweepSelfcheck(t *testing.T) {
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSelfcheckReprovesEveryUntestable pins that -selfcheck re-proves every
+// untestability verdict, not a sample: on the width-1 bench, with the reach
+// scenario swept at its starting depth, each sweep depth's line and each
+// scenario's line confirm exactly as many verdicts as the depth or scenario
+// holds Untestable.
+func TestSelfcheckReprovesEveryUntestable(t *testing.T) {
+	n := bench.Build(1)
+	var lines, want []string
+	check := sweepSelfcheck(&lines)
+	r, err := flow.RunCampaign(context.Background(), n, fault.NewUniverse(n), bench.Scenarios(2), flow.Options{
+		MaxFrames: 2,
+		SweepOnDepth: func(name string, d flow.SweepDepth) error {
+			want = append(want, fmt.Sprintf("sweep selfcheck %q k=%d: %d untestability verdicts exhaustively confirmed",
+				name, d.Frames, len(d.Status.FaultsWith(fault.Untestable))))
+			return check(name, d)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenarioLines, err := scenarioSelfchecks(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines = append(lines, scenarioLines...)
+	for _, sr := range r.Scenarios {
+		want = append(want, fmt.Sprintf("selfcheck %q: %d untestability verdicts exhaustively confirmed",
+			sr.Scenario.Name, len(sr.Outcome.Status.FaultsWith(fault.Untestable))))
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("%d selfcheck lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+	}
+	for i := range want {
+		if !strings.HasPrefix(strings.TrimSpace(lines[i]), want[i]) {
+			t.Errorf("selfcheck line %q, want it to start %q", lines[i], want[i])
+		}
+	}
+	t.Log("\n" + strings.Join(lines, "\n"))
 }
 
 // TestSweepMatchesOneShotOnBench is the acceptance criterion on the olfui

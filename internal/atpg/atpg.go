@@ -17,6 +17,23 @@
 // functionally-untestable-fault identification flow needs: Untestable
 // verdicts are certificates, not failures to detect.
 //
+// Three checks ask whether a fault effect can still cross a gate: the
+// activation check on a not-yet-active site (sitePathOpenAt), the D-frontier
+// scan (computeFrontier) and the X-path DFS (xPathFrom). Besides an output
+// that is already known, all three treat a deselected 2:1 mux data pin as
+// closed: a data pin whose select, read through the injection, is known,
+// equal in the good and the faulty machine, and picks the other data pin.
+// Both machines' outputs then follow that other pin whatever the deselected
+// one carries, and a known value stays known under every extension of the
+// assignment, so no extension lets the effect through. This is what proves a
+// mission-mode scan mux's scan-path pin untestable at the first implication
+// pass (its select tied off by a constraint), instead of the search
+// enumerating the logic behind the selected pin. A select that carries an
+// error, or whose faulty value is unknown (an injection site on it, or an
+// effect reaching it from another frame replica), never blocks. AND- and
+// OR-family gates need no such rule: a known controlling side input already
+// makes their output known, and XOR never blocks.
+//
 // Heuristics are SCOAP-lite (netlist.Annotations): objectives pick the
 // D-frontier gate with the lowest output observability, and a multiple
 // backtrace distributes objective demand down to the inputs weighted by

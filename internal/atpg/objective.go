@@ -31,6 +31,9 @@ type objective struct {
 //     diverge (implication is monotone: known values are final);
 //   - a not-yet-activated site without an X-path to an observation point can
 //     diverge, but never detectably;
+//   - an effect on a deselected mux data pin (see deselected) never reaches
+//     the mux output, so such a pin neither opens a site's path, nor puts
+//     the mux on the D-frontier, nor extends an X-path;
 //   - once every site is dead or blocked and the D-frontier has no X-path
 //     left, no extension of the assignment detects the injection.
 func (e *Engine) nextObjectives() []objective {
@@ -113,10 +116,11 @@ func (e *Engine) appendActivations() []objective {
 }
 
 // computeFrontier collects the D-frontier: gates with at least one fault
-// effect on an input and an output that can still evolve (carries an X
-// component), sorted most-observable first (lowest SCOAP CO). Only F gates
-// can read a fault effect, so the scan covers F alone; the insertion sort is
-// stable, so equal-CO gates keep their levelized order.
+// effect on an input that is not deselected and an output that can still
+// evolve (carries an X component), sorted most-observable first (lowest
+// SCOAP CO). Only F gates can read a fault effect, so the scan covers F
+// alone; the insertion sort is stable, so equal-CO gates keep their
+// levelized order.
 func (e *Engine) computeFrontier() {
 	e.dfront = e.dfront[:0]
 	for _, gid := range e.coneF {
@@ -125,7 +129,7 @@ func (e *Engine) computeFrontier() {
 			continue
 		}
 		for p := range g.Ins {
-			if e.pinVal(gid, g, p).IsError() {
+			if e.pinVal(gid, g, p).IsError() && !e.deselected(gid, g, p) {
 				e.dfront = append(e.dfront, gid)
 				break
 			}
@@ -151,6 +155,25 @@ func (e *Engine) observable(g netlist.GateID, pin int32) bool {
 	return e.obsPin[netlist.Pin{Gate: g, In: pin}]
 }
 
+// deselected reports whether input pin p of gate g is a 2:1 mux data pin
+// that the select steers away from in both machines: the select, read
+// through the injection, is known, equal in the good and the faulty machine,
+// and picks the other data pin. Both machines' outputs then follow that other
+// pin, whatever p carries, and implication is monotone, so no extension of
+// the assignment lets an effect on p cross the mux. A select that carries an
+// error or a faulty X (an injection site on it, or an effect reaching it)
+// never blocks.
+func (e *Engine) deselected(gid netlist.GateID, g *netlist.Gate, p int) bool {
+	if g.Kind != netlist.KMux2 || p == netlist.MuxS {
+		return false
+	}
+	s := e.pinVal(gid, g, netlist.MuxS)
+	if !s.Good.IsKnown() || s.Faulty != s.Good {
+		return false
+	}
+	return (s.Good == logic.One) == (p == netlist.MuxD0)
+}
+
 // sitePathOpenAt reports whether injection site i (not yet activated) still
 // has an X-path to an observation point. Before a site activates, no error
 // originating there is in the circuit, so any eventual detection path through
@@ -172,7 +195,7 @@ func (e *Engine) sitePathOpenAt(i int) bool {
 			// itself (checked above) could have observed the fault.
 			return false
 		}
-		if g.Out == netlist.InvalidNet || !e.val[g.Out].HasX() {
+		if g.Out == netlist.InvalidNet || !e.val[g.Out].HasX() || e.deselected(s.Gate, g, int(s.Pin)) {
 			return false
 		}
 		return e.xPathFrom([]netlist.NetID{g.Out})
@@ -213,7 +236,8 @@ func (e *Engine) xPathFrom(roots []netlist.NetID) bool {
 				// the pin check above.
 				continue
 			}
-			if g.Out == netlist.InvalidNet || e.visited[g.Out] == ep || !e.val[g.Out].HasX() {
+			if g.Out == netlist.InvalidNet || e.visited[g.Out] == ep || !e.val[g.Out].HasX() ||
+				e.deselected(p.Gate, g, int(p.In)) {
 				continue
 			}
 			e.visited[g.Out] = ep

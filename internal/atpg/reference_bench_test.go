@@ -7,6 +7,7 @@ import (
 	"olfui/internal/atpg"
 	"olfui/internal/bench"
 	"olfui/internal/constraint"
+	"olfui/internal/dp"
 	"olfui/internal/fault"
 	"olfui/internal/flow"
 	"olfui/internal/netlist"
@@ -26,13 +27,50 @@ func benchClone(t testing.TB, sc flow.Scenario) (*netlist.Netlist, *fault.SiteMa
 	return clone, sm, sc.Observe(clone)
 }
 
+// adderMiter builds a miter of two k-bit ripple adders over the same inputs:
+// the XOR of their sum MSBs, observed at a primary output "miter". The XOR
+// is 0 under every assignment, so its stuck-at-0 is untestable, and so is a
+// stuck-at on any input stem, which both adders read alike. Neither
+// implication nor a cheap structural argument shows that: PODEM enumerates
+// both carry chains, and at k = 8 those searches end Aborted at every limit
+// up to a few thousand backtracks.
+func adderMiter(t testing.TB, k int) *netlist.Netlist {
+	t.Helper()
+	n := netlist.New("miter")
+	a := dp.InputBus(n, "a", k)
+	b := dp.InputBus(n, "b", k)
+	cin := n.Input("cin")
+	s1, _ := dp.RippleAdder(n, "add1", a, b, cin)
+	s2, _ := dp.RippleAdder(n, "add2", a, b, cin)
+	n.OutputPort("out", n.Xor("miter", s1[k-1], s2[k-1]))
+	if _, err := n.Levelize(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestConeSearchMatchesReferenceOnBench pins every search on the bench
 // design's mission clones — the scenarios the campaign benchmark runs, at 2
 // and 3 unrolled frames — to the full-pass reference engine, at the
 // benchmark's backtrack limit, with the probe at its default threshold and
-// engaged from the first backtrack. These clones hold the hard faults: the
-// searches that end Aborted spend thousands of backtracks each.
+// engaged from the first backtrack. The deselected-pin rule settles the
+// bench's scan-mux faults at their first implication pass, so these clones
+// backtrack only a few times each; the 8-bit adder miter is the
+// configuration that drives the cone, the event-driven passes and the probe
+// through thousands of backtracks per search.
 func TestConeSearchMatchesReferenceOnBench(t *testing.T) {
+	miter := adderMiter(t, 8)
+	mu := fault.NewUniverse(miter)
+	for _, probe := range []int{0, 1} {
+		t.Run(fmt.Sprintf("adder-miter/probe=%d", probe), func(t *testing.T) {
+			t.Parallel()
+			s, b := atpg.CheckReference(t, miter, mu, atpg.Options{BacktrackLimit: 2048, ProbeThreshold: probe})
+			if b < 2048 {
+				t.Fatalf("%d backtracks over %d searches; the miter no longer searches deep", b, s)
+			}
+			t.Logf("%d searches, %d backtracks matched the reference", s, b)
+		})
+	}
 	done := map[string]bool{}
 	for _, frames := range []int{2, 3} {
 		for _, sc := range bench.Scenarios(frames) {
@@ -63,19 +101,19 @@ func TestConeSearchMatchesReferenceOnBench(t *testing.T) {
 }
 
 // TestSearchAllocsIndependentOfSteps pins that a decision step allocates
-// nothing: one Aborted search of the mission-reach clone must allocate the
+// nothing: one Aborted search of the 8-bit adder miter must allocate the
 // same number of times whether it stops at 256 backtracks or runs on to
 // 2048. Whatever a search allocates, it allocates once, up front.
 func TestSearchAllocsIndependentOfSteps(t *testing.T) {
-	clone, sm, obs := benchClone(t, bench.Scenarios(2)[2])
-	ann, err := clone.Annotate()
+	miter := adderMiter(t, 8)
+	ann, err := miter.Annotate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	engine := func(limit int) *atpg.Engine {
-		return atpg.NewWithAnnotations(clone, ann, atpg.Options{BacktrackLimit: limit, Sites: sm, ObsPoints: obs})
+		return atpg.NewWithAnnotations(miter, ann, atpg.Options{BacktrackLimit: limit})
 	}
-	u := fault.NewUniverse(clone)
+	u := fault.NewUniverse(miter)
 	long := engine(2048)
 	var target fault.Fault
 	found := false
@@ -84,7 +122,7 @@ func TestSearchAllocsIndependentOfSteps(t *testing.T) {
 		found = long.Generate(target).Verdict == atpg.Aborted
 	}
 	if !found {
-		t.Fatal("no fault of the mission-reach clone aborts at limit 2048")
+		t.Fatal("no fault of the adder miter aborts at limit 2048")
 	}
 	allocs := func(limit int) float64 {
 		e := engine(limit)

@@ -274,6 +274,9 @@ func (e *refEngine) refDetected() bool {
 //     diverge (implication is monotone: known values are final);
 //   - a not-yet-activated site without an X-path to an observation point can
 //     diverge, but never detectably;
+//   - an effect on a deselected mux data pin (see deselected) never reaches
+//     the mux output, so such a pin neither opens a site's path, nor puts
+//     the mux on the D-frontier, nor extends an X-path;
 //   - once every site is dead or blocked and the D-frontier has no X-path
 //     left, no extension of the assignment detects the injection.
 func (e *refEngine) refNextObjectives() []objective {
@@ -339,8 +342,9 @@ func (e *refEngine) refNextObjectives() []objective {
 }
 
 // refComputeFrontier collects the D-frontier: gates with at least one fault
-// effect on an input and an output that can still evolve (carries an X
-// component), sorted most-observable first (lowest SCOAP CO).
+// effect on an input that is not deselected and an output that can still
+// evolve (carries an X component), sorted most-observable first (lowest
+// SCOAP CO).
 func (e *refEngine) refComputeFrontier() {
 	e.dfront = e.dfront[:0]
 	for _, gid := range e.ann.Order() {
@@ -349,7 +353,7 @@ func (e *refEngine) refComputeFrontier() {
 			continue
 		}
 		for p := range g.Ins {
-			if e.pinVal(gid, g, p).IsError() {
+			if e.pinVal(gid, g, p).IsError() && !e.deselected(gid, g, p) {
 				e.dfront = append(e.dfront, gid)
 				break
 			}

@@ -34,17 +34,17 @@ func TestCampaignEnginePins(t *testing.T) {
 		{
 			// The abort-tail benchmark workload: olfui -workers 1 -limit 2048.
 			name: "abort-tail", width: 8, limit: 2048,
-			digest:     "1618aeb715afe81636c486580f808e6f57e3a99a70c2d459046887fed4c68230",
-			backtracks: 43002, decisions: 48009, implications: 92064,
-			gateEvals: 6843735,
+			digest:     "e59a36a9b3327741bb253b91a4ab448f54ff49be02a8de03f0f760bc319d13d2",
+			backtracks: 28, decisions: 4831, implications: 5930,
+			gateEvals: 126295,
 		},
 		{
 			// A swept campaign: olfui -width 16 -limit 64 -sweep -max-frames 4
 			// -workers 1.
 			name: "swept", width: 16, limit: 64, maxFrames: 4,
-			digest:     "6a197e3a4e0b7b80b78c71d2c9aa9157df6b5085853e441415dc50a60a7e4841",
-			backtracks: 6020, decisions: 17582, implications: 25637,
-			gateEvals: 1990974,
+			digest:     "ffbeb3aff1682ecc15aabe9af1cb83f0cfd638e097ac9cbfcf1423be9fcee052",
+			backtracks: 28, decisions: 10306, implications: 12429,
+			gateEvals: 413781,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

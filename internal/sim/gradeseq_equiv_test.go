@@ -416,10 +416,10 @@ func missionTraces(t *testing.T, n *netlist.Netlist, rng *rand.Rand, count, cycl
 }
 
 // benchClassDigest is the classification of the width-16 bench design under
-// its three scenarios at backtrack limit 16 with one worker, as the
-// word-major grader's campaign left it. Pattern grading only adds mission
-// detections, so it must not move.
-const benchClassDigest = "bd4bd3b6d644872caa72a9d337192132c6530c715212da1e2a6970de962fe041"
+// its three scenarios at backtrack limit 16 with one worker, with no class
+// left Aborted: the engine proves every deselected scan-mux pin untestable.
+// Pattern grading only adds mission detections, so it must not move.
+const benchClassDigest = "ffbeb3aff1682ecc15aabe9af1cb83f0cfd638e097ac9cbfcf1423be9fcee052"
 
 // TestPatternCampaignMatchesReference runs the campaign at the benchmark's
 // mission-import configuration (width 16, backtrack limit 16, one worker,
