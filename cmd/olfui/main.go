@@ -3,9 +3,10 @@
 // one-hot-decoded operation field, and a write-only trace register — the
 // structures whose faults full-scan ATPG counts as testable although no
 // mission-mode stimulus can expose them. It drives the campaign API —
-// optionally sharding the full-scan baseline (-shards), sweeping the
-// reach-constrained scenario to adaptively chosen sequential depth (-sweep,
-// -max-frames) and grading imported mission stimuli (-patterns) — prints
+// spreading every provider's searches over a shared worker budget
+// (-workers), sweeping the reach-constrained scenario to adaptively chosen
+// sequential depth (-sweep, -max-frames) and grading imported mission
+// stimuli (-patterns) — prints
 // per-scenario ATPG stats (with a per-depth convergence table for swept
 // scenarios), the fault classification, and the coverage-target correction,
 // and exits non-zero if any internal cross-check fails.
@@ -53,24 +54,20 @@ import (
 
 // config collects the command-line knobs.
 type config struct {
-	width          int
-	workers        int
-	limit          int
-	frames         int
-	shards         int
-	scenarioShards int
-	noSched        bool   // fall back to static shard partitions (scheduler off)
-	sweep          bool   // adaptive sequential-depth sweep of the reach scenario
-	maxFrames      int    // sweep depth budget; 0 defaults, implies -sweep when set
-	noReplay       bool   // disable the sweep's cross-depth warm start
-	patterns       string // stimulus file for the pattern-import provider
-	noLearn        bool   // skip the static learning pass (FIRE-style screening)
-	progress       bool
-	selfcheck      bool
-	metricsOut     string // telemetry snapshot JSON path, written on exit
-	pprofAddr      string // debug server address (pprof + /metrics)
-	journalDir     string // durable delta journal directory ("" = no journal)
-	resume         bool   // continue the campaign the journal recovered
+	width      int
+	workers    int
+	limit      int
+	frames     int
+	sweep      bool   // adaptive sequential-depth sweep of the reach scenario
+	maxFrames  int    // sweep depth budget; 0 defaults, implies -sweep when set
+	patterns   string // stimulus file for the pattern-import provider
+	noLearn    bool   // skip the static learning pass (FIRE-style screening)
+	progress   bool
+	selfcheck  bool
+	metricsOut string // telemetry snapshot JSON path, written on exit
+	pprofAddr  string // debug server address (pprof + /metrics)
+	journalDir string // durable delta journal directory ("" = no journal)
+	resume     bool   // continue the campaign the journal recovered
 }
 
 // validate rejects inconsistent flag combinations with a one-line error
@@ -79,20 +76,11 @@ func (cfg config) validate() error {
 	if cfg.frames < 1 {
 		return fmt.Errorf("-frames must be >= 1, got %d", cfg.frames)
 	}
-	if cfg.shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", cfg.shards)
-	}
-	if cfg.scenarioShards < 1 {
-		return fmt.Errorf("-scenario-shards must be >= 1, got %d", cfg.scenarioShards)
-	}
 	if cfg.maxFrames != 0 && cfg.maxFrames < cfg.frames {
 		return fmt.Errorf("-max-frames (%d) must be >= -frames (%d)", cfg.maxFrames, cfg.frames)
 	}
 	if cfg.resume && cfg.journalDir == "" {
 		return fmt.Errorf("-resume requires -journal")
-	}
-	if cfg.noReplay && cfg.sweepBudget() == 0 {
-		return fmt.Errorf("-no-replay requires -sweep (only depth sweeps warm-start across depths)")
 	}
 	return nil
 }
@@ -115,17 +103,10 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "total ATPG worker budget across providers (0 = NumCPU)")
 	flag.IntVar(&cfg.limit, "limit", 0, "backtrack limit (0 = default)")
 	flag.IntVar(&cfg.frames, "frames", 2, "time frames for the reach-constrained scenario")
-	flag.IntVar(&cfg.shards, "shards", 1, "full-scan baseline shards (streamed and merged)")
-	flag.IntVar(&cfg.scenarioShards, "scenario-shards", 1,
-		"per-scenario constrained-clone class shards (streamed and merged; swept scenarios are not sharded)")
-	flag.BoolVar(&cfg.noSched, "no-sched", false,
-		"disable the dynamic work-stealing scheduler: providers fall back to the static fault-class partitions -shards/-scenario-shards describe (classification identical up to aborts)")
 	flag.BoolVar(&cfg.sweep, "sweep", false,
 		"adaptively deepen the reach scenario frame by frame until its projected untestable set converges")
 	flag.IntVar(&cfg.maxFrames, "max-frames", 0,
 		"depth budget for the sweep (0 = -frames+4); setting it implies -sweep")
-	flag.BoolVar(&cfg.noReplay, "no-replay", false,
-		"disable the sweep's cross-depth warm start (replaying the accumulated test set against each new depth's classes before searching, and extending graders and learning in place instead of rebuilding per depth); verdicts are unchanged, only slower")
 	flag.StringVar(&cfg.patterns, "patterns", "", "mission stimulus file to grade (see cmd/olfui/patterns.go for the format)")
 	flag.BoolVar(&cfg.noLearn, "no-learn", false,
 		"disable the static learning pass (constant propagation + recursive learning) that screens provably unactivatable faults before PODEM; verdicts are unchanged, only slower")
@@ -215,7 +196,7 @@ func runReport(ctx context.Context, cfg config, reg *obs.Registry) error {
 
 // runCampaign assembles the benchmark and its mission scenarios and executes
 // the identification campaign, returning the report for run to render (and
-// for tests to compare across sharding and sweep configurations) plus the
+// for tests to compare across worker and sweep configurations) plus the
 // per-depth sweep selfcheck lines collected while the campaign ran. reg
 // receives the run's telemetry; nil runs uninstrumented.
 func runCampaign(ctx context.Context, cfg config, reg *obs.Registry) (*flow.Report, []string, error) {
@@ -231,14 +212,10 @@ func runCampaign(ctx context.Context, cfg config, reg *obs.Registry) (*flow.Repo
 	scenarios := bench.Scenarios(cfg.frames)
 
 	opts := flow.Options{
-		ATPG:           atpg.Options{BacktrackLimit: cfg.limit, NoLearn: cfg.noLearn},
-		Workers:        cfg.workers,
-		NoSched:        cfg.noSched,
-		NoReplay:       cfg.noReplay,
-		Shards:         cfg.shards,
-		ScenarioShards: cfg.scenarioShards,
-		MaxFrames:      cfg.sweepBudget(),
-		Metrics:        reg,
+		ATPG:      atpg.Options{BacktrackLimit: cfg.limit, NoLearn: cfg.noLearn},
+		Workers:   cfg.workers,
+		MaxFrames: cfg.sweepBudget(),
+		Metrics:   reg,
 	}
 	var sweepChecks []string
 	if cfg.selfcheck && opts.MaxFrames > 0 {
@@ -338,7 +315,7 @@ func crossCheck(r *flow.Report, u *fault.Universe) error {
 	// pattern set to grade — the patterns died with the interrupted process,
 	// only the verdicts were journaled — so the simulation check is skipped.
 	for _, name := range r.Resumed {
-		if name == "full-scan" || strings.HasPrefix(name, "full-scan[") {
+		if name == "full-scan" {
 			fmt.Println("  cross-check: baseline restored from journal; pattern-set simulation skipped")
 			return nil
 		}

@@ -14,6 +14,7 @@ import (
 	"olfui/internal/bench"
 	"olfui/internal/fault"
 	"olfui/internal/flow"
+	"olfui/internal/journal"
 	"olfui/internal/logic"
 	"olfui/internal/obs"
 )
@@ -73,10 +74,10 @@ func TestBenchVerdictsEqualWithLearning(t *testing.T) {
 	}
 }
 
-// BenchmarkCampaignBench measures the full sharded campaign — baseline
-// shards plus the three scenarios streaming into one merge.
+// BenchmarkCampaignBench measures the full campaign — the baseline plus the
+// three scenarios streaming into one merge.
 func BenchmarkCampaignBench(b *testing.B) {
-	cfg := config{width: 4, shards: 4, scenarioShards: 1, frames: 2}
+	cfg := config{width: 4, frames: 2}
 	for i := 0; i < b.N; i++ {
 		if err := runQuiet(cfg); err != nil {
 			b.Fatal(err)
@@ -84,39 +85,21 @@ func BenchmarkCampaignBench(b *testing.B) {
 	}
 }
 
-// sweepBenchConfig is the BENCH_PR9 workload: a heavily sharded, swept
-// campaign — the configuration where the static partition fragments the
-// fault-dropping scope into k isolated per-shard remainders, and the
-// work-stealing scheduler collapses each provider group to one queue-fed
-// scope served hardest-first. The backtrack limit keeps per-class search
-// bounded so the comparison weighs scheduling policy rather than abort
-// churn (both modes abort the identical class set — the limit is per
-// class); learning is off because its build cost is mode-independent and
-// would only dilute the measured scheduling difference.
-func sweepBenchConfig(noSched bool) config {
+// sweepBenchConfig is the BENCH_PR9 workload: a swept campaign at width 12,
+// every provider draining its hardest-first class list through the
+// work-stealing queue. The backtrack limit keeps per-class search bounded so
+// the measurement weighs scheduling and dropping rather than abort churn;
+// learning is off because its build cost would only dilute them.
+func sweepBenchConfig() config {
 	return config{
-		width: 12, frames: 2, shards: 96, scenarioShards: 48,
+		width: 12, frames: 2,
 		sweep: true, maxFrames: 2, limit: 64, noLearn: true,
-		noSched: noSched,
 	}
 }
 
-// BenchmarkCampaignSweep measures the sharded, swept campaign under the
-// work-stealing scheduler (the default path).
+// BenchmarkCampaignSweep measures the swept campaign.
 func BenchmarkCampaignSweep(b *testing.B) {
-	cfg := sweepBenchConfig(false)
-	for i := 0; i < b.N; i++ {
-		if err := runQuiet(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCampaignSweepStatic measures the identical campaign on the static
-// fault.PlanShards partition (-no-sched) — the BENCH_PR9 baseline the
-// scheduler is gated against.
-func BenchmarkCampaignSweepStatic(b *testing.B) {
-	cfg := sweepBenchConfig(true)
+	cfg := sweepBenchConfig()
 	for i := 0; i < b.N; i++ {
 		if err := runQuiet(cfg); err != nil {
 			b.Fatal(err)
@@ -127,23 +110,19 @@ func BenchmarkCampaignSweepStatic(b *testing.B) {
 // runSweepCampaign is the BENCH_PR10 workload: the benchmark circuit's swept
 // mission-reach scenario alone, run through the real campaign machinery with
 // learning on and a multi-depth budget — the depth loop the cross-depth warm
-// start accelerates, undiluted by the full-scan baseline and the non-swept
-// scenarios (which cost the same either way). With the warm start on, replay
-// converts next-depth searches into pattern grading, Learning.Extend replaces
-// the per-depth fact rebuild, and the grader's simulation graph extends in
-// place; with noReplay, every depth rebuilds from scratch exactly as the
-// sweep did before the warm-start engine existed. The backtrack limit is per
-// class, so both modes abort the identical class set; it is tighter than the
-// BENCH_PR9 pair's because hard-class abort churn costs warm and cold the
-// same and would only dilute the measured warm-start difference.
-func runSweepCampaign(tb testing.TB, noReplay bool, reg *obs.Registry) *flow.SweepProvider {
+// start accelerates (replay converts next-depth searches into pattern
+// grading, Learning.Extend replaces the per-depth fact rebuild, and the
+// grader's simulation graph extends in place), undiluted by the full-scan
+// baseline and the non-swept scenarios. The backtrack limit is tighter than
+// the BENCH_PR9 workload's because hard-class abort churn would only dilute
+// the measured depth loop.
+func runSweepCampaign(tb testing.TB, reg *obs.Registry) *flow.SweepProvider {
 	n := bench.Build(12)
 	u := fault.NewUniverse(n)
 	reach := bench.Scenarios(2)[2] // mission-reach: the swept shape
 	c := flow.NewCampaign(n, u, flow.CampaignOptions{
-		ATPG:     atpg.Options{BacktrackLimit: 32},
-		NoReplay: noReplay,
-		Metrics:  reg,
+		ATPG:    atpg.Options{BacktrackLimit: 32},
+		Metrics: reg,
 	})
 	sp := &flow.SweepProvider{Scenario: reach, MaxFrames: 6}
 	if err := c.Add(sp); err != nil {
@@ -156,32 +135,24 @@ func runSweepCampaign(tb testing.TB, noReplay bool, reg *obs.Registry) *flow.Swe
 }
 
 // BenchmarkCampaignSweepWarm measures the swept campaign with the cross-depth
-// warm start engaged (the default path).
+// warm start.
 func BenchmarkCampaignSweepWarm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runSweepCampaign(b, false, nil)
+		runSweepCampaign(b, nil)
 	}
 }
 
-// BenchmarkCampaignSweepNoReplay measures the identical campaign cold — the
-// BENCH_PR10 baseline the warm-start engine is gated against.
-func BenchmarkCampaignSweepNoReplay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runSweepCampaign(b, true, nil)
-	}
-}
-
-// TestCampaignSweepReplayDigestEqual pins the fairness of the BENCH_PR10 pair
-// at its exact configuration: warm and cold classify every fault of the
-// benchmark identically (byte-identical per-fault status digest) and abort
-// the same number of classes, so the measured speedup buys the same
-// deliverable for less work. It also asserts replay fires on the benchmark
-// workload, so the measured warm side exercises all three warm-start layers
-// rather than just the rebuild elimination.
+// TestCampaignSweepReplayDigestEqual pins the BENCH_PR10 workload at its
+// exact configuration: the warm sweep projects every fault of the benchmark
+// onto the same status (byte-identical digest) as a one-shot scenario run at
+// the sweep's final depth, which searches every class with no replay and
+// fresh graders and learning, and neither side aborts a class. It also
+// asserts replay fires on the benchmark workload, so the measured sweep
+// exercises all three warm-start layers rather than just the in-place
+// extension.
 func TestCampaignSweepReplayDigestEqual(t *testing.T) {
-	digest := func(sp *flow.SweepProvider) string {
-		st := sp.Result.Outcome.Status
-		b := make([]byte, sp.Result.Universe.NumFaults())
+	digest := func(st *fault.StatusMap) string {
+		b := make([]byte, st.Len())
 		for id := range b {
 			b[id] = byte(st.Get(fault.FID(id)))
 		}
@@ -189,48 +160,27 @@ func TestCampaignSweepReplayDigestEqual(t *testing.T) {
 		return hex.EncodeToString(sum[:])
 	}
 	reg := obs.New()
-	warm := runSweepCampaign(t, false, reg)
-	cold := runSweepCampaign(t, true, nil)
-	if w, c := digest(warm), digest(cold); w != c {
-		t.Fatalf("classification digest %s warm, %s cold", w, c)
+	warm := runSweepCampaign(t, reg)
+	final := warm.Result.Sweep.FinalFrames
+	n := bench.Build(12)
+	c := flow.NewCampaign(n, fault.NewUniverse(n), flow.CampaignOptions{
+		ATPG: atpg.Options{BacktrackLimit: 32},
+	})
+	oneshot := &flow.ScenarioProvider{Scenario: bench.Scenarios(final)[2]}
+	if err := c.Add(oneshot); err != nil {
+		t.Fatal(err)
 	}
-	if w, c := warm.Result.Outcome.Stats.Aborted, cold.Result.Outcome.Stats.Aborted; w != c {
-		t.Fatalf("aborted %d classes warm, %d cold — the benchmark pair no longer does comparable work", w, c)
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if w, o := warm.Result.Outcome.Stats.Aborted, oneshot.Result.Outcome.Stats.Aborted; w != 0 || o != 0 {
+		t.Fatalf("aborted %d classes swept, %d one-shot; equality only holds absent aborts", w, o)
+	}
+	if w, o := digest(warm.Result.Projected), digest(oneshot.Result.Projected); w != o {
+		t.Fatalf("projected digest %s swept, %s one-shot at k=%d", w, o, final)
 	}
 	if dropped := reg.Counter("flow.sweep.replay.dropped").Load(); dropped == 0 {
-		t.Fatal("replay dropped no classes on the benchmark workload — the pair no longer measures pattern replay")
-	}
-}
-
-// TestCampaignSweepSchedDigestEqual pins what makes the benchmark pair a fair
-// comparison: at the exact BENCH_PR9 configuration — backtrack limit
-// included — both modes classify every fault identically and abort the same
-// number of classes, so the measured speedup buys the same deliverable for
-// less work rather than a different one. The deeper property (classification
-// is scheduling-order-invariant whenever no verdict aborts) is covered
-// separately by flow's TestSchedulerInvariance; this test is the empirical
-// pin for the benchmark workload itself, where the limit does bound some
-// searches: a per-class backtrack cap aborts a class deterministically
-// regardless of dispatch order, so the pin is expected to hold — and if a
-// future engine change breaks it, the benchmark comparison has silently
-// become unfair and this test is the tripwire.
-func TestCampaignSweepSchedDigestEqual(t *testing.T) {
-	run := func(noSched bool) (string, atpg.Stats) {
-		r := campaignQuiet(t, sweepBenchConfig(noSched))
-		stats := r.Baseline.Stats
-		for _, sr := range r.Scenarios {
-			stats.Add(sr.Outcome.Stats)
-		}
-		return r.ClassDigest(), stats
-	}
-	schedDigest, schedStats := run(false)
-	staticDigest, staticStats := run(true)
-	if schedDigest != staticDigest {
-		t.Fatalf("classification digest %s under the scheduler, %s static", schedDigest, staticDigest)
-	}
-	if schedStats.Aborted != staticStats.Aborted {
-		t.Fatalf("aborted %d classes under the scheduler, %d static — the benchmark pair no longer does comparable work",
-			schedStats.Aborted, staticStats.Aborted)
+		t.Fatal("replay dropped no classes on the benchmark workload — the sweep no longer exercises pattern replay")
 	}
 }
 
@@ -314,9 +264,9 @@ seq	xor
 	}
 }
 
-// TestRunShardedWithPatterns drives the binary's whole path — sharded
-// baseline, sharded scenarios, multi-frame injection, pattern import,
-// cross-checks, multi-site oracle selfcheck — end to end.
+// TestRunShardedWithPatterns drives the binary's whole path — a
+// multi-worker campaign, multi-frame injection, pattern import, cross-checks,
+// multi-site oracle selfcheck — end to end.
 func TestRunShardedWithPatterns(t *testing.T) {
 	path := writeStim(t, `
 seq add-sweep
@@ -327,7 +277,7 @@ seq xor-walk
 1001000100001
 0110000100001
 `)
-	cfg := config{width: 2, shards: 3, scenarioShards: 2, frames: 2, patterns: path, selfcheck: true}
+	cfg := config{width: 2, workers: 4, frames: 2, patterns: path, selfcheck: true}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +307,9 @@ func TestFlagValidation(t *testing.T) {
 		cfg  config
 		want string
 	}{
-		"frames":          {config{width: 2, frames: 0, shards: 1, scenarioShards: 1}, "-frames"},
-		"shards":          {config{width: 2, frames: 2, shards: 0, scenarioShards: 1}, "-shards"},
-		"scenario-shards": {config{width: 2, frames: 2, shards: 1, scenarioShards: -1}, "-scenario-shards"},
-		"max-frames":      {config{width: 2, frames: 3, shards: 1, scenarioShards: 1, maxFrames: 2}, "-max-frames"},
-		"no-replay":       {config{width: 2, frames: 2, shards: 1, scenarioShards: 1, noReplay: true}, "-no-replay"},
+		"frames":     {config{width: 2, frames: 0}, "-frames"},
+		"max-frames": {config{width: 2, frames: 3, maxFrames: 2}, "-max-frames"},
+		"resume":     {config{width: 2, frames: 2, resume: true}, "-resume"},
 	} {
 		_, _, err := runCampaign(context.Background(), tc.cfg, nil)
 		if err == nil {
@@ -378,8 +326,7 @@ func TestFlagValidation(t *testing.T) {
 // depth sweep with per-depth exhaustive selfchecks, report table, and the
 // final cross-checks.
 func TestRunSweepSelfcheck(t *testing.T) {
-	cfg := config{width: 1, frames: 2, shards: 1, scenarioShards: 1,
-		sweep: true, maxFrames: 3, selfcheck: true}
+	cfg := config{width: 1, frames: 2, sweep: true, maxFrames: 3, selfcheck: true}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -431,8 +378,7 @@ func TestSelfcheckReprovesEveryUntestable(t *testing.T) {
 func TestSweepMatchesOneShotOnBench(t *testing.T) {
 	// Deeper frames need more backtracks than the default limit allows on
 	// the width-2 bench; equality is only claimed absent aborts.
-	swept := campaignQuiet(t, config{width: 2, frames: 2, shards: 1, scenarioShards: 1,
-		sweep: true, maxFrames: 4, limit: 1 << 20})
+	swept := campaignQuiet(t, config{width: 2, frames: 2, sweep: true, maxFrames: 4, limit: 1 << 20})
 	var sw *flow.SweepResult
 	for _, sr := range swept.Scenarios {
 		if sr.Sweep != nil {
@@ -445,8 +391,7 @@ func TestSweepMatchesOneShotOnBench(t *testing.T) {
 	if sw == nil {
 		t.Fatal("no scenario swept")
 	}
-	oneshot := campaignQuiet(t, config{width: 2, frames: sw.FinalFrames, shards: 1, scenarioShards: 1,
-		limit: 1 << 20})
+	oneshot := campaignQuiet(t, config{width: 2, frames: sw.FinalFrames, limit: 1 << 20})
 	for _, r := range []*flow.Report{swept, oneshot} {
 		for _, sr := range r.Scenarios {
 			if sr.Outcome.Stats.Aborted != 0 {
@@ -463,39 +408,55 @@ func TestSweepMatchesOneShotOnBench(t *testing.T) {
 	}
 }
 
-// TestScenarioShardInvarianceOnBench is the acceptance criterion for
-// scenario sharding: sharded and unsharded ScenarioProvider runs classify
-// every fault of the olfui benchmark identically (absent aborts).
-func TestScenarioShardInvarianceOnBench(t *testing.T) {
-	base := campaignQuiet(t, config{width: 2, frames: 2, shards: 1, scenarioShards: 1})
-	sharded := campaignQuiet(t, config{width: 2, frames: 2, shards: 1, scenarioShards: 4})
-	for _, r := range []*flow.Report{base, sharded} {
-		for _, sr := range r.Scenarios {
-			if sr.Outcome.Stats.Aborted != 0 {
-				t.Fatalf("scenario %q aborted %d classes; invariance only holds absent aborts",
-					sr.Scenario.Name, sr.Outcome.Stats.Aborted)
-			}
-		}
+// TestJournalFingerprintCompatible pins the campaign fingerprint a
+// default-mode journal records to the bytes earlier versions wrote, so those
+// journals stay resumable, and checks that journals of retired campaign
+// shapes — a sharded baseline roster, the cold sweep's no_replay flag — are
+// refused as a different campaign.
+func TestJournalFingerprintCompatible(t *testing.T) {
+	const want = `{"design":"bench2","faults":322,"providers":[` +
+		`{"name":"full-scan","channel":"full-scan"},{"name":"scenario:mission","channel":"mission"},` +
+		`{"name":"scenario:mission-reach","channel":"mission"},{"name":"scenario:online","channel":"mission"}]}`
+	dir := filepath.Join(t.TempDir(), "default")
+	campaignQuiet(t, config{width: 2, frames: 2, journalDir: dir})
+	j, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(base.Class) != len(sharded.Class) {
-		t.Fatalf("universe sizes differ: %d vs %d", len(base.Class), len(sharded.Class))
+	got := string(j.Recovered().Meta)
+	j.Close()
+	if got != want {
+		t.Fatalf("fingerprint\n  %s\nwant\n  %s", got, want)
 	}
-	for id := range base.Class {
-		if base.Class[id] != sharded.Class[id] {
-			t.Errorf("fault %d: %v unsharded vs %v sharded", id, base.Class[id], sharded.Class[id])
+
+	for name, tc := range map[string]struct {
+		cfg  config
+		meta string
+	}{
+		"sharded roster": {config{width: 2, frames: 2}, strings.Replace(want,
+			`{"name":"full-scan","channel":"full-scan"}`,
+			`{"name":"full-scan[1/3]","channel":"full-scan"},{"name":"full-scan[2/3]","channel":"full-scan"},`+
+				`{"name":"full-scan[3/3]","channel":"full-scan"}`, 1)},
+		"no_replay": {config{width: 2, frames: 2, sweep: true}, `{"design":"bench2","faults":322,"no_replay":true,"providers":[` +
+			`{"name":"full-scan","channel":"full-scan"},{"name":"scenario:mission","channel":"mission"},` +
+			`{"name":"scenario:online","channel":"mission"},{"name":"sweep:mission-reach","channel":"mission"}]}`},
+	} {
+		dir := filepath.Join(t.TempDir(), "foreign")
+		j, err := journal.Open(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The unrolled reach scenario must have run under multi-frame injection
-	// in both configurations.
-	for _, r := range []*flow.Report{base, sharded} {
-		var reach *flow.ScenarioResult
-		for _, sr := range r.Scenarios {
-			if sr.Scenario.Name == "mission-reach" {
-				reach = sr
-			}
+		if err := j.SetMeta([]byte(tc.meta)); err != nil {
+			t.Fatal(err)
 		}
-		if reach == nil || reach.Sites.Empty() {
-			t.Fatal("mission-reach scenario did not run under multi-frame injection")
+		j.Close()
+		tc.cfg.journalDir, tc.cfg.resume = dir, true
+		err = quiet(func() error {
+			_, _, err := runCampaign(context.Background(), tc.cfg, nil)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "belongs to a different campaign") {
+			t.Errorf("%s: resume err %v, want a different-campaign refusal", name, err)
 		}
 	}
 }

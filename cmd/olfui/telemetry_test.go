@@ -46,7 +46,7 @@ func BenchmarkGenerateAllBenchTelemetry(b *testing.B) {
 // entry — frames, targeted classes, new and cumulative untestable counts.
 func TestSweepSpanTreeMatchesConvergence(t *testing.T) {
 	reg := obs.New()
-	cfg := config{width: 2, frames: 2, shards: 1, scenarioShards: 1, sweep: true, maxFrames: 4}
+	cfg := config{width: 2, frames: 2, sweep: true, maxFrames: 4}
 	var r *flow.Report
 	err := quiet(func() error {
 		var e error
@@ -120,7 +120,7 @@ type sweepDepthRow struct {
 // and carry non-zero engine and campaign totals plus the span tree.
 func TestMetricsOutFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	cfg := config{width: 2, frames: 2, shards: 2, scenarioShards: 1, metricsOut: path}
+	cfg := config{width: 2, frames: 2, metricsOut: path}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}

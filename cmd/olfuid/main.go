@@ -9,8 +9,9 @@
 //
 // Endpoints:
 //
-//	POST /runs              submit a run; body is a JSON runSpec, response
-//	                        the new run's status (id, state "queued")
+//	POST /runs              submit a run; body is a JSON runSpec (unknown
+//	                        fields are refused), response the new run's
+//	                        status (id, state "queued")
 //	GET  /runs              list all runs, submission order
 //	GET  /runs/{id}         status: state, spec, and — once done — the
 //	                        summary, resumed providers, classification digest

@@ -24,23 +24,10 @@ import (
 // runSpec is a submitted campaign's parameters: the benchmark design knobs
 // plus server-side pacing. Zero values take the documented defaults.
 type runSpec struct {
-	Width          int `json:"width"`           // datapath width (default 8)
-	Frames         int `json:"frames"`          // reach-scenario time frames (default 2)
-	Shards         int `json:"shards"`          // full-scan baseline shards (default 1)
-	ScenarioShards int `json:"scenario_shards"` // per-scenario class shards (default 1)
-	MaxFrames      int `json:"max_frames"`      // >0 sweeps the reach scenario to this depth budget
-	Workers        int `json:"workers"`         // campaign-wide worker budget (0 = NumCPU, at most maxWorkers)
-	// NoSched disables the dynamic work-stealing scheduler: providers fall
-	// back to the static shard partitions Shards/ScenarioShards describe.
-	// NOTE: the journal fingerprint covers the provider roster, and the
-	// scheduler collapses shard groups — resume a run under the same
-	// scheduling mode it was submitted with.
-	NoSched bool `json:"no_sched"`
-	// NoReplay disables the depth sweep's cross-depth warm start — pattern
-	// replay plus in-place grader/learning extension (meaningful only with
-	// MaxFrames > 0). The journal fingerprint covers it: resume a run under
-	// the same warm-start mode it was submitted with.
-	NoReplay bool `json:"no_replay"`
+	Width     int `json:"width"`      // datapath width (default 8)
+	Frames    int `json:"frames"`     // reach-scenario time frames (default 2)
+	MaxFrames int `json:"max_frames"` // >0 sweeps the reach scenario to this depth budget
+	Workers   int `json:"workers"`    // campaign-wide worker budget (0 = NumCPU, at most maxWorkers)
 	// Serial runs the campaign's providers one at a time instead of
 	// concurrently — slower, but interrupting the server then leaves a clean
 	// prefix of completed providers for resume to skip.
@@ -65,21 +52,11 @@ func (sp *runSpec) normalize() error {
 	if sp.Frames == 0 {
 		sp.Frames = 2
 	}
-	if sp.Shards == 0 {
-		sp.Shards = 1
-	}
-	if sp.ScenarioShards == 0 {
-		sp.ScenarioShards = 1
-	}
 	switch {
 	case sp.Width < 1 || sp.Width > 64:
 		return fmt.Errorf("width must be in [1,64], got %d", sp.Width)
 	case sp.Frames < 1 || sp.Frames > 12:
 		return fmt.Errorf("frames must be in [1,12], got %d", sp.Frames)
-	case sp.Shards < 1 || sp.Shards > 64:
-		return fmt.Errorf("shards must be in [1,64], got %d", sp.Shards)
-	case sp.ScenarioShards < 1 || sp.ScenarioShards > 64:
-		return fmt.Errorf("scenario_shards must be in [1,64], got %d", sp.ScenarioShards)
 	case sp.MaxFrames != 0 && sp.MaxFrames < sp.Frames:
 		return fmt.Errorf("max_frames (%d) must be 0 or >= frames (%d)", sp.MaxFrames, sp.Frames)
 	case sp.MaxFrames > 16:
@@ -360,10 +337,6 @@ func (s *server) runCampaign(ctx context.Context, r *run) (*flow.Report, error) 
 	delay := time.Duration(spec.DeltaDelayMS) * time.Millisecond
 	opts := flow.Options{
 		Workers:         spec.Workers,
-		NoSched:         spec.NoSched,
-		NoReplay:        spec.NoReplay,
-		Shards:          spec.Shards,
-		ScenarioShards:  spec.ScenarioShards,
 		MaxFrames:       spec.MaxFrames,
 		SerialScenarios: spec.Serial,
 		Metrics:         s.reg,
@@ -475,7 +448,12 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec runSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes)).Decode(&spec); err != nil {
+	// Unknown fields are refused, so a typo or a retired knob cannot
+	// silently run a different campaign. Recovery's readJSON stays lenient:
+	// run.json files written by earlier versions carry retired keys.
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad run spec: %v", err)
 		return
 	}

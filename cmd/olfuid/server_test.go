@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,24 +66,28 @@ func TestServerHTTP(t *testing.T) {
 	hs := httptest.NewServer(srv.routes())
 	defer hs.Close()
 
-	// Bad specs are rejected before anything is queued: out-of-range knobs,
-	// a worker budget that would build an engine fleet per provider, and a
+	// Bad specs are rejected before anything is queued, each for its own
+	// cause: out-of-range knobs, a worker budget that would build an engine
+	// fleet per provider, unknown fields (a typo, a retired knob), and a
 	// body over the size limit. They go to a listener of their own, closed
 	// before any run starts: the server drops the oversized body's
 	// connection, and closing it lingers for half a second.
 	bad := httptest.NewServer(srv.routes())
-	for _, body := range []string{
-		`{"width":-1}`,
-		`{"workers":100000}`,
-		`{"width":8,"pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`,
+	for body, cause := range map[string]string{
+		`{"width":-1}`:       "width must be in [1,64]",
+		`{"workers":100000}`: "workers must be in [0,256]",
+		`{"shards":2}`:       `unknown field \"shards\"`,
+		`{"max_frame":6}`:    `unknown field \"max_frame\"`,
+		`{"width":8,"pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`: "request body too large",
 	} {
 		resp, err := http.Post(bad.URL+"/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("bad spec %.40q: got %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), cause) {
+			t.Fatalf("bad spec %.40q: got %d %s, want 400 naming %q", body, resp.StatusCode, msg, cause)
 		}
 	}
 	bad.Close()
@@ -349,4 +354,26 @@ func (r *run) finishQueuedForTest() bool {
 	}
 	r.finish(runCanceled, nil, true)
 	return true
+}
+
+// TestRecoveryAcceptsRetiredSpecFields: run.json files written before the
+// shard and replay knobs were retired carry their keys. Recovery must still
+// load such a run, re-enqueue it and finish it.
+func TestRecoveryAcceptsRetiredSpecFields(t *testing.T) {
+	data := t.TempDir()
+	dir := filepath.Join(data, "runs", "run-000007")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	info := `{"id":"run-000007","state":"running","spec":{"width":2,"frames":1,` +
+		`"shards":3,"scenario_shards":2,"no_sched":true,"no_replay":false}}`
+	if err := os.WriteFile(filepath.Join(dir, "run.json"), []byte(info), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := startTestServer(t, data)
+	r := srv.get("run-000007")
+	if r == nil {
+		t.Fatal("recovery dropped the run")
+	}
+	waitState(t, r, runDone, 2*time.Minute)
 }

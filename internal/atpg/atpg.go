@@ -102,22 +102,15 @@ type Options struct {
 	// verdicts are then proofs relative to this set, and GenerateAll's
 	// fault dropping grades at the same points so the two never disagree.
 	ObsPoints []sim.ObsPoint
-	// Classes restricts GenerateAll to the given collapsed-class
-	// representatives — one shard of a fault.PlanShards plan. Nil targets
-	// every class of the universe. Every entry must be a representative of
-	// the universe's structural collapse (PlanShards guarantees this);
-	// verdicts still spread to all members of the targeted classes.
+	// Classes is GenerateAll's ordered work list: the collapsed-class
+	// representatives to target, leased to the workers in exactly this order
+	// (a one-worker run searches them strictly in sequence). Nil targets
+	// every class of the universe in ascending FID order. Every entry must be
+	// a representative of the universe's structural collapse; verdicts still
+	// spread to all members of the targeted classes. Campaign providers pass
+	// their classes hardest-first (SCOAP detection difficulty), so that the
+	// first patterns are the most specified and drop the most easy classes.
 	Classes []fault.FID
-	// Source optionally replaces the strict Classes-order dispatch with a
-	// dynamic class source (sched.NewQueue): workers lease geometrically
-	// decaying chunks and steal from each other's unstarted leases, while
-	// fault dropping and the learning screen prune the queue in flight.
-	// It must be set together with Classes listing the same representatives
-	// (Stats accounting and the drop-candidate list need the full list up
-	// front). Verdict soundness is dequeue-order-invariant; only Aborted
-	// verdicts can differ from the static order, exactly as across shard
-	// plans. Nil keeps the deterministic static dispatch.
-	Source sched.Source
 	// Pool optionally gates every worker's per-class search on a
 	// campaign-global slot budget (sched.NewPool), capping concurrently
 	// searching goroutines across every provider of a campaign no matter
@@ -162,7 +155,8 @@ type Options struct {
 	// (BuildLearning) for the netlist. GenerateAll consults it to emit
 	// provably untestable classes in constant time before any search
 	// dispatches. Like Annotations it is read-only, so one build per
-	// constrained clone is shared across engines, shards, and sweep depths.
+	// constrained clone is shared across engines, and the depth sweep
+	// extends one build in place (Learning.Extend) for every depth.
 	// Nil makes GenerateAll build one internally unless NoLearn is set.
 	Learn *Learning
 	// NoLearn disables the static learning screen entirely — the escape
@@ -180,9 +174,8 @@ type Options struct {
 	// Annotations optionally supplies precomputed testability annotations
 	// for the netlist (Netlist.Annotate). They are read-only during
 	// generation, so one Annotate pass can be shared across the engines of
-	// a run and across concurrent GenerateAll runs on the same netlist —
-	// e.g. the shards of a fault.PlanShards plan. Nil computes them
-	// internally.
+	// a run and across concurrent GenerateAll runs on the same netlist. Nil
+	// computes them internally.
 	Annotations *netlist.Annotations
 	// Progress, when non-nil, receives every class verdict GenerateAll
 	// commits — deterministic results, fault-simulation drops, and

@@ -35,8 +35,7 @@ type Stats struct {
 	// Decisions, Implications and GateEvals total the searches'
 	// decision-stack pushes, implication passes and gate evaluations — the
 	// raw work the telemetry layer tracks for throughput tuning (Stats keeps
-	// them so shard merges and tests can reconcile against the obs
-	// counters).
+	// them so sweeps and tests can reconcile against the obs counters).
 	Decisions    int
 	Implications int
 	GateEvals    int
@@ -49,27 +48,6 @@ func (s Stats) String() string {
 		"%d faults / %d classes: %d detected (%d sim-dropped), %d untestable, %d aborted; %d patterns, %d backtracks, %v",
 		s.Faults, s.Classes, s.Detected, s.SimDropped, s.Untestable, s.Aborted,
 		s.Patterns, s.Backtracks, s.Elapsed.Round(time.Microsecond))
-}
-
-// Add accumulates another run's tallies — merging shard outcomes of one
-// partitioned universe. Elapsed takes the maximum, approximating the wall
-// time of shards that ran concurrently.
-func (s *Stats) Add(t Stats) {
-	s.Faults = t.Faults // shards share one universe
-	s.Classes += t.Classes
-	s.Detected += t.Detected
-	s.Untestable += t.Untestable
-	s.Aborted += t.Aborted
-	s.Learned += t.Learned
-	s.SimDropped += t.SimDropped
-	s.Patterns += t.Patterns
-	s.Backtracks += t.Backtracks
-	s.Decisions += t.Decisions
-	s.Implications += t.Implications
-	s.GateEvals += t.GateEvals
-	if t.Elapsed > s.Elapsed {
-		s.Elapsed = t.Elapsed
-	}
 }
 
 // Outcome is the full result of a GenerateAll run.
@@ -94,7 +72,7 @@ type workItem struct {
 }
 
 // GenerateAll runs deterministic ATPG over the collapsed fault list of the
-// universe (or the Options.Classes shard of it) with fault dropping: fault
+// universe (or the Options.Classes work list) with fault dropping: fault
 // classes fan out to a bounded worker pool (one Engine per worker), and every
 // pattern a worker generates is immediately fault-simulated against the
 // remaining undetected classes so incidentally covered faults are dropped
@@ -103,14 +81,13 @@ type workItem struct {
 // deterministic searches, while the workers keep the per-fault searches
 // parallel.
 //
-// Workers pull classes rather than being dispatched to: each drains
-// Options.Source (or an internal strict-order queue over the class list when
-// Source is nil), and a per-worker ack keeps a worker from leasing its next
-// class until the coordinator has graded its previous pattern — so fault
-// dropping sees every pattern before more search work starts, and a
-// single-worker run is fully deterministic, exactly as under the old
-// coordinator-dispatch loop. Dropped and learning-screened classes are pruned
-// from the source in flight.
+// Workers pull classes rather than being dispatched to: each drains one
+// work-stealing sched.Queue built over the class list in its given order, and
+// a per-worker ack keeps a worker from taking its next class until the
+// coordinator has graded its previous pattern — so fault dropping sees every
+// pattern before more search work starts. A single worker takes the classes
+// strictly in list order, so a one-worker run is fully deterministic.
+// Dropped and learning-screened classes are pruned from the queue in flight.
 //
 // Cancelling ctx stops the run promptly — in-flight searches poll a shared
 // flag once per decision step — and returns ctx.Err() after every worker has
@@ -120,9 +97,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opts.Source != nil && opts.Classes == nil {
-		return nil, fmt.Errorf("atpg: Options.Source requires Options.Classes to list the same representatives")
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -130,7 +104,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 
 	// The collapse is recomputed per run rather than shared via Options:
 	// Rep path-compresses (writes), so a shared instance would race across
-	// concurrent shard runs. It is O(faults·α) — noise next to the search.
+	// concurrent runs. It is O(faults·α) — noise next to the search.
 	collapse := fault.NewCollapse(u)
 	reps := opts.Classes
 	if reps == nil {
@@ -169,7 +143,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	// pattern may well cover a fault the deterministic search gave up on.
 	// livePos[fid] tracks each class's slot for O(1) swap-removal, so a
 	// pattern's grading cost tracks the shrinking remainder instead of
-	// rescanning every class of the shard. Built (and validated) before the
+	// rescanning every targeted class. Built (and validated) before the
 	// worker pool spawns so every error path leaves no goroutine behind.
 	live := append([]fault.FID(nil), reps...)
 	livePos := make([]int32, u.NumFaults())
@@ -197,14 +171,10 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 			return nil, err
 		}
 	}
-	// src is the class source workers drain. The internal static queue
-	// reproduces the legacy strict-order dispatch; a caller-supplied
-	// sched.Queue layers chunked leases and work stealing on the same
-	// worker loop, so the two paths cannot drift.
-	src := opts.Source
-	if src == nil {
-		src = sched.NewStatic(reps)
-	}
+	// src is the lease queue workers drain. It shares the run's registry, so
+	// sched.* counters and the queue-depth gauge aggregate across every run
+	// of a campaign.
+	src := sched.NewQueue(reps, sched.Options{Workers: workers, Metrics: opts.Metrics})
 
 	out := &Outcome{Status: status}
 	st := &out.Stats
@@ -245,8 +215,8 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	}
 
 	unlive := func(fid fault.FID) {
-		// A resolved class needs no search: prune it from the class source
-		// too, wherever it sits (no-op when already handed to a worker).
+		// A resolved class needs no search: prune it from the queue too,
+		// wherever it sits (no-op when already handed to a worker).
 		src.Remove(fid)
 		i := livePos[fid]
 		if i < 0 {
@@ -284,11 +254,10 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 
 	// Workers pull classes from src, gated per search by the (possibly nil,
 	// then ungated) campaign worker pool. The per-worker ack keeps each
-	// worker to one unprocessed result: it leases its next class only after
+	// worker to one unprocessed result: it takes its next class only after
 	// the coordinator graded its previous pattern, so dropping prunes the
-	// source before more search work starts — the legacy dispatch pacing,
-	// now source-shaped. Spawning is skipped entirely when the screen
-	// resolved every class.
+	// queue before more search work starts. Spawning is skipped entirely
+	// when the screen resolved every class.
 	var cancelFlag atomic.Bool
 	numWorkers := workers
 	if numWorkers > len(live) {
@@ -310,8 +279,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 					hBusy.Observe(busy)
 				}
 				// Return any unstarted lease remainder to the shared pool
-				// for other workers (this run's or, with a campaign-shared
-				// source, another's).
+				// for the run's other workers.
 				src.Release(wid)
 			}()
 			for !cancelFlag.Load() {

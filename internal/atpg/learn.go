@@ -37,8 +37,8 @@ import (
 // one Learning serves every obs selection on the same clone.
 //
 // A Learning is read-only between BuildLearning and Extend and safe to share
-// across engines, shards, and concurrent GenerateAll runs on the same
-// netlist; every sharer must be quiescent across an Extend.
+// across engines and concurrent GenerateAll runs on the same netlist; every
+// sharer must be quiescent across an Extend.
 type Learning struct {
 	n     *netlist.Netlist
 	graph *netlist.Graph

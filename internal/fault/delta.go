@@ -3,7 +3,7 @@ package fault
 import "fmt"
 
 // This file implements the streaming evidence protocol: ordered Delta
-// batches from independent sources (providers, shards, remote workers) fold
+// batches from independent sources (providers, sweep depths, remote workers) fold
 // into a StatusMap through a monotone lattice merge, so partial results can
 // arrive and combine in any interleaving without ever weakening a verdict.
 //
@@ -25,7 +25,7 @@ import "fmt"
 // Statuses are aligned; Undetected entries are no-ops (carrying them is
 // legal but pointless). Seq numbers each source's deltas from zero so a
 // receiver can detect reordered or replayed streams — the transport-level
-// guarantee sharded and remote producers need.
+// guarantee concurrent and remote producers need.
 type Delta struct {
 	Source   string
 	Seq      int

@@ -184,69 +184,3 @@ func TestAccumulatorProtocol(t *testing.T) {
 		t.Errorf("source after upgrade: %q, want t", got)
 	}
 }
-
-func TestPlanShards(t *testing.T) {
-	u := deltaUniverse(t)
-	c := NewCollapse(u)
-	var reps []FID
-	for id := 0; id < u.NumFaults(); id++ {
-		if c.Rep(FID(id)) == FID(id) {
-			reps = append(reps, FID(id))
-		}
-	}
-	for _, k := range []int{0, 1, 2, 3, 7, len(reps), len(reps) + 5} {
-		shards := PlanShards(u, c, k)
-		// k is clamped to [1, len(reps)] so no shard is ever empty.
-		wantK := k
-		if wantK > len(reps) {
-			wantK = len(reps)
-		}
-		if wantK < 1 {
-			wantK = 1
-		}
-		if len(shards) != wantK {
-			t.Fatalf("k=%d: %d shards, want %d", k, len(shards), wantK)
-		}
-		seen := map[FID]bool{}
-		total := 0
-		for i, sh := range shards {
-			if sh.Index != i || sh.Of != wantK {
-				t.Fatalf("k=%d shard %d: Index/Of = %d/%d", k, i, sh.Index, sh.Of)
-			}
-			for _, fid := range sh.Classes {
-				if c.Rep(fid) != fid {
-					t.Fatalf("k=%d: %d is not a representative", k, fid)
-				}
-				if seen[fid] {
-					t.Fatalf("k=%d: representative %d in two shards", k, fid)
-				}
-				seen[fid] = true
-				total++
-			}
-		}
-		if total != len(reps) {
-			t.Fatalf("k=%d: shards cover %d of %d representatives", k, total, len(reps))
-		}
-		// Balanced to within one class, and never empty.
-		for _, sh := range shards {
-			if len(sh.Classes) == 0 {
-				t.Fatalf("k=%d: shard %d is empty", k, sh.Index)
-			}
-			if min, max := len(reps)/wantK, (len(reps)+wantK-1)/wantK; len(sh.Classes) < min || len(sh.Classes) > max {
-				t.Fatalf("k=%d: shard %d has %d classes, want %d..%d", k, sh.Index, len(sh.Classes), min, max)
-			}
-		}
-	}
-	// nil collapse computes its own; same plan.
-	a, b := PlanShards(u, nil, 3), PlanShards(u, c, 3)
-	for i := range a {
-		if len(a[i].Classes) != len(b[i].Classes) {
-			t.Fatal("nil-collapse plan differs")
-		}
-		for j := range a[i].Classes {
-			if a[i].Classes[j] != b[i].Classes[j] {
-				t.Fatal("nil-collapse plan differs")
-			}
-		}
-	}
-}

@@ -122,15 +122,10 @@ func RestoreStatusMap(u *Universe, raw []byte) (*StatusMap, error) {
 	return &StatusMap{st: st}, nil
 }
 
-// Clone returns an independent copy of the map.
-func (m *StatusMap) Clone() *StatusMap {
-	return &StatusMap{st: append([]Status(nil), m.st...)}
-}
-
 // Overlay copies every non-Undetected entry of src into m. Both maps must be
-// sized for the same universe (or identically enumerated clones of it). This
-// is the disjoint-shard merge: when the sources partition the class list,
-// entries never collide and no lattice arbitration is needed — use
+// sized for the same universe (or identically enumerated clones of it). It
+// is the merge for sources that partition the class list, whose entries
+// never collide, so no lattice arbitration is needed — use
 // MergeStatus/Accumulator wherever sources can overlap.
 func (m *StatusMap) Overlay(src *StatusMap) {
 	if len(m.st) != len(src.st) {

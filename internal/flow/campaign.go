@@ -53,26 +53,13 @@ func (c Channel) String() string {
 type Env struct {
 	N        *netlist.Netlist
 	Universe *fault.Universe
-	// ATPG configures the provider's engines. Under the dynamic scheduler
-	// (Sched true) Workers arrives as the FULL campaign budget — the shared
-	// Pool, pre-filled into ATPG.Pool, caps how many of those workers
-	// actually search at once across all providers; under NoSched it is
-	// this provider's static share of the budget. ObsPoints, Classes and
-	// Sites arrive nil — providers select their own observation points,
-	// class subset and injection site map. Metrics is pre-filled with the
-	// campaign registry.
+	// ATPG configures the provider's engines. Workers arrives as the FULL
+	// campaign budget — the shared Pool, pre-filled into ATPG.Pool, caps how
+	// many of those workers actually search at once across all providers.
+	// ObsPoints, Classes and Sites arrive nil — providers select their own
+	// observation points, ordered class list and injection site map.
+	// Metrics is pre-filled with the campaign registry.
 	ATPG atpg.Options
-	// Sched is true when the campaign runs the dynamic work-stealing
-	// scheduler: providers should feed GenerateAll a chunked class source
-	// (sched.NewQueue via classSource) instead of relying on static
-	// dispatch order.
-	Sched bool
-	// NoReplay disables the depth sweep's cross-depth warm start: each
-	// depth's surviving classes go straight to the search engine instead of
-	// first being graded against the accumulated pattern pool, and graders
-	// plus learning caches rebuild per depth instead of extending in place.
-	// Classification is identical either way up to Aborted verdicts.
-	NoReplay bool
 	// Metrics is the campaign telemetry registry (nil when the campaign runs
 	// uninstrumented; all recording methods no-op on nil).
 	Metrics *obs.Registry
@@ -137,34 +124,19 @@ func (e Event) ErrString() string {
 
 // CampaignOptions configures a campaign run.
 type CampaignOptions struct {
-	// ATPG is the engine configuration template. ObsPoints and Classes
-	// must be nil — providers own both; Source and Pool must be nil — the
-	// campaign builds its own class sources and worker pool.
+	// ATPG is the engine configuration template. The options a campaign
+	// owns must be left nil: providers select observation, classes, site
+	// maps, annotations, learning caches and graders per netlist, and the
+	// campaign installs its own progress callback, registry and worker pool.
 	ATPG atpg.Options
 	// Workers is the TOTAL campaign worker budget: the maximum number of
-	// concurrently searching engine workers across every provider, enforced
-	// by one shared sched.Pool in both scheduling modes. Under the dynamic
-	// scheduler every provider sees the full budget and the pool arbitrates;
-	// under NoSched the budget is additionally divided across concurrently
-	// running providers (remainder spread over the first Workers%P of them)
-	// to keep the legacy static split — the pool then catches the one case
-	// the split cannot: more providers than workers, where the historical
-	// at-least-one-worker floor oversubscribed the machine. 0 falls back to
-	// ATPG.Workers, then runtime.NumCPU().
+	// concurrently searching engine workers across every provider. Every
+	// provider sees the full budget and one shared sched.Pool arbitrates, so
+	// an early-finishing provider's slots flow to the others instead of
+	// idling. 0 falls back to ATPG.Workers, then runtime.NumCPU().
 	Workers int
-	// NoSched disables the dynamic work-stealing scheduler: providers keep
-	// their static class order and per-provider worker shares — the
-	// deterministic legacy path. Classification is identical either way up
-	// to Aborted verdicts.
-	NoSched bool
-	// NoReplay disables the depth sweep's cross-depth warm start — pattern
-	// replay and in-place grader/learning extension (pattern accumulation
-	// itself is unconditional, so the converged test set is the same
-	// either way).
-	NoReplay bool
-	// Serial runs providers one at a time in Add order, each with the full
-	// worker budget (deterministic profiling; also what the flow.Run
-	// compatibility wrapper uses for Options.SerialScenarios).
+	// Serial runs providers one at a time in Add order (deterministic
+	// profiling; RunCampaign uses it for Options.SerialScenarios).
 	Serial bool
 	// Progress, when non-nil, observes every merged delta and provider
 	// completion. It is called with the merge lock held: keep it fast and
@@ -248,48 +220,8 @@ func (e *EvidenceSet) channel(ch Channel) *fault.Accumulator {
 // providers are cancelled and Run does not return until every provider
 // goroutine has exited — a cancelled campaign leaks nothing.
 func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
-	if c.opts.ATPG.ObsPoints != nil {
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.ObsPoints must be nil; providers select observation")
-	}
-	if c.opts.ATPG.Classes != nil {
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Classes must be nil; providers select classes")
-	}
-	if c.opts.ATPG.Sites != nil {
-		// Site maps are per-netlist artifacts of a provider's own transform
-		// stack; a campaign-level map would be applied to every provider's
-		// (differently shaped) netlist.
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Sites must be nil; providers derive their own site maps")
-	}
-	if c.opts.ATPG.Annotations != nil {
-		// Annotations are per-netlist; scenario providers run on transformed
-		// clones, where the original's tables would index out of range.
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Annotations must be nil; providers annotate their own netlists")
-	}
-	if c.opts.ATPG.Progress != nil {
-		// Providers install their own verdict callbacks to stream deltas; a
-		// caller-set one would be silently overwritten. Campaign-level
-		// progress is CampaignOptions.Progress.
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Progress must be nil; use CampaignOptions.Progress")
-	}
-	if c.opts.ATPG.Metrics != nil {
-		// The campaign threads its own registry into every provider's engine
-		// options; a caller-set one would be silently overwritten.
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Metrics must be nil; use CampaignOptions.Metrics")
-	}
-	if c.opts.ATPG.Source != nil {
-		// Class sources are per-provider (per-clone class lists); the
-		// campaign builds one queue per provider under the scheduler.
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Source must be nil; providers build their own class sources")
-	}
-	if c.opts.ATPG.Pool != nil {
-		// The pool is the campaign-global budget; a caller-set one would be
-		// silently overwritten.
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Pool must be nil; use CampaignOptions.Workers for the budget")
-	}
-	if c.opts.ATPG.Grader != nil {
-		// Graders are bound to one provider's clone; providers that reuse a
-		// grader across depths build their own.
-		return nil, fmt.Errorf("flow: CampaignOptions.ATPG.Grader must be nil; providers build their own graders")
+	if err := checkEngineOptions("CampaignOptions", c.opts.ATPG); err != nil {
+		return nil, err
 	}
 	if len(c.providers) == 0 {
 		return nil, fmt.Errorf("flow: campaign has no providers")
@@ -389,12 +321,10 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 		}
 	}
 
-	// One pool for the whole campaign, in BOTH scheduling modes: however
-	// many providers overlap, at most `total` engine workers hold a search
-	// slot at once.
+	// One pool for the whole campaign: however many providers overlap, at
+	// most `total` engine workers hold a search slot at once.
 	total := c.total()
 	pool := sched.NewPool(total, reg)
-	workers := c.budget(total)
 	runOne := func(pi int) {
 		p := c.providers[pi]
 		if js != nil {
@@ -432,9 +362,8 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 		}
 		span := root.Child("provider:" + p.Name())
 		span.SetAttr("channel", p.Channel().String())
-		env := Env{N: c.n, Universe: c.u, ATPG: c.opts.ATPG, Metrics: reg, Span: span,
-			Sched: !c.opts.NoSched, NoReplay: c.opts.NoReplay}
-		env.ATPG.Workers = workers[pi]
+		env := Env{N: c.n, Universe: c.u, ATPG: c.opts.ATPG, Metrics: reg, Span: span}
+		env.ATPG.Workers = total
 		env.ATPG.Metrics = reg
 		env.ATPG.Pool = pool
 		err := p.Run(ctx, env, emitFor(pi))
@@ -511,7 +440,7 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 }
 
 // total resolves the campaign-wide worker budget: CampaignOptions.Workers,
-// then the legacy ATPG.Workers, then NumCPU.
+// then ATPG.Workers, then NumCPU.
 func (c *Campaign) total() int {
 	if c.opts.Workers > 0 {
 		return c.opts.Workers
@@ -522,31 +451,32 @@ func (c *Campaign) total() int {
 	return runtime.NumCPU()
 }
 
-// budget picks each provider's Workers value. Under the dynamic scheduler
-// every provider gets the full budget — the shared pool arbitrates the
-// actual concurrency, so an early-finishing provider's slots flow to the
-// others instead of idling. Under NoSched the budget is divided across
-// concurrently running providers: every provider gets at least one worker
-// (the pool caps the oversubscription this floor used to allow), and the
-// remainder of the floor division goes to the first total%P providers
-// instead of being silently dropped.
-func (c *Campaign) budget(total int) []int {
-	out := make([]int, len(c.providers))
-	if !c.opts.NoSched || c.opts.Serial || len(c.providers) == 1 {
-		for i := range out {
-			out[i] = total
+// checkEngineOptions rejects the engine options a campaign owns, naming the
+// caller's options type (typ) in the error. Providers select observation,
+// classes, site maps, annotations, learning caches and graders per netlist —
+// a scenario's clone differs from the original, so a campaign-level value
+// would index the wrong netlist — and the campaign installs its own progress
+// callback, registry and worker pool, which would silently overwrite a
+// caller-set one.
+func checkEngineOptions(typ string, o atpg.Options) error {
+	for _, f := range []struct {
+		name string
+		set  bool
+		fix  string
+	}{
+		{"ObsPoints", o.ObsPoints != nil, "providers select observation"},
+		{"Classes", o.Classes != nil, "providers select classes"},
+		{"Sites", o.Sites != nil, "providers derive their own site maps"},
+		{"Annotations", o.Annotations != nil, "providers annotate their own netlists"},
+		{"Learn", o.Learn != nil, "providers build their own learning caches (NoLearn disables)"},
+		{"Grader", o.Grader != nil, "providers build their own graders"},
+		{"Progress", o.Progress != nil, "use " + typ + ".Progress for campaign events"},
+		{"Metrics", o.Metrics != nil, "use " + typ + ".Metrics for campaign telemetry"},
+		{"Pool", o.Pool != nil, "use " + typ + ".Workers for the campaign budget"},
+	} {
+		if f.set {
+			return fmt.Errorf("flow: %s.ATPG.%s must be nil; %s", typ, f.name, f.fix)
 		}
-		return out
 	}
-	base, rem := total/len(c.providers), total%len(c.providers)
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-		if out[i] < 1 {
-			out[i] = 1
-		}
-	}
-	return out
+	return nil
 }

@@ -46,8 +46,9 @@ func sameReport(t *testing.T, label string, a, b *Report) {
 }
 
 // TestCampaignShardInvariance is the acceptance criterion for the streaming
-// merge: sharded and unsharded campaigns classify the benchmark identically,
-// and both match the batch-call compatibility wrapper.
+// merge under the work-stealing queue: campaigns with 1, 4 and 16 workers
+// classify the benchmark identically, with the one-worker run — whose
+// searches follow the class list strictly — as the deterministic reference.
 func TestCampaignShardInvariance(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
@@ -59,41 +60,37 @@ func TestCampaignShardInvariance(t *testing.T) {
 			Observe:    constraint.ObserveOutputs,
 		},
 	}
-	ref, err := Run(n, u, scenarios, Options{})
+	ref, err := RunCampaign(context.Background(), n, u, scenarios, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Baseline.Stats.Aborted != 0 {
 		t.Fatalf("benchmark aborted %d classes; invariance only holds without aborts", ref.Baseline.Stats.Aborted)
 	}
-	// 999 exceeds the class count: the plan caps the shard count, so no
-	// empty shard ever re-runs the full universe. NoSched keeps the static
-	// partition live (the default scheduler collapses shard groups), so the
-	// loop also pins the dynamic ref against every static shard count.
-	for _, k := range []int{2, 4, 999} {
-		r, err := RunCampaign(context.Background(), n, u, scenarios, Options{NoSched: true, Shards: k})
+	for _, workers := range []int{1, 4, 16} {
+		r, err := RunCampaign(context.Background(), n, u, scenarios, Options{Workers: workers})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		sameReport(t, "shards", ref, r)
+		sameReport(t, "workers", ref, r)
 		if got, want := r.Baseline.Stats.Classes, ref.Baseline.Stats.Classes; got != want {
-			t.Fatalf("shards=%d: merged baseline targeted %d classes, want %d", k, got, want)
+			t.Fatalf("workers=%d: baseline targeted %d classes, want %d", workers, got, want)
 		}
-		// The sharded baseline still carries a pattern set that detects
-		// everything it claims.
+		// The baseline still carries a pattern set that detects everything
+		// it claims.
 		det := r.Baseline.Status.FaultsWith(fault.Detected)
 		grader, err := sim.NewGrader(n, u)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := grader.Grade(r.Baseline.Patterns, r.Baseline.States, det).Count(); got != len(det) {
-			t.Fatalf("shards=%d: merged pattern set detects %d/%d", k, got, len(det))
+			t.Fatalf("workers=%d: pattern set detects %d/%d", workers, got, len(det))
 		}
 	}
 }
 
-// TestShardInvarianceRandom is the satellite property test: seeded random
-// netlists classify byte-identically under sharded and unsharded campaigns.
+// TestShardInvarianceRandom is the property test: seeded random netlists
+// classify byte-identically with 4 workers and with 1.
 func TestShardInvarianceRandom(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 14, FFs: 2, Outputs: 2})
@@ -106,14 +103,14 @@ func TestShardInvarianceRandom(t *testing.T) {
 				Observe:    constraint.ObserveOutputs,
 			},
 		}
-		r1, err := RunCampaign(context.Background(), nl, u, scenarios, Options{NoSched: true, Shards: 1})
+		r1, err := RunCampaign(context.Background(), nl, u, scenarios, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if r1.Baseline.Stats.Aborted != 0 {
 			t.Fatalf("seed %d aborted classes", seed)
 		}
-		r4, err := RunCampaign(context.Background(), nl, u, scenarios, Options{NoSched: true, Shards: 4})
+		r4, err := RunCampaign(context.Background(), nl, u, scenarios, Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -134,11 +131,6 @@ func TestCampaignCancellation(t *testing.T) {
 	_, err := RunCampaign(ctx, nl, u, []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 	}, Options{
-		// Static mode keeps three concurrent baseline shards to cancel
-		// across; the scheduler path's cancellation is covered separately
-		// (TestSchedulerCancellation).
-		NoSched: true,
-		Shards:  3,
 		Progress: func(Event) {
 			once.Do(cancel) // cancel on the first merged delta
 		},
@@ -348,11 +340,6 @@ func TestCampaignProgressEvents(t *testing.T) {
 	_, err := RunCampaign(context.Background(), n, u, []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 	}, Options{
-		// The static scheduling path: shard providers keep their own names
-		// (the roster pinned below); the default scheduler would collapse
-		// them into one queue-fed provider.
-		NoSched: true,
-		Shards:  2,
 		Progress: func(e Event) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -375,7 +362,7 @@ func TestCampaignProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"full-scan[1/2]", "full-scan[2/2]", "scenario:online-obs"}
+	want := []string{"full-scan", "scenario:online-obs"}
 	if len(done) != len(want) {
 		t.Fatalf("terminal events for %d providers, want %d (%v)", len(done), len(want), done)
 	}

@@ -6,26 +6,28 @@
 // Detected/Untestable; Detected-vs-Untestable inside a channel is a hard
 // conflict, see fault.ConflictError). Three providers ship here:
 //
-//   - BaselineProvider — full-scan ATPG on the original netlist, shardable
-//     via fault.PlanShards so independent workers stream partial results
-//     that merge through the same delta protocol;
+//   - BaselineProvider — full-scan ATPG on the original netlist, streaming
+//     every verdict;
 //   - ScenarioProvider — ATPG on a mission-constrained clone (constraint
 //     transforms plus an observation selection), streaming projected
-//     untestability proofs;
+//     untestability proofs (SweepProvider deepens an unrolled scenario
+//     frame by frame on one incrementally extended clone);
 //   - PatternProvider — sim.GradeSeq grading of externally produced mission
 //     stimuli, streaming measured on-line detections.
 //
 // A Campaign runs providers concurrently under a context.Context —
 // cancellation and deadlines stop ATPG mid-search with no goroutine leaks —
-// and reports per-provider progress events as deltas merge.
+// and reports per-provider progress events as deltas merge. Every ATPG
+// provider hands atpg.GenerateAll one hardest-first class list, which its
+// workers drain through a work-stealing sched.Queue, while one campaign-wide
+// sched.Pool caps the searches in flight.
 //
 // On top of the campaign core, RunCampaign assembles the paper's
 // deliverable: it classifies every fault of the original universe as
 // FullScanTestable, FuncUntestable (with the proving scenario as evidence)
 // or Unresolved, and computes the coverage-target correction — faults that
 // are Detected full-scan but functionally untestable inflate an on-line
-// self-test's coverage target, and the corrected target excludes them. Run
-// is the batch-call compatibility wrapper over the same machinery.
+// self-test's coverage target, and the corrected target excludes them.
 package flow
 
 import (
@@ -121,8 +123,8 @@ type ScenarioResult struct {
 type Report struct {
 	N        *netlist.Netlist
 	Universe *fault.Universe
-	// Baseline is the unconstrained full-scan ATPG outcome (merged across
-	// shards when the campaign ran a sharded baseline).
+	// Baseline is the unconstrained full-scan ATPG outcome. When a resumed
+	// campaign skipped the baseline, it carries only the journaled Status.
 	Baseline *atpg.Outcome
 	// Scenarios holds per-scenario results in input order.
 	Scenarios []*ScenarioResult
@@ -146,48 +148,17 @@ type Report struct {
 
 // Options configures a flow run.
 type Options struct {
-	// ATPG configures the engines. ObsPoints and Classes must be left nil
-	// (providers carry their own observation and class selection), and so
-	// must Source and Pool (the campaign builds its own class sources and
-	// worker pool).
+	// ATPG configures the engines. The options a campaign owns must be
+	// left nil (see CampaignOptions.ATPG).
 	ATPG atpg.Options
 	// Workers is the campaign-wide worker budget: the maximum number of
 	// concurrently searching engine workers across ALL providers, enforced
-	// by one shared sched.Pool whichever scheduling mode runs. 0 falls back
-	// to ATPG.Workers, then runtime.NumCPU().
+	// by one shared sched.Pool. 0 falls back to ATPG.Workers, then
+	// runtime.NumCPU().
 	Workers int
-	// NoSched disables the dynamic work-stealing scheduler (on by default):
-	// providers fall back to static fault.PlanShards partitions — Shards and
-	// ScenarioShards take effect again — and strict class-order dispatch,
-	// the fully deterministic legacy path. Classification is identical
-	// either way up to Aborted verdicts (sched package doc).
-	NoSched bool
-	// NoReplay disables the depth sweep's cross-depth warm start (on by
-	// default): each depth's surviving classes go straight to the search
-	// engine instead of first being graded against the pattern pool the
-	// shallower depths accumulated, and every depth rebuilds its grader and
-	// learning cache from scratch instead of extending them in place over
-	// the appended frame. Classification is identical either way up to
-	// Aborted verdicts — the warm start only converts searches into sim
-	// drops. Takes effect only with MaxFrames (only sweeps warm-start).
-	NoReplay bool
 	// SerialScenarios disables cross-provider parallelism (useful for
 	// deterministic profiling); by default providers run concurrently.
 	SerialScenarios bool
-	// Shards splits the full-scan baseline into this many independently
-	// streamed shards (fault.PlanShards); 0 or 1 means unsharded. Under the
-	// default dynamic scheduler the count collapses to one queue-fed
-	// provider — chunked leases replace the static partition, regaining
-	// cross-shard fault dropping — so Shards only takes effect with NoSched.
-	Shards int
-	// ScenarioShards splits every scenario's constrained-clone class list
-	// into this many independently streamed shard providers (each plans the
-	// same deterministic fault.PlanShards partition on its own clone); 0 or
-	// 1 means one provider per scenario. Classification is shard-count-
-	// invariant up to Aborted verdicts, exactly like baseline sharding.
-	// Like Shards, collapses to one provider per scenario under the default
-	// dynamic scheduler.
-	ScenarioShards int
 	// MaxFrames enables the adaptive sequential-depth sweep: every scenario
 	// whose transform stack ends in a free-init constraint.Unroll runs as a
 	// SweepProvider, extending one clone preparation from the scenario's
@@ -195,9 +166,7 @@ type Options struct {
 	// untestable set converges. Must be >= each such scenario's starting
 	// Frames, and at least one scenario must be sweepable (reset-anchored
 	// unrolls are not — see sweepableUnroll — and run as plain scenario
-	// providers). 0 disables sweeping. Swept scenarios are not split by
-	// ScenarioShards — the sweep already serializes depths over one
-	// incrementally extended clone.
+	// providers). 0 disables sweeping.
 	MaxFrames int
 	// SweepOnDepth, when non-nil, observes every completed depth of every
 	// swept scenario (see SweepProvider.OnDepth); a non-nil return fails
@@ -222,48 +191,14 @@ type Options struct {
 	Journal *journal.Journal
 }
 
-// Run executes the identification pipeline as a batch call: a campaign over
-// the baseline and scenario providers under a background context. It is the
-// compatibility wrapper over RunCampaign — existing callers keep the exact
-// pre-campaign behavior and Report. The universe must be enumerated on n.
-// Scenario names must be unique and non-empty.
-func Run(n *netlist.Netlist, u *fault.Universe, scenarios []Scenario, opts Options) (*Report, error) {
-	return RunCampaign(context.Background(), n, u, scenarios, opts)
-}
-
-// RunCampaign executes the identification pipeline under ctx: a sharded
-// full-scan baseline, one provider per scenario, and — when opts.Patterns is
+// RunCampaign executes the identification pipeline under ctx: a full-scan
+// baseline, one provider per scenario, and — when opts.Patterns is
 // non-empty — a pattern-grading provider, all streaming into one campaign.
+// The universe must be enumerated on n. Scenario names must be unique and
+// non-empty.
 func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, scenarios []Scenario, opts Options) (*Report, error) {
-	if opts.ATPG.ObsPoints != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.ObsPoints must be nil; scenarios select observation")
-	}
-	if opts.ATPG.Classes != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Classes must be nil; the baseline shard plan selects classes")
-	}
-	if opts.ATPG.Sites != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Sites must be nil; scenarios derive their own site maps")
-	}
-	if opts.ATPG.Annotations != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Annotations must be nil; providers annotate their own netlists")
-	}
-	if opts.ATPG.Learn != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Learn must be nil; providers build their own learning caches (NoLearn disables)")
-	}
-	if opts.ATPG.Progress != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Progress must be nil; use Options.Progress for campaign events")
-	}
-	if opts.ATPG.Metrics != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Metrics must be nil; use Options.Metrics for campaign telemetry")
-	}
-	if opts.ATPG.Source != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Source must be nil; providers build their own class sources")
-	}
-	if opts.ATPG.Pool != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Pool must be nil; use Options.Workers for the campaign budget")
-	}
-	if opts.ATPG.Grader != nil {
-		return nil, fmt.Errorf("flow: Options.ATPG.Grader must be nil; providers build their own graders")
+	if err := checkEngineOptions("Options", opts.ATPG); err != nil {
+		return nil, err
 	}
 	seen := map[string]bool{}
 	for _, sc := range scenarios {
@@ -279,43 +214,16 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 	c := NewCampaign(n, u, CampaignOptions{
 		ATPG:     opts.ATPG,
 		Workers:  opts.Workers,
-		NoSched:  opts.NoSched,
-		NoReplay: opts.NoReplay,
 		Serial:   opts.SerialScenarios,
 		Progress: opts.Progress,
 		Metrics:  opts.Metrics,
 		Journal:  opts.Journal,
 	})
-	// Under the dynamic scheduler a static shard partition would only split
-	// one queue's classes into isolated drop scopes: collapse each shard
-	// group to a single queue-fed provider, so one pattern's fault
-	// simulation drops classes across what would have been k shards and the
-	// clone prep, collapse and learning screen run once per group.
-	shards, scShards := opts.Shards, opts.ScenarioShards
-	if !opts.NoSched {
-		shards, scShards = 1, 1
+	base := &BaselineProvider{}
+	if err := c.Add(base); err != nil {
+		return nil, err
 	}
-	// One annotation pass and one learning pass serve every baseline shard
-	// (scenario providers annotate and learn on their own clones).
-	ann, err := n.Annotate()
-	if err != nil {
-		return nil, fmt.Errorf("flow: annotate: %w", err)
-	}
-	var learn *atpg.Learning
-	if !opts.ATPG.NoLearn {
-		if learn, err = atpg.BuildLearning(n, opts.Metrics); err != nil {
-			return nil, fmt.Errorf("flow: learn: %w", err)
-		}
-	}
-	base := NewBaselineProviders(u, shards)
-	for _, p := range base {
-		p.Ann = ann
-		p.Learn = learn
-		if err := c.Add(p); err != nil {
-			return nil, err
-		}
-	}
-	scps := make([][]*ScenarioProvider, len(scenarios))
+	scps := make([]*ScenarioProvider, len(scenarios))
 	sweeps := make([]*SweepProvider, len(scenarios))
 	sweepable := 0
 	// Swept providers run concurrently but share one caller-facing observer:
@@ -342,11 +250,9 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 			}
 			continue
 		}
-		scps[i] = NewScenarioProviders(sc, scShards)
-		for _, p := range scps[i] {
-			if err := c.Add(p); err != nil {
-				return nil, err
-			}
+		scps[i] = &ScenarioProvider{Scenario: sc}
+		if err := c.Add(scps[i]); err != nil {
+			return nil, err
 		}
 	}
 	if opts.MaxFrames > 0 && sweepable == 0 {
@@ -365,22 +271,28 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 		return nil, err
 	}
 
-	r := &Report{
-		N:        n,
-		Universe: u,
-		Baseline: MergeOutcomes(base, ev.FullScan.Status()),
-		Mission:  ev.Mission.Status(),
-		Class:    make([]Classification, u.NumFaults()),
-		Resumed:  c.Resumed(),
-		evidence: make([]int32, u.NumFaults()),
+	baseline := base.Outcome
+	if baseline == nil {
+		// The baseline was skipped on resume: its verdicts are in the
+		// full-scan channel, its test set died with the interrupted process.
+		baseline = &atpg.Outcome{Status: ev.FullScan.Status()}
 	}
-	r.Scenarios = make([]*ScenarioResult, len(scps))
-	for i, ps := range scps {
+	r := &Report{
+		N:         n,
+		Universe:  u,
+		Baseline:  baseline,
+		Scenarios: make([]*ScenarioResult, len(scenarios)),
+		Mission:   ev.Mission.Status(),
+		Class:     make([]Classification, u.NumFaults()),
+		Resumed:   c.Resumed(),
+		evidence:  make([]int32, u.NumFaults()),
+	}
+	for i := range scenarios {
 		if sweeps[i] != nil {
 			r.Scenarios[i] = sweeps[i].Result
-			continue
+		} else {
+			r.Scenarios[i] = scps[i].Result
 		}
-		r.Scenarios[i] = MergeScenarioResults(ps)
 	}
 	if pp != nil {
 		if pp.Detected == nil {

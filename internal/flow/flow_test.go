@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func benchCircuit(t *testing.T) *netlist.Netlist {
 func TestAcceptanceOnlineObservation(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	r, err := Run(n, u, []Scenario{
+	r, err := RunCampaign(context.Background(), n, u, []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 	}, Options{})
 	if err != nil {
@@ -108,7 +109,7 @@ func TestFlowMissionScenarioStack(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := fault.NewUniverse(n)
-	r, err := Run(n, u, []Scenario{
+	r, err := RunCampaign(context.Background(), n, u, []Scenario{
 		{
 			Name: "mission",
 			Transforms: []constraint.Transform{
@@ -167,7 +168,7 @@ func TestFlowPropertyRandom(t *testing.T) {
 				Observe:    constraint.ObserveOutputsAndCaptures,
 			},
 		}
-		r, err := Run(nl, u, scenarios, Options{})
+		r, err := RunCampaign(context.Background(), nl, u, scenarios, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -207,20 +208,20 @@ func TestFlowConfigErrors(t *testing.T) {
 	n := netlist.New("cfg")
 	n.OutputPort("po", n.Input("a"))
 	u := fault.NewUniverse(n)
-	if _, err := Run(n, u, []Scenario{{Name: ""}}, Options{}); err == nil {
+	if _, err := RunCampaign(context.Background(), n, u, []Scenario{{Name: ""}}, Options{}); err == nil {
 		t.Error("empty scenario name: want error")
 	}
-	if _, err := Run(n, u, []Scenario{{Name: "x"}, {Name: "x"}}, Options{}); err == nil {
+	if _, err := RunCampaign(context.Background(), n, u, []Scenario{{Name: "x"}, {Name: "x"}}, Options{}); err == nil {
 		t.Error("duplicate scenario name: want error")
 	}
-	if _, err := Run(n, u, nil, Options{ATPG: atpg.Options{ObsPoints: constraint.ObserveOutputs(n)}}); err == nil {
+	if _, err := RunCampaign(context.Background(), n, u, nil, Options{ATPG: atpg.Options{ObsPoints: constraint.ObserveOutputs(n)}}); err == nil {
 		t.Error("preset ObsPoints: want error")
 	}
 	bad := []Scenario{{
 		Name:       "bad",
 		Transforms: []constraint.Transform{constraint.Tie{Net: "nosuch", Value: logic.Zero}},
 	}}
-	if _, err := Run(n, u, bad, Options{}); err == nil {
+	if _, err := RunCampaign(context.Background(), n, u, bad, Options{}); err == nil {
 		t.Error("bad transform: want error")
 	}
 }
@@ -228,7 +229,7 @@ func TestFlowConfigErrors(t *testing.T) {
 func TestReportRendering(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	r, err := Run(n, u, []Scenario{{Name: "online-obs", Observe: constraint.ObserveOutputs}},
+	r, err := RunCampaign(context.Background(), n, u, []Scenario{{Name: "online-obs", Observe: constraint.ObserveOutputs}},
 		Options{SerialScenarios: true})
 	if err != nil {
 		t.Fatal(err)

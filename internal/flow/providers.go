@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"olfui/internal/atpg"
@@ -12,60 +11,55 @@ import (
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
-	"olfui/internal/sched"
 	"olfui/internal/sim"
 )
 
-// classSource builds a provider's dynamic class source — a chunked,
-// work-stealing lease queue over its class list — when the campaign runs the
-// dynamic scheduler. Nil (static strict-order dispatch inside GenerateAll)
-// otherwise. The queue shares the campaign registry, so sched.* counters and
-// the queue-depth gauge aggregate across every provider of the run.
-//
-// Dispatch order is the one degree of freedom the queue owns that the static
-// path contractually lacks (static dispatch preserves the class list's
-// strict order), and the scheduler spends it on fault dropping: classes are
-// served hardest-first by SCOAP detection difficulty. A hard fault's test is
-// highly specified, so grading it against the live remainder drops many easy
-// classes wholesale — easy-first order would search those classes instead.
-// Reordering is sound for the campaign deliverable because Detected and
-// Untestable are order-invariant complete proofs; only Aborted verdicts are
-// search-order-sensitive, the same caveat static sharding already carries.
-func classSource(env Env, u *fault.Universe, ann *netlist.Annotations, classes []fault.FID) sched.Source {
-	if !env.Sched || classes == nil {
-		return nil
+// classesIn lists the representatives of collapse in ascending FID order,
+// skipping those cum holds Untestable (a nil cum skips none). Providers order
+// the list with hardestFirst before handing it to GenerateAll. The depth
+// sweep passes its cumulative map and recomputes the collapse per depth:
+// appended frames grow fanout on frame-invariant nets, which only refines
+// the partition, so every member of a skipped representative's former class
+// is itself already proven untestable.
+func classesIn(collapse *fault.Collapse, u *fault.Universe, cum *fault.StatusMap) []fault.FID {
+	classes := []fault.FID{}
+	for id := 0; id < u.NumFaults(); id++ {
+		fid := fault.FID(id)
+		if collapse.Rep(fid) == fid && (cum == nil || cum.Get(fid) != fault.Untestable) {
+			classes = append(classes, fid)
+		}
 	}
-	return sched.NewQueue(hardestFirst(u, ann, classes), sched.Options{
-		Workers: env.ATPG.Workers,
-		Metrics: env.Metrics,
-	})
+	return classes
 }
 
-// hardestFirst returns classes reordered by descending SCOAP detection
-// difficulty of the class representative: detecting stuck-at-v on net n
-// needs n controlled to ¬v and the value propagated to an observation
-// point, so the difficulty is CC(¬v)(n) + CO(n) (saturating). Ties keep
-// ascending-FID order, so the dispatch order is deterministic for a given
-// annotation pass. A nil annotation set keeps the input order; the input
-// slice is never mutated (shard plans are shared wire/journal state).
+// hardestFirst sorts classes in place by descending SCOAP detection
+// difficulty of the class representative and returns them: detecting
+// stuck-at-v on net n needs n controlled to ¬v and the value propagated to
+// an observation point, so the difficulty is CC(¬v)(n) + CO(n)
+// (saturating). Ties keep ascending-FID order, so the order is
+// deterministic for a given annotation pass.
+//
+// Every ATPG provider hands GenerateAll its class list in this order, and
+// spends the one degree of freedom dispatch order has on fault dropping: a
+// hard fault's test is highly specified, so grading it against the live
+// remainder drops many easy classes wholesale — easy-first order would
+// search those classes instead. Reordering is sound for the campaign
+// deliverable because Detected and Untestable are order-invariant complete
+// proofs; only Aborted verdicts are search-order-sensitive.
 func hardestFirst(u *fault.Universe, ann *netlist.Annotations, classes []fault.FID) []fault.FID {
-	if ann == nil || u == nil {
-		return classes
-	}
 	cost := func(fid fault.FID) int32 {
 		f := u.FaultOf(fid)
 		net := u.NetOf(f.Site)
 		return netlist.SatAdd(ann.CCOf(net, f.SA == logic.Zero), ann.CO[net])
 	}
-	ordered := append([]fault.FID(nil), classes...)
-	sort.Slice(ordered, func(i, j int) bool {
-		ci, cj := cost(ordered[i]), cost(ordered[j])
+	sort.Slice(classes, func(i, j int) bool {
+		ci, cj := cost(classes[i]), cost(classes[j])
 		if ci != cj {
 			return ci > cj
 		}
-		return ordered[i] < ordered[j]
+		return classes[i] < classes[j]
 	})
-	return ordered
+	return classes
 }
 
 // deltaChunk is how many evidence entries a streaming provider buffers
@@ -121,48 +115,16 @@ func (e *emitter) statusDelta(m *fault.StatusMap) error {
 	return e.flush()
 }
 
-// BaselineProvider runs full-scan ATPG over one shard of the collapsed
-// class list of the original netlist and streams every verdict into the
-// full-scan channel. NewBaselineProviders plans the shards; shard streams
-// from independent providers merge through the same delta protocol a
-// distributed deployment would use.
+// BaselineProvider runs full-scan ATPG over every collapsed class of the
+// original netlist and streams every verdict into the full-scan channel.
 type BaselineProvider struct {
-	// Shard is the provider's slice of the class list. A nil Classes slice
-	// (zero Shard) targets every class.
-	Shard fault.Shard
-	// Ann optionally shares one precomputed annotation pass across every
-	// shard of the plan (annotations are read-only during generation);
-	// RunCampaign fills it in. Nil lets GenerateAll compute its own.
-	Ann *netlist.Annotations
-	// Learn optionally shares one static learning pass (atpg.BuildLearning)
-	// the same way — learned facts are properties of the netlist alone, so
-	// every shard screens against the same build; RunCampaign fills it in.
-	// Nil lets GenerateAll build its own (or skip it under NoLearn).
-	Learn *atpg.Learning
-	// Outcome holds the shard's full ATPG result after a successful Run:
-	// the emitted test set and stats, with Status spread over the shard's
-	// classes. MergeOutcomes folds the shards back into one baseline.
+	// Outcome holds the full ATPG result after a successful Run: the
+	// emitted test set and stats, with Status spread over every class.
 	Outcome *atpg.Outcome
 }
 
-// NewBaselineProviders plans k full-scan shards over u. k < 1 is treated
-// as 1; a single shard is named "full-scan", k of them "full-scan[i/k]".
-func NewBaselineProviders(u *fault.Universe, k int) []*BaselineProvider {
-	shards := fault.PlanShards(u, nil, k)
-	ps := make([]*BaselineProvider, len(shards))
-	for i, sh := range shards {
-		ps[i] = &BaselineProvider{Shard: sh}
-	}
-	return ps
-}
-
 // Name implements Provider.
-func (p *BaselineProvider) Name() string {
-	if p.Shard.Of <= 1 {
-		return "full-scan"
-	}
-	return fmt.Sprintf("full-scan[%d/%d]", p.Shard.Index+1, p.Shard.Of)
-}
+func (p *BaselineProvider) Name() string { return "full-scan" }
 
 // Channel implements Provider.
 func (p *BaselineProvider) Channel() Channel { return ChannelFullScan }
@@ -171,13 +133,15 @@ func (p *BaselineProvider) Channel() Channel { return ChannelFullScan }
 // final delta carries the class-spread map (re-announcing representatives
 // is harmless — the lattice join is idempotent).
 func (p *BaselineProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
+	ann, err := env.N.Annotate()
+	if err != nil {
+		return err
+	}
 	em := newEmitter(p.Name(), emit)
 	var emitErr error
 	opts := env.ATPG
-	opts.Classes = p.Shard.Classes
-	opts.Source = classSource(env, env.Universe, p.Ann, p.Shard.Classes)
-	opts.Annotations = p.Ann
-	opts.Learn = p.Learn
+	opts.Annotations = ann
+	opts.Classes = hardestFirst(env.Universe, ann, classesIn(fault.NewCollapse(env.Universe), env.Universe, nil))
 	opts.Progress = func(fid fault.FID, v atpg.Verdict) {
 		if emitErr == nil {
 			emitErr = em.add(fid, verdictStatus(v))
@@ -211,28 +175,6 @@ func verdictStatus(v atpg.Verdict) fault.Status {
 	return fault.Aborted
 }
 
-// MergeOutcomes folds per-shard baseline outcomes into one: the merged
-// status map, the concatenated test set (shard order, for determinism of
-// the layout — pattern order within a shard already depends on worker
-// interleaving), and summed stats. The status map is taken from the
-// campaign's full-scan accumulator, which already holds the lattice merge
-// of every shard's stream.
-func MergeOutcomes(ps []*BaselineProvider, merged *fault.StatusMap) *atpg.Outcome {
-	if len(ps) == 1 && ps[0].Outcome != nil {
-		return ps[0].Outcome
-	}
-	out := &atpg.Outcome{Status: merged}
-	for _, p := range ps {
-		if p.Outcome == nil {
-			continue
-		}
-		out.Stats.Add(p.Outcome.Stats)
-		out.Patterns = append(out.Patterns, p.Outcome.Patterns...)
-		out.States = append(out.States, p.Outcome.States...)
-	}
-	return out
-}
-
 // ScenarioProvider proves mission-mode untestability on one constrained
 // clone: it applies the scenario's transform stack, runs ATPG under the
 // scenario's observation selection, and streams the Untestable verdicts —
@@ -252,110 +194,12 @@ func MergeOutcomes(ps []*BaselineProvider, merged *fault.StatusMap) *atpg.Outcom
 // detections would manufacture conflicts out of the modeling convention.
 type ScenarioProvider struct {
 	Scenario Scenario
-	// ShardIndex/ShardOf select one shard of the deterministic
-	// fault.PlanShards plan over the constrained clone's collapsed class
-	// list; ShardOf <= 1 targets every class. The shards of one scenario
-	// partition its class list exactly like baseline shards partition the
-	// original universe's, which is what keeps one huge scenario from
-	// bounding campaign latency: its class list streams from ShardOf
-	// concurrent providers instead of one.
-	ShardIndex, ShardOf int
-	// prep shares the constrained clone, universe, site map, annotations
-	// and shard plan across the providers of one shard group
-	// (NewScenarioProviders wires one in): the clone is read-only during
-	// generation — the same contract that lets baseline shards share env.N
-	// and one Annotate pass — so only the first Run to arrive pays for the
-	// transform stack. Nil (struct-literal construction) builds privately.
-	prep *scenarioPrep
 	// Result holds everything proven on the clone after a successful Run.
 	Result *ScenarioResult
 }
 
-// NewScenarioProviders plans k shard providers over one scenario, sharing
-// one clone preparation across them. k < 1 is treated as 1; a single
-// provider targets every class.
-func NewScenarioProviders(sc Scenario, k int) []*ScenarioProvider {
-	if k < 1 {
-		k = 1
-	}
-	prep := &scenarioPrep{}
-	ps := make([]*ScenarioProvider, k)
-	for i := range ps {
-		ps[i] = &ScenarioProvider{Scenario: sc, ShardIndex: i, ShardOf: k, prep: prep}
-	}
-	return ps
-}
-
-// scenarioPrep is the once-per-scenario constrained-clone state shard
-// providers share. Everything here is read-only after build: concurrent
-// GenerateAll runs recompute their own (path-compressing) collapse, and the
-// shard plan is computed once here instead of per provider.
-type scenarioPrep struct {
-	once   sync.Once
-	err    error
-	clone  *netlist.Netlist
-	sm     *fault.SiteMap
-	cu     *fault.Universe
-	ann    *netlist.Annotations
-	learn  *atpg.Learning
-	shards []fault.Shard
-}
-
-// build constructs the shared state on first call; later callers reuse it.
-// The build cost lands on the first arrival's telemetry: a "prep" child span
-// under its provider span, and one "flow.prep_ns" histogram sample — later
-// shards reuse the state for free, which the span tree then shows.
-func (sp *scenarioPrep) build(env Env, sc Scenario, shardOf int) error {
-	sp.once.Do(func() {
-		start := time.Now()
-		prepSpan := env.Span.Child("prep")
-		defer func() {
-			env.Metrics.Histogram("flow.prep_ns").ObserveSince(start)
-			if sp.err != nil {
-				prepSpan.SetAttr("err", sp.err.Error())
-			}
-			prepSpan.End()
-		}()
-		clone := env.N.Clone()
-		sm, err := constraint.ApplyMapped(clone, sc.Transforms...)
-		if err != nil {
-			sp.err = err
-			return
-		}
-		cu := fault.NewUniverse(clone)
-		ann, err := clone.Annotate()
-		if err != nil {
-			sp.err = err
-			return
-		}
-		sp.clone, sp.sm, sp.cu, sp.ann = clone, sm, cu, ann
-		if !env.ATPG.NoLearn {
-			// The learning cache is keyed by the clone: facts depend only on
-			// the constrained netlist (not the obs selection), so one build
-			// serves every shard of the scenario.
-			if sp.learn, err = atpg.BuildLearning(clone, env.Metrics); err != nil {
-				sp.err = err
-				return
-			}
-		}
-		// The plan is computed even for a single provider (k=1 is the full
-		// class list): providers always target an explicit class list, which
-		// is what the dynamic class source is built over.
-		if shardOf < 1 {
-			shardOf = 1
-		}
-		sp.shards = fault.PlanShards(cu, nil, shardOf)
-	})
-	return sp.err
-}
-
 // Name implements Provider.
-func (p *ScenarioProvider) Name() string {
-	if p.ShardOf <= 1 {
-		return "scenario:" + p.Scenario.Name
-	}
-	return fmt.Sprintf("scenario:%s[%d/%d]", p.Scenario.Name, p.ShardIndex+1, p.ShardOf)
-}
+func (p *ScenarioProvider) Name() string { return "scenario:" + p.Scenario.Name }
 
 // Channel implements Provider.
 func (p *ScenarioProvider) Channel() Channel { return ChannelMission }
@@ -365,21 +209,40 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 	if err := ctx.Err(); err != nil {
 		return err // don't pay for the clone when already cancelled
 	}
-	if p.prep == nil {
-		p.prep = &scenarioPrep{}
-	}
-	if err := p.prep.build(env, p.Scenario, p.ShardOf); err != nil {
+	// Clone preparation: the constrained clone, its universe and site map,
+	// annotations, learning cache and class list. Its cost lands in a
+	// "prep" child span and one "flow.prep_ns" sample.
+	prepStart := time.Now()
+	prepSpan := env.Span.Child("prep")
+	endPrep := func(err error) error {
+		env.Metrics.Histogram("flow.prep_ns").ObserveSince(prepStart)
+		if err != nil {
+			prepSpan.SetAttr("err", err.Error())
+		}
+		prepSpan.End()
 		return err
 	}
-	if p.ShardOf > 1 && p.ShardIndex >= len(p.prep.shards) {
-		// Surplus shard of an over-provisioned plan (PlanShards caps the
-		// plan at the class count, never below one shard): nothing to
-		// target, so skip the engine and grader setup entirely. Shard 0
-		// always exists, so MergeScenarioResults still gets the clone
-		// state; a nil Result merges as "no classes".
-		return nil
+	clone := env.N.Clone()
+	sm, err := constraint.ApplyMapped(clone, p.Scenario.Transforms...)
+	if err != nil {
+		return endPrep(err)
 	}
-	clone, sm, cu := p.prep.clone, p.prep.sm, p.prep.cu
+	cu := fault.NewUniverse(clone)
+	ann, err := clone.Annotate()
+	if err != nil {
+		return endPrep(err)
+	}
+	var learn *atpg.Learning
+	if !env.ATPG.NoLearn {
+		// Learned facts depend only on the constrained netlist, not on the
+		// observation selection.
+		if learn, err = atpg.BuildLearning(clone, env.Metrics); err != nil {
+			return endPrep(err)
+		}
+	}
+	classes := classesIn(fault.NewCollapse(cu), cu, nil)
+	endPrep(nil)
+
 	obsFn := p.Scenario.Observe
 	if obsFn == nil {
 		obsFn = constraint.ObserveFullScan
@@ -406,14 +269,9 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		// than the final-frame-only approximation.
 		opts.Sites = sm
 	}
-	opts.Annotations = p.prep.ann
-	opts.Learn = p.prep.learn
-	// In range by the surplus-shard early return above (ShardIndex is 0 for
-	// an unsharded provider); PlanShards hands out non-nil class lists, so
-	// an empty shard targets nothing rather than falling back to "every
-	// class".
-	opts.Classes = p.prep.shards[p.ShardIndex].Classes
-	opts.Source = classSource(env, cu, p.prep.ann, opts.Classes)
+	opts.Annotations = ann
+	opts.Learn = learn
+	opts.Classes = hardestFirst(cu, ann, classes)
 	opts.Progress = func(fid fault.FID, v atpg.Verdict) {
 		if emitErr != nil || v != atpg.Untestable || !missionLive(fid) {
 			return
@@ -459,81 +317,6 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		Projected: projected,
 	}
 	return nil
-}
-
-// MergeScenarioResults folds the per-shard results of one scenario into a
-// fresh ScenarioResult, leaving the shard results untouched (like its
-// sibling MergeOutcomes). The shards share one clone preparation, so their
-// status maps index one universe and — covering disjoint class sets by the
-// shard plan — overlay without arbitration. The merged result keeps the
-// first live shard's clone, universe, site map and observation points
-// (shard 0 in a fully live run); surplus shards of an over-provisioned plan
-// carry no Result and merge as "no classes". Shards restored from a journal
-// (ScenarioResult.Restored) contribute only their Projected map — their
-// clone state and engine outcome died with the interrupted process — and
-// any restored shard marks the merged result Restored.
-func MergeScenarioResults(ps []*ScenarioProvider) *ScenarioResult {
-	if len(ps) == 0 {
-		return nil
-	}
-	var base *ScenarioResult
-	for _, p := range ps {
-		if r := p.Result; r != nil && !r.Restored {
-			base = r
-			break
-		}
-	}
-	if base == nil {
-		for _, p := range ps {
-			if p.Result != nil {
-				base = p.Result
-				break
-			}
-		}
-	}
-	if base == nil {
-		return nil
-	}
-	if len(ps) == 1 {
-		return base
-	}
-	merged := &ScenarioResult{
-		Scenario:  base.Scenario,
-		Clone:     base.Clone,
-		Universe:  base.Universe,
-		Sites:     base.Sites,
-		Obs:       base.Obs,
-		Outcome:   &atpg.Outcome{},
-		Projected: base.Projected.Clone(),
-		Sweep:     base.Sweep,
-		Restored:  base.Restored,
-	}
-	if !base.Restored {
-		merged.Outcome = &atpg.Outcome{
-			Stats:    base.Outcome.Stats,
-			Status:   base.Outcome.Status.Clone(),
-			Patterns: append([]sim.Pattern(nil), base.Outcome.Patterns...),
-			States:   append([]sim.Pattern(nil), base.Outcome.States...),
-		}
-	}
-	for _, p := range ps {
-		r := p.Result
-		if r == nil || r == base {
-			continue
-		}
-		merged.Projected.Overlay(r.Projected)
-		if r.Restored {
-			merged.Restored = true
-			continue
-		}
-		merged.Outcome.Stats.Add(r.Outcome.Stats)
-		merged.Outcome.Patterns = append(merged.Outcome.Patterns, r.Outcome.Patterns...)
-		merged.Outcome.States = append(merged.Outcome.States, r.Outcome.States...)
-		if merged.Outcome.Status != nil {
-			merged.Outcome.Status.Overlay(r.Outcome.Status)
-		}
-	}
-	return merged
 }
 
 // PatternSet is one externally produced mission stimulus — an instruction

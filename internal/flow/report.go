@@ -95,8 +95,8 @@ func (s Summary) CorrectedCoverage() float64 {
 }
 
 // ClassDigest fingerprints the per-fault classification array (sha256 over
-// Class in fault-ID order) — the equality the scheduler- and
-// shard-invariance properties pin, and what olfuid's resume smoke compares
+// Class in fault-ID order) — the equality the worker-count invariance
+// properties pin, and what olfuid's resume smoke compares
 // across a kill and restart. Two reports with equal digests classified
 // every fault of the universe identically.
 func (r *Report) ClassDigest() string {

@@ -99,18 +99,14 @@ func (c *Campaign) fingerprint() json.RawMessage {
 		ps[i] = provMeta{Name: p.Name(), Channel: p.Channel().String()}
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
-	// NoReplay is part of the fingerprint because it changes which classes a
-	// sweep's per-depth sources could have aborted — resuming a replay run
-	// into a no-replay campaign (or vice versa) would mix evidence streams
-	// from differently-warmed engines. omitempty keeps default-mode
-	// fingerprints byte-identical to journals written before the flag
-	// existed, so those remain resumable.
+	// The byte layout is part of the resume contract: a journal resumes only
+	// while its recorded fingerprint matches byte for byte, so changing the
+	// layout orphans every resumable journal.
 	raw, err := json.Marshal(struct {
 		Design    string     `json:"design"`
 		Faults    int        `json:"faults"`
-		NoReplay  bool       `json:"no_replay,omitempty"`
 		Providers []provMeta `json:"providers"`
-	}{c.n.Name, c.u.NumFaults(), c.opts.NoReplay, ps})
+	}{c.n.Name, c.u.NumFaults(), ps})
 	if err != nil {
 		panic(err) // marshal of plain strings and ints cannot fail
 	}
@@ -283,9 +279,6 @@ const (
 )
 
 func (p *ScenarioProvider) resultRecord() (*journal.ProviderResult, error) {
-	if p.Result == nil {
-		return nil, nil // surplus shard of an over-provisioned plan
-	}
 	data, err := json.Marshal(scenarioRecord{Projected: p.Result.Projected.Bytes()})
 	if err != nil {
 		return nil, err

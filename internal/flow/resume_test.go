@@ -29,7 +29,7 @@ func resumeScenarios() []Scenario {
 	}
 }
 
-// requireNoAborts: report equivalence across kill/resume (like shard
+// requireNoAborts: report equivalence across kill/resume (like worker-count
 // invariance) is only guaranteed absent aborts — Detected and Untestable are
 // complete proofs, Aborted depends on search luck.
 func requireNoAborts(t *testing.T, r *Report, label string) {
@@ -102,7 +102,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 16, FFs: 2, Outputs: 2})
 		scenarios := resumeScenarios()
 
-		ref, err := Run(nl, fault.NewUniverse(nl), scenarios, Options{SerialScenarios: true})
+		ref, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{SerialScenarios: true})
 		if err != nil {
 			t.Fatalf("seed %d reference: %v", seed, err)
 		}

@@ -15,34 +15,34 @@ import (
 	"olfui/internal/testutil"
 )
 
-// TestSchedulerInvariance is the tentpole's correctness property: on seeded
-// random netlists, the work-stealing scheduler classifies identically to the
-// static legacy path — for any worker count, with and without chunked
-// stealing in play, across one-shot scenarios AND the swept per-depth
-// sharding. The backtrack budget is raised far above need so no verdict can
-// fall into the only order-sensitive state (Aborted).
+// TestSchedulerInvariance is the scheduler's correctness property: on seeded
+// random netlists, campaigns with 4 and 16 workers classify identically to
+// the one-worker run, whose searches follow each class list strictly — with
+// chunked stealing in play, across one-shot scenarios AND the swept
+// per-depth queues. The backtrack budget is raised far above need so no
+// verdict can fall into the only order-sensitive state (Aborted).
 func TestSchedulerInvariance(t *testing.T) {
 	atpgOpts := atpg.Options{BacktrackLimit: 1 << 20}
 	scenarios := []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
-		reachScenario(2), // sweeps under MaxFrames: per-depth class sources
+		reachScenario(2), // sweeps under MaxFrames: one queue per depth
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 16, FFs: 2, Outputs: 2})
 
-		ref, err := Run(nl, fault.NewUniverse(nl), scenarios, Options{
-			NoSched:   true,
+		ref, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{
+			Workers:   1,
 			MaxFrames: 4,
 			ATPG:      atpgOpts,
 		})
 		if err != nil {
-			t.Fatalf("seed %d: static reference: %v", seed, err)
+			t.Fatalf("seed %d: one-worker reference: %v", seed, err)
 		}
-		requireNoAborts(t, ref, fmt.Sprintf("seed %d static", seed))
+		requireNoAborts(t, ref, fmt.Sprintf("seed %d workers=1", seed))
 
-		for _, workers := range []int{1, 4, 16} {
-			label := fmt.Sprintf("seed %d sched workers=%d", seed, workers)
-			r, err := Run(nl, fault.NewUniverse(nl), scenarios, Options{
+		for _, workers := range []int{4, 16} {
+			label := fmt.Sprintf("seed %d workers=%d", seed, workers)
+			r, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{
 				Workers:   workers,
 				MaxFrames: 4,
 				ATPG:      atpgOpts,
@@ -53,46 +53,39 @@ func TestSchedulerInvariance(t *testing.T) {
 			requireNoAborts(t, r, label)
 			sameReport(t, label, ref, r)
 			if rd, sd := ref.ClassDigest(), r.ClassDigest(); rd != sd {
-				t.Fatalf("%s: class digest %s, static path %s", label, sd, rd)
+				t.Fatalf("%s: class digest %s, one worker %s", label, sd, rd)
 			}
 		}
 	}
 }
 
-// TestWorkerBudgetNotOversubscribed is the oversubscription regression: a
-// k-way sharded campaign used to size a worker fleet per provider (each with
-// a >=1 floor), so total concurrency could exceed any configured budget. The
-// shared pool now caps PEAK concurrent searches at Options.Workers in both
-// scheduling modes — the high-water counter is the proof.
+// TestWorkerBudgetNotOversubscribed is the oversubscription regression:
+// every provider sizes its engine fleet to the full budget, so without the
+// shared pool concurrent providers would put several times the budget in
+// flight. The pool caps PEAK concurrent searches at Options.Workers — the
+// high-water counter is the proof.
 func TestWorkerBudgetNotOversubscribed(t *testing.T) {
 	n := benchCircuit(t)
-	scenarios := []Scenario{
+	reg := obs.New()
+	// A baseline, a scenario and a sweep: enough concurrent providers that
+	// their fleets alone would put >2 workers in flight.
+	_, err := RunCampaign(context.Background(), n, fault.NewUniverse(n), []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 		reachScenario(2),
+	}, Options{
+		Workers:   2,
+		MaxFrames: 4,
+		Metrics:   reg,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, noSched := range []bool{false, true} {
-		reg := obs.New()
-		// 3 baseline shards + 2 scenarios (one sharded 2-way under NoSched):
-		// enough concurrent providers that the legacy per-provider floor alone
-		// would put >2 workers in flight.
-		_, err := Run(n, fault.NewUniverse(n), scenarios, Options{
-			NoSched:        noSched,
-			Workers:        2,
-			Shards:         3,
-			ScenarioShards: 2,
-			MaxFrames:      4,
-			Metrics:        reg,
-		})
-		if err != nil {
-			t.Fatalf("noSched=%v: %v", noSched, err)
-		}
-		peak := reg.Snapshot().Counter("sched.workers.peak")
-		if peak > 2 {
-			t.Errorf("noSched=%v: peak concurrent workers %d exceeds the budget of 2", noSched, peak)
-		}
-		if peak < 1 {
-			t.Errorf("noSched=%v: peak %d — no worker ever acquired a slot", noSched, peak)
-		}
+	peak := reg.Snapshot().Counter("sched.workers.peak")
+	if peak > 2 {
+		t.Errorf("peak concurrent workers %d exceeds the budget of 2", peak)
+	}
+	if peak < 1 {
+		t.Errorf("peak %d — no worker ever acquired a slot", peak)
 	}
 }
 
@@ -123,9 +116,9 @@ func TestSchedulerCancellation(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestSchedulerTelemetry pins the scheduler-mode exactness of the telemetry
-// layer (the static-mode pin is TestRegistryMatchesStats) plus the scheduler's
-// own instrumentation: chunk leases recorded, the campaign-wide queue-depth
+// TestSchedulerTelemetry pins the multi-worker exactness of the telemetry
+// layer (the default-budget pin is TestRegistryMatchesStats) plus the
+// scheduler's own instrumentation: chunk leases recorded, the campaign-wide queue-depth
 // gauge drained to zero, worker busy time observed, and the worker high-water
 // within budget.
 func TestSchedulerTelemetry(t *testing.T) {
@@ -136,11 +129,9 @@ func TestSchedulerTelemetry(t *testing.T) {
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 		reachScenario(2),
 	}, Options{
-		Workers:        3,
-		Shards:         3, // collapse to one queue-fed baseline under sched
-		ScenarioShards: 2,
-		MaxFrames:      4,
-		Metrics:        reg,
+		Workers:   3,
+		MaxFrames: 4,
+		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -29,8 +29,8 @@ type SweepDepthStats struct {
 	// CumUntestable is the running size of that projected set.
 	CumUntestable int
 	// ReplayPatterns counts the warm-start pool patterns replayed against
-	// this depth's surviving classes before any search (0 at the first depth
-	// and with replay disabled).
+	// this depth's surviving classes before any search (0 at the first
+	// depth).
 	ReplayPatterns int
 	// ReplayDropped counts the classes the replay proved Detected at this
 	// depth, dropping them before the engine dispatched.
@@ -132,29 +132,6 @@ func sweepableUnroll(sc Scenario) (constraint.Unroll, bool) {
 	}
 	u, ok := sc.Transforms[len(sc.Transforms)-1].(constraint.Unroll)
 	return u, ok && !u.ResetInit
-}
-
-// sweepClasses plans one depth's target list: the representatives of the
-// clone's current structural collapse whose fault is not already proven
-// untestable at a shallower depth. The collapse is recomputed per depth —
-// appended frames grow fanout on frame-invariant nets, which only refines
-// the partition, so every member of a dropped representative's former class
-// is itself already proven untestable.
-func sweepClasses(cu *fault.Universe, cum *fault.StatusMap) []fault.FID {
-	return sweepClassesIn(fault.NewCollapse(cu), cu, cum)
-}
-
-// sweepClassesIn is sweepClasses over a caller-owned collapse — the depth
-// loop reuses the same instance to spread replay detections class-wide.
-func sweepClassesIn(collapse *fault.Collapse, cu *fault.Universe, cum *fault.StatusMap) []fault.FID {
-	classes := []fault.FID{}
-	for id := 0; id < cu.NumFaults(); id++ {
-		fid := fault.FID(id)
-		if collapse.Rep(fid) == fid && cum.Get(fid) != fault.Untestable {
-			classes = append(classes, fid)
-		}
-	}
-	return classes
 }
 
 // sweepPatternPoolCap bounds the cross-depth replay pool: the pool keeps at
@@ -344,8 +321,10 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		depth := ur.Frames()
 		depthStart := time.Now()
 		dspan := env.Span.Child(fmt.Sprintf("depth:k=%d", depth))
+		// The depth's targets: every class not yet proven untestable at a
+		// shallower depth, hardest-first.
 		collapse := fault.NewCollapse(cu)
-		classes := sweepClassesIn(collapse, cu, cum)
+		classes := hardestFirst(cu, ann, classesIn(collapse, cu, cum))
 		retargeted := int64(0)
 		for _, c := range classes {
 			if targeted[c] && cum.Get(c) != fault.Detected {
@@ -365,13 +344,6 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		opts.Learn = learn
 		opts.Grader = grader
 		opts.Classes = classes
-		// Sweep-aware depth sharding: the depth's surviving class list fans
-		// out across the campaign worker pool through a fresh lease queue —
-		// one Extend/AnnotateAppended/Learning rebuild per depth, then every
-		// worker searches the shared read-only extended clone. Depth delta
-		// sources and the convergence rule are untouched: scheduling only
-		// reorders searches within a depth.
-		opts.Source = classSource(env, cu, ann, classes)
 		// Cross-depth warm start: replay the pool's accumulated test set,
 		// lifted to this depth (the appended frame's free inputs at X),
 		// against the surviving classes before any search dispatches.
@@ -380,13 +352,15 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		// difference under a partial assignment holds under every completion
 		// by Kleene monotonicity — so each hit is a true Detected at this
 		// depth; lifting is only a hit-rate heuristic. Hits prune the class
-		// list handed to the engine and the lease queue in flight.
+		// list handed to the engine, which keeps its hardest-first order.
+		// Every worker then searches the shared read-only extended clone
+		// through the run's own lease queue.
 		var (
 			replayDetected []fault.FID
 			replayPatterns int
 			replayNS       int64
 		)
-		if !env.NoReplay && pool.size() > 0 && len(classes) > 0 {
+		if pool.size() > 0 && len(classes) > 0 {
 			replayStart := time.Now()
 			pool.lift(len(clone.PrimaryInputs()), len(clone.FlipFlops()))
 			survivors := append([]fault.FID(nil), classes...)
@@ -408,9 +382,6 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 						continue
 					}
 					replayDetected = append(replayDetected, fid)
-					if opts.Source != nil {
-						opts.Source.Remove(fid)
-					}
 				}
 				survivors = kept
 			}
@@ -451,7 +422,7 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		// outcome, exactly as GenerateAll spreads its own verdicts — the
 		// fold below, OnDepth observers and per-depth oracles then see
 		// warm-start drops uniformly. A targeted class is never
-		// cum-Untestable (sweepClasses excludes them, and the partition only
+		// cum-Untestable (classesIn excludes them, and the partition only
 		// refines across depths), so the fold never discards the spread.
 		if len(replayDetected) > 0 {
 			hit := fault.NewSet(cu)
@@ -497,10 +468,10 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		}
 		cumProjected += newProjected
 		// Depths re-target every class not yet proven untestable, so class
-		// tallies must not be summed across them (atpg.Stats.Add is for
-		// disjoint shards); only the work counters accumulate here — the
-		// classification tallies are derived from the cumulative map after
-		// the loop. Depths run sequentially, so elapsed time sums.
+		// tallies must not be summed across them; only the work counters
+		// accumulate here — the classification tallies are derived from the
+		// cumulative map after the loop. Depths run sequentially, so elapsed
+		// time sums.
 		work.SimDropped += out.Stats.SimDropped
 		work.Learned += out.Stats.Learned
 		work.Patterns += out.Stats.Patterns
@@ -571,25 +542,13 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		}
 		// Warm-start the next depth: the grader (simulator, shared graph,
 		// observation CSRs) and the learning cache extend in place over the
-		// appended suffix instead of rebuilding from the full netlist. With
-		// the warm start disabled, every depth rebuilds both from scratch —
-		// the cold-start behavior the warm path is benchmarked against.
-		if env.NoReplay {
-			if grader, err = sim.NewGraderSites(clone, cu, obs, sm); err != nil {
-				return fmt.Errorf("rebuild grader at %d frames: %w", ur.Frames(), err)
-			}
-			grader.Instrument(env.Metrics)
-			if !env.ATPG.NoLearn {
-				learn = atpg.BuildLearningOn(clone, grader.Graph(), env.Metrics)
-			}
-		} else {
-			if err := grader.Extend(order); err != nil {
-				return fmt.Errorf("extend grader to %d frames: %w", ur.Frames(), err)
-			}
-			if learn != nil {
-				if err := learn.Extend(order, stale, env.Metrics); err != nil {
-					return fmt.Errorf("extend learning to %d frames: %w", ur.Frames(), err)
-				}
+		// appended suffix instead of rebuilding from the full netlist.
+		if err := grader.Extend(order); err != nil {
+			return fmt.Errorf("extend grader to %d frames: %w", ur.Frames(), err)
+		}
+		if learn != nil {
+			if err := learn.Extend(order, stale, env.Metrics); err != nil {
+				return fmt.Errorf("extend learning to %d frames: %w", ur.Frames(), err)
 			}
 		}
 	}

@@ -31,7 +31,7 @@ func TestSweepMatchesOneShotFinalDepth(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		n := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 3, Gates: 14, FFs: 2, Outputs: 2})
 		u := fault.NewUniverse(n)
-		swept, err := Run(n, u, []Scenario{reachScenario(2)}, Options{MaxFrames: 4})
+		swept, err := RunCampaign(context.Background(), n, u, []Scenario{reachScenario(2)}, Options{MaxFrames: 4})
 		if err != nil {
 			t.Fatalf("seed %d: sweep: %v", seed, err)
 		}
@@ -46,7 +46,7 @@ func TestSweepMatchesOneShotFinalDepth(t *testing.T) {
 		if !sw.Converged && sw.FinalFrames != 4 {
 			t.Fatalf("seed %d: unconverged sweep stopped at %d, not the budget", seed, sw.FinalFrames)
 		}
-		oneshot, err := Run(n, u, []Scenario{reachScenario(sw.FinalFrames)}, Options{})
+		oneshot, err := RunCampaign(context.Background(), n, u, []Scenario{reachScenario(sw.FinalFrames)}, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: one-shot: %v", seed, err)
 		}
@@ -82,7 +82,7 @@ func TestSweepPerDepthOracle(t *testing.T) {
 				return testutil.VerifyDetectedSites(d.Universe, d.Status, d.Obs, d.Sites)
 			},
 		}
-		r, err := Run(n, u, []Scenario{reachScenario(2)}, opts)
+		r, err := RunCampaign(context.Background(), n, u, []Scenario{reachScenario(2)}, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -142,8 +142,9 @@ func TestSweepClassesDropsResolved(t *testing.T) {
 		t.Fatal(err)
 	}
 	cu := fault.NewUniverse(clone)
+	collapse := fault.NewCollapse(cu)
 	cum := fault.NewStatusMap(cu)
-	all := sweepClasses(cu, cum)
+	all := classesIn(collapse, cu, nil)
 	if len(all) == 0 {
 		t.Fatal("no classes planned")
 	}
@@ -152,7 +153,7 @@ func TestSweepClassesDropsResolved(t *testing.T) {
 		cum.Set(fid, fault.Untestable)
 	}
 	cum.Set(all[1], fault.Detected) // detected faults are re-targeted
-	got := sweepClasses(cu, cum)
+	got := classesIn(collapse, cu, cum)
 	if len(got) != len(all)-len(dropped) {
 		t.Fatalf("%d classes after dropping %d of %d", len(got), len(dropped), len(all))
 	}
@@ -212,11 +213,11 @@ func TestSweepRetargetedAccounting(t *testing.T) {
 func TestSweepConfigErrors(t *testing.T) {
 	n := testutil.RandomNetlist(2, testutil.RandOpts{Inputs: 3, Gates: 10, FFs: 2, Outputs: 2})
 	u := fault.NewUniverse(n)
-	if _, err := Run(n, u, []Scenario{reachScenario(3)}, Options{MaxFrames: 2}); err == nil {
+	if _, err := RunCampaign(context.Background(), n, u, []Scenario{reachScenario(3)}, Options{MaxFrames: 2}); err == nil {
 		t.Error("MaxFrames below starting frames: want error")
 	}
 	noUnroll := Scenario{Name: "flat", Observe: constraint.ObserveOnline}
-	if _, err := Run(n, u, []Scenario{noUnroll}, Options{MaxFrames: 3}); err == nil {
+	if _, err := RunCampaign(context.Background(), n, u, []Scenario{noUnroll}, Options{MaxFrames: 3}); err == nil {
 		t.Error("MaxFrames with no sweepable scenario: want error")
 	}
 	// Reset-anchored unrolls are not sweepable: depth k models exactly the
@@ -229,7 +230,7 @@ func TestSweepConfigErrors(t *testing.T) {
 		Transforms: []constraint.Transform{constraint.Unroll{Frames: 2, ResetInit: true}},
 		Observe:    constraint.ObserveOutputsAndCaptures,
 	}
-	if _, err := Run(n, u, []Scenario{resetReach}, Options{MaxFrames: 3}); err == nil {
+	if _, err := RunCampaign(context.Background(), n, u, []Scenario{resetReach}, Options{MaxFrames: 3}); err == nil {
 		t.Error("MaxFrames with only a reset-init unroll: want error")
 	}
 	c := NewCampaign(n, u, CampaignOptions{})
@@ -243,10 +244,10 @@ func TestSweepConfigErrors(t *testing.T) {
 
 // TestSweepReplayDigestEqual is the warm start's acceptance pin: the
 // cross-depth warm start changes which classes are searched versus
-// sim-dropped and whether graders and learning rebuild or extend per depth,
-// never what any fault classifies as — on seeded random netlists the swept
-// classification digest is byte-identical with the warm start on and off
-// (the off side rebuilds cold every depth). The loop also asserts replay
+// sim-dropped, never what any fault classifies as — on seeded random
+// netlists the swept classification digest is byte-identical to a one-shot
+// campaign at the sweep's final depth, which searches every class with no
+// replay and fresh graders and learning. The loop also asserts replay
 // actually engaged somewhere, so the equality is not vacuous.
 func TestSweepReplayDigestEqual(t *testing.T) {
 	replayDropped := int64(0)
@@ -254,16 +255,19 @@ func TestSweepReplayDigestEqual(t *testing.T) {
 		n := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 3, Gates: 14, FFs: 2, Outputs: 2})
 		u := fault.NewUniverse(n)
 		reg := obs.New()
-		warm, err := Run(n, u, []Scenario{reachScenario(2)}, Options{MaxFrames: 4, Metrics: reg})
+		warm, err := RunCampaign(context.Background(), n, u, []Scenario{reachScenario(2)}, Options{MaxFrames: 4, Metrics: reg})
 		if err != nil {
 			t.Fatalf("seed %d: replay run: %v", seed, err)
 		}
-		cold, err := Run(n, u, []Scenario{reachScenario(2)}, Options{MaxFrames: 4, NoReplay: true})
+		final := warm.Scenarios[0].Sweep.FinalFrames
+		oneshot, err := RunCampaign(context.Background(), n, u, []Scenario{reachScenario(final)}, Options{})
 		if err != nil {
-			t.Fatalf("seed %d: no-replay run: %v", seed, err)
+			t.Fatalf("seed %d: one-shot run: %v", seed, err)
 		}
-		if w, c := warm.ClassDigest(), cold.ClassDigest(); w != c {
-			t.Errorf("seed %d: classification digest %s with replay, %s without", seed, w, c)
+		requireNoAborts(t, warm, fmt.Sprintf("seed %d sweep", seed))
+		requireNoAborts(t, oneshot, fmt.Sprintf("seed %d one-shot", seed))
+		if w, o := warm.ClassDigest(), oneshot.ClassDigest(); w != o {
+			t.Errorf("seed %d: classification digest %s swept, %s one-shot at k=%d", seed, w, o, final)
 		}
 		snap := reg.Snapshot()
 		replayDropped += snap.Counter("flow.sweep.replay.dropped")

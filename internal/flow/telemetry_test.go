@@ -12,9 +12,8 @@ import (
 	"olfui/internal/obs"
 )
 
-// statSum accumulates the work fields of per-run engine stats — unlike
-// atpg.Stats.Add it sums every field including Classes without the
-// shared-universe conventions, because the obs counters count raw per-run
+// statSum accumulates the work fields of per-run engine stats: it sums every
+// field including Classes, because the obs counters count raw per-run
 // tallies.
 type statSum struct {
 	classes, detected, untestable, aborted int64
@@ -36,7 +35,7 @@ func (s *statSum) add(st atpg.Stats) {
 }
 
 // TestRegistryMatchesStats is the telemetry layer's exactness pin: one
-// registry hammered by every provider of a sharded, swept, parallel campaign
+// registry hammered by every provider of a swept, parallel campaign
 // reports totals identical to the sum of the per-run atpg.Stats — the
 // counters mirror the coordinator's tallies branch for branch, not
 // approximately. Run under -race this also proves the recording paths are
@@ -49,23 +48,17 @@ func TestRegistryMatchesStats(t *testing.T) {
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 		reachScenario(2),
 	}, Options{
-		// Static mode keeps the shard partitions live so the summation
-		// exercises real multi-provider accounting; the scheduler path's
-		// exactness is pinned by TestSchedulerTelemetry.
-		NoSched:        true,
-		Shards:         3,
-		ScenarioShards: 2,
-		MaxFrames:      4,
-		Metrics:        reg,
+		MaxFrames: 4,
+		Metrics:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Sum the per-run stats the way the counters saw them: baseline shards
-	// and non-swept scenario shards merge by Stats.Add (field sums), while a
-	// swept scenario's converged Outcome.Stats DERIVES its class tallies from
-	// the cumulative map — the per-depth Stats entries are what the counters
+	// Sum the per-run stats the way the counters saw them: the baseline and
+	// non-swept scenarios contribute their Outcome.Stats, while a swept
+	// scenario's converged Outcome.Stats DERIVES its class tallies from the
+	// cumulative map — the per-depth Stats entries are what the counters
 	// actually recorded.
 	var want statSum
 	want.add(r.Baseline.Stats)
@@ -156,7 +149,6 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
 		reachScenario(2),
 	}, Options{
-		Shards:    2,
 		MaxFrames: 4,
 		Progress: func(e Event) {
 			if e.Time.IsZero() {
@@ -196,7 +188,7 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 		t.Fatal("sweep emitted no per-depth delta source")
 	}
 	if len(nextSeq) < 3 {
-		t.Fatalf("campaign produced %d delta sources, want >= 3 (shards + scenarios + sweep): %v",
+		t.Fatalf("campaign produced %d delta sources, want >= 3 (baseline + scenario + sweep): %v",
 			len(nextSeq), nextSeq)
 	}
 	for prov, want := range mergedByProvider {
@@ -207,25 +199,31 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 	}
 }
 
-// TestMetricsOptionValidation pins the single-owner rule: the campaign
-// threads its registry into every engine, so a caller-set ATPG.Metrics is
-// rejected up front at both API layers.
+// TestMetricsOptionValidation pins the single-owner rule for the engine
+// options a campaign owns: a caller-set ATPG.Metrics or ATPG.Learn is
+// rejected up front at both API layers, each naming its own options type.
 func TestMetricsOptionValidation(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	bad := atpg.Options{Metrics: obs.New()}
-
-	c := NewCampaign(n, u, CampaignOptions{ATPG: bad})
-	if err := c.Add(NewBaselineProviders(u, 1)[0]); err != nil {
+	learn, err := atpg.BuildLearning(n, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "ATPG.Metrics") {
-		t.Fatalf("Campaign.Run: err %v, want ATPG.Metrics rejection", err)
-	}
-
-	if _, err := Run(n, u, []Scenario{{Name: "s", Observe: constraint.ObserveOutputs}},
-		Options{ATPG: bad}); err == nil || !strings.Contains(err.Error(), "ATPG.Metrics") {
-		t.Fatalf("flow.Run: err %v, want ATPG.Metrics rejection", err)
+	for field, bad := range map[string]atpg.Options{
+		"ATPG.Metrics": {Metrics: obs.New()},
+		"ATPG.Learn":   {Learn: learn},
+	} {
+		c := NewCampaign(n, u, CampaignOptions{ATPG: bad})
+		if err := c.Add(&BaselineProvider{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(context.Background()); err == nil ||
+			!strings.Contains(err.Error(), "flow: CampaignOptions."+field) {
+			t.Errorf("Campaign.Run: err %v, want CampaignOptions.%s rejection", err, field)
+		}
+		if _, err := RunCampaign(context.Background(), n, u, []Scenario{{Name: "s", Observe: constraint.ObserveOutputs}},
+			Options{ATPG: bad}); err == nil || !strings.Contains(err.Error(), "flow: Options."+field) {
+			t.Errorf("RunCampaign: err %v, want Options.%s rejection", err, field)
+		}
 	}
 }

@@ -18,7 +18,7 @@
 //     branch per operation. The "no-op registry" build the cost budget is
 //     measured against is exactly a nil registry.
 //
-// Spans are coarse-grained by design — one per provider, shard, scenario
+// Spans are coarse-grained by design — one per provider, scenario
 // preparation or sweep depth, never one per fault — so their allocation and
 // locking cost is irrelevant next to the work they time.
 package obs

@@ -14,7 +14,7 @@ import (
 // methods on a nil Span are no-ops, so uninstrumented code paths cost one
 // branch.
 //
-// Spans are deliberately coarse: per provider / shard / depth, never per
+// Spans are deliberately coarse: per provider / preparation / depth, never per
 // fault or per pattern. The per-verdict hot paths record into counters and
 // histograms instead.
 type Span struct {

@@ -10,9 +10,8 @@ import (
 // Pool is the campaign-global worker-slot budget: a counting semaphore every
 // engine worker acquires for the duration of one class search. One Pool per
 // campaign caps the number of concurrently searching goroutines at the
-// campaign budget no matter how many providers run at once — the fix for
-// k-way sharded campaigns oversubscribing the machine k× when every
-// provider sized its own fleet.
+// campaign budget no matter how many providers run at once, although every
+// provider sizes its own fleet to the full budget.
 //
 // A nil *Pool is a valid no-op (no gating), so single-use callers of
 // atpg.GenerateAll need not build one.

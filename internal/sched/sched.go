@@ -2,33 +2,30 @@
 // primitives: a chunked, lease-based class queue with work stealing (Queue)
 // and a campaign-global worker-slot pool (Pool).
 //
-// The queue replaces static fault.PlanShards class lists on the in-process
-// path: instead of fixing each worker's share up front — where a cluster of
-// hard (deep-backtrack, Aborted-prone) classes turns one shard into the
-// campaign's straggler — workers lease chunks on demand. Chunk sizes decay
-// geometrically with the remaining load (guided self-scheduling): large
-// chunks early keep lease traffic and lock contention negligible, small
-// chunks at the tail stop a single lease from hiding the last hard classes
-// from idle workers, and once the shared pool runs dry an idle worker steals
-// the unstarted half of the most loaded lease. The queue is also prunable in
-// flight: fault dropping and the learning screen remove classes that no
-// longer need a search, wherever they sit (shared pool or an unstarted
-// lease).
+// Every atpg.GenerateAll run drains one Queue over its ordered class list.
+// Instead of fixing each worker's share up front — where a cluster of hard
+// (deep-backtrack, Aborted-prone) classes turns one share into the run's
+// straggler — workers lease chunks on demand. Chunk sizes decay
+// geometrically with the remaining load (guided self-scheduling;
+// Polychronopoulos & Kuck, IEEE Trans. Computers 1987): large chunks early
+// keep lease traffic and lock contention negligible, small chunks at the
+// tail stop a single lease from hiding the last hard classes from idle
+// workers, and once the shared pool runs dry an idle worker steals the
+// unstarted half of the most loaded lease. A lone worker has nobody to
+// steal from, so it takes the classes strictly in enqueue order, whatever
+// the chunk size. The queue is also prunable in flight: fault dropping and
+// the learning screen remove classes that no longer need a search, wherever
+// they sit (shared pool or an unstarted lease).
 //
-// A lease is the unit the planned distributed-worker protocol reuses: a
-// chunk handed to a worker is exactly the shard spec a remote worker would
-// lease over the wire, and Release — returning the unstarted remainder of a
-// lease to the shared pool — is the re-plan step for a worker that churns.
-// fault.PlanShards remains the deterministic partition for flows that need a
-// reproducible static plan (journal compatibility, cross-process shard
-// agreement without coordination); see that package's doc for the selection
-// rule.
+// A lease is the unit a distributed-worker protocol would reuse: a chunk
+// handed to a worker is exactly the work spec a remote worker would lease
+// over the wire, and Release — returning the unstarted remainder of a lease
+// to the shared pool — is the re-plan step for a worker that churns.
 //
 // Verdict soundness is untouched by scheduling: Detected and Untestable are
 // complete proofs, so any dequeue order yields the same terminal statuses.
 // Only Aborted verdicts are order-sensitive (a pattern generated earlier may
-// drop a class another order would have searched to the backtrack limit),
-// exactly as with static shard plans.
+// drop a class another order would have searched to the backtrack limit).
 package sched
 
 import (
@@ -38,24 +35,6 @@ import (
 	"olfui/internal/fault"
 	"olfui/internal/obs"
 )
-
-// Source is the class-source contract atpg.GenerateAll drains when its
-// Options.Source hook is set: a concurrency-safe supplier of collapsed-class
-// representatives. Both the work-stealing Queue and the strict-order static
-// fallback (NewStatic) implement it; a future remote lease feed would too.
-type Source interface {
-	// Next hands worker w its next class representative; ok is false when
-	// the source is drained for good (no class will ever be returned again).
-	Next(w int) (fid fault.FID, ok bool)
-	// Remove prunes a class that no longer needs a search (dropped by fault
-	// simulation, screened by learning, resolved by another provider). It
-	// returns false when the class was already handed out or removed.
-	Remove(fid fault.FID) bool
-	// Release abandons worker w's outstanding lease, returning its unstarted
-	// classes to the shared pool — the in-process analogue of a distributed
-	// worker churning mid-lease. Safe to call for a worker holding nothing.
-	Release(w int)
-}
 
 // Per-class lifecycle inside a Queue.
 const (
@@ -78,7 +57,7 @@ type Options struct {
 	// Decay scales the geometric chunk decay: a lease takes
 	// remaining/(Decay*Workers) classes, so consecutive leases shrink
 	// geometrically as the queue drains. <1 is treated as the default 2
-	// (each worker's first lease takes half its static share).
+	// (each worker's first lease takes half its even share).
 	Decay int
 	// Metrics, when non-nil, receives the queue's instrumentation:
 	// "sched.chunks" (leases taken), "sched.steals", "sched.requeues"
@@ -89,16 +68,12 @@ type Options struct {
 }
 
 // Queue is the chunked, lease-based work-stealing class queue. Build one
-// with NewQueue (or NewStatic for the strict-order fallback); every method
-// is safe for concurrent use.
+// with NewQueue; every method is safe for concurrent use.
 type Queue struct {
 	mu       sync.Mutex
 	workers  int
 	minChunk int
 	decay    int
-	// static disables chunking and stealing: Next pops single classes in
-	// exactly the enqueued order, reproducing the legacy dispatch loop.
-	static bool
 
 	// pending is the shared pool in enqueue order; entries before head are
 	// spent, entries at or after it are leased lazily (removed classes are
@@ -149,16 +124,6 @@ func NewQueue(classes []fault.FID, opts Options) *Queue {
 	return q
 }
 
-// NewStatic builds the deterministic fallback source: single-class leases in
-// exactly the given order, no stealing, no instrumentation — the dispatch
-// discipline of the pre-scheduler GenerateAll, kept as one implementation so
-// the two paths cannot drift.
-func NewStatic(classes []fault.FID) *Queue {
-	q := NewQueue(classes, Options{})
-	q.static = true
-	return q
-}
-
 // Live returns the number of classes not yet handed out or removed.
 func (q *Queue) Live() int {
 	q.mu.Lock()
@@ -178,9 +143,6 @@ func (q *Queue) grow(w int) {
 
 // chunkSize picks the next lease size under the geometric decay policy.
 func (q *Queue) chunkSize() int {
-	if q.static {
-		return 1
-	}
 	c := q.live / (q.decay * q.workers)
 	if c < q.minChunk {
 		c = q.minChunk
@@ -188,7 +150,10 @@ func (q *Queue) chunkSize() int {
 	return c
 }
 
-// Next implements Source.
+// Next hands worker w its next class: the front of its own lease, else a
+// fresh chunk from the shared pool, else half of another worker's unstarted
+// lease. ok is false once the queue is drained for good (no class will ever
+// be returned again).
 func (q *Queue) Next(w int) (fault.FID, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -227,9 +192,6 @@ func (q *Queue) Next(w int) (fault.FID, bool) {
 		// workers' unstarted leases. Steal the tail half of the most loaded
 		// one so the queue's last hard classes spread instead of queueing
 		// behind one straggler.
-		if q.static {
-			return 0, false
-		}
 		victim, most := -1, 0
 		for v := range q.lease {
 			if v == w {
@@ -279,7 +241,9 @@ func (q *Queue) hand(fid fault.FID) (fault.FID, bool) {
 	return fid, true
 }
 
-// Remove implements Source.
+// Remove prunes a class that no longer needs a search (dropped by fault
+// simulation, screened by learning). It returns false when the class was
+// already handed out or removed.
 func (q *Queue) Remove(fid fault.FID) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -293,7 +257,9 @@ func (q *Queue) Remove(fid fault.FID) bool {
 	return true
 }
 
-// Release implements Source.
+// Release abandons worker w's outstanding lease, returning its unstarted
+// classes to the shared pool — the in-process analogue of a distributed
+// worker churning mid-lease. Safe to call for a worker holding nothing.
 func (q *Queue) Release(w int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -313,5 +279,3 @@ func (q *Queue) Release(w int) {
 		q.mRequeues.Add(requeued)
 	}
 }
-
-var _ Source = (*Queue)(nil)

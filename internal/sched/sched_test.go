@@ -26,12 +26,12 @@ func seq(n int) []fault.FID {
 	return out
 }
 
-// TestStaticFIFOOrder pins the fallback contract: NewStatic hands out single
-// classes in exactly the enqueued order — the legacy dispatch discipline
-// GenerateAll's deterministic single-worker runs rely on.
+// TestStaticFIFOOrder pins the single-worker contract: a one-worker queue
+// hands out classes in exactly the enqueued order, whatever its chunk size —
+// the static order GenerateAll's deterministic single-worker runs rely on.
 func TestStaticFIFOOrder(t *testing.T) {
 	in := fids(7, 3, 11, 0, 5)
-	q := NewStatic(in)
+	q := NewQueue(in, Options{Workers: 1})
 	for i, want := range in {
 		got, ok := q.Next(0)
 		if !ok || got != want {
