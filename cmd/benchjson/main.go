@@ -16,10 +16,12 @@
 //	    recorded a campaign, not just that a file exists.
 //
 //	benchjson -compare old.json new.json -max-regress 25
-//	    compares two benchjson captures: every benchmark present in the
-//	    baseline must be present in the new capture, and its ns/op must not
-//	    regress by more than -max-regress percent. Improvements and
-//	    in-budget drifts print as a table; any violation exits non-zero.
+//	    compares two benchjson captures: every benchmark of the baseline that
+//	    is present in the new capture must not regress its ns/op by more than
+//	    -max-regress percent. Improvements and in-budget drifts print as a
+//	    table; a baseline benchmark missing from the new capture warns by
+//	    name. Any regression, or a new capture holding none of the
+//	    baseline's benchmarks, exits non-zero.
 package main
 
 import (
@@ -180,7 +182,10 @@ func loadResults(path string) ([]Result, error) {
 // capture is reported as a named warning but does not fail the comparison:
 // benchmarks are renamed and retired as the suite evolves, and holding the
 // regression gate hostage to a stale baseline name forced every rename to
-// land with a regenerated baseline in the same change.
+// land with a regenerated baseline in the same change. A capture that holds
+// none of the baseline's benchmarks fails, though: the gate then compared
+// nothing, which is what a name mismatch such as go test's "-N" GOMAXPROCS
+// suffix on every benchmark looks like.
 func compareBench(oldPath, newPath string, maxPct float64) error {
 	oldRes, err := loadResults(oldPath)
 	if err != nil {
@@ -217,6 +222,10 @@ func compareBench(oldPath, newPath string, maxPct float64) error {
 	}
 	if bad > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed (budget %.1f%%)", bad, maxPct)
+	}
+	if missing == len(oldRes) {
+		return fmt.Errorf("%s holds none of the %d benchmark(s) of %s; nothing was compared",
+			newPath, len(oldRes), oldPath)
 	}
 	if missing > 0 {
 		fmt.Printf("benchjson: %d benchmark(s) within %.1f%% of %s, %d missing (warned above)\n",

@@ -47,8 +47,9 @@ func writeCapture(t *testing.T, name, content string) string {
 }
 
 // TestCompareBench pins the regression gate: within-budget drift passes,
-// over-budget regressions fail, and benchmarks missing from the new capture
-// warn by name without failing.
+// over-budget regressions fail, benchmarks missing from the new capture warn
+// by name without failing, and a capture missing every baseline benchmark
+// fails.
 func TestCompareBench(t *testing.T) {
 	old := writeCapture(t, "old.json", `[
 	  {"name": "BenchmarkA", "iterations": 1, "ns_per_op": 1000},
@@ -94,6 +95,16 @@ func TestCompareBench(t *testing.T) {
 	]`)
 	if err := compareBench(old, missingPlusRegressed, 25); err == nil {
 		t.Error("regression alongside a missing benchmark: want error")
+	}
+
+	// A capture in which every baseline benchmark is missing compared
+	// nothing, e.g. names carrying go test's -N GOMAXPROCS suffix: it fails.
+	suffixed := writeCapture(t, "suffixed.json", `[
+	  {"name": "BenchmarkA-2", "iterations": 1, "ns_per_op": 1000},
+	  {"name": "BenchmarkB-2", "iterations": 1, "ns_per_op": 2000}
+	]`)
+	if err := compareBench(old, suffixed, 25); err == nil {
+		t.Error("no baseline benchmark in the new capture: want error")
 	}
 
 	empty := writeCapture(t, "empty.json", `[]`)

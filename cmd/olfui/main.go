@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -313,31 +314,68 @@ func crossCheck(r *flow.Report, u *fault.Universe) error {
 	// The baseline pattern set must detect what the baseline claims, and
 	// none of the faults it proved untestable. A resumed baseline has no
 	// pattern set to grade — the patterns died with the interrupted process,
-	// only the verdicts were journaled — so the simulation check is skipped.
-	for _, name := range r.Resumed {
-		if name == "full-scan" {
-			fmt.Println("  cross-check: baseline restored from journal; pattern-set simulation skipped")
-			return nil
+	// only the verdicts were journaled — so its simulation check is skipped.
+	if slices.Contains(r.Resumed, "full-scan") {
+		fmt.Println("  cross-check: baseline restored from journal; pattern-set simulation skipped")
+	} else {
+		grader, err := sim.NewGrader(r.N, u)
+		if err != nil {
+			return err
+		}
+		det, unt, err := gradeTestSet("cross-check: pattern set", grader, r.Baseline, true)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  cross-check: %d detections and %d untestability verdicts confirmed by fault simulation\n",
+			det, unt)
+	}
+	// Each fresh scenario's test set, graded on the scenario's clone at its
+	// own observation points and through its multi-frame site map, must
+	// likewise back its verdicts. A swept scenario's converged test set is
+	// the capped replay pool, which need not cover every Detected verdict,
+	// so only its Untestable half is checked.
+	for _, sr := range r.Scenarios {
+		label := fmt.Sprintf("cross-check %q", sr.Scenario.Name)
+		if sr.Restored {
+			fmt.Printf("  %s: skipped (restored from journal)\n", label)
+			continue
+		}
+		grader, err := sim.NewGraderSites(sr.Clone, sr.Universe, sr.Obs, sr.Sites)
+		if err != nil {
+			return err
+		}
+		det, unt, err := gradeTestSet(label+": test set", grader, sr.Outcome, sr.Sweep == nil)
+		if err != nil {
+			return err
+		}
+		if sr.Sweep != nil {
+			fmt.Printf("  %s: %d untestability verdicts confirmed by fault simulation (swept; detections not checked)\n",
+				label, unt)
+			continue
+		}
+		fmt.Printf("  %s: %d detections and %d untestability verdicts confirmed by fault simulation\n",
+			label, det, unt)
+	}
+	return nil
+}
+
+// gradeTestSet re-grades out's test set with grader and returns how many
+// Detected and Untestable verdicts of out.Status it checked: the set must
+// detect none of the Untestable faults and, when withDetected is set, every
+// Detected one (otherwise the Detected count is 0). Errors start with label.
+func gradeTestSet(label string, grader *sim.Grader, out *atpg.Outcome, withDetected bool) (int, int, error) {
+	var det []fault.FID
+	if withDetected {
+		det = out.Status.FaultsWith(fault.Detected)
+		if got := grader.Grade(out.Patterns, out.States, det).Count(); got != len(det) {
+			return 0, 0, fmt.Errorf("%s detects %d/%d detected-classified faults", label, got, len(det))
 		}
 	}
-	det := r.Baseline.Status.FaultsWith(fault.Detected)
-	grader, err := sim.NewGrader(r.N, u)
-	if err != nil {
-		return err
+	unt := out.Status.FaultsWith(fault.Untestable)
+	if got := grader.Grade(out.Patterns, out.States, unt).Count(); got != 0 {
+		return 0, 0, fmt.Errorf("%s detects %d untestable-classified faults", label, got)
 	}
-	simDet := grader.Grade(r.Baseline.Patterns, r.Baseline.States, det)
-	if simDet.Count() != len(det) {
-		return fmt.Errorf("cross-check: pattern set detects %d/%d detected-classified faults",
-			simDet.Count(), len(det))
-	}
-	unt := r.Baseline.Status.FaultsWith(fault.Untestable)
-	simUnt := grader.Grade(r.Baseline.Patterns, r.Baseline.States, unt)
-	if simUnt.Count() != 0 {
-		return fmt.Errorf("cross-check: pattern set detects %d untestable-classified faults", simUnt.Count())
-	}
-	fmt.Printf("  cross-check: %d detections and %d untestability verdicts confirmed by fault simulation\n",
-		len(det), len(unt))
-	return nil
+	return len(det), len(unt), nil
 }
 
 // scenarioSelfchecks exhaustively re-proves every untestability verdict of

@@ -299,6 +299,26 @@ func campaignQuiet(t *testing.T, cfg config) *flow.Report {
 	return r
 }
 
+// TestCrossCheckGradesScenarioTestSets pins that the cross-check re-grades
+// every fresh scenario's test set on the scenario's own clone, not only the
+// baseline's: once a scenario's test set is emptied it no longer backs the
+// scenario's Detected verdicts, and the cross-check must fail naming it.
+func TestCrossCheckGradesScenarioTestSets(t *testing.T) {
+	r := campaignQuiet(t, config{width: 2, frames: 2})
+	if err := quiet(func() error { return crossCheck(r, r.Universe) }); err != nil {
+		t.Fatalf("fresh campaign: %v", err)
+	}
+	for _, sr := range r.Scenarios {
+		saved := *sr.Outcome
+		sr.Outcome.Patterns, sr.Outcome.States = nil, nil
+		err := quiet(func() error { return crossCheck(r, r.Universe) })
+		*sr.Outcome = saved
+		if err == nil || !strings.Contains(err.Error(), sr.Scenario.Name) {
+			t.Errorf("scenario %q with an empty test set: err = %v, want one naming it", sr.Scenario.Name, err)
+		}
+	}
+}
+
 // TestFlagValidation pins the up-front flag rejections: each inconsistent
 // combination fails with a one-line error naming the flag, before any
 // transform or provider work starts.

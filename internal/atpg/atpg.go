@@ -40,9 +40,13 @@
 // controllability.
 //
 // On top of the single-fault core, GenerateAll drives the collapsed fault
-// list through a bounded worker pool with fault dropping: every generated
-// pattern is immediately fault-simulated (sim.Grader, PPSFP) so incidentally
-// detected faults never reach the deterministic engine.
+// list through a bounded worker pool with fault dropping. The engine leaves
+// every input its search did not need at X; GenerateAll completes each
+// Detected search's test (every X becomes a pseudo-random 0 or 1, seeded by
+// the class's FID) and immediately fault-simulates it (sim.Grader, PPSFP), so
+// incidentally detected faults never reach the deterministic engine. A fully
+// specified test drives every net to a definite value, so one test drops far
+// more classes than the partial assignment would.
 package atpg
 
 import (
@@ -65,7 +69,7 @@ type Verdict uint8
 const (
 	// Detected: the engine found an input assignment whose implication
 	// carries a fault effect to an observation point. Result.Pattern and
-	// Result.State hold the assignment.
+	// Result.State hold the (partial) assignment.
 	Detected Verdict = iota
 	// Untestable: the decision tree was exhausted without detection. This
 	// is a proof that no input assignment detects the fault at the
@@ -108,8 +112,10 @@ type Options struct {
 	// every class of the universe in ascending FID order. Every entry must be
 	// a representative of the universe's structural collapse; verdicts still
 	// spread to all members of the targeted classes. Campaign providers pass
-	// their classes hardest-first (SCOAP detection difficulty), so that the
-	// first patterns are the most specified and drop the most easy classes.
+	// their classes hardest-first (SCOAP detection difficulty): the hard
+	// classes are searched while the most classes are still live, and each
+	// completed test then drops easy classes that would otherwise each cost a
+	// search.
 	Classes []fault.FID
 	// Pool optionally gates every worker's per-class search on a
 	// campaign-global slot budget (sched.NewPool), capping concurrently
@@ -241,11 +247,13 @@ type Result struct {
 	// Detected and Untestable results.
 	Abort AbortReason
 	// Pattern holds the primary-input assignment (indexed like
-	// Netlist.PrimaryInputs) when Verdict == Detected; unassigned inputs
-	// stay X.
+	// Netlist.PrimaryInputs) when Verdict == Detected. It stays partial:
+	// inputs the search did not assign are X, and any completion of them
+	// detects the fault too. GenerateAll completes it before grading and
+	// emitting it (Outcome.Patterns); Generate never does.
 	Pattern sim.Pattern
 	// State holds the flip-flop pseudo-input assignment (indexed like
-	// Netlist.FlipFlops) when Verdict == Detected.
+	// Netlist.FlipFlops) when Verdict == Detected; partial like Pattern.
 	State sim.Pattern
 	// Backtracks counts the decision flips the search used.
 	Backtracks int

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"olfui/internal/dp"
@@ -259,6 +260,17 @@ func TestGenerateAllDatapath(t *testing.T) {
 		t.Errorf("redundant consensus fault: got %v, want untestable", got)
 	}
 
+	// GenerateAll completes every emitted test: no row keeps an X.
+	for i := range out.Patterns {
+		for _, row := range []sim.Pattern{out.Patterns[i], out.States[i]} {
+			for j, v := range row {
+				if !v.IsKnown() {
+					t.Fatalf("test %d keeps X at input %d: %v", i, j, row)
+				}
+			}
+		}
+	}
+
 	// Independent confirmation: the emitted test set must detect every
 	// Detected fault under PPSFP fault simulation...
 	detectedIDs := out.Status.FaultsWith(fault.Detected)
@@ -300,6 +312,54 @@ func TestGenerateAllSingleWorkerDeterministic(t *testing.T) {
 				t.Fatalf("pattern %d differs between runs", i)
 			}
 		}
+		for j := range a.States[i] {
+			if a.States[i][j] != b.States[i][j] {
+				t.Fatalf("state %d differs between runs", i)
+			}
+		}
+	}
+}
+
+// TestCompleteTest pins the completion of a Detected search's test: every
+// known entry is kept, every X becomes 0 or 1, the same FID and input rows
+// always complete to the same rows, and completing allocates nothing.
+func TestCompleteTest(t *testing.T) {
+	X, Z, O := logic.X, logic.Zero, logic.One
+	pattern := sim.Pattern{X, Z, X, O, X, X, Z, X, X, X, O, X}
+	// A state row longer than one 64-bit word exercises the stream's refill.
+	state := make(sim.Pattern, 70)
+	for i := range state {
+		state[i] = X
+	}
+	state[1], state[4] = O, Z
+	complete := func(fid fault.FID) (sim.Pattern, sim.Pattern) {
+		p, s := slices.Clone(pattern), slices.Clone(state)
+		completeTest(fid, p, s)
+		return p, s
+	}
+	p, s := complete(7)
+	for _, c := range []struct{ in, out sim.Pattern }{{pattern, p}, {state, s}} {
+		for i, v := range c.in {
+			switch {
+			case !c.out[i].IsKnown():
+				t.Fatalf("entry %d still X: %v", i, c.out)
+			case v.IsKnown() && c.out[i] != v:
+				t.Fatalf("entry %d: known %v became %v", i, v, c.out[i])
+			}
+		}
+	}
+	if p2, s2 := complete(7); !slices.Equal(p, p2) || !slices.Equal(s, s2) {
+		t.Errorf("FID 7 completed to %v %v, then to %v %v", p, s, p2, s2)
+	}
+	if p3, s3 := complete(8); slices.Equal(p, p3) && slices.Equal(s, s3) {
+		t.Errorf("FIDs 7 and 8 completed to the same rows %v %v", p, s)
+	}
+	buf := make(sim.Pattern, len(state))
+	if n := testing.AllocsPerRun(10, func() {
+		copy(buf, state)
+		completeTest(7, buf, nil)
+	}); n != 0 {
+		t.Errorf("completeTest allocates %v times per call", n)
 	}
 }
 

@@ -3,12 +3,14 @@ package atpg
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"olfui/internal/fault"
+	"olfui/internal/logic"
 	"olfui/internal/netlist"
 	"olfui/internal/sched"
 	"olfui/internal/sim"
@@ -58,7 +60,9 @@ type Outcome struct {
 	// Options.Classes set, faults of untargeted classes stay Undetected.
 	Status *fault.StatusMap
 	// Patterns and States form the emitted test set, aligned index-wise
-	// (States is all-X rows for purely combinational designs).
+	// (States rows are empty for designs without flip-flops). Every row is
+	// fully specified: GenerateAll completes each search's partial
+	// assignment (Result.Pattern) before emitting it, so no entry is X.
 	Patterns []sim.Pattern
 	States   []sim.Pattern
 }
@@ -80,6 +84,21 @@ type workItem struct {
 // tradeoff: the serial drop loop shrinks both the test set and the number of
 // deterministic searches, while the workers keep the per-fault searches
 // parallel.
+//
+// Before a worker hands a Detected result to the drop loop, it completes the
+// test (completeTest): every X the search left in Result.Pattern and
+// Result.State becomes a pseudo-random 0 or 1, drawn from a stream seeded
+// only by the class representative's FID. This is sound: ternary simulation
+// is monotone, so every completion keeps every definite value of the partial
+// assignment, the observed fault effect included, and the completed test
+// still detects its target. The filled inputs are the controllables the
+// engine searches over, and scenario constraints are structural in the
+// netlist, so a completed test is as legal as any assignment the search could
+// pick. What it buys: a partial test leaves most nets X, and the grader can
+// only drop faults whose effect shows on definite values; a completed test
+// makes every net definite, so one test drops many more classes, and fewer
+// classes reach a search. The seed makes a class's completed test the same in
+// every run and at every worker count.
 //
 // Workers pull classes rather than being dispatched to: each drains one
 // work-stealing sched.Queue built over the class list in its given order, and
@@ -294,6 +313,9 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 				}
 				mQueueWait.Add(time.Since(waitStart).Nanoseconds())
 				res := eng.Generate(u.FaultOf(fid))
+				if res.Verdict == Detected {
+					completeTest(fid, res.Pattern, res.State)
+				}
 				opts.Pool.Release()
 				busy += res.Elapsed.Nanoseconds()
 				results <- workItem{wid: wid, fid: fid, res: res}
@@ -400,4 +422,30 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	status.SpreadClasses(collapse)
 	st.Elapsed = time.Since(start)
 	return out, nil
+}
+
+// completeTest fills, in place, every X entry of a Detected search's pattern
+// and state rows with a pseudo-random 0 or 1, and keeps every known entry, so
+// the completed test is one extension of the search's partial assignment. The
+// bits come from a PCG stream seeded only by the class representative fid: a
+// class gets the same completed test in every run and at every worker count.
+// It shares no state and allocates nothing.
+func completeTest(fid fault.FID, pattern, state sim.Pattern) {
+	var rng rand.PCG
+	rng.Seed(uint64(fid), 0)
+	var word uint64
+	bits := 0
+	for _, row := range [...]sim.Pattern{pattern, state} {
+		for i, v := range row {
+			if v != logic.X {
+				continue
+			}
+			if bits == 0 {
+				word, bits = rng.Uint64(), 64
+			}
+			row[i] = logic.FromBit(word)
+			word >>= 1
+			bits--
+		}
+	}
 }

@@ -40,9 +40,9 @@ func classesIn(collapse *fault.Collapse, u *fault.Universe, cum *fault.StatusMap
 // deterministic for a given annotation pass.
 //
 // Every ATPG provider hands GenerateAll its class list in this order, and
-// spends the one degree of freedom dispatch order has on fault dropping: a
-// hard fault's test is highly specified, so grading it against the live
-// remainder drops many easy classes wholesale — easy-first order would
+// spends the one degree of freedom dispatch order has on fault dropping: hard
+// faults are searched while the live remainder is largest, and each of their
+// completed tests drops many easy classes wholesale — easy-first order would
 // search those classes instead. Reordering is sound for the campaign
 // deliverable because Detected and Untestable are order-invariant complete
 // proofs; only Aborted verdicts are search-order-sensitive.

@@ -583,6 +583,8 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 	// The converged test set is the warm-start pool — the deduplicated,
 	// capped union of every depth's patterns — lifted to the final depth's
 	// input widths so every row is one uniform stimulus for the final clone.
+	// A row is complete at the depth that emitted it and X over the inputs
+	// of every frame appended since.
 	pool.lift(len(clone.PrimaryInputs()), len(clone.FlipFlops()))
 	p.Result = &ScenarioResult{
 		Scenario: p.Scenario,
