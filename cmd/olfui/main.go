@@ -171,6 +171,10 @@ func runReport(ctx context.Context, cfg config, reg *obs.Registry) error {
 		fmt.Printf("  learning: %d facts learned, %d classes screened untestable before search\n",
 			reg.Counter("learn.facts").Load(), reg.Counter("atpg.learned_untestable").Load())
 	}
+	if pats := reg.Counter("flow.warm.patterns").Load(); pats > 0 {
+		fmt.Printf("  warm start: %d baseline tests replayed on scenario clones, %d classes dropped before search\n",
+			pats, reg.Counter("flow.warm.dropped").Load())
+	}
 	if pats := reg.Counter("flow.sweep.replay.patterns").Load(); pats > 0 {
 		fmt.Printf("  replay: %d patterns replayed across depths, %d classes dropped before search\n",
 			pats, reg.Counter("flow.sweep.replay.dropped").Load())

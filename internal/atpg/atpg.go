@@ -117,6 +117,11 @@ type Options struct {
 	// completed test then drops easy classes that would otherwise each cost a
 	// search.
 	Classes []fault.FID
+	// Replay, when non-nil, is a test set GenerateAll grades against the
+	// class list before any search dispatches (see Replay). Campaign
+	// providers replay the full-scan baseline's tests on every scenario
+	// clone, and each swept depth replays the tests of the depths before it.
+	Replay *Replay
 	// Pool optionally gates every worker's per-class search on a
 	// campaign-global slot budget (sched.NewPool), capping concurrently
 	// searching goroutines across every provider of a campaign no matter
@@ -205,6 +210,30 @@ type Options struct {
 	// the registry is cheap enough to leave always on. Nil disables all
 	// recording at the cost of one branch per record.
 	Metrics *obs.Registry
+}
+
+// Replay is a test set that GenerateAll grades against its class list before
+// the learning screen and any search, 64 rows per word, through the run's
+// drop grader. A class a word detects resolves Detected as a
+// simulation drop, and the rows of every word that detected a class join
+// the emitted test set ahead of the searches' tests; words that detect
+// nothing are left out. Grading stops once no class is left.
+//
+// Any test set is sound here, whatever netlist it was generated for: a
+// definite good-versus-faulty difference that the run's own grader sees is
+// a detection at the run's observation points and under its site map, and
+// ternary simulation is monotone, so an X in a row only costs hits. The
+// emitted set is fully specified only when the rows are.
+type Replay struct {
+	// Patterns and States are the rows, index-aligned and sized exactly to
+	// the run's netlist: one entry per primary input and per flip-flop.
+	Patterns []sim.Pattern
+	States   []sim.Pattern
+	// Hit, when non-nil, observes every word that detected a class: rows
+	// [lo, hi) and the class representatives they detected. It runs on the
+	// caller's goroutine before any worker starts; the set is reused for the
+	// next word, so Hit must not keep it.
+	Hit func(lo, hi int, detected *fault.Set)
 }
 
 // DefaultBacktrackLimit is the per-fault decision-flip budget when

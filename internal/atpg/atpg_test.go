@@ -363,6 +363,55 @@ func TestCompleteTest(t *testing.T) {
 	}
 }
 
+// TestLiftTests pins lifting a test set onto a netlist with other input
+// widths: each row keeps the entries that fit, at their positions, every
+// added or X entry becomes 0 or 1, the input rows stay untouched, the same
+// rows always lift to the same rows, and a lifted row has no spare
+// capacity, so appending to one never writes into another.
+func TestLiftTests(t *testing.T) {
+	X, Z, O := logic.X, logic.Zero, logic.One
+	pats := []sim.Pattern{{Z, O, X}, {O, O, O}}
+	states := []sim.Pattern{{O, Z}, {X, O}}
+	inPats, inStates := slices.Clone(pats), slices.Clone(states)
+	for i := range pats {
+		inPats[i], inStates[i] = slices.Clone(pats[i]), slices.Clone(states[i])
+	}
+	lp, ls := LiftTests(pats, states, 5, 1)
+	if len(lp) != len(pats) || len(ls) != len(pats) {
+		t.Fatalf("lifted %d/%d rows from %d", len(lp), len(ls), len(pats))
+	}
+	for i := range pats {
+		if !slices.Equal(pats[i], inPats[i]) || !slices.Equal(states[i], inStates[i]) {
+			t.Fatalf("row %d of the input changed", i)
+		}
+		if len(lp[i]) != 5 || cap(lp[i]) != 5 || len(ls[i]) != 1 || cap(ls[i]) != 1 {
+			t.Fatalf("row %d lifted to len/cap %d/%d and %d/%d, want 5/5 and 1/1",
+				i, len(lp[i]), cap(lp[i]), len(ls[i]), cap(ls[i]))
+		}
+		for _, c := range []struct{ in, out sim.Pattern }{{pats[i], lp[i]}, {states[i], ls[i]}} {
+			for j, v := range c.out {
+				switch {
+				case !v.IsKnown():
+					t.Fatalf("row %d entry %d still X: %v", i, j, c.out)
+				case j < len(c.in) && c.in[j].IsKnown() && v != c.in[j]:
+					t.Fatalf("row %d entry %d: known %v became %v", i, j, c.in[j], v)
+				}
+			}
+		}
+	}
+	lp2, ls2 := LiftTests(pats, states, 5, 1)
+	for i := range lp {
+		if !slices.Equal(lp[i], lp2[i]) || !slices.Equal(ls[i], ls2[i]) {
+			t.Fatalf("row %d lifted to %v %v, then to %v %v", i, lp[i], ls[i], lp2[i], ls2[i])
+		}
+	}
+	before := slices.Clone(ls[0])
+	_ = append(lp[0], X)
+	if !slices.Equal(ls[0], before) {
+		t.Fatal("appending to a lifted pattern row wrote into its state row")
+	}
+}
+
 func TestRestrictedObservables(t *testing.T) {
 	// Two cones: one ends at an unread register's D pin, one at a primary
 	// output. Restricting observation to outputs must flip the hidden

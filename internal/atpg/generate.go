@@ -42,6 +42,13 @@ type Stats struct {
 	Implications int
 	GateEvals    int
 	Elapsed      time.Duration
+
+	// Replayed counts the classes the Options.Replay test set detected
+	// before any search (a subset of SimDropped), ReplayPatterns the rows it
+	// graded and ReplayElapsed the time that grading took.
+	Replayed       int
+	ReplayPatterns int
+	ReplayElapsed  time.Duration
 }
 
 // String renders a compact one-line summary.
@@ -62,7 +69,8 @@ type Outcome struct {
 	// Patterns and States form the emitted test set, aligned index-wise
 	// (States rows are empty for designs without flip-flops). Every row is
 	// fully specified: GenerateAll completes each search's partial
-	// assignment (Result.Pattern) before emitting it, so no entry is X.
+	// assignment (Result.Pattern) before emitting it, so no entry is X,
+	// unless Options.Replay contributed rows that hold X.
 	Patterns []sim.Pattern
 	States   []sim.Pattern
 }
@@ -100,13 +108,19 @@ type workItem struct {
 // classes reach a search. The seed makes a class's completed test the same in
 // every run and at every worker count.
 //
+// With Options.Replay set, the drop grader first grades that test set
+// against the class list, before the learning screen and before any worker
+// starts: its hits resolve as simulation drops, and the words that dropped a
+// class lead the emitted test set (see Replay).
+//
 // Workers pull classes rather than being dispatched to: each drains one
 // work-stealing sched.Queue built over the class list in its given order, and
 // a per-worker ack keeps a worker from taking its next class until the
 // coordinator has graded its previous pattern — so fault dropping sees every
 // pattern before more search work starts. A single worker takes the classes
 // strictly in list order, so a one-worker run is fully deterministic.
-// Dropped and learning-screened classes are pruned from the queue in flight.
+// Classes the replay or the learning screen resolves never enter the queue,
+// and classes a search's test drops are pruned from it in flight.
 //
 // Cancelling ctx stops the run promptly — in-flight searches poll a shared
 // flag once per decision step — and returns ctx.Err() after every worker has
@@ -139,6 +153,19 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 			}
 			if collapse.Rep(fid) != fid {
 				return nil, fmt.Errorf("atpg: class %d is not a collapse representative", fid)
+			}
+		}
+	}
+	if rp := opts.Replay; rp != nil {
+		if len(rp.States) != len(rp.Patterns) {
+			return nil, fmt.Errorf("atpg: replay holds %d pattern rows and %d state rows",
+				len(rp.Patterns), len(rp.States))
+		}
+		npis, nffs := len(n.PrimaryInputs()), len(n.FlipFlops())
+		for i, p := range rp.Patterns {
+			if len(p) != npis || len(rp.States[i]) != nffs {
+				return nil, fmt.Errorf("atpg: replay row %d sets %d inputs and %d flip-flops, the netlist has %d and %d",
+					i, len(p), len(rp.States[i]), npis, nffs)
 			}
 		}
 	}
@@ -190,11 +217,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 			return nil, err
 		}
 	}
-	// src is the lease queue workers drain. It shares the run's registry, so
-	// sched.* counters and the queue-depth gauge aggregate across every run
-	// of a campaign.
-	src := sched.NewQueue(reps, sched.Options{Workers: workers, Metrics: opts.Metrics})
-
 	out := &Outcome{Status: status}
 	st := &out.Stats
 	st.Faults = u.NumFaults()
@@ -233,10 +255,17 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		}
 	}
 
+	// src is the lease queue workers drain, built once the replay and the
+	// screen below have resolved what they can. It shares the run's
+	// registry, so sched.* counters and the queue-depth gauge aggregate
+	// across every run of a campaign.
+	var src *sched.Queue
 	unlive := func(fid fault.FID) {
 		// A resolved class needs no search: prune it from the queue too,
 		// wherever it sits (no-op when already handed to a worker).
-		src.Remove(fid)
+		if src != nil {
+			src.Remove(fid)
+		}
 		i := livePos[fid]
 		if i < 0 {
 			return
@@ -249,16 +278,69 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		livePos[fid] = -1
 	}
 
+	// drop grades rows against the live classes and resolves every hit as a
+	// simulation-dropped Detected class, Aborted ones included: a later
+	// pattern may well cover a fault the search gave up on. dropped holds the
+	// hits afterwards.
+	dropped := fault.NewSet(u)
+	drop := func(patterns, states []sim.Pattern) {
+		mDropGraded.Add(int64(len(live)))
+		gradeStart := time.Now()
+		dropped.Clear()
+		grader.GradeInto(dropped, patterns, states, live)
+		mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
+		mDropHits.Add(int64(dropped.Count()))
+		dropped.ForEach(func(fid fault.FID) {
+			if status.Get(fid) == fault.Aborted {
+				st.Aborted--
+				mAborted.Add(-1)
+			}
+			status.Set(fid, fault.Detected)
+			st.Detected++
+			st.SimDropped++
+			mDetected.Inc()
+			mSimDropped.Inc()
+			unlive(fid)
+			commit(fid, Detected)
+		})
+	}
+
+	// Replay: the given test set is graded word by word before any worker
+	// starts, so the classes it detects never reach a search (see Replay).
+	if rp := opts.Replay; rp != nil {
+		replayStart := time.Now()
+		for lo := 0; lo < len(rp.Patterns) && len(live) > 0; lo += logic.WordBits {
+			hi := min(lo+logic.WordBits, len(rp.Patterns))
+			st.ReplayPatterns += hi - lo
+			drop(rp.Patterns[lo:hi], rp.States[lo:hi])
+			if dropped.Count() == 0 {
+				continue
+			}
+			st.Replayed += dropped.Count()
+			out.Patterns = append(out.Patterns, rp.Patterns[lo:hi]...)
+			out.States = append(out.States, rp.States[lo:hi]...)
+			st.Patterns += hi - lo
+			mPatterns.Add(int64(hi - lo))
+			if rp.Hit != nil {
+				rp.Hit(lo, hi, dropped)
+			}
+		}
+		st.ReplayElapsed = time.Since(replayStart)
+	}
+
 	// FIRE-style screen: classes whose joint injection provably can never
 	// activate resolve Untestable in constant time — before any worker, any
-	// pattern grading, or any search sees them. The verdict is the same one
-	// the engine would prove by exhaustion (such searches close without a
-	// single decision), so screening is invisible to everything downstream
-	// except the work saved; spreading over the collapse at the end applies
-	// to screened classes exactly as to searched ones.
+	// search-generated pattern or any search sees them. The verdict is the
+	// same one the engine would prove by exhaustion (such searches close
+	// without a single decision), so screening is invisible to everything
+	// downstream except the work saved; spreading over the collapse at the
+	// end applies to screened classes exactly as to searched ones. A replay
+	// cannot detect a screened class, and the grader's own activation screen
+	// skips it, so the replay goes first and the screen only expands the
+	// classes the replay left.
 	if learn != nil {
 		for _, fid := range reps {
-			if !learn.ScreenInjection(opts.Sites.Expand(u.FaultOf(fid))) {
+			if livePos[fid] < 0 || !learn.ScreenInjection(opts.Sites.Expand(u.FaultOf(fid))) {
 				continue
 			}
 			status.Set(fid, fault.Untestable)
@@ -271,12 +353,24 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		}
 	}
 
+	// The queue holds the classes left live, in list order.
+	queued := reps
+	if len(live) < len(reps) {
+		queued = make([]fault.FID, 0, len(live))
+		for _, fid := range reps {
+			if livePos[fid] >= 0 {
+				queued = append(queued, fid)
+			}
+		}
+	}
+	src = sched.NewQueue(queued, sched.Options{Workers: workers, Metrics: opts.Metrics})
+
 	// Workers pull classes from src, gated per search by the (possibly nil,
 	// then ungated) campaign worker pool. The per-worker ack keeps each
 	// worker to one unprocessed result: it takes its next class only after
 	// the coordinator graded its previous pattern, so dropping prunes the
 	// queue before more search work starts. Spawning is skipped entirely
-	// when the screen resolved every class.
+	// when the replay and the screen resolved every class.
 	var cancelFlag atomic.Bool
 	numWorkers := workers
 	if numWorkers > len(live) {
@@ -329,9 +423,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	}()
 
 	// The coordinator owns the status map: it fault-simulates each
-	// generated pattern, drops hits, and acks the producing worker. One set
-	// collects every pattern's hits.
-	dropped := fault.NewSet(u)
+	// generated pattern, drops hits, and acks the producing worker.
 	done := ctx.Done()
 	for {
 		var w workItem
@@ -375,26 +467,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 				out.States = append(out.States, w.res.State)
 				st.Patterns++
 				mPatterns.Inc()
-				mDropGraded.Add(int64(len(live)))
-				gradeStart := time.Now()
-				dropped.Clear()
-				grader.GradeInto(dropped,
-					[]sim.Pattern{w.res.Pattern}, []sim.Pattern{w.res.State}, live)
-				mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
-				mDropHits.Add(int64(dropped.Count()))
-				dropped.ForEach(func(fid fault.FID) {
-					if status.Get(fid) == fault.Aborted {
-						st.Aborted--
-						mAborted.Add(-1)
-					}
-					status.Set(fid, fault.Detected)
-					st.Detected++
-					st.SimDropped++
-					mDetected.Inc()
-					mSimDropped.Inc()
-					unlive(fid)
-					commit(fid, Detected)
-				})
+				drop([]sim.Pattern{w.res.Pattern}, []sim.Pattern{w.res.State})
 			case Untestable:
 				status.Set(w.fid, fault.Untestable)
 				st.Untestable++
@@ -448,4 +521,32 @@ func completeTest(fid fault.FID, pattern, state sim.Pattern) {
 			bits--
 		}
 	}
+}
+
+// LiftTests returns fresh, fully specified copies of a test set, sized for a
+// netlist with npis primary inputs and nffs flip-flops. Row i keeps the
+// leading entries of patterns[i] and states[i] that fit the new widths, and
+// every entry it adds, or that was X, becomes a pseudo-random 0 or 1 drawn
+// as completeTest draws a class's fill, from the stream seeded by i. Entries
+// keep their positions: a constrained clone keeps every original input and
+// flip-flop at its index and only appends, and an unrolled clone has no
+// flip-flops left. The input rows are only read, so several providers may
+// lift one shared test set at once. Each returned row has no spare capacity,
+// so appending to it never writes into another row.
+func LiftTests(patterns, states []sim.Pattern, npis, nffs int) ([]sim.Pattern, []sim.Pattern) {
+	w := npis + nffs
+	buf := make([]logic.V, len(patterns)*w)
+	for i := range buf {
+		buf[i] = logic.X
+	}
+	lp := make([]sim.Pattern, len(patterns))
+	ls := make([]sim.Pattern, len(patterns))
+	for i := range patterns {
+		row := buf[i*w : (i+1)*w : (i+1)*w]
+		lp[i], ls[i] = sim.Pattern(row[:npis:npis]), sim.Pattern(row[npis:])
+		copy(lp[i], patterns[i])
+		copy(ls[i], states[i])
+		completeTest(fault.FID(i), lp[i], ls[i])
+	}
+	return lp, ls
 }

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"olfui/internal/fault"
+	"olfui/internal/logic"
 	"olfui/internal/netlist"
+	"olfui/internal/sim"
 	"olfui/internal/testutil"
 )
 
@@ -204,4 +207,69 @@ func TestGenerateAllProgressMatchesOutcome(t *testing.T) {
 			t.Fatalf("rep %d: streamed %v, outcome %v", id, got, want)
 		}
 	}
+}
+
+// TestGenerateAllReplay pins Options.Replay. Replaying a run's own test set
+// classifies every class as that run did, resolves every Detected class as
+// a simulation drop before any search, emits only rows of the replayed set,
+// and that emitted set still detects every Detected class. Mis-sized rows
+// are rejected before any worker spawns.
+func TestGenerateAllReplay(t *testing.T) {
+	n := benchCircuit(t)
+	u := fault.NewUniverse(n)
+	first, err := GenerateAll(context.Background(), n, u, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := 0
+	second, err := GenerateAll(context.Background(), n, u, Options{Workers: 1, Replay: &Replay{
+		Patterns: first.Patterns,
+		States:   first.States,
+		Hit:      func(_, _ int, detected *fault.Set) { hits += detected.Count() },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < u.NumFaults(); id++ {
+		if got, want := second.Status.Get(fault.FID(id)), first.Status.Get(fault.FID(id)); got != want {
+			t.Fatalf("fault %d: %v with the replay, %v without", id, got, want)
+		}
+	}
+	st := second.Stats
+	if st.Detected == 0 || st.Replayed != st.Detected || st.SimDropped != st.Detected || hits != st.Replayed {
+		t.Fatalf("replay resolved %d classes (hook saw %d), %d sim-dropped, of %d Detected",
+			st.Replayed, hits, st.SimDropped, st.Detected)
+	}
+	// The replayed set fits one word, which detects every Detected class, so
+	// it is graded once and emitted whole, and no search adds a test.
+	if len(first.Patterns) > logic.WordBits {
+		t.Fatalf("%d tests span more than one word", len(first.Patterns))
+	}
+	if st.ReplayPatterns != len(first.Patterns) || len(second.Patterns) != len(first.Patterns) {
+		t.Fatalf("graded %d of %d replayed rows and emitted %d", st.ReplayPatterns, len(first.Patterns), len(second.Patterns))
+	}
+	for i, p := range second.Patterns {
+		if !slices.Equal(p, first.Patterns[i]) || !slices.Equal(second.States[i], first.States[i]) {
+			t.Fatalf("emitted row %d is not replayed row %d", i, i)
+		}
+	}
+	grader, err := sim.NewGrader(n, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := second.Status.FaultsWith(fault.Detected)
+	if got := grader.Grade(second.Patterns, second.States, det).Count(); got != len(det) {
+		t.Fatalf("emitted test set detects %d of %d Detected faults", got, len(det))
+	}
+
+	base := runtime.NumGoroutine()
+	for name, rp := range map[string]*Replay{
+		"short row":          {Patterns: []sim.Pattern{first.Patterns[0][:1]}, States: first.States[:1]},
+		"missing state rows": {Patterns: first.Patterns},
+	} {
+		if _, err := GenerateAll(context.Background(), n, u, Options{Replay: rp}); err == nil {
+			t.Errorf("%s: want error", name)
+		}
+	}
+	waitGoroutines(t, base)
 }

@@ -56,8 +56,9 @@ type Env struct {
 	// ATPG configures the provider's engines. Workers arrives as the FULL
 	// campaign budget — the shared Pool, pre-filled into ATPG.Pool, caps how
 	// many of those workers actually search at once across all providers.
-	// ObsPoints, Classes and Sites arrive nil — providers select their own
-	// observation points, ordered class list and injection site map.
+	// ObsPoints, Classes, Sites and Replay arrive nil — providers select
+	// their own observation points, ordered class list, injection site map
+	// and replayed test set.
 	// Metrics is pre-filled with the campaign registry.
 	ATPG atpg.Options
 	// Metrics is the campaign telemetry registry (nil when the campaign runs
@@ -86,6 +87,15 @@ type Provider interface {
 	Name() string
 	Channel() Channel
 	Run(ctx context.Context, env Env, emit EmitFn) error
+}
+
+// releaser is implemented by a provider that other providers of the same
+// campaign wait on: the full-scan baseline, whose tests warm-start the
+// scenarios. The campaign calls release once the provider can hand over
+// nothing more — after its Run returns, or after the journal let it skip —
+// so no provider waits on one that was restored, failed or was cancelled.
+type releaser interface {
+	release()
 }
 
 // Event is one per-provider progress notification, delivered serially from
@@ -126,8 +136,9 @@ func (e Event) ErrString() string {
 type CampaignOptions struct {
 	// ATPG is the engine configuration template. The options a campaign
 	// owns must be left nil: providers select observation, classes, site
-	// maps, annotations, learning caches and graders per netlist, and the
-	// campaign installs its own progress callback, registry and worker pool.
+	// maps, annotations, learning caches, graders and replayed test sets
+	// per netlist, and the campaign installs its own progress callback,
+	// registry and worker pool.
 	ATPG atpg.Options
 	// Workers is the TOTAL campaign worker budget: the maximum number of
 	// concurrently searching engine workers across every provider. Every
@@ -327,6 +338,9 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 	pool := sched.NewPool(total, reg)
 	runOne := func(pi int) {
 		p := c.providers[pi]
+		if r, ok := p.(releaser); ok {
+			defer r.release()
+		}
 		if js != nil {
 			if n, ok := js.skip[p.Name()]; ok {
 				// The journal proves this provider finished in a previous
@@ -453,11 +467,11 @@ func (c *Campaign) total() int {
 
 // checkEngineOptions rejects the engine options a campaign owns, naming the
 // caller's options type (typ) in the error. Providers select observation,
-// classes, site maps, annotations, learning caches and graders per netlist —
-// a scenario's clone differs from the original, so a campaign-level value
-// would index the wrong netlist — and the campaign installs its own progress
-// callback, registry and worker pool, which would silently overwrite a
-// caller-set one.
+// classes, site maps, annotations, learning caches, graders and replayed test
+// sets per netlist — a scenario's clone differs from the original, so a
+// campaign-level value would index the wrong netlist — and the campaign
+// installs its own progress callback, registry and worker pool, which would
+// silently overwrite a caller-set one.
 func checkEngineOptions(typ string, o atpg.Options) error {
 	for _, f := range []struct {
 		name string
@@ -470,6 +484,7 @@ func checkEngineOptions(typ string, o atpg.Options) error {
 		{"Annotations", o.Annotations != nil, "providers annotate their own netlists"},
 		{"Learn", o.Learn != nil, "providers build their own learning caches (NoLearn disables)"},
 		{"Grader", o.Grader != nil, "providers build their own graders"},
+		{"Replay", o.Replay != nil, "scenario providers replay the baseline's tests"},
 		{"Progress", o.Progress != nil, "use " + typ + ".Progress for campaign events"},
 		{"Metrics", o.Metrics != nil, "use " + typ + ".Metrics for campaign telemetry"},
 		{"Pool", o.Pool != nil, "use " + typ + ".Workers for the campaign budget"},

@@ -7,12 +7,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"olfui/internal/atpg"
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
+	"olfui/internal/obs"
 	"olfui/internal/sim"
 	"olfui/internal/testutil"
 )
@@ -147,6 +149,100 @@ func TestCampaignCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled: err = %v", err)
 	}
 	waitGoroutines(t, base)
+
+	// The scenarios wait for the baseline's tests, so a campaign cancelled,
+	// or failed, while the baseline still runs must release them too. With
+	// more classes than one delta holds, the baseline's first delta merges
+	// from inside its search run.
+	big := testutil.RandomNetlist(4, testutil.RandOpts{Inputs: 8, Gates: 200, FFs: 8, Outputs: 4})
+	bu := fault.NewUniverse(big)
+	if n := len(classesIn(fault.NewCollapse(bu), bu, nil)); n <= deltaChunk {
+		t.Fatalf("%d baseline classes fit one delta; the baseline would finish before its first merge", n)
+	}
+	waiting := []Scenario{
+		{Name: "online-obs", Observe: constraint.ObserveOutputs},
+		reachScenario(2),
+	}
+	cctx, ccancel := context.WithCancel(context.Background())
+	defer ccancel()
+	reg := obs.New()
+	err = finishesWithin(t, time.Minute, func() error {
+		_, err := RunCampaign(cctx, big, bu, waiting, Options{
+			MaxFrames: 3,
+			Metrics:   reg,
+			Progress: func(e Event) {
+				if e.Provider == "full-scan" && !e.Done {
+					ccancel()
+				}
+			},
+		})
+		return err
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled during the baseline: err = %v, want context.Canceled", err)
+	}
+	if got := reg.Snapshot().Counter("flow.warm.patterns"); got != 0 {
+		t.Fatalf("a baseline cancelled mid-run handed over tests: %d replayed", got)
+	}
+	waitGoroutines(t, base)
+
+	// A provider failing while the baseline runs winds the campaign down.
+	tests := newBaselineTests()
+	c := NewCampaign(big, bu, CampaignOptions{})
+	trigger := make(chan struct{})
+	var fire sync.Once
+	c.opts.Progress = func(e Event) {
+		if e.Provider == "full-scan" && !e.Done {
+			fire.Do(func() { close(trigger) })
+		}
+	}
+	if err := c.Add(
+		&BaselineProvider{tests: tests},
+		&ScenarioProvider{Scenario: waiting[0], baseline: tests},
+		&SweepProvider{Scenario: waiting[1], MaxFrames: 3, baseline: tests},
+		failOn{trigger},
+	); err != nil {
+		t.Fatal(err)
+	}
+	err = finishesWithin(t, time.Minute, func() error {
+		_, err := c.Run(context.Background())
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), errInjected.Error()) {
+		t.Fatalf("failed during the baseline: err = %v, want the injected failure", err)
+	}
+	waitGoroutines(t, base)
+}
+
+var errInjected = errors.New("injected failure")
+
+// failOn is a provider that fails once trigger closes.
+type failOn struct{ trigger <-chan struct{} }
+
+func (failOn) Name() string     { return "fail-on" }
+func (failOn) Channel() Channel { return ChannelMission }
+func (f failOn) Run(ctx context.Context, _ Env, _ EmitFn) error {
+	select {
+	case <-f.trigger:
+		return errInjected
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// finishesWithin runs fn and fails the test when fn has not returned within
+// d, instead of letting a blocked provider hang the campaign.
+func finishesWithin(t *testing.T, d time.Duration, fn func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- fn() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("campaign still running after %v: a provider is blocked", d)
+		return nil
+	}
 }
 
 // conflictCircuit: i0 -> buf -> DFF -> output. Under single-cycle output

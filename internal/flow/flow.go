@@ -219,7 +219,12 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 		Metrics:  opts.Metrics,
 		Journal:  opts.Journal,
 	})
-	base := &BaselineProvider{}
+	// Every ATPG scenario replays the baseline's emitted tests on its clone
+	// before its first search: a scenario's constraints are gates in its
+	// clone, so any assignment to the clone's inputs is a legal mission
+	// input, and a detection its own grader sees is a true one there.
+	tests := newBaselineTests()
+	base := &BaselineProvider{tests: tests}
 	if err := c.Add(base); err != nil {
 		return nil, err
 	}
@@ -235,7 +240,7 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 				return nil, fmt.Errorf("flow: scenario %q starts at %d frames, above MaxFrames %d",
 					sc.Name, u.Frames, opts.MaxFrames)
 			}
-			sweeps[i] = &SweepProvider{Scenario: sc, MaxFrames: opts.MaxFrames}
+			sweeps[i] = &SweepProvider{Scenario: sc, MaxFrames: opts.MaxFrames, baseline: tests}
 			if opts.SweepOnDepth != nil {
 				name := sc.Name
 				sweeps[i].OnDepth = func(d SweepDepth) error {
@@ -250,7 +255,7 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 			}
 			continue
 		}
-		scps[i] = &ScenarioProvider{Scenario: sc}
+		scps[i] = &ScenarioProvider{Scenario: sc, baseline: tests}
 		if err := c.Add(scps[i]); err != nil {
 			return nil, err
 		}

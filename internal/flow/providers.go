@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"olfui/internal/atpg"
@@ -11,6 +12,7 @@ import (
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
+	"olfui/internal/obs"
 	"olfui/internal/sim"
 )
 
@@ -115,12 +117,74 @@ func (e *emitter) statusDelta(m *fault.StatusMap) error {
 	return e.flush()
 }
 
+// baselineTests hands the full-scan baseline's emitted test set to the ATPG
+// scenario providers of one RunCampaign, which replay it on their clones
+// before any search (the warm start). The baseline publishes its Outcome as
+// soon as its run succeeds, and the campaign releases it once its Run
+// returns or the journal lets it skip, so a baseline that was restored,
+// failed or was cancelled hands over no tests and the scenarios run cold
+// instead of blocking. A nil *baselineTests hands over nothing at once.
+type baselineTests struct {
+	once  sync.Once
+	ready chan struct{}
+	out   *atpg.Outcome
+}
+
+func newBaselineTests() *baselineTests {
+	return &baselineTests{ready: make(chan struct{})}
+}
+
+// publish hands out over (nil: no tests); only the first call counts.
+func (b *baselineTests) publish(out *atpg.Outcome) {
+	if b == nil {
+		return
+	}
+	b.once.Do(func() {
+		b.out = out
+		close(b.ready)
+	})
+}
+
+// replay waits for the baseline and lifts its tests onto clone as a
+// GenerateAll replay (atpg.LiftTests: every added input and state bit
+// completed, in fresh rows, since other providers read the same rows). It
+// returns nil when the baseline handed over no tests.
+func (b *baselineTests) replay(ctx context.Context, clone *netlist.Netlist) (*atpg.Replay, error) {
+	if b == nil {
+		return nil, nil
+	}
+	select {
+	case <-b.ready:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if b.out == nil || len(b.out.Patterns) == 0 {
+		return nil, nil
+	}
+	pats, states := atpg.LiftTests(b.out.Patterns, b.out.States,
+		len(clone.PrimaryInputs()), len(clone.FlipFlops()))
+	return &atpg.Replay{Patterns: pats, States: states}, nil
+}
+
+// recordReplay counts one run's replay on the prefix+".patterns" and
+// prefix+".dropped" counters and the prefix+".grade_ns" histogram:
+// "flow.warm" for the baseline's tests, "flow.sweep.replay" for the sweep's
+// cross-depth pool.
+func recordReplay(reg *obs.Registry, prefix string, st atpg.Stats) {
+	reg.Counter(prefix + ".patterns").Add(int64(st.ReplayPatterns))
+	reg.Counter(prefix + ".dropped").Add(int64(st.Replayed))
+	reg.Histogram(prefix + ".grade_ns").Observe(st.ReplayElapsed.Nanoseconds())
+}
+
 // BaselineProvider runs full-scan ATPG over every collapsed class of the
 // original netlist and streams every verdict into the full-scan channel.
 type BaselineProvider struct {
 	// Outcome holds the full ATPG result after a successful Run: the
 	// emitted test set and stats, with Status spread over every class.
 	Outcome *atpg.Outcome
+	// tests, set by RunCampaign, hands the emitted test set to the
+	// scenario providers.
+	tests *baselineTests
 }
 
 // Name implements Provider.
@@ -151,6 +215,7 @@ func (p *BaselineProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 	if err != nil {
 		return err
 	}
+	p.tests.publish(out)
 	if emitErr != nil {
 		return emitErr
 	}
@@ -163,6 +228,10 @@ func (p *BaselineProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 	p.Outcome = out
 	return nil
 }
+
+// release implements releaser: a baseline that published nothing hands
+// over no tests.
+func (p *BaselineProvider) release() { p.tests.publish(nil) }
 
 // verdictStatus maps an engine verdict onto the fault status lattice.
 func verdictStatus(v atpg.Verdict) fault.Status {
@@ -183,6 +252,13 @@ func verdictStatus(v atpg.Verdict) fault.Status {
 // they are claims about the scenario's own observability, not mission
 // evidence the lattice may hold against other scenarios.
 //
+// Under RunCampaign, Run replays the full-scan baseline's tests, lifted onto
+// the clone, before any search: the classes they detect are simulation
+// drops, and the 64-row words that dropped one lead the scenario's test set,
+// so the set still detects every class the scenario calls Detected. Clone
+// preparation overlaps the baseline; only the replay and the search wait for
+// it.
+//
 // Untestable verdicts enter the mission lattice only for faults whose site
 // net is still read in the constrained clone. Verdicts on rewired stems —
 // the constraint package's stem-attribution convention marks a driver pin
@@ -196,6 +272,9 @@ type ScenarioProvider struct {
 	Scenario Scenario
 	// Result holds everything proven on the clone after a successful Run.
 	Result *ScenarioResult
+	// baseline, set by RunCampaign, hands over the full-scan baseline's
+	// tests, which Run replays on the clone before any search.
+	baseline *baselineTests
 }
 
 // Name implements Provider.
@@ -210,8 +289,10 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		return err // don't pay for the clone when already cancelled
 	}
 	// Clone preparation: the constrained clone, its universe and site map,
-	// annotations, learning cache and class list. Its cost lands in a
-	// "prep" child span and one "flow.prep_ns" sample.
+	// annotations, learning cache, class list, observation points and drop
+	// grader. Its cost lands in a "prep" child span and one "flow.prep_ns"
+	// sample. Preparation overlaps the baseline; only the replay and the
+	// search below wait for its tests.
 	prepStart := time.Now()
 	prepSpan := env.Span.Child("prep")
 	endPrep := func(err error) error {
@@ -241,15 +322,33 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		}
 	}
 	classes := classesIn(fault.NewCollapse(cu), cu, nil)
-	endPrep(nil)
-
 	obsFn := p.Scenario.Observe
 	if obsFn == nil {
 		obsFn = constraint.ObserveFullScan
 	}
 	obs := obsFn(clone)
 	if len(obs) == 0 {
-		return fmt.Errorf("observation selection returned no points")
+		return endPrep(fmt.Errorf("observation selection returned no points"))
+	}
+	var sites *fault.SiteMap
+	if !sm.Empty() {
+		// Multi-frame injection is the default for unrolled scenarios: the
+		// permanent fault is injected in every time frame at once, so the
+		// streamed Untestable proofs are about the permanent fault rather
+		// than the final-frame-only approximation.
+		sites = sm
+	}
+	// One grader serves the baseline replay and GenerateAll's fault
+	// dropping.
+	grader, err := sim.NewGraderSites(clone, cu, obs, sites)
+	if err != nil {
+		return endPrep(err)
+	}
+	grader.Instrument(env.Metrics)
+	endPrep(nil)
+	replay, err := p.baseline.replay(ctx, clone)
+	if err != nil {
+		return err
 	}
 
 	// missionLive: the fault's site net still has readers on the clone, so
@@ -262,15 +361,11 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 	var emitErr error
 	opts := env.ATPG
 	opts.ObsPoints = obs
-	if !sm.Empty() {
-		// Multi-frame injection is the default for unrolled scenarios: the
-		// permanent fault is injected in every time frame at once, so the
-		// streamed Untestable proofs are about the permanent fault rather
-		// than the final-frame-only approximation.
-		opts.Sites = sm
-	}
+	opts.Sites = sites
 	opts.Annotations = ann
 	opts.Learn = learn
+	opts.Grader = grader
+	opts.Replay = replay
 	opts.Classes = hardestFirst(cu, ann, classes)
 	opts.Progress = func(fid fault.FID, v atpg.Verdict) {
 		if emitErr != nil || v != atpg.Untestable || !missionLive(fid) {
@@ -285,6 +380,9 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 	out, err := atpg.GenerateAll(ctx, clone, cu, opts)
 	if err != nil {
 		return err
+	}
+	if replay != nil {
+		recordReplay(env.Metrics, "flow.warm", out.Stats)
 	}
 	if emitErr != nil {
 		return emitErr

@@ -3,13 +3,16 @@ package flow
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/journal"
 	"olfui/internal/logic"
+	"olfui/internal/obs"
 	"olfui/internal/testutil"
 )
 
@@ -245,6 +248,74 @@ func TestResumeCompletedCampaign(t *testing.T) {
 		}
 	}
 	assertReportsEquivalent(t, ref, res, "full resume")
+}
+
+// TestWarmStartRestoredBaselineRunsCold: a campaign killed once its
+// baseline was durably done resumes with the baseline restored from the
+// journal. A restored baseline hands over no tests, so the resumed scenarios
+// run cold, without blocking, and the campaign still classifies exactly as
+// a fresh run does.
+func TestWarmStartRestoredBaselineRunsCold(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 16, FFs: 2, Outputs: 2})
+		scenarios := resumeScenarios()
+		freshReg := obs.New()
+		ref, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios,
+			Options{Workers: 4, Metrics: freshReg})
+		if err != nil {
+			t.Fatalf("seed %d reference: %v", seed, err)
+		}
+		requireNoAborts(t, ref, "reference")
+		if freshReg.Snapshot().Counter("flow.warm.patterns") == 0 {
+			t.Fatalf("seed %d: the fresh run replayed no baseline test", seed)
+		}
+
+		// Serial order runs the baseline first: cancel at its completion.
+		dir := t.TempDir()
+		j1, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = RunCampaign(ctx, nl, fault.NewUniverse(nl), scenarios, Options{
+			SerialScenarios: true,
+			Journal:         j1,
+			Progress: func(e Event) {
+				if e.Done && e.Provider == "full-scan" {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("seed %d: interrupted run: %v, want cancellation", seed, err)
+		}
+		j1.Close()
+
+		j2, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.New()
+		ctx, cancel = context.WithTimeout(context.Background(), time.Minute)
+		res, err := RunCampaign(ctx, nl, fault.NewUniverse(nl), scenarios,
+			Options{Workers: 4, Journal: j2, Metrics: reg})
+		cancel()
+		j2.Close()
+		if err != nil {
+			t.Fatalf("seed %d resume: %v", seed, err)
+		}
+		if len(res.Resumed) != 1 || res.Resumed[0] != "full-scan" {
+			t.Fatalf("seed %d: resumed %v, want only the baseline", seed, res.Resumed)
+		}
+		if got := reg.Snapshot().Counter("flow.warm.patterns"); got != 0 {
+			t.Errorf("seed %d: scenarios replayed %d tests of a restored baseline", seed, got)
+		}
+		if r, g := ref.ClassDigest(), res.ClassDigest(); r != g {
+			t.Errorf("seed %d: resumed digest %s, fresh %s", seed, g, r)
+		}
+		assertReportsEquivalent(t, ref, res, fmt.Sprintf("seed %d restored baseline", seed))
+	}
 }
 
 // TestResumeRejectsForeignCampaign: a journal resumes only the campaign it

@@ -28,16 +28,18 @@ type SweepDepthStats struct {
 	NewUntestable int
 	// CumUntestable is the running size of that projected set.
 	CumUntestable int
-	// ReplayPatterns counts the warm-start pool patterns replayed against
-	// this depth's surviving classes before any search (0 at the first
-	// depth).
+	// ReplayPatterns counts the test rows replayed against this depth's
+	// classes before any search: the baseline's tests, lifted onto the
+	// clone, at the first depth (0 when the baseline handed over none), the
+	// warm-start pool at every later depth.
 	ReplayPatterns int
 	// ReplayDropped counts the classes the replay proved Detected at this
 	// depth, dropping them before the engine dispatched.
 	ReplayDropped int
 	// ReplayNS is the wall-clock nanoseconds the replay grading took.
 	ReplayNS int64
-	// Stats is the depth's engine summary (over the post-replay class list).
+	// Stats is the depth's engine summary, replay drops included as
+	// simulation drops.
 	Stats atpg.Stats
 }
 
@@ -70,9 +72,10 @@ type SweepDepth struct {
 	// includes the replay's Detected verdicts, so a per-depth oracle
 	// re-proves warm-start drops alongside the engine's own results.
 	Status *fault.StatusMap
-	// ReplayDetected lists the class representatives the cross-depth pattern
-	// replay proved Detected at this depth, before any search dispatched.
-	// Their classes appear Detected in Status.
+	// ReplayDetected lists the class representatives the replay (the
+	// baseline's tests at the first depth, the pool after it) proved
+	// Detected at this depth, before any search dispatched. Their classes
+	// appear Detected in Status.
 	ReplayDetected []fault.FID
 	// Stats is the depth's summary, identical to the SweepResult entry.
 	Stats SweepDepthStats
@@ -89,6 +92,11 @@ type SweepDepth struct {
 // free initial state — so untestability proofs persist across depths,
 // dropping them is sound, and the projected untestable set grows
 // monotonically toward the converged classification.
+//
+// Before any search, the first depth replays the full-scan baseline's tests
+// (when RunCampaign wires the provider to a baseline that hands them over)
+// and every later depth replays the tests of the depths before it, so the
+// engine only searches the classes those tests miss.
 //
 // Each depth streams its newly proven, projected, mission-live untestability
 // verdicts into the mission channel as its own delta source
@@ -110,6 +118,9 @@ type SweepProvider struct {
 	// Result holds the converged scenario result (clone state at the final
 	// depth, cumulative outcome and projection) with Result.Sweep filled in.
 	Result *ScenarioResult
+	// baseline, set by RunCampaign, hands over the full-scan baseline's
+	// tests, which the first depth replays before any search.
+	baseline *baselineTests
 }
 
 // Name implements Provider.
@@ -142,7 +153,8 @@ func sweepableUnroll(sc Scenario) (constraint.Unroll, bool) {
 const sweepPatternPoolCap = 512
 
 // patternPool is the depth sweep's warm-start test set: the deduplicated,
-// yield-ranked union of the patterns every swept depth emitted. Rows are
+// yield-ranked union of the patterns every swept depth emitted, the baseline
+// tests whose replay dropped a class at the first depth included. Rows are
 // stored at the width they were generated at and lifted in place — padded
 // with trailing X over the appended frame's free inputs — when a deeper
 // depth replays them; Netlist.PrimaryInputs is gate-ID-ordered and extension
@@ -305,9 +317,6 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		cumProjected int
 	)
 	hDepth := env.Metrics.Histogram("flow.sweep.depth_ns")
-	mReplayPats := env.Metrics.Counter("flow.sweep.replay.patterns")
-	mReplayDrop := env.Metrics.Counter("flow.sweep.replay.dropped")
-	hReplay := env.Metrics.Histogram("flow.sweep.replay.grade_ns")
 	// Re-targeting accounting: every depth re-counts its targets on the
 	// atpg.classes counter, but a re-targeted class that is not currently
 	// resolved (cum Detected resolves; Untestable never re-targets) was
@@ -323,8 +332,7 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		dspan := env.Span.Child(fmt.Sprintf("depth:k=%d", depth))
 		// The depth's targets: every class not yet proven untestable at a
 		// shallower depth, hardest-first.
-		collapse := fault.NewCollapse(cu)
-		classes := hardestFirst(cu, ann, classesIn(collapse, cu, cum))
+		classes := hardestFirst(cu, ann, classesIn(fault.NewCollapse(cu), cu, cum))
 		retargeted := int64(0)
 		for _, c := range classes {
 			if targeted[c] && cum.Get(c) != fault.Detected {
@@ -344,62 +352,39 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		opts.Learn = learn
 		opts.Grader = grader
 		opts.Classes = classes
-		// Cross-depth warm start: replay the pool's accumulated test set,
-		// lifted to this depth (the appended frame's free inputs at X),
-		// against the surviving classes before any search dispatches.
-		// Grading any pattern on the current-depth machine with the
-		// current-depth grader is sound — a definite good-vs-faulty
-		// difference under a partial assignment holds under every completion
-		// by Kleene monotonicity — so each hit is a true Detected at this
-		// depth; lifting is only a hit-rate heuristic. Hits prune the class
-		// list handed to the engine, which keeps its hardest-first order.
-		// Every worker then searches the shared read-only extended clone
-		// through the run's own lease queue.
+		// Warm start: before any search, GenerateAll replays a test set
+		// against the depth's classes, and its hits prune the class list
+		// the engine drains in hardest-first order. The first depth replays
+		// the baseline's tests, lifted onto the clone; every later depth
+		// replays the pool, lifted in place (the appended frame's free
+		// inputs at X). Grading any test on the current-depth machine with
+		// the current-depth grader is sound — a definite good-vs-faulty
+		// difference under a partial assignment holds under every
+		// completion by Kleene monotonicity — so each hit is a true
+		// Detected at this depth; lifting is only a hit-rate heuristic.
 		var (
 			replayDetected []fault.FID
-			replayPatterns int
-			replayNS       int64
+			joined         int // pool rows that joined the depth's test set
 		)
-		if pool.size() > 0 && len(classes) > 0 {
-			replayStart := time.Now()
-			pool.lift(len(clone.PrimaryInputs()), len(clone.FlipFlops()))
-			survivors := append([]fault.FID(nil), classes...)
-			for base := 0; base < pool.size() && len(survivors) > 0; base += logic.WordBits {
-				hi := base + logic.WordBits
-				if hi > pool.size() {
-					hi = pool.size()
-				}
-				replayPatterns += hi - base
-				hits := grader.Grade(pool.pats[base:hi], pool.states[base:hi], survivors)
-				if hits.Count() == 0 {
-					continue
-				}
-				pool.credit(base, hi, hits.Count())
-				kept := survivors[:0]
-				for _, fid := range survivors {
-					if !hits.Has(fid) {
-						kept = append(kept, fid)
-						continue
-					}
-					replayDetected = append(replayDetected, fid)
-				}
-				survivors = kept
+		fromPool := len(sweep.Depths) > 0
+		family := "flow.warm"
+		if !fromPool {
+			if opts.Replay, err = p.baseline.replay(ctx, clone); err != nil {
+				return err
 			}
-			opts.Classes = survivors
-			replayNS = time.Since(replayStart).Nanoseconds()
-			mReplayPats.Add(int64(replayPatterns))
-			mReplayDrop.Add(int64(len(replayDetected)))
-			hReplay.Observe(replayNS)
-			// Replay-dropped classes never reach GenerateAll, so emulate the
-			// engine's accounting for them — targeted and immediately
-			// sim-dropped Detected — on both the counters here and the
-			// depth's Stats below, keeping the counters equal to the summed
-			// per-depth stats (the telemetry exactness pin) and every
-			// live-classes view (classes - resolved - retargeted) balanced
-			// exactly as if the engine had dropped them on its first pattern.
-			env.Metrics.Counter("atpg.classes").Add(int64(len(replayDetected)))
-			env.Metrics.Counter("atpg.classes.detected").Add(int64(len(replayDetected)))
-			env.Metrics.Counter("atpg.classes.sim_dropped").Add(int64(len(replayDetected)))
+		} else if pool.size() > 0 {
+			family = "flow.sweep.replay"
+			pool.lift(len(clone.PrimaryInputs()), len(clone.FlipFlops()))
+			opts.Replay = &atpg.Replay{Patterns: pool.pats, States: pool.states}
+		}
+		if opts.Replay != nil {
+			opts.Replay.Hit = func(lo, hi int, detected *fault.Set) {
+				detected.ForEach(func(fid fault.FID) { replayDetected = append(replayDetected, fid) })
+				if fromPool {
+					pool.credit(lo, hi, detected.Count())
+					joined += hi - lo
+				}
+			}
 		}
 		opts.Progress = func(fid fault.FID, v atpg.Verdict) {
 			if emitErr != nil || v != atpg.Untestable || !missionLive(fid) {
@@ -415,31 +400,11 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		if err != nil {
 			return err
 		}
+		if opts.Replay != nil {
+			recordReplay(env.Metrics, family, out.Stats)
+		}
 		if emitErr != nil {
 			return emitErr
-		}
-		// Spread replay hits over the depth's collapse into the engine
-		// outcome, exactly as GenerateAll spreads its own verdicts — the
-		// fold below, OnDepth observers and per-depth oracles then see
-		// warm-start drops uniformly. A targeted class is never
-		// cum-Untestable (classesIn excludes them, and the partition only
-		// refines across depths), so the fold never discards the spread.
-		if len(replayDetected) > 0 {
-			hit := fault.NewSet(cu)
-			for _, fid := range replayDetected {
-				hit.Add(fid)
-			}
-			for id := 0; id < cu.NumFaults(); id++ {
-				fid := fault.FID(id)
-				if hit.Has(collapse.Rep(fid)) {
-					out.Status.Set(fid, fault.Detected)
-				}
-			}
-			// Mirror of the counter bumps in the replay block: the depth's
-			// Stats count replay drops as sim-dropped detections.
-			out.Stats.Classes += len(replayDetected)
-			out.Stats.Detected += len(replayDetected)
-			out.Stats.SimDropped += len(replayDetected)
 		}
 
 		// Fold the depth into the cumulative map: untestability proofs
@@ -480,21 +445,19 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		work.Implications += out.Stats.Implications
 		work.GateEvals += out.Stats.GateEvals
 		work.Elapsed += out.Stats.Elapsed
-		for i := range out.Patterns {
-			var st sim.Pattern
-			if i < len(out.States) {
-				st = out.States[i]
-			}
-			pool.add(out.Patterns[i], st)
+		// The depth's new tests join the pool; the pool's own rows that
+		// joined the depth's test set are already in it.
+		for i := joined; i < len(out.Patterns); i++ {
+			pool.add(out.Patterns[i], out.States[i])
 		}
 		ds := SweepDepthStats{
 			Frames:         depth,
 			Classes:        len(classes),
 			NewUntestable:  newProjected,
 			CumUntestable:  cumProjected,
-			ReplayPatterns: replayPatterns,
-			ReplayDropped:  len(replayDetected),
-			ReplayNS:       replayNS,
+			ReplayPatterns: out.Stats.ReplayPatterns,
+			ReplayDropped:  out.Stats.Replayed,
+			ReplayNS:       out.Stats.ReplayElapsed.Nanoseconds(),
 			Stats:          out.Stats,
 		}
 		sweep.Depths = append(sweep.Depths, ds)
@@ -504,8 +467,8 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		dspan.SetInt("classes", int64(len(classes)))
 		dspan.SetInt("new_untestable", int64(newProjected))
 		dspan.SetInt("cum_untestable", int64(cumProjected))
-		dspan.SetInt("replay_patterns", int64(replayPatterns))
-		dspan.SetInt("replay_dropped", int64(len(replayDetected)))
+		dspan.SetInt("replay_patterns", int64(ds.ReplayPatterns))
+		dspan.SetInt("replay_dropped", int64(ds.ReplayDropped))
 		dspan.End()
 		hDepth.ObserveSince(depthStart)
 		if p.OnDepth != nil {
@@ -583,9 +546,12 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 	// The converged test set is the warm-start pool — the deduplicated,
 	// capped union of every depth's patterns — lifted to the final depth's
 	// input widths so every row is one uniform stimulus for the final clone.
-	// A row is complete at the depth that emitted it and X over the inputs
-	// of every frame appended since.
-	pool.lift(len(clone.PrimaryInputs()), len(clone.FlipFlops()))
+	// A pool row is complete at the depth that emitted it and X over the
+	// inputs of every frame appended since; the lift completes copies, as
+	// GenerateAll completes a search's test, and leaves the pool's rows and
+	// dedup keys alone.
+	pats, states := atpg.LiftTests(pool.pats, pool.states,
+		len(clone.PrimaryInputs()), len(clone.FlipFlops()))
 	p.Result = &ScenarioResult{
 		Scenario: p.Scenario,
 		Clone:    clone,
@@ -595,8 +561,8 @@ func (p *SweepProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 		Outcome: &atpg.Outcome{
 			Stats:    stats,
 			Status:   cum,
-			Patterns: pool.pats,
-			States:   pool.states,
+			Patterns: pats,
+			States:   states,
 		},
 		Projected: fault.Project(cu, cum, env.Universe),
 		Sweep:     sweep,

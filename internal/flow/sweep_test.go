@@ -246,9 +246,11 @@ func TestSweepConfigErrors(t *testing.T) {
 // cross-depth warm start changes which classes are searched versus
 // sim-dropped, never what any fault classifies as — on seeded random
 // netlists the swept classification digest is byte-identical to a one-shot
-// campaign at the sweep's final depth, which searches every class with no
-// replay and fresh graders and learning. The loop also asserts replay
-// actually engaged somewhere, so the equality is not vacuous.
+// campaign at the sweep's final depth, which replays only the baseline's
+// tests, on a fresh grader with fresh learning. The loop also asserts
+// replay actually engaged somewhere, so the equality is not vacuous, and
+// that the converged test set, the pool lifted to the final depth, holds no
+// X.
 func TestSweepReplayDigestEqual(t *testing.T) {
 	replayDropped := int64(0)
 	for seed := int64(1); seed <= 4; seed++ {
@@ -266,6 +268,7 @@ func TestSweepReplayDigestEqual(t *testing.T) {
 		}
 		requireNoAborts(t, warm, fmt.Sprintf("seed %d sweep", seed))
 		requireNoAborts(t, oneshot, fmt.Sprintf("seed %d one-shot", seed))
+		requireSpecified(t, fmt.Sprintf("seed %d sweep", seed), warm.Scenarios[0].Outcome)
 		if w, o := warm.ClassDigest(), oneshot.ClassDigest(); w != o {
 			t.Errorf("seed %d: classification digest %s swept, %s one-shot at k=%d", seed, w, o, final)
 		}

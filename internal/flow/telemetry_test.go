@@ -200,8 +200,9 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 }
 
 // TestMetricsOptionValidation pins the single-owner rule for the engine
-// options a campaign owns: a caller-set ATPG.Metrics or ATPG.Learn is
-// rejected up front at both API layers, each naming its own options type.
+// options a campaign owns: a caller-set ATPG.Metrics, ATPG.Learn or
+// ATPG.Replay is rejected up front at both API layers, each naming its own
+// options type.
 func TestMetricsOptionValidation(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
@@ -212,6 +213,7 @@ func TestMetricsOptionValidation(t *testing.T) {
 	for field, bad := range map[string]atpg.Options{
 		"ATPG.Metrics": {Metrics: obs.New()},
 		"ATPG.Learn":   {Learn: learn},
+		"ATPG.Replay":  {Replay: &atpg.Replay{}},
 	} {
 		c := NewCampaign(n, u, CampaignOptions{ATPG: bad})
 		if err := c.Add(&BaselineProvider{}); err != nil {
