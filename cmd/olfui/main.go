@@ -326,7 +326,7 @@ func crossCheck(r *flow.Report, u *fault.Universe) error {
 		if err != nil {
 			return err
 		}
-		det, unt, err := gradeTestSet("cross-check: pattern set", grader, r.Baseline, true)
+		det, unt, err := gradeTestSet("cross-check: pattern set", grader, r.Baseline)
 		if err != nil {
 			return err
 		}
@@ -335,9 +335,9 @@ func crossCheck(r *flow.Report, u *fault.Universe) error {
 	}
 	// Each fresh scenario's test set, graded on the scenario's clone at its
 	// own observation points and through its multi-frame site map, must
-	// likewise back its verdicts. A swept scenario's converged test set is
-	// the capped replay pool, which need not cover every Detected verdict,
-	// so only its Untestable half is checked.
+	// likewise back its verdicts. A swept scenario's test set is its final
+	// depth's, which re-targeted every class not proven untestable, so it
+	// backs the converged verdicts in full.
 	for _, sr := range r.Scenarios {
 		label := fmt.Sprintf("cross-check %q", sr.Scenario.Name)
 		if sr.Restored {
@@ -348,14 +348,9 @@ func crossCheck(r *flow.Report, u *fault.Universe) error {
 		if err != nil {
 			return err
 		}
-		det, unt, err := gradeTestSet(label+": test set", grader, sr.Outcome, sr.Sweep == nil)
+		det, unt, err := gradeTestSet(label+": test set", grader, sr.Outcome)
 		if err != nil {
 			return err
-		}
-		if sr.Sweep != nil {
-			fmt.Printf("  %s: %d untestability verdicts confirmed by fault simulation (swept; detections not checked)\n",
-				label, unt)
-			continue
 		}
 		fmt.Printf("  %s: %d detections and %d untestability verdicts confirmed by fault simulation\n",
 			label, det, unt)
@@ -365,15 +360,12 @@ func crossCheck(r *flow.Report, u *fault.Universe) error {
 
 // gradeTestSet re-grades out's test set with grader and returns how many
 // Detected and Untestable verdicts of out.Status it checked: the set must
-// detect none of the Untestable faults and, when withDetected is set, every
-// Detected one (otherwise the Detected count is 0). Errors start with label.
-func gradeTestSet(label string, grader *sim.Grader, out *atpg.Outcome, withDetected bool) (int, int, error) {
-	var det []fault.FID
-	if withDetected {
-		det = out.Status.FaultsWith(fault.Detected)
-		if got := grader.Grade(out.Patterns, out.States, det).Count(); got != len(det) {
-			return 0, 0, fmt.Errorf("%s detects %d/%d detected-classified faults", label, got, len(det))
-		}
+// detect every Detected fault and none of the Untestable ones. Errors start
+// with label.
+func gradeTestSet(label string, grader *sim.Grader, out *atpg.Outcome) (int, int, error) {
+	det := out.Status.FaultsWith(fault.Detected)
+	if got := grader.Grade(out.Patterns, out.States, det).Count(); got != len(det) {
+		return 0, 0, fmt.Errorf("%s detects %d/%d detected-classified faults", label, got, len(det))
 	}
 	unt := out.Status.FaultsWith(fault.Untestable)
 	if got := grader.Grade(out.Patterns, out.States, unt).Count(); got != 0 {

@@ -116,7 +116,7 @@ func BenchmarkCampaignSweep(b *testing.B) {
 // baseline and the non-swept scenarios. The backtrack limit is tighter than
 // the BENCH_PR9 workload's because hard-class abort churn would only dilute
 // the measured depth loop.
-func runSweepCampaign(tb testing.TB, reg *obs.Registry) *flow.SweepProvider {
+func runSweepCampaign(tb testing.TB, reg *obs.Registry) *flow.ScenarioProvider {
 	n := bench.Build(12)
 	u := fault.NewUniverse(n)
 	reach := bench.Scenarios(2)[2] // mission-reach: the swept shape
@@ -124,7 +124,7 @@ func runSweepCampaign(tb testing.TB, reg *obs.Registry) *flow.SweepProvider {
 		ATPG:    atpg.Options{BacktrackLimit: 32},
 		Metrics: reg,
 	})
-	sp := &flow.SweepProvider{Scenario: reach, MaxFrames: 6}
+	sp := &flow.ScenarioProvider{Scenario: reach, MaxFrames: 6}
 	if err := c.Add(sp); err != nil {
 		tb.Fatal(err)
 	}
@@ -301,20 +301,27 @@ func campaignQuiet(t *testing.T, cfg config) *flow.Report {
 
 // TestCrossCheckGradesScenarioTestSets pins that the cross-check re-grades
 // every fresh scenario's test set on the scenario's own clone, not only the
-// baseline's: once a scenario's test set is emptied it no longer backs the
-// scenario's Detected verdicts, and the cross-check must fail naming it.
+// baseline's, swept scenarios included: once a scenario's test set is
+// emptied it no longer backs the scenario's Detected verdicts, and the
+// cross-check must fail naming it.
 func TestCrossCheckGradesScenarioTestSets(t *testing.T) {
-	r := campaignQuiet(t, config{width: 2, frames: 2})
-	if err := quiet(func() error { return crossCheck(r, r.Universe) }); err != nil {
-		t.Fatalf("fresh campaign: %v", err)
-	}
-	for _, sr := range r.Scenarios {
-		saved := *sr.Outcome
-		sr.Outcome.Patterns, sr.Outcome.States = nil, nil
-		err := quiet(func() error { return crossCheck(r, r.Universe) })
-		*sr.Outcome = saved
-		if err == nil || !strings.Contains(err.Error(), sr.Scenario.Name) {
-			t.Errorf("scenario %q with an empty test set: err = %v, want one naming it", sr.Scenario.Name, err)
+	for _, cfg := range []config{
+		{width: 2, frames: 2},
+		{width: 2, frames: 2, sweep: true, maxFrames: 4},
+	} {
+		r := campaignQuiet(t, cfg)
+		if err := quiet(func() error { return crossCheck(r, r.Universe) }); err != nil {
+			t.Fatalf("fresh campaign (max frames %d): %v", cfg.maxFrames, err)
+		}
+		for _, sr := range r.Scenarios {
+			saved := *sr.Outcome
+			sr.Outcome.Patterns, sr.Outcome.States = nil, nil
+			err := quiet(func() error { return crossCheck(r, r.Universe) })
+			*sr.Outcome = saved
+			if err == nil || !strings.Contains(err.Error(), sr.Scenario.Name) {
+				t.Errorf("scenario %q (max frames %d) with an empty test set: err = %v, want one naming it",
+					sr.Scenario.Name, cfg.maxFrames, err)
+			}
 		}
 	}
 }

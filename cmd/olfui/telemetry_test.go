@@ -40,10 +40,11 @@ func BenchmarkGenerateAllBenchTelemetry(b *testing.B) {
 	}
 }
 
-// TestSweepSpanTreeMatchesConvergence is the PR's acceptance criterion: a
-// swept run's metrics snapshot carries a per-depth span tree under the sweep
-// provider whose attrs reproduce the report's convergence table entry for
-// entry — frames, targeted classes, new and cumulative untestable counts.
+// TestSweepSpanTreeMatchesConvergence pins the sweep's span tree: a swept
+// run's metrics snapshot carries, under the sweep provider, a "prep" span
+// for the clone preparation followed by one span per depth whose attrs
+// reproduce the report's convergence table entry for entry — frames,
+// targeted classes, new and cumulative untestable counts.
 func TestSweepSpanTreeMatchesConvergence(t *testing.T) {
 	reg := obs.New()
 	cfg := config{width: 2, frames: 2, sweep: true, maxFrames: 4}
@@ -79,11 +80,14 @@ func TestSweepSpanTreeMatchesConvergence(t *testing.T) {
 	if span == nil {
 		t.Fatalf("no span for swept provider %q", sweepName)
 	}
-	if len(span.Children) != len(depths) {
-		t.Fatalf("%d depth spans, convergence table has %d rows", len(span.Children), len(depths))
+	if len(span.Children) == 0 || span.Children[0].Name != "prep" || span.Children[0].Open {
+		t.Fatalf("sweep span's first child is not an ended prep span: %+v", span.Children)
+	}
+	if len(span.Children)-1 != len(depths) {
+		t.Fatalf("%d depth spans, convergence table has %d rows", len(span.Children)-1, len(depths))
 	}
 	for i, row := range depths {
-		ds := span.Children[i]
+		ds := span.Children[1+i]
 		if want := fmt.Sprintf("depth:k=%d", row.Frames); ds.Name != want {
 			t.Errorf("depth span %d named %q, want %q", i, ds.Name, want)
 		}

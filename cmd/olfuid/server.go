@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -44,6 +45,31 @@ const maxWorkers = 256
 
 // maxSpecBytes bounds a submitted run spec's body.
 const maxSpecBytes = 1 << 20
+
+// decodeSpec reads a submitted run spec: exactly one JSON object, then
+// nothing but whitespace, normalized. Unknown fields are refused, and so is
+// anything after the object (a second object, trailing garbage), so a typo
+// or a retired knob cannot silently run a different campaign. Recovery's
+// readJSON stays lenient: run.json files written by earlier versions carry
+// retired keys.
+func decodeSpec(r io.Reader) (runSpec, error) {
+	var spec runSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return runSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return runSpec{}, fmt.Errorf("content after the spec: %w", err)
+	}
+	if err := spec.normalize(); err != nil {
+		return runSpec{}, err
+	}
+	return spec, nil
+}
 
 func (sp *runSpec) normalize() error {
 	if sp.Width == 0 {
@@ -447,17 +473,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
-	var spec runSpec
-	// Unknown fields are refused, so a typo or a retired knob cannot
-	// silently run a different campaign. Recovery's readJSON stays lenient:
-	// run.json files written by earlier versions carry retired keys.
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad run spec: %v", err)
-		return
-	}
-	if err := spec.normalize(); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, req.Body, maxSpecBytes))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad run spec: %v", err)
 		return
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -68,16 +69,18 @@ func TestServerHTTP(t *testing.T) {
 
 	// Bad specs are rejected before anything is queued, each for its own
 	// cause: out-of-range knobs, a worker budget that would build an engine
-	// fleet per provider, unknown fields (a typo, a retired knob), and a
-	// body over the size limit. They go to a listener of their own, closed
+	// fleet per provider, unknown fields (a typo, a retired knob), content
+	// after the spec object, and a body over the size limit. They go to a listener of their own, closed
 	// before any run starts: the server drops the oversized body's
 	// connection, and closing it lingers for half a second.
 	bad := httptest.NewServer(srv.routes())
 	for body, cause := range map[string]string{
-		`{"width":-1}`:       "width must be in [1,64]",
-		`{"workers":100000}`: "workers must be in [0,256]",
-		`{"shards":2}`:       `unknown field \"shards\"`,
-		`{"max_frame":6}`:    `unknown field \"max_frame\"`,
+		`{"width":-1}`:                            "width must be in [1,64]",
+		`{"workers":100000}`:                      "workers must be in [0,256]",
+		`{"shards":2}`:                            `unknown field \"shards\"`,
+		`{"max_frame":6}`:                         `unknown field \"max_frame\"`,
+		`{"width":2,"frames":1}{"workers":300}`:   "content after the spec",
+		`{"width":2,"frames":1} trailing garbage`: "content after the spec",
 		`{"width":8,"pad":"` + strings.Repeat("x", maxSpecBytes) + `"}`: "request body too large",
 	} {
 		resp, err := http.Post(bad.URL+"/runs", "application/json", strings.NewReader(body))
@@ -376,4 +379,29 @@ func TestRecoveryAcceptsRetiredSpecFields(t *testing.T) {
 		t.Fatal("recovery dropped the run")
 	}
 	waitState(t, r, runDone, 2*time.Minute)
+}
+
+// FuzzDecodeSpec feeds arbitrary request bodies to the run-spec decoder, on
+// top of the seed corpus in testdata/fuzz/FuzzDecodeSpec. Decoding must fail
+// or return a spec that normalizes to itself and survives a round trip
+// through its own JSON encoding; it must never panic.
+func FuzzDecodeSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		again := spec
+		if err := again.normalize(); err != nil || again != spec {
+			t.Fatalf("accepted spec %+v re-normalizes to %+v (err %v)", spec, again, err)
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeSpec(bytes.NewReader(enc))
+		if err != nil || back != spec {
+			t.Fatalf("spec %+v encodes as %s, which decodes to %+v (err %v)", spec, enc, back, err)
+		}
+	})
 }

@@ -120,7 +120,8 @@ type Options struct {
 	// Replay, when non-nil, is a test set GenerateAll grades against the
 	// class list before any search dispatches (see Replay). Campaign
 	// providers replay the full-scan baseline's tests on every scenario
-	// clone, and each swept depth replays the tests of the depths before it.
+	// clone, and each later swept depth replays the tests of the depth
+	// before it.
 	Replay *Replay
 	// Pool optionally gates every worker's per-class search on a
 	// campaign-global slot budget (sched.NewPool), capping concurrently

@@ -391,9 +391,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 				if busy > 0 {
 					hBusy.Observe(busy)
 				}
-				// Return any unstarted lease remainder to the shared pool
-				// for the run's other workers.
-				src.Release(wid)
 			}()
 			for !cancelFlag.Load() {
 				waitStart := time.Now()

@@ -144,7 +144,7 @@ type CampaignOptions struct {
 	// concurrently searching engine workers across every provider. Every
 	// provider sees the full budget and one shared sched.Pool arbitrates, so
 	// an early-finishing provider's slots flow to the others instead of
-	// idling. 0 falls back to ATPG.Workers, then runtime.NumCPU().
+	// idling. 0 means runtime.NumCPU(); ATPG.Workers must be left 0.
 	Workers int
 	// Serial runs providers one at a time in Add order (deterministic
 	// profiling; RunCampaign uses it for Options.SerialScenarios).
@@ -454,13 +454,10 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 }
 
 // total resolves the campaign-wide worker budget: CampaignOptions.Workers,
-// then ATPG.Workers, then NumCPU.
+// else NumCPU.
 func (c *Campaign) total() int {
 	if c.opts.Workers > 0 {
 		return c.opts.Workers
-	}
-	if c.opts.ATPG.Workers > 0 {
-		return c.opts.ATPG.Workers
 	}
 	return runtime.NumCPU()
 }
@@ -470,8 +467,8 @@ func (c *Campaign) total() int {
 // classes, site maps, annotations, learning caches, graders and replayed test
 // sets per netlist — a scenario's clone differs from the original, so a
 // campaign-level value would index the wrong netlist — and the campaign
-// installs its own progress callback, registry and worker pool, which would
-// silently overwrite a caller-set one.
+// installs its own progress callback, registry, worker budget and worker
+// pool, which would silently overwrite a caller-set one.
 func checkEngineOptions(typ string, o atpg.Options) error {
 	for _, f := range []struct {
 		name string
@@ -487,10 +484,11 @@ func checkEngineOptions(typ string, o atpg.Options) error {
 		{"Replay", o.Replay != nil, "scenario providers replay the baseline's tests"},
 		{"Progress", o.Progress != nil, "use " + typ + ".Progress for campaign events"},
 		{"Metrics", o.Metrics != nil, "use " + typ + ".Metrics for campaign telemetry"},
+		{"Workers", o.Workers != 0, "use " + typ + ".Workers for the campaign budget"},
 		{"Pool", o.Pool != nil, "use " + typ + ".Workers for the campaign budget"},
 	} {
 		if f.set {
-			return fmt.Errorf("flow: %s.ATPG.%s must be nil; %s", typ, f.name, f.fix)
+			return fmt.Errorf("flow: %s.ATPG.%s must be unset; %s", typ, f.name, f.fix)
 		}
 	}
 	return nil

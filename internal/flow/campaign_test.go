@@ -199,7 +199,7 @@ func TestCampaignCancellation(t *testing.T) {
 	if err := c.Add(
 		&BaselineProvider{tests: tests},
 		&ScenarioProvider{Scenario: waiting[0], baseline: tests},
-		&SweepProvider{Scenario: waiting[1], MaxFrames: 3, baseline: tests},
+		&ScenarioProvider{Scenario: waiting[1], MaxFrames: 3, baseline: tests},
 		failOn{trigger},
 	); err != nil {
 		t.Fatal(err)

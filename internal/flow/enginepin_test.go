@@ -52,8 +52,8 @@ func TestCampaignEnginePins(t *testing.T) {
 			// -workers 1.
 			name: "swept", width: 16, limit: 64, maxFrames: 4,
 			digest:     "ffbeb3aff1682ecc15aabe9af1cb83f0cfd638e097ac9cbfcf1423be9fcee052",
-			backtracks: 28, decisions: 1088, implications: 1811,
-			gateEvals: 65837, patterns: 328, simDropped: 5864,
+			backtracks: 28, decisions: 932, implications: 1645,
+			gateEvals: 55773, patterns: 317, simDropped: 5874,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

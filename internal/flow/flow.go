@@ -10,8 +10,9 @@
 //     every verdict;
 //   - ScenarioProvider — ATPG on a mission-constrained clone (constraint
 //     transforms plus an observation selection), streaming projected
-//     untestability proofs (SweepProvider deepens an unrolled scenario
-//     frame by frame on one incrementally extended clone);
+//     untestability proofs; with MaxFrames it sweeps an unrolled scenario
+//     frame by frame on one incrementally extended clone, and each deeper
+//     depth replays the tests of the depth before it;
 //   - PatternProvider — sim.GradeSeq grading of externally produced mission
 //     stimuli, streaming measured on-line detections.
 //
@@ -94,10 +95,11 @@ type ScenarioResult struct {
 	// from the original's; fault.Project bridges the two).
 	Universe *fault.Universe
 	// Sites is the replica site map the scenario's verdicts were proven
-	// under: non-nil for time-expanded scenarios, where every fault was
+	// under: non-empty for time-expanded scenarios, where every fault was
 	// injected jointly at its site and at all frame replicas (multi-frame
-	// injection). Independent re-verification — grading, the exhaustive
-	// oracle — must expand faults through the same map.
+	// injection), and empty, the single-site semantics, otherwise.
+	// Independent re-verification — grading, the exhaustive oracle — must
+	// expand faults through the same map.
 	Sites *fault.SiteMap
 	// Obs is the scenario's observation-point set on the clone.
 	Obs []sim.ObsPoint
@@ -153,23 +155,23 @@ type Options struct {
 	ATPG atpg.Options
 	// Workers is the campaign-wide worker budget: the maximum number of
 	// concurrently searching engine workers across ALL providers, enforced
-	// by one shared sched.Pool. 0 falls back to ATPG.Workers, then
-	// runtime.NumCPU().
+	// by one shared sched.Pool. 0 means runtime.NumCPU(); ATPG.Workers must
+	// be left 0.
 	Workers int
 	// SerialScenarios disables cross-provider parallelism (useful for
 	// deterministic profiling); by default providers run concurrently.
 	SerialScenarios bool
 	// MaxFrames enables the adaptive sequential-depth sweep: every scenario
 	// whose transform stack ends in a free-init constraint.Unroll runs as a
-	// SweepProvider, extending one clone preparation from the scenario's
-	// Frames up to this budget and stopping early once the projected
-	// untestable set converges. Must be >= each such scenario's starting
-	// Frames, and at least one scenario must be sweepable (reset-anchored
-	// unrolls are not — see sweepableUnroll — and run as plain scenario
-	// providers). 0 disables sweeping.
+	// swept ScenarioProvider, extending one clone preparation from the
+	// scenario's Frames up to this budget and stopping early once the
+	// projected untestable set converges. Must be >= each such scenario's
+	// starting Frames, and at least one scenario must be sweepable
+	// (reset-anchored unrolls are not — see sweepableUnroll — and run once).
+	// 0 disables sweeping.
 	MaxFrames int
 	// SweepOnDepth, when non-nil, observes every completed depth of every
-	// swept scenario (see SweepProvider.OnDepth); a non-nil return fails
+	// swept scenario (see ScenarioProvider.OnDepth); a non-nil return fails
 	// the campaign. Calls are serialized across concurrently swept
 	// scenarios, so the callback may touch shared state without locking.
 	SweepOnDepth func(scenario string, d SweepDepth) error
@@ -229,33 +231,28 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 		return nil, err
 	}
 	scps := make([]*ScenarioProvider, len(scenarios))
-	sweeps := make([]*SweepProvider, len(scenarios))
 	sweepable := 0
 	// Swept providers run concurrently but share one caller-facing observer:
 	// the lock keeps the documented "serialized calls" contract.
 	var onDepthMu sync.Mutex
 	for i, sc := range scenarios {
+		scps[i] = &ScenarioProvider{Scenario: sc, baseline: tests}
 		if u, ok := sweepableUnroll(sc); ok && opts.MaxFrames > 0 {
 			if opts.MaxFrames < u.Frames {
 				return nil, fmt.Errorf("flow: scenario %q starts at %d frames, above MaxFrames %d",
 					sc.Name, u.Frames, opts.MaxFrames)
 			}
-			sweeps[i] = &SweepProvider{Scenario: sc, MaxFrames: opts.MaxFrames, baseline: tests}
+			scps[i].MaxFrames = opts.MaxFrames
 			if opts.SweepOnDepth != nil {
 				name := sc.Name
-				sweeps[i].OnDepth = func(d SweepDepth) error {
+				scps[i].OnDepth = func(d SweepDepth) error {
 					onDepthMu.Lock()
 					defer onDepthMu.Unlock()
 					return opts.SweepOnDepth(name, d)
 				}
 			}
 			sweepable++
-			if err := c.Add(sweeps[i]); err != nil {
-				return nil, err
-			}
-			continue
 		}
-		scps[i] = &ScenarioProvider{Scenario: sc, baseline: tests}
 		if err := c.Add(scps[i]); err != nil {
 			return nil, err
 		}
@@ -292,12 +289,8 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 		Resumed:   c.Resumed(),
 		evidence:  make([]int32, u.NumFaults()),
 	}
-	for i := range scenarios {
-		if sweeps[i] != nil {
-			r.Scenarios[i] = sweeps[i].Result
-		} else {
-			r.Scenarios[i] = scps[i].Result
-		}
+	for i, p := range scps {
+		r.Scenarios[i] = p.Result
 	}
 	if pp != nil {
 		if pp.Detected == nil {

@@ -168,8 +168,8 @@ func (b *baselineTests) replay(ctx context.Context, clone *netlist.Netlist) (*at
 
 // recordReplay counts one run's replay on the prefix+".patterns" and
 // prefix+".dropped" counters and the prefix+".grade_ns" histogram:
-// "flow.warm" for the baseline's tests, "flow.sweep.replay" for the sweep's
-// cross-depth pool.
+// "flow.warm" for the baseline's tests, "flow.sweep.replay" for a sweep
+// depth's replay of the tests the depth before it emitted.
 func recordReplay(reg *obs.Registry, prefix string, st atpg.Stats) {
 	reg.Counter(prefix + ".patterns").Add(int64(st.ReplayPatterns))
 	reg.Counter(prefix + ".dropped").Add(int64(st.Replayed))
@@ -252,12 +252,33 @@ func verdictStatus(v atpg.Verdict) fault.Status {
 // they are claims about the scenario's own observability, not mission
 // evidence the lattice may hold against other scenarios.
 //
-// Under RunCampaign, Run replays the full-scan baseline's tests, lifted onto
-// the clone, before any search: the classes they detect are simulation
-// drops, and the 64-row words that dropped one lead the scenario's test set,
-// so the set still detects every class the scenario calls Detected. Clone
-// preparation overlaps the baseline; only the replay and the search wait for
-// it.
+// With MaxFrames set, the scenario runs as an adaptive depth sweep on one
+// incrementally extended clone preparation: the scenario's trailing
+// constraint.Unroll sets the starting depth, and after each depth the clone
+// is Extended from k to k+1 frames in place (constraint.Unroller), the
+// annotations updated append-aware (netlist.AnnotateAppended), and the next
+// depth targets every class not yet proven untestable. Deepening a
+// free-init unroll only tightens the reach over-approximation — every
+// (k+1)-frame faulty behavior is reproducible at k frames by choosing the
+// free initial state — so untestability proofs persist across depths,
+// dropping them is sound, and the projected untestable set grows
+// monotonically toward the converged classification. Each depth streams its
+// newly proven verdicts as its own delta source ("sweep:<name>@k=<frames>"),
+// so the merged accumulator attributes every fault to the depth that proved
+// it. The sweep stops when a depth adds nothing to the projected set (the
+// set is stable across two consecutive depths) or when MaxFrames is
+// reached; the converged Result is equivalent to a one-shot run at the final
+// depth (absent aborts), with per-depth stats in Result.Sweep. Without
+// MaxFrames the scenario runs once, at the depth its transforms give it.
+//
+// Before any search, the first depth replays the full-scan baseline's tests,
+// lifted onto the clone (when RunCampaign wires the provider to a baseline
+// that hands them over), and every later depth replays the tests the depth
+// before it emitted, lifted onto the deeper clone (atpg.LiftTests fills the
+// appended frame's inputs). The classes they detect are simulation drops,
+// and the 64-row words that dropped one lead the depth's test set, so the
+// set still detects every class the depth calls Detected. Clone preparation
+// overlaps the baseline; only the replay and the search wait for it.
 //
 // Untestable verdicts enter the mission lattice only for faults whose site
 // net is still read in the constrained clone. Verdicts on rewired stems —
@@ -270,15 +291,30 @@ func verdictStatus(v atpg.Verdict) fault.Status {
 // detections would manufacture conflicts out of the modeling convention.
 type ScenarioProvider struct {
 	Scenario Scenario
-	// Result holds everything proven on the clone after a successful Run.
+	// MaxFrames, when nonzero, sweeps the scenario up to this depth budget:
+	// its transform stack must end in a free-init constraint.Unroll, whose
+	// Frames is the starting depth and at most MaxFrames.
+	MaxFrames int
+	// OnDepth, when non-nil, observes every completed depth of a sweep
+	// synchronously on the provider's goroutine; a non-nil return fails the
+	// provider.
+	OnDepth func(SweepDepth) error
+	// Result holds everything proven on the clone after a successful Run:
+	// for a sweep, the clone state at the final depth, the cumulative
+	// outcome and projection, and Result.Sweep.
 	Result *ScenarioResult
 	// baseline, set by RunCampaign, hands over the full-scan baseline's
-	// tests, which Run replays on the clone before any search.
+	// tests, which the first depth replays before any search.
 	baseline *baselineTests
 }
 
 // Name implements Provider.
-func (p *ScenarioProvider) Name() string { return "scenario:" + p.Scenario.Name }
+func (p *ScenarioProvider) Name() string {
+	if p.MaxFrames > 0 {
+		return "sweep:" + p.Scenario.Name
+	}
+	return "scenario:" + p.Scenario.Name
+}
 
 // Channel implements Provider.
 func (p *ScenarioProvider) Channel() Channel { return ChannelMission }
@@ -289,10 +325,10 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		return err // don't pay for the clone when already cancelled
 	}
 	// Clone preparation: the constrained clone, its universe and site map,
-	// annotations, learning cache, class list, observation points and drop
-	// grader. Its cost lands in a "prep" child span and one "flow.prep_ns"
-	// sample. Preparation overlaps the baseline; only the replay and the
-	// search below wait for its tests.
+	// observation points, annotations, drop grader and learning cache. Its
+	// cost lands in a "prep" child span and one "flow.prep_ns" sample.
+	// Preparation overlaps the baseline; only the replay and the search
+	// below wait for its tests.
 	prepStart := time.Now()
 	prepSpan := env.Span.Child("prep")
 	endPrep := func(err error) error {
@@ -304,52 +340,66 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		return err
 	}
 	clone := env.N.Clone()
-	sm, err := constraint.ApplyMapped(clone, p.Scenario.Transforms...)
-	if err != nil {
-		return endPrep(err)
-	}
-	cu := fault.NewUniverse(clone)
-	ann, err := clone.Annotate()
-	if err != nil {
-		return endPrep(err)
-	}
-	var learn *atpg.Learning
-	if !env.ATPG.NoLearn {
-		// Learned facts depend only on the constrained netlist, not on the
-		// observation selection.
-		if learn, err = atpg.BuildLearning(clone, env.Metrics); err != nil {
-			return endPrep(err)
+	var (
+		ur  *constraint.Unroller // the sweep's handle on the clone's depth
+		sm  *fault.SiteMap
+		err error
+	)
+	if p.MaxFrames == 0 {
+		sm, err = constraint.ApplyMapped(clone, p.Scenario.Transforms...)
+	} else if _, ok := sweepableUnroll(p.Scenario); !ok {
+		err = fmt.Errorf("scenario's transform stack must end in a free-init Unroll " +
+			"(reset-anchored untestability does not persist across depths)")
+	} else if ur, sm, err = constraint.BuildUnroller(clone, p.Scenario.Transforms); err == nil {
+		ur.Instrument(env.Metrics)
+		if p.MaxFrames < ur.Frames() {
+			err = fmt.Errorf("max frames %d below the scenario's %d starting frames",
+				p.MaxFrames, ur.Frames())
 		}
 	}
-	classes := classesIn(fault.NewCollapse(cu), cu, nil)
+	if err != nil {
+		return endPrep(err)
+	}
+	// One universe serves every depth: appended frame copies are synthetic
+	// and contribute no sites, and extension never touches an original
+	// gate's pins, so the enumeration at the starting depth stays valid —
+	// which is exactly what makes verdicts comparable across depths.
+	cu := fault.NewUniverse(clone)
 	obsFn := p.Scenario.Observe
 	if obsFn == nil {
 		obsFn = constraint.ObserveFullScan
 	}
-	obs := obsFn(clone)
-	if len(obs) == 0 {
+	// The observation set is depth-invariant: primary outputs and capture
+	// probes live in the final frame, which extension re-splices but never
+	// rebuilds.
+	obsPts := obsFn(clone)
+	if len(obsPts) == 0 {
 		return endPrep(fmt.Errorf("observation selection returned no points"))
 	}
-	var sites *fault.SiteMap
-	if !sm.Empty() {
-		// Multi-frame injection is the default for unrolled scenarios: the
-		// permanent fault is injected in every time frame at once, so the
-		// streamed Untestable proofs are about the permanent fault rather
-		// than the final-frame-only approximation.
-		sites = sm
+	ann, err := clone.Annotate()
+	if err != nil {
+		return endPrep(err)
 	}
-	// One grader serves the baseline replay and GenerateAll's fault
-	// dropping.
-	grader, err := sim.NewGraderSites(clone, cu, obs, sites)
+	// One grader serves every replay and GenerateAll's fault dropping at
+	// every depth: its simulator, shared propagation graph and observation
+	// CSRs extend in place after each Unroller.Extend (Grader.Extend). An
+	// empty site map is the nil (single-site) semantics, and the shared
+	// pointer sees replica growth as frames append.
+	grader, err := sim.NewGraderSites(clone, cu, obsPts, sm)
 	if err != nil {
 		return endPrep(err)
 	}
 	grader.Instrument(env.Metrics)
-	endPrep(nil)
-	replay, err := p.baseline.replay(ctx, clone)
-	if err != nil {
-		return err
+	var learn *atpg.Learning
+	if !env.ATPG.NoLearn {
+		// Learned facts depend only on the constrained netlist, not on the
+		// observation selection. They live on the grader's graph, so the
+		// clone is levelized once, and a sweep extends them per depth
+		// (Learning.Extend) over the appended frame and the re-spliced
+		// state-chain cone.
+		learn = atpg.BuildLearningOn(clone, grader.Graph(), env.Metrics)
 	}
+	endPrep(nil)
 
 	// missionLive: the fault's site net still has readers on the clone, so
 	// the verdict is about mission behavior rather than a disconnected pin.
@@ -357,62 +407,261 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		f := cu.FaultOf(fid)
 		return len(clone.Nets[cu.NetOf(f.Site)].Fanout) > 0
 	}
-	em := newEmitter(p.Name(), emit)
-	var emitErr error
-	opts := env.ATPG
-	opts.ObsPoints = obs
-	opts.Sites = sites
-	opts.Annotations = ann
-	opts.Learn = learn
-	opts.Grader = grader
-	opts.Replay = replay
-	opts.Classes = hardestFirst(cu, ann, classes)
-	opts.Progress = func(fid fault.FID, v atpg.Verdict) {
-		if emitErr != nil || v != atpg.Untestable || !missionLive(fid) {
-			return
+
+	var (
+		last     *atpg.Outcome    // the latest depth's outcome
+		cum      *fault.StatusMap // a sweep's cumulative classification
+		work     atpg.Stats       // a sweep's work counters, summed over depths
+		sweep    *SweepResult
+		targeted map[fault.FID]bool // classes some depth of a sweep targeted
+	)
+	if ur != nil {
+		cum = fault.NewStatusMap(cu)
+		sweep = &SweepResult{}
+		targeted = map[fault.FID]bool{}
+	}
+	cumProjected := 0
+	for {
+		depthStart := time.Now()
+		source := p.Name()
+		var dspan *obs.Span
+		if sweep != nil {
+			source = fmt.Sprintf("%s@k=%d", source, ur.Frames())
+			dspan = env.Span.Child(fmt.Sprintf("depth:k=%d", ur.Frames()))
 		}
-		// Per-verdict projection of the clone's representative back onto
-		// the original universe; class members follow in the final delta.
-		if oid := env.Universe.IDOf(cu.FaultOf(fid)); oid != fault.InvalidFID {
-			emitErr = em.add(oid, fault.Untestable)
+		// The depth's targets: every class not yet proven untestable at a
+		// shallower depth, hardest-first.
+		classes := hardestFirst(cu, ann, classesIn(fault.NewCollapse(cu), cu, cum))
+		if sweep != nil {
+			// Re-targeting accounting: every depth re-counts its targets on
+			// the atpg.classes counter, but a re-targeted class that is not
+			// currently resolved (cum Detected resolves; Untestable never
+			// re-targets) was already counted live by the depth that first
+			// targeted it — without a correction, progress views computing
+			// live = classes - resolved would report it twice.
+			// Previously-Detected re-targets self-cancel instead: they
+			// re-increment both the classes and the resolution counters.
+			retargeted := int64(0)
+			for _, c := range classes {
+				if targeted[c] && cum.Get(c) != fault.Detected {
+					retargeted++
+				}
+				targeted[c] = true
+			}
+			env.Metrics.Counter("atpg.classes.retargeted").Add(retargeted)
 		}
-	}
-	out, err := atpg.GenerateAll(ctx, clone, cu, opts)
-	if err != nil {
-		return err
-	}
-	if replay != nil {
-		recordReplay(env.Metrics, "flow.warm", out.Stats)
-	}
-	if emitErr != nil {
-		return emitErr
-	}
-	if err := em.flush(); err != nil {
-		return err
-	}
-	for id := 0; id < cu.NumFaults(); id++ {
-		fid := fault.FID(id)
-		if out.Status.Get(fid) != fault.Untestable || !missionLive(fid) {
-			continue
-		}
-		if oid := env.Universe.IDOf(cu.FaultOf(fid)); oid != fault.InvalidFID {
-			if err := em.add(oid, fault.Untestable); err != nil {
+		em := newEmitter(source, emit)
+		var emitErr error
+		opts := env.ATPG
+		opts.ObsPoints = obsPts
+		// Multi-frame injection is the default for unrolled scenarios: the
+		// permanent fault is injected in every time frame at once, so the
+		// streamed Untestable proofs are about the permanent fault rather
+		// than the final-frame-only approximation.
+		opts.Sites = sm
+		opts.Annotations = ann
+		opts.Learn = learn
+		opts.Grader = grader
+		opts.Classes = classes
+		// Warm start: before any search, GenerateAll replays a test set
+		// against the depth's classes, and its hits prune the class list the
+		// engine drains in hardest-first order. Grading any test on the
+		// current-depth machine with the current-depth grader is sound — a
+		// definite good-vs-faulty difference holds under every completion by
+		// Kleene monotonicity — so each hit is a true Detected at this depth;
+		// which tests are replayed only moves the hit rate.
+		family := "flow.warm"
+		if last == nil {
+			if opts.Replay, err = p.baseline.replay(ctx, clone); err != nil {
 				return err
+			}
+		} else if len(last.Patterns) > 0 {
+			family = "flow.sweep.replay"
+			pats, states := atpg.LiftTests(last.Patterns, last.States,
+				len(clone.PrimaryInputs()), len(clone.FlipFlops()))
+			opts.Replay = &atpg.Replay{Patterns: pats, States: states}
+		}
+		var replayDetected []fault.FID
+		if opts.Replay != nil && p.OnDepth != nil {
+			opts.Replay.Hit = func(_, _ int, detected *fault.Set) {
+				detected.ForEach(func(fid fault.FID) { replayDetected = append(replayDetected, fid) })
+			}
+		}
+		opts.Progress = func(fid fault.FID, v atpg.Verdict) {
+			if emitErr != nil || v != atpg.Untestable || !missionLive(fid) {
+				return
+			}
+			// Per-verdict projection of the clone's representative back onto
+			// the original universe; class members follow in the final delta.
+			if oid := env.Universe.IDOf(cu.FaultOf(fid)); oid != fault.InvalidFID {
+				emitErr = em.add(oid, fault.Untestable)
+			}
+		}
+		out, err := atpg.GenerateAll(ctx, clone, cu, opts)
+		if err != nil {
+			return err
+		}
+		if opts.Replay != nil {
+			recordReplay(env.Metrics, family, out.Stats)
+		}
+		if emitErr != nil {
+			return emitErr
+		}
+		if err := em.flush(); err != nil {
+			return err
+		}
+		newProjected := 0
+		for id := 0; id < cu.NumFaults(); id++ {
+			fid := fault.FID(id)
+			st := out.Status.Get(fid)
+			if cum != nil {
+				// Fold the depth into the cumulative map: untestability
+				// proofs persist (deeper depths only tighten the reach
+				// constraint), every other verdict is refreshed by the depth
+				// that just re-targeted it.
+				if st == fault.Undetected || cum.Get(fid) == fault.Untestable {
+					continue
+				}
+				cum.Set(fid, st)
+			}
+			if st != fault.Untestable || !missionLive(fid) {
+				continue
+			}
+			if oid := env.Universe.IDOf(cu.FaultOf(fid)); oid != fault.InvalidFID {
+				newProjected++
+				if err := em.add(oid, fault.Untestable); err != nil {
+					return err
+				}
+			}
+		}
+		if err := em.flush(); err != nil {
+			return err
+		}
+		last = out
+		if sweep == nil {
+			break
+		}
+
+		cumProjected += newProjected
+		// Depths re-target every class not yet proven untestable, so class
+		// tallies must not be summed across them; only the work counters
+		// accumulate here — the classification tallies are derived from the
+		// cumulative map after the loop. Depths run sequentially, so elapsed
+		// time sums.
+		work.SimDropped += out.Stats.SimDropped
+		work.Learned += out.Stats.Learned
+		work.Backtracks += out.Stats.Backtracks
+		work.Decisions += out.Stats.Decisions
+		work.Implications += out.Stats.Implications
+		work.GateEvals += out.Stats.GateEvals
+		work.Elapsed += out.Stats.Elapsed
+		work.Replayed += out.Stats.Replayed
+		work.ReplayPatterns += out.Stats.ReplayPatterns
+		work.ReplayElapsed += out.Stats.ReplayElapsed
+		ds := SweepDepthStats{
+			Frames:         ur.Frames(),
+			Classes:        len(classes),
+			NewUntestable:  newProjected,
+			CumUntestable:  cumProjected,
+			ReplayPatterns: out.Stats.ReplayPatterns,
+			ReplayDropped:  out.Stats.Replayed,
+			ReplayNS:       out.Stats.ReplayElapsed.Nanoseconds(),
+			Stats:          out.Stats,
+		}
+		sweep.Depths = append(sweep.Depths, ds)
+		// One ended child span per depth, mirroring the SweepResult entry —
+		// the acceptance check diffs this tree against the convergence table.
+		dspan.SetInt("frames", int64(ds.Frames))
+		dspan.SetInt("classes", int64(ds.Classes))
+		dspan.SetInt("new_untestable", int64(newProjected))
+		dspan.SetInt("cum_untestable", int64(cumProjected))
+		dspan.SetInt("replay_patterns", int64(ds.ReplayPatterns))
+		dspan.SetInt("replay_dropped", int64(ds.ReplayDropped))
+		dspan.End()
+		env.Metrics.Histogram("flow.sweep.depth_ns").ObserveSince(depthStart)
+		if p.OnDepth != nil {
+			if err := p.OnDepth(SweepDepth{
+				Frames: ds.Frames, Clone: clone, Universe: cu, Sites: sm,
+				Obs: obsPts, Status: out.Status, ReplayDetected: replayDetected,
+				Stats: ds,
+			}); err != nil {
+				return fmt.Errorf("depth %d observer: %w", ds.Frames, err)
+			}
+		}
+
+		// Convergence rule: the projected untestable set is stable across
+		// two consecutive depths — the depth that just ran added nothing to
+		// what the previous depth had already proven.
+		sweep.Converged = len(sweep.Depths) >= 2 && newProjected == 0
+		if sweep.Converged || ur.Frames() >= p.MaxFrames {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := ur.Extend(); err != nil {
+			return err
+		}
+		if err := clone.Validate(); err != nil {
+			return fmt.Errorf("extended clone invalid at %d frames: %w", ur.Frames(), err)
+		}
+		order, stale := ur.AnnotationOrder()
+		if ann, err = clone.AnnotateAppended(ann, order, stale); err != nil {
+			return err
+		}
+		// The grader (simulator, shared graph, observation CSRs) and the
+		// learning cache extend in place over the appended suffix instead of
+		// rebuilding from the full netlist.
+		if err := grader.Extend(order); err != nil {
+			return fmt.Errorf("extend grader to %d frames: %w", ur.Frames(), err)
+		}
+		if learn != nil {
+			if err := learn.Extend(order, stale, env.Metrics); err != nil {
+				return fmt.Errorf("extend learning to %d frames: %w", ur.Frames(), err)
 			}
 		}
 	}
-	if err := em.flush(); err != nil {
-		return err
+
+	out := last
+	if sweep != nil {
+		sweep.FinalFrames = ur.Frames()
+		// Every class not proven untestable was re-targeted at the final
+		// depth, so the final depth's test set detects every class the
+		// cumulative map calls Detected. The converged Stats mirror what a
+		// one-shot run at the final depth would report: class tallies over
+		// the final depth's collapse with the cumulative statuses (a rep
+		// shares its class's status at every refinement level, so indexing
+		// cum by rep is exact), plus the work counters summed across depths.
+		stats := work
+		stats.Faults = cu.NumFaults()
+		stats.Patterns = len(last.Patterns)
+		finalCollapse := fault.NewCollapse(cu)
+		for id := 0; id < cu.NumFaults(); id++ {
+			fid := fault.FID(id)
+			if finalCollapse.Rep(fid) != fid {
+				continue
+			}
+			stats.Classes++
+			switch cum.Get(fid) {
+			case fault.Detected:
+				stats.Detected++
+			case fault.Untestable:
+				stats.Untestable++
+			case fault.Aborted:
+				stats.Aborted++
+			}
+		}
+		out = &atpg.Outcome{Stats: stats, Status: cum, Patterns: last.Patterns, States: last.States}
 	}
-	projected := fault.Project(cu, out.Status, env.Universe)
 	p.Result = &ScenarioResult{
 		Scenario:  p.Scenario,
 		Clone:     clone,
 		Universe:  cu,
-		Sites:     opts.Sites,
-		Obs:       obs,
+		Sites:     sm,
+		Obs:       obsPts,
 		Outcome:   out,
-		Projected: projected,
+		Projected: fault.Project(cu, out.Status, env.Universe),
+		Sweep:     sweep,
 	}
 	return nil
 }

@@ -273,37 +273,16 @@ type scenarioRecord struct {
 	Sweep     *SweepResult `json:"sweep,omitempty"`
 }
 
-const (
-	recordKindScenario = "scenario"
-	recordKindSweep    = "sweep"
-)
+// recordKind is the journaled result kind: "sweep" for a swept scenario,
+// "scenario" for a one-shot one.
+func (p *ScenarioProvider) recordKind() string {
+	if p.MaxFrames > 0 {
+		return "sweep"
+	}
+	return "scenario"
+}
 
 func (p *ScenarioProvider) resultRecord() (*journal.ProviderResult, error) {
-	data, err := json.Marshal(scenarioRecord{Projected: p.Result.Projected.Bytes()})
-	if err != nil {
-		return nil, err
-	}
-	return &journal.ProviderResult{Provider: p.Name(), Kind: recordKindScenario, Data: data}, nil
-}
-
-func (p *ScenarioProvider) restoreResult(u *fault.Universe, rec *journal.ProviderResult) error {
-	projected, _, err := decodeScenarioRecord(u, rec, recordKindScenario)
-	if err != nil {
-		return err
-	}
-	p.Result = &ScenarioResult{
-		Scenario:  p.Scenario,
-		Projected: projected,
-		Outcome:   &atpg.Outcome{},
-		Restored:  true,
-	}
-	return nil
-}
-
-func (p *SweepProvider) resultRecord() (*journal.ProviderResult, error) {
-	if p.Result == nil {
-		return nil, nil
-	}
 	data, err := json.Marshal(scenarioRecord{
 		Projected: p.Result.Projected.Bytes(),
 		Sweep:     p.Result.Sweep,
@@ -311,38 +290,29 @@ func (p *SweepProvider) resultRecord() (*journal.ProviderResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &journal.ProviderResult{Provider: p.Name(), Kind: recordKindSweep, Data: data}, nil
+	return &journal.ProviderResult{Provider: p.Name(), Kind: p.recordKind(), Data: data}, nil
 }
 
-func (p *SweepProvider) restoreResult(u *fault.Universe, rec *journal.ProviderResult) error {
-	projected, sweep, err := decodeScenarioRecord(u, rec, recordKindSweep)
+func (p *ScenarioProvider) restoreResult(u *fault.Universe, rec *journal.ProviderResult) error {
+	if want := p.recordKind(); rec.Kind != want {
+		return fmt.Errorf("journaled result has kind %q, want %q", rec.Kind, want)
+	}
+	var sr scenarioRecord
+	if err := json.Unmarshal(rec.Data, &sr); err != nil {
+		return fmt.Errorf("journaled result: %w", err)
+	}
+	projected, err := fault.RestoreStatusMap(u, sr.Projected)
 	if err != nil {
-		return err
+		return fmt.Errorf("journaled result: %w", err)
 	}
 	p.Result = &ScenarioResult{
 		Scenario:  p.Scenario,
 		Projected: projected,
 		Outcome:   &atpg.Outcome{},
-		Sweep:     sweep,
+		Sweep:     sr.Sweep,
 		Restored:  true,
 	}
 	return nil
 }
 
-func decodeScenarioRecord(u *fault.Universe, rec *journal.ProviderResult, wantKind string) (*fault.StatusMap, *SweepResult, error) {
-	if rec.Kind != wantKind {
-		return nil, nil, fmt.Errorf("journaled result has kind %q, want %q", rec.Kind, wantKind)
-	}
-	var sr scenarioRecord
-	if err := json.Unmarshal(rec.Data, &sr); err != nil {
-		return nil, nil, fmt.Errorf("journaled result: %w", err)
-	}
-	projected, err := fault.RestoreStatusMap(u, sr.Projected)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journaled result: %w", err)
-	}
-	return projected, sr.Sweep, nil
-}
-
 var _ resultRecorder = (*ScenarioProvider)(nil)
-var _ resultRecorder = (*SweepProvider)(nil)

@@ -175,9 +175,6 @@ func TestSchedulerTelemetry(t *testing.T) {
 	if got := snap.Counter("sched.queue_depth"); got != 0 {
 		t.Errorf("sched.queue_depth ends at %d, want 0 (every class handed out or pruned)", got)
 	}
-	if got := snap.Counter("sched.requeues"); got != 0 {
-		t.Errorf("sched.requeues = %d: a completed campaign must not abandon leases", got)
-	}
 	if peak := snap.Counter("sched.workers.peak"); peak < 1 || peak > 3 {
 		t.Errorf("sched.workers.peak = %d, want within [1,3]", peak)
 	}

@@ -23,10 +23,12 @@ func reachScenario(frames int) Scenario {
 	}
 }
 
-// TestSweepMatchesOneShotFinalDepth is the tentpole's flow-level acceptance
+// TestSweepMatchesOneShotFinalDepth is the sweep's flow-level acceptance
 // pin: on seeded random netlists, the adaptive sweep's converged
 // classification equals a one-shot run at the sweep's final depth — depth is
-// a dimension, not a different analysis.
+// a dimension, not a different analysis. A sweep whose budget is its
+// starting depth runs one depth, and its converged Stats are that depth's,
+// field for field.
 func TestSweepMatchesOneShotFinalDepth(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		n := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 3, Gates: 14, FFs: 2, Outputs: 2})
@@ -58,6 +60,13 @@ func TestSweepMatchesOneShotFinalDepth(t *testing.T) {
 				t.Errorf("seed %d fault %d: %v swept vs %v one-shot at k=%d",
 					seed, id, swept.Class[id], oneshot.Class[id], sw.FinalFrames)
 			}
+		}
+		single, err := RunCampaign(context.Background(), n, u, []Scenario{reachScenario(2)}, Options{MaxFrames: 2})
+		if err != nil {
+			t.Fatalf("seed %d: one-depth sweep: %v", seed, err)
+		}
+		if sr := single.Scenarios[0]; len(sr.Sweep.Depths) != 1 || sr.Outcome.Stats != sr.Sweep.Depths[0].Stats {
+			t.Errorf("seed %d: one-depth sweep's Stats %+v, its depth's %+v", seed, sr.Outcome.Stats, sr.Sweep.Depths)
 		}
 	}
 }
@@ -107,7 +116,7 @@ func TestSweepDepthAttribution(t *testing.T) {
 	n := testutil.RandomNetlist(9, testutil.RandOpts{Inputs: 3, Gates: 14, FFs: 2, Outputs: 2})
 	u := fault.NewUniverse(n)
 	c := NewCampaign(n, u, CampaignOptions{})
-	sp := &SweepProvider{Scenario: reachScenario(2), MaxFrames: 4}
+	sp := &ScenarioProvider{Scenario: reachScenario(2), MaxFrames: 4}
 	if err := c.Add(sp); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +187,7 @@ func TestSweepRetargetedAccounting(t *testing.T) {
 	// A backtrack limit of 1 forces aborts at every depth on this seed, so
 	// re-targeted unresolved classes are guaranteed.
 	c := NewCampaign(n, u, CampaignOptions{ATPG: atpg.Options{BacktrackLimit: 1}, Metrics: reg})
-	sp := &SweepProvider{Scenario: reachScenario(2), MaxFrames: 4}
+	sp := &ScenarioProvider{Scenario: reachScenario(2), MaxFrames: 4}
 	if err := c.Add(sp); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +233,7 @@ func TestSweepConfigErrors(t *testing.T) {
 	// first k cycles, so untestability does not persist across depths and
 	// dropping resolved classes would be unsound. RunCampaign refuses the
 	// budget when they are the only candidate, and a directly constructed
-	// SweepProvider fails its Run.
+	// swept ScenarioProvider fails its Run.
 	resetReach := Scenario{
 		Name:       "reset-reach",
 		Transforms: []constraint.Transform{constraint.Unroll{Frames: 2, ResetInit: true}},
@@ -234,11 +243,11 @@ func TestSweepConfigErrors(t *testing.T) {
 		t.Error("MaxFrames with only a reset-init unroll: want error")
 	}
 	c := NewCampaign(n, u, CampaignOptions{})
-	if err := c.Add(&SweepProvider{Scenario: resetReach, MaxFrames: 3}); err != nil {
+	if err := c.Add(&ScenarioProvider{Scenario: resetReach, MaxFrames: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("direct SweepProvider over a reset-init unroll: want error")
+		t.Error("direct swept ScenarioProvider over a reset-init unroll: want error")
 	}
 }
 
@@ -248,9 +257,10 @@ func TestSweepConfigErrors(t *testing.T) {
 // netlists the swept classification digest is byte-identical to a one-shot
 // campaign at the sweep's final depth, which replays only the baseline's
 // tests, on a fresh grader with fresh learning. The loop also asserts
-// replay actually engaged somewhere, so the equality is not vacuous, and
-// that the converged test set, the pool lifted to the final depth, holds no
-// X.
+// replay actually engaged somewhere, so the equality is not vacuous; that
+// every depth after the first replays exactly the rows the depth before it
+// emitted; and that the converged test set, the final depth's, holds no X
+// and is what the converged Stats.Patterns counts.
 func TestSweepReplayDigestEqual(t *testing.T) {
 	replayDropped := int64(0)
 	for seed := int64(1); seed <= 4; seed++ {
@@ -269,6 +279,17 @@ func TestSweepReplayDigestEqual(t *testing.T) {
 		requireNoAborts(t, warm, fmt.Sprintf("seed %d sweep", seed))
 		requireNoAborts(t, oneshot, fmt.Sprintf("seed %d one-shot", seed))
 		requireSpecified(t, fmt.Sprintf("seed %d sweep", seed), warm.Scenarios[0].Outcome)
+		depths := warm.Scenarios[0].Sweep.Depths
+		for i := 1; i < len(depths); i++ {
+			if got, want := depths[i].ReplayPatterns, depths[i-1].Stats.Patterns; got != want {
+				t.Errorf("seed %d k=%d: replayed %d rows, the previous depth emitted %d",
+					seed, depths[i].Frames, got, want)
+			}
+		}
+		if out := warm.Scenarios[0].Outcome; out.Stats.Patterns != len(out.Patterns) {
+			t.Errorf("seed %d: converged Stats.Patterns %d, test set holds %d rows",
+				seed, out.Stats.Patterns, len(out.Patterns))
+		}
 		if w, o := warm.ClassDigest(), oneshot.ClassDigest(); w != o {
 			t.Errorf("seed %d: classification digest %s swept, %s one-shot at k=%d", seed, w, o, final)
 		}
@@ -295,7 +316,7 @@ func TestSweepReplayOracle(t *testing.T) {
 		n := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 3, Gates: 12, FFs: 2, Outputs: 2})
 		u := fault.NewUniverse(n)
 		c := NewCampaign(n, u, CampaignOptions{})
-		sp := &SweepProvider{
+		sp := &ScenarioProvider{
 			Scenario:  reachScenario(2),
 			MaxFrames: 4,
 			OnDepth: func(d SweepDepth) error {

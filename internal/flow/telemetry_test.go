@@ -214,6 +214,7 @@ func TestMetricsOptionValidation(t *testing.T) {
 		"ATPG.Metrics": {Metrics: obs.New()},
 		"ATPG.Learn":   {Learn: learn},
 		"ATPG.Replay":  {Replay: &atpg.Replay{}},
+		"ATPG.Workers": {Workers: 2},
 	} {
 		c := NewCampaign(n, u, CampaignOptions{ATPG: bad})
 		if err := c.Add(&BaselineProvider{}); err != nil {

@@ -43,28 +43,22 @@ func coldResults(t *testing.T, n *netlist.Netlist, scenarios []Scenario, maxFram
 	if err := c.Add(&BaselineProvider{}); err != nil {
 		t.Fatal(err)
 	}
-	results := make([]func() *ScenarioResult, len(scenarios))
+	ps := make([]*ScenarioProvider, len(scenarios))
 	for i, sc := range scenarios {
-		if _, ok := sweepableUnroll(sc); ok && maxFrames > 0 {
-			p := &SweepProvider{Scenario: sc, MaxFrames: maxFrames}
-			results[i] = func() *ScenarioResult { return p.Result }
-			if err := c.Add(p); err != nil {
-				t.Fatal(err)
-			}
-			continue
+		ps[i] = &ScenarioProvider{Scenario: sc}
+		if _, ok := sweepableUnroll(sc); ok {
+			ps[i].MaxFrames = maxFrames
 		}
-		p := &ScenarioProvider{Scenario: sc}
-		results[i] = func() *ScenarioResult { return p.Result }
-		if err := c.Add(p); err != nil {
+		if err := c.Add(ps[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]*ScenarioResult, len(results))
-	for i, r := range results {
-		out[i] = r()
+	out := make([]*ScenarioResult, len(ps))
+	for i, p := range ps {
+		out[i] = p.Result
 	}
 	return out
 }
@@ -74,8 +68,8 @@ func coldResults(t *testing.T, n *netlist.Netlist, scenarios []Scenario, maxFram
 // searched and which are dropped, never a verdict. On seeded random
 // netlists, at four workers, every scenario projects exactly what the same
 // providers project cold, the replay dropped classes somewhere, every
-// one-shot scenario's test set detects every class it calls Detected on its
-// own clone, and no emitted row holds an X.
+// scenario's test set, a swept one's included, detects every class it calls
+// Detected on its own clone, and no emitted row holds an X.
 func TestWarmStartDigestEqual(t *testing.T) {
 	warmDropped := int64(0)
 	for seed := int64(1); seed <= 4; seed++ {
@@ -99,9 +93,6 @@ func TestWarmStartDigestEqual(t *testing.T) {
 				}
 			}
 			requireSpecified(t, label, sr.Outcome)
-			if sr.Sweep != nil {
-				continue
-			}
 			grader, err := sim.NewGraderSites(sr.Clone, sr.Universe, sr.Obs, sr.Sites)
 			if err != nil {
 				t.Fatal(err)
@@ -118,11 +109,12 @@ func TestWarmStartDigestEqual(t *testing.T) {
 }
 
 // TestWarmStartOracle re-proves the warm start by exhaustive simulation, at
-// four workers: every Detected verdict of every one-shot scenario (the
-// baseline replay's drops among them) is detectable on the scenario's
-// clone, and every class the replay dropped at a swept depth, the first
-// depth's baseline replay included, is detectable on that depth's clone
-// under its multi-frame injection.
+// four workers: every Detected verdict of every scenario (the baseline
+// replay's drops among them; a swept scenario's converged verdicts on its
+// final clone) is detectable on the scenario's clone, and every class the
+// replay dropped at a swept depth, the first depth's baseline replay
+// included, is detectable on that depth's clone under its multi-frame
+// injection.
 func TestWarmStartOracle(t *testing.T) {
 	warmDropped := int64(0)
 	for seed := int64(5); seed <= 7; seed++ {
@@ -148,9 +140,6 @@ func TestWarmStartOracle(t *testing.T) {
 		}
 		warmDropped += reg.Snapshot().Counter("flow.warm.dropped")
 		for _, sr := range r.Scenarios {
-			if sr.Sweep != nil {
-				continue
-			}
 			if err := testutil.VerifyDetectedSites(sr.Universe, sr.Outcome.Status, sr.Obs, sr.Sites); err != nil {
 				t.Fatalf("seed %d scenario %q: %v", seed, sr.Scenario.Name, err)
 			}

@@ -19,8 +19,7 @@
 //
 // A lease is the unit a distributed-worker protocol would reuse: a chunk
 // handed to a worker is exactly the work spec a remote worker would lease
-// over the wire, and Release — returning the unstarted remainder of a lease
-// to the shared pool — is the re-plan step for a worker that churns.
+// over the wire.
 //
 // Verdict soundness is untouched by scheduling: Detected and Untestable are
 // complete proofs, so any dequeue order yields the same terminal statuses.
@@ -43,6 +42,13 @@ const (
 	stateRemoved              // pruned by Remove
 )
 
+// The chunk policy: a lease takes remaining/(chunkDecay*workers) classes,
+// so each worker's first lease takes half its even share and consecutive
+// leases shrink geometrically as the queue drains, down to one class: tail
+// leases of a single class keep every worker busy until the queue is truly
+// dry.
+const chunkDecay = 2
+
 // Options configures a Queue.
 type Options struct {
 	// Workers is the worker count the chunk-decay policy divides the
@@ -50,35 +56,22 @@ type Options struct {
 	// concurrency but nothing breaks if it does not — worker IDs passed to
 	// Next merely index lease slots, which grow on demand.
 	Workers int
-	// MinChunk floors the lease size; <1 is treated as 1. The floor is where
-	// decay bottoms out: tail leases of MinChunk classes keep every worker
-	// busy until the queue is truly dry.
-	MinChunk int
-	// Decay scales the geometric chunk decay: a lease takes
-	// remaining/(Decay*Workers) classes, so consecutive leases shrink
-	// geometrically as the queue drains. <1 is treated as the default 2
-	// (each worker's first lease takes half its even share).
-	Decay int
 	// Metrics, when non-nil, receives the queue's instrumentation:
-	// "sched.chunks" (leases taken), "sched.steals", "sched.requeues"
-	// (classes returned by Release), and the "sched.queue_depth" gauge
-	// (classes not yet handed out, campaign-wide when queues share a
-	// registry). All nil-safe no-ops otherwise.
+	// "sched.chunks" (leases taken), "sched.steals", and the
+	// "sched.queue_depth" gauge (classes not yet handed out, campaign-wide
+	// when queues share a registry). All nil-safe no-ops otherwise.
 	Metrics *obs.Registry
 }
 
 // Queue is the chunked, lease-based work-stealing class queue. Build one
 // with NewQueue; every method is safe for concurrent use.
 type Queue struct {
-	mu       sync.Mutex
-	workers  int
-	minChunk int
-	decay    int
+	mu      sync.Mutex
+	workers int
 
 	// pending is the shared pool in enqueue order; entries before head are
 	// spent, entries at or after it are leased lazily (removed classes are
-	// skipped when popped, not compacted). Release appends requeued classes
-	// at the tail.
+	// skipped when popped, not compacted).
 	pending []fault.FID
 	head    int
 	// lease[w] is worker w's unstarted chunk remainder, consumed
@@ -88,7 +81,7 @@ type Queue struct {
 	// live counts classes not yet handed out or removed, wherever they sit.
 	live int
 
-	mChunks, mSteals, mRequeues, mDepth *obs.Counter
+	mChunks, mSteals, mDepth *obs.Counter
 }
 
 // NewQueue builds a work-stealing queue over the given class
@@ -98,18 +91,10 @@ func NewQueue(classes []fault.FID, opts Options) *Queue {
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if opts.MinChunk < 1 {
-		opts.MinChunk = 1
-	}
-	if opts.Decay < 1 {
-		opts.Decay = 2
-	}
 	q := &Queue{
-		workers:  opts.Workers,
-		minChunk: opts.MinChunk,
-		decay:    opts.Decay,
-		pending:  append([]fault.FID(nil), classes...),
-		state:    make(map[fault.FID]uint8, len(classes)),
+		workers: opts.Workers,
+		pending: append([]fault.FID(nil), classes...),
+		state:   make(map[fault.FID]uint8, len(classes)),
 	}
 	for _, fid := range classes {
 		q.state[fid] = stateQueued
@@ -118,7 +103,6 @@ func NewQueue(classes []fault.FID, opts Options) *Queue {
 	reg := opts.Metrics
 	q.mChunks = reg.Counter("sched.chunks")
 	q.mSteals = reg.Counter("sched.steals")
-	q.mRequeues = reg.Counter("sched.requeues")
 	q.mDepth = reg.Counter("sched.queue_depth")
 	q.mDepth.Add(int64(q.live))
 	return q
@@ -143,11 +127,7 @@ func (q *Queue) grow(w int) {
 
 // chunkSize picks the next lease size under the geometric decay policy.
 func (q *Queue) chunkSize() int {
-	c := q.live / (q.decay * q.workers)
-	if c < q.minChunk {
-		c = q.minChunk
-	}
-	return c
+	return max(q.live/(chunkDecay*q.workers), 1)
 }
 
 // Next hands worker w its next class: the front of its own lease, else a
@@ -255,27 +235,4 @@ func (q *Queue) Remove(fid fault.FID) bool {
 	q.live--
 	q.mDepth.Add(-1)
 	return true
-}
-
-// Release abandons worker w's outstanding lease, returning its unstarted
-// classes to the shared pool — the in-process analogue of a distributed
-// worker churning mid-lease. Safe to call for a worker holding nothing.
-func (q *Queue) Release(w int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if w < 0 || w >= len(q.lease) {
-		return
-	}
-	requeued := int64(0)
-	for _, fid := range q.lease[w] {
-		if q.state[fid] != stateQueued {
-			continue
-		}
-		q.pending = append(q.pending, fid)
-		requeued++
-	}
-	q.lease[w] = nil
-	if requeued > 0 {
-		q.mRequeues.Add(requeued)
-	}
 }

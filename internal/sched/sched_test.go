@@ -110,35 +110,10 @@ func TestRemoveSemantics(t *testing.T) {
 	}
 }
 
-// TestReleaseRequeues: a worker abandoning its lease returns the unstarted
-// remainder to the shared pool, where another worker picks it up.
-func TestReleaseRequeues(t *testing.T) {
-	reg := obs.New()
-	// Two workers, large min chunk: worker 0's first lease takes everything.
-	q := NewQueue(seq(10), Options{Workers: 2, MinChunk: 10, Metrics: reg})
-	if _, ok := q.Next(0); !ok {
-		t.Fatal("no work for worker 0")
-	}
-	q.Release(0) // abandon the other 9
-	seen := 0
-	for {
-		if _, ok := q.Next(1); !ok {
-			break
-		}
-		seen++
-	}
-	if seen != 9 {
-		t.Fatalf("worker 1 drained %d classes after release, want 9", seen)
-	}
-	if got := reg.Snapshot().Counter("sched.requeues"); got != 9 {
-		t.Fatalf("sched.requeues = %d, want 9", got)
-	}
-}
-
 // TestChunkDecay: lease sizes shrink geometrically as the queue drains, and
 // the shared pool always yields work while live classes remain unleased.
 func TestChunkDecay(t *testing.T) {
-	q := NewQueue(seq(128), Options{Workers: 2, Decay: 2})
+	q := NewQueue(seq(128), Options{Workers: 2})
 	// First lease: 128/(2*2) = 32 classes for worker 0.
 	if _, ok := q.Next(0); !ok {
 		t.Fatal("no first chunk")
@@ -218,12 +193,13 @@ func TestSkewStealing(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn is the -race stress: many workers, tiny chunks,
-// concurrent removals and releases. Correctness bar: no class is handed out
-// twice and the run terminates.
+// TestConcurrentChurn is the -race stress: many workers draining one queue
+// through its chunk leases and steals while they remove classes from it
+// concurrently. Correctness bar: no class is handed out twice and the run
+// terminates.
 func TestConcurrentChurn(t *testing.T) {
 	const n, workers = 2000, 16
-	q := NewQueue(seq(n), Options{Workers: workers, MinChunk: 1, Decay: 64})
+	q := NewQueue(seq(n), Options{Workers: workers})
 	var handed [n]int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -240,12 +216,9 @@ func TestConcurrentChurn(t *testing.T) {
 				mu.Lock()
 				handed[fid]++
 				mu.Unlock()
-				// Interleave removals and lease churn with the draining.
+				// Interleave removals with the draining.
 				if i%7 == 0 {
 					q.Remove(fault.FID((int(fid) + 13) % n))
-				}
-				if i%31 == 0 {
-					q.Release(w)
 				}
 				i++
 			}
