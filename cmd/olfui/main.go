@@ -23,8 +23,8 @@
 //	                        live JSON snapshot under /metrics while running
 //	-progress               print per-provider completion lines and a
 //	                        once-per-second rate summary (classes/s, live
-//	                        classes, ETA) on stderr, leaving stdout to the
-//	                        report
+//	                        and queued classes, ETA) on stderr, leaving
+//	                        stdout to the report
 //
 // Every provider screens provably unactivatable faults through a static
 // learning pass before searching (see ARCHITECTURE.md "Learning & batched

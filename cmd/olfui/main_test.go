@@ -86,8 +86,8 @@ func BenchmarkCampaignBench(b *testing.B) {
 }
 
 // sweepBenchConfig is the BENCH_PR9 workload: a swept campaign at width 12,
-// every provider draining its hardest-first class list through the
-// work-stealing queue. The backtrack limit keeps per-class search bounded so
+// every provider's workers drawing its hardest-first class list from one
+// queue cursor. The backtrack limit keeps per-class search bounded so
 // the measurement weighs scheduling and dropping rather than abort churn;
 // learning is off because its build cost would only dilute them.
 func sweepBenchConfig() config {

@@ -64,10 +64,10 @@ func startDebugServer(addr string, reg *obs.Registry) (string, func(), error) {
 
 // progressReporter renders -progress on stderr: per-provider completion lines
 // as they happen plus a periodic one-line rate summary derived from the live
-// telemetry counters (classes resolved, live count, resolution rate, ETA).
-// Individual delta merges are counted but not printed — the per-delta lines
-// of the previous implementation went to stdout and interleaved with the
-// report. A final summary is flushed exactly once by stopAndFlush.
+// telemetry counters (classes resolved, live count, queue depth, resolution
+// rate, ETA). Individual delta merges are counted but not printed — the
+// per-delta lines of the previous implementation went to stdout and
+// interleaved with the report. A final summary is flushed exactly once by stopAndFlush.
 type progressReporter struct {
 	w    io.Writer
 	stop chan struct{}
@@ -79,8 +79,6 @@ type progressReporter struct {
 	retargeted    *obs.Counter
 	deltas        *obs.Counter
 	queueDepth    *obs.Counter
-	steals        *obs.Counter
-	chunks        *obs.Counter
 	replayPats    *obs.Counter
 	replayDropped *obs.Counter
 
@@ -88,7 +86,6 @@ type progressReporter struct {
 	// joined) stopAndFlush.
 	start        time.Time
 	lastResolved int64
-	lastSteals   int64
 	lastTime     time.Time
 }
 
@@ -105,8 +102,6 @@ func newProgressReporter(w io.Writer, reg *obs.Registry, interval time.Duration)
 		retargeted:    reg.Counter("atpg.classes.retargeted"),
 		deltas:        reg.Counter("flow.deltas"),
 		queueDepth:    reg.Counter("sched.queue_depth"),
-		steals:        reg.Counter("sched.steals"),
-		chunks:        reg.Counter("sched.chunks"),
 		replayPats:    reg.Counter("flow.sweep.replay.patterns"),
 		replayDropped: reg.Counter("flow.sweep.replay.dropped"),
 		start:         now,
@@ -164,10 +159,6 @@ func (p *progressReporter) summary(final bool) {
 		}
 		fmt.Fprintf(p.w, "  progress: %d classes resolved in %v (%.0f classes/s, %d deltas merged)\n",
 			resolved, el.Round(time.Millisecond), rate, p.deltas.Load())
-		if chunks := p.chunks.Load(); chunks > 0 {
-			fmt.Fprintf(p.w, "  sched: %d chunks leased, %d stolen, queue depth %d at exit\n",
-				chunks, p.steals.Load(), p.queueDepth.Load())
-		}
 		if pats := p.replayPats.Load(); pats > 0 {
 			// Warm-start view: patterns the depth sweep replayed across depths
 			// and the classes that resolved without a search because of it.
@@ -182,25 +173,18 @@ func (p *progressReporter) summary(final bool) {
 	classes := p.classes.Load()
 	live := classes - resolved - p.retargeted.Load()
 	rate := 0.0
-	stealRate := 0.0
-	steals := p.steals.Load()
 	if dt := now.Sub(p.lastTime).Seconds(); dt > 0 {
 		rate = float64(resolved-p.lastResolved) / dt
-		stealRate = float64(steals-p.lastSteals) / dt
 	}
-	p.lastResolved, p.lastSteals, p.lastTime = resolved, steals, now
+	p.lastResolved, p.lastTime = resolved, now
 	eta := "?"
 	if rate > 0 && live > 0 {
 		eta = time.Duration(float64(live) / rate * float64(time.Second)).Round(time.Second).String()
 	} else if live == 0 {
 		eta = "0s"
 	}
-	fmt.Fprintf(p.w, "  progress: %d/%d classes resolved, %d live, %.0f classes/s, ETA %s\n",
-		resolved, classes, live, rate, eta)
-	if p.chunks.Load() > 0 {
-		// Scheduler view: classes not yet handed to a worker (campaign-wide
-		// across all live queues) and how hard the thieves are working.
-		fmt.Fprintf(p.w, "  sched: queue depth %d, %.1f steals/s (%d total)\n",
-			p.queueDepth.Load(), stealRate, steals)
-	}
+	// The queue depth counts the classes not yet handed to a worker,
+	// campaign-wide across every running GenerateAll.
+	fmt.Fprintf(p.w, "  progress: %d/%d classes resolved, %d live, %d queued, %.0f classes/s, ETA %s\n",
+		resolved, classes, live, p.queueDepth.Load(), rate, eta)
 }

@@ -152,20 +152,22 @@ func TestMetricsOutFile(t *testing.T) {
 // TestProgressLiveSubtractsRetargeted is the sweep-progress regression pin:
 // depth sweeps re-count re-targeted classes on atpg.classes, so the live
 // estimate must back out atpg.classes.retargeted — with 10 targetings, 6
-// resolutions and 3 re-targets, exactly one class is still live.
+// resolutions and 3 re-targets, exactly one class is still live. The line
+// also reports the sched.queue_depth gauge.
 func TestProgressLiveSubtractsRetargeted(t *testing.T) {
 	reg := obs.New()
 	reg.Counter("atpg.classes").Add(10)
 	reg.Counter("atpg.classes.detected").Add(4)
 	reg.Counter("atpg.classes.untestable").Add(2)
 	reg.Counter("atpg.classes.retargeted").Add(3)
+	reg.Counter("sched.queue_depth").Add(1)
 	var buf strings.Builder
 	p := newProgressReporter(&buf, reg, time.Hour)
 	p.summary(false)
 	close(p.stop)
 	p.wg.Wait()
-	if got := buf.String(); !strings.Contains(got, "6/10 classes resolved, 1 live") {
-		t.Fatalf("summary %q: want 1 live (10 classes - 6 resolved - 3 retargeted)", got)
+	if got := buf.String(); !strings.Contains(got, "6/10 classes resolved, 1 live, 1 queued") {
+		t.Fatalf("summary %q: want 1 live (10 classes - 6 resolved - 3 retargeted) and 1 queued", got)
 	}
 }
 

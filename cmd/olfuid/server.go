@@ -362,11 +362,11 @@ func (s *server) runCampaign(ctx context.Context, r *run) (*flow.Report, error) 
 	}
 	delay := time.Duration(spec.DeltaDelayMS) * time.Millisecond
 	opts := flow.Options{
-		Workers:         spec.Workers,
-		MaxFrames:       spec.MaxFrames,
-		SerialScenarios: spec.Serial,
-		Metrics:         s.reg,
-		Journal:         j,
+		Workers:   spec.Workers,
+		MaxFrames: spec.MaxFrames,
+		Serial:    spec.Serial,
+		Metrics:   s.reg,
+		Journal:   j,
 		Progress: func(e flow.Event) {
 			if e.Done && e.Err == nil {
 				r.providersDone.Add(1)

@@ -40,13 +40,16 @@
 // controllability.
 //
 // On top of the single-fault core, GenerateAll drives the collapsed fault
-// list through a bounded worker pool with fault dropping. The engine leaves
-// every input its search did not need at X; GenerateAll completes each
-// Detected search's test (every X becomes a pseudo-random 0 or 1, seeded by
-// the class's FID) and immediately fault-simulates it (sim.Grader, PPSFP), so
-// incidentally detected faults never reach the deterministic engine. A fully
-// specified test drives every net to a definite value, so one test drops far
-// more classes than the partial assignment would.
+// list through a bounded worker pool with fault dropping. It owns the
+// dispatch order: it sorts its classes hardest-first by SCOAP detection
+// difficulty, and every worker draws the next class of that one list from a
+// shared sched.Queue cursor. The engine leaves every input its search did
+// not need at X; GenerateAll completes each Detected search's test (every X
+// becomes a pseudo-random 0 or 1, seeded by the class's FID) and immediately
+// fault-simulates it (sim.Grader, PPSFP), so incidentally detected faults
+// never reach the deterministic engine. A fully specified test drives every
+// net to a definite value, so one test drops far more classes than the
+// partial assignment would.
 package atpg
 
 import (
@@ -106,16 +109,12 @@ type Options struct {
 	// verdicts are then proofs relative to this set, and GenerateAll's
 	// fault dropping grades at the same points so the two never disagree.
 	ObsPoints []sim.ObsPoint
-	// Classes is GenerateAll's ordered work list: the collapsed-class
-	// representatives to target, leased to the workers in exactly this order
-	// (a one-worker run searches them strictly in sequence). Nil targets
-	// every class of the universe in ascending FID order. Every entry must be
-	// a representative of the universe's structural collapse; verdicts still
-	// spread to all members of the targeted classes. Campaign providers pass
-	// their classes hardest-first (SCOAP detection difficulty): the hard
-	// classes are searched while the most classes are still live, and each
-	// completed test then drops easy classes that would otherwise each cost a
-	// search.
+	// Classes is the set of collapsed-class representatives GenerateAll
+	// targets; nil targets every class of the universe. Every entry must be a
+	// representative of the universe's structural collapse, listed once;
+	// verdicts still spread to all members of the targeted classes. The
+	// order of the list does not matter: GenerateAll searches its classes
+	// hardest-first whatever order they arrive in, and only reads the list.
 	Classes []fault.FID
 	// Replay, when non-nil, is a test set GenerateAll grades against the
 	// class list before any search dispatches (see Replay). Campaign
@@ -164,7 +163,7 @@ type Options struct {
 	// CSR and simulator every depth. Nil builds a fresh grader per run.
 	Grader *sim.Grader
 	// Learn optionally supplies a prebuilt static learning pass
-	// (BuildLearning) for the netlist. GenerateAll consults it to emit
+	// (BuildLearningOn) for the netlist. GenerateAll consults it to emit
 	// provably untestable classes in constant time before any search
 	// dispatches. Like Annotations it is read-only, so one build per
 	// constrained clone is shared across engines, and the depth sweep

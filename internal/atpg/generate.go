@@ -1,10 +1,12 @@
 package atpg
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +86,7 @@ type workItem struct {
 }
 
 // GenerateAll runs deterministic ATPG over the collapsed fault list of the
-// universe (or the Options.Classes work list) with fault dropping: fault
+// universe (or the Options.Classes subset) with fault dropping: fault
 // classes fan out to a bounded worker pool (one Engine per worker), and every
 // pattern a worker generates is immediately fault-simulated against the
 // remaining undetected classes so incidentally covered faults are dropped
@@ -92,6 +94,13 @@ type workItem struct {
 // tradeoff: the serial drop loop shrinks both the test set and the number of
 // deterministic searches, while the workers keep the per-fault searches
 // parallel.
+//
+// Dispatch order: GenerateAll sorts its classes hardest-first (hardestFirst:
+// descending SCOAP detection difficulty, ties in ascending FID order), and
+// the replay, the learning screen and the workers all walk that one order.
+// Hard classes are searched while the most classes are still live, and each
+// of their completed tests drops easy classes that would otherwise each cost
+// a search. The order of Options.Classes does not matter.
 //
 // Before a worker hands a Detected result to the drop loop, it completes the
 // test (completeTest): every X the search left in Result.Pattern and
@@ -113,14 +122,15 @@ type workItem struct {
 // starts: its hits resolve as simulation drops, and the words that dropped a
 // class lead the emitted test set (see Replay).
 //
-// Workers pull classes rather than being dispatched to: each drains one
-// work-stealing sched.Queue built over the class list in its given order, and
-// a per-worker ack keeps a worker from taking its next class until the
+// Workers pull classes rather than being dispatched to: every worker draws
+// the next class of the sorted list from one sched.Queue cursor, and a
+// per-worker ack keeps a worker from taking its next class until the
 // coordinator has graded its previous pattern — so fault dropping sees every
-// pattern before more search work starts. A single worker takes the classes
-// strictly in list order, so a one-worker run is fully deterministic.
-// Classes the replay or the learning screen resolves never enter the queue,
-// and classes a search's test drops are pruned from it in flight.
+// pattern before more search work starts. A single worker therefore takes
+// the classes strictly in sorted order, and a one-worker run is fully
+// deterministic. Classes the replay or the learning screen resolves never
+// enter the queue, and classes a search's test drops are pruned from it in
+// flight.
 //
 // Cancelling ctx stops the run promptly — in-flight searches poll a shared
 // flag once per decision step — and returns ctx.Err() after every worker has
@@ -139,15 +149,17 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	// Rep path-compresses (writes), so a shared instance would race across
 	// concurrent runs. It is O(faults·α) — noise next to the search.
 	collapse := fault.NewCollapse(u)
-	reps := opts.Classes
-	if reps == nil {
+	// reps is the run's own class list: hardestFirst sorts it in place and
+	// the queue below filters it in place, so a caller's list is copied.
+	var reps []fault.FID
+	if opts.Classes == nil {
 		for id := 0; id < u.NumFaults(); id++ {
 			if collapse.Rep(fault.FID(id)) == fault.FID(id) {
 				reps = append(reps, fault.FID(id))
 			}
 		}
 	} else {
-		for _, fid := range reps {
+		for _, fid := range opts.Classes {
 			if int(fid) < 0 || int(fid) >= u.NumFaults() {
 				return nil, fmt.Errorf("atpg: class %d out of universe range", fid)
 			}
@@ -155,6 +167,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 				return nil, fmt.Errorf("atpg: class %d is not a collapse representative", fid)
 			}
 		}
+		reps = slices.Clone(opts.Classes)
 	}
 	if rp := opts.Replay; rp != nil {
 		if len(rp.States) != len(rp.Patterns) {
@@ -184,6 +197,15 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		grader.Instrument(opts.Metrics)
 	}
 
+	ann := opts.Annotations
+	if ann == nil {
+		var err error
+		if ann, err = n.Annotate(); err != nil {
+			return nil, err
+		}
+	}
+	hardestFirst(u, ann, reps)
+
 	// live is the incrementally pruned drop-candidate list: classes not yet
 	// proven Detected or Untestable. Aborted classes stay live — a later
 	// pattern may well cover a fault the deterministic search gave up on.
@@ -203,19 +225,11 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		livePos[fid] = int32(i)
 	}
 
-	ann := opts.Annotations
-	if ann == nil {
-		var err error
-		if ann, err = n.Annotate(); err != nil {
-			return nil, err
-		}
-	}
+	// The learning shares the grader's forward graph, so the netlist is not
+	// levelized again.
 	learn := opts.Learn
 	if learn == nil && !opts.NoLearn {
-		var err error
-		if learn, err = BuildLearning(n, opts.Metrics); err != nil {
-			return nil, err
-		}
+		learn = BuildLearningOn(n, grader.Graph(), opts.Metrics)
 	}
 	out := &Outcome{Status: status}
 	st := &out.Stats
@@ -255,10 +269,9 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		}
 	}
 
-	// src is the lease queue workers drain, built once the replay and the
-	// screen below have resolved what they can. It shares the run's
-	// registry, so sched.* counters and the queue-depth gauge aggregate
-	// across every run of a campaign.
+	// src is the cursor workers drain, built once the replay and the screen
+	// below have resolved what they can. It shares the run's registry, so
+	// the queue-depth gauge aggregates across every run of a campaign.
 	var src *sched.Queue
 	unlive := func(fid fault.FID) {
 		// A resolved class needs no search: prune it from the queue too,
@@ -353,17 +366,18 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		}
 	}
 
-	// The queue holds the classes left live, in list order.
-	queued := reps
-	if len(live) < len(reps) {
-		queued = make([]fault.FID, 0, len(live))
-		for _, fid := range reps {
-			if livePos[fid] >= 0 {
-				queued = append(queued, fid)
-			}
+	// The queue holds the classes left live, in sorted order: filtering the
+	// run's own list in place keeps that order and copies nothing. Closing
+	// it on every return sheds what a cancelled run leaves queued from the
+	// depth gauge.
+	queued := reps[:0]
+	for _, fid := range reps {
+		if livePos[fid] >= 0 {
+			queued = append(queued, fid)
 		}
 	}
-	src = sched.NewQueue(queued, sched.Options{Workers: workers, Metrics: opts.Metrics})
+	src = sched.NewQueue(queued, opts.Metrics)
+	defer src.Close()
 
 	// Workers pull classes from src, gated per search by the (possibly nil,
 	// then ungated) campaign worker pool. The per-worker ack keeps each
@@ -397,7 +411,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 				if !opts.Pool.Acquire(ctx) {
 					return
 				}
-				fid, ok := src.Next(wid)
+				fid, ok := src.Next()
 				if !ok {
 					opts.Pool.Release()
 					return
@@ -492,6 +506,28 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	status.SpreadClasses(collapse)
 	st.Elapsed = time.Since(start)
 	return out, nil
+}
+
+// hardestFirst sorts classes in place by descending SCOAP detection
+// difficulty of the class representative: detecting stuck-at-v on net n
+// needs n controlled to ¬v and the value propagated to an observation point,
+// so the difficulty is CC(¬v)(n) + CO(n) (saturating). Ties keep
+// ascending-FID order, so the order is deterministic for a given annotation
+// pass. Reordering is sound because Detected and Untestable are
+// order-invariant complete proofs; only Aborted verdicts are
+// search-order-sensitive.
+func hardestFirst(u *fault.Universe, ann *netlist.Annotations, classes []fault.FID) {
+	cost := func(fid fault.FID) int32 {
+		f := u.FaultOf(fid)
+		net := u.NetOf(f.Site)
+		return netlist.SatAdd(ann.CCOf(net, f.SA == logic.Zero), ann.CO[net])
+	}
+	slices.SortFunc(classes, func(a, b fault.FID) int {
+		if ca, cb := cost(a), cost(b); ca != cb {
+			return cmp.Compare(cb, ca)
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // completeTest fills, in place, every X entry of a Detected search's pattern

@@ -11,6 +11,7 @@ import (
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
+	"olfui/internal/obs"
 	"olfui/internal/sim"
 	"olfui/internal/testutil"
 )
@@ -36,29 +37,38 @@ func TestGenerateAllPreCancelled(t *testing.T) {
 }
 
 // TestGenerateAllCancelMidRun cancels while the fleet is mid-flight: the run
-// must return ctx.Err() promptly and every worker goroutine must exit.
+// must return ctx.Err() promptly, every worker goroutine must exit, and the
+// classes still queued must leave the sched.queue_depth gauge, which a
+// campaign server's registry keeps across runs.
 func TestGenerateAllCancelMidRun(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	fired := false
-	opts := Options{
-		Workers: 4,
-		Progress: func(fault.FID, Verdict) {
-			// Cancel on the first committed verdict, with plenty of
-			// classes still undispatched.
-			if !fired {
-				fired = true
-				cancel()
-			}
-		},
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		reg := obs.New()
+		fired := false
+		opts := Options{
+			Workers: workers,
+			Metrics: reg,
+			Progress: func(fault.FID, Verdict) {
+				// Cancel on the first committed verdict, with plenty of
+				// classes still undispatched.
+				if !fired {
+					fired = true
+					cancel()
+				}
+			},
+		}
+		out, err := GenerateAll(ctx, n, u, opts)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v (out=%v), want context.Canceled", workers, err, out != nil)
+		}
+		waitGoroutines(t, base)
+		if depth := reg.Snapshot().Counter("sched.queue_depth"); depth != 0 {
+			t.Fatalf("workers=%d: sched.queue_depth = %d after the cancelled run, want 0", workers, depth)
+		}
 	}
-	out, err := GenerateAll(ctx, n, u, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v (out=%v), want context.Canceled", err, out != nil)
-	}
-	waitGoroutines(t, base)
 }
 
 func TestGenerateAllDeadline(t *testing.T) {
@@ -125,6 +135,55 @@ func TestGenerateAllShardsMatchFull(t *testing.T) {
 				t.Fatalf("k=%d fault %d: sharded %v, full %v", k, id, got, want)
 			}
 		}
+	}
+}
+
+// TestGenerateAllOrdersItsClasses pins that GenerateAll owns the dispatch
+// order: a one-worker run given the same classes ascending, reversed or as
+// nil searches them in one order (hardest-first), so the three Outcomes are
+// equal — statuses, the emitted test set, and every stat but the times.
+func TestGenerateAllOrdersItsClasses(t *testing.T) {
+	n := benchCircuit(t)
+	u := fault.NewUniverse(n)
+	c := fault.NewCollapse(u)
+	var ascending []fault.FID
+	for id := 0; id < u.NumFaults(); id++ {
+		if fid := fault.FID(id); c.Rep(fid) == fid {
+			ascending = append(ascending, fid)
+		}
+	}
+	reversed := slices.Clone(ascending)
+	slices.Reverse(reversed)
+	run := func(classes []fault.FID) *Outcome {
+		t.Helper()
+		out, err := GenerateAll(context.Background(), n, u, Options{Workers: 1, Classes: classes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Stats.Elapsed, out.Stats.ReplayElapsed = 0, 0
+		return out
+	}
+	ref := run(nil)
+	if ref.Stats.Patterns < 2 {
+		t.Fatalf("%d patterns: too few for the order to show", ref.Stats.Patterns)
+	}
+	for name, classes := range map[string][]fault.FID{"ascending": ascending, "reversed": reversed} {
+		out := run(classes)
+		if out.Stats != ref.Stats {
+			t.Errorf("%s: stats differ from the nil-classes run:\n got %#v\nwant %#v", name, out.Stats, ref.Stats)
+		}
+		for id := 0; id < u.NumFaults(); id++ {
+			if got, want := out.Status.Get(fault.FID(id)), ref.Status.Get(fault.FID(id)); got != want {
+				t.Fatalf("%s: fault %d %v, nil classes %v", name, id, got, want)
+			}
+		}
+		if !slices.EqualFunc(out.Patterns, ref.Patterns, slices.Equal) ||
+			!slices.EqualFunc(out.States, ref.States, slices.Equal) {
+			t.Errorf("%s: emitted test set differs from the nil-classes run", name)
+		}
+	}
+	if !slices.IsSorted(ascending) {
+		t.Fatal("GenerateAll reordered the caller's class list")
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 // fault-free machine only, so they are independent of the observation set —
 // one Learning serves every obs selection on the same clone.
 //
-// A Learning is read-only between BuildLearning and Extend and safe to share
+// A Learning is read-only between BuildLearningOn and Extend and safe to share
 // across engines and concurrent GenerateAll runs on the same netlist; every
 // sharer must be quiescent across an Extend.
 type Learning struct {
@@ -46,7 +46,7 @@ type Learning struct {
 	cantBe []bool
 	facts  int
 	lits   []lit // fixpoint scratch
-	// Worklist scratch, persisted so Extend reuses BuildLearning's capacity.
+	// Worklist scratch, persisted so Extend reuses BuildLearningOn's capacity.
 	inQueue []bool
 	queue   []netlist.GateID
 }
@@ -57,23 +57,14 @@ type lit struct {
 	v   logic.V
 }
 
-// BuildLearning runs the static learning pass for a netlist. Cost is a small
-// number of worklist passes over the gate array — negligible next to a single
-// PODEM search — recorded in the "learn.build_ns" histogram with the fact
-// count in the "learn.facts" counter.
-func BuildLearning(n *netlist.Netlist, reg *obs.Registry) (*Learning, error) {
-	graph, err := n.BuildGraph()
-	if err != nil {
-		return nil, err
-	}
-	return BuildLearningOn(n, graph, reg), nil
-}
-
-// BuildLearningOn runs the static learning pass over a prebuilt forward
-// graph, sharing it instead of levelizing the netlist again — the depth
-// sweep hands in its warm grader's graph (sim.Grader.Graph). The graph is
-// retained: Extend requires it to have been extended (netlist.Graph.Extend)
-// before the learning is.
+// BuildLearningOn runs the static learning pass for a netlist over its
+// prebuilt forward graph (netlist.BuildGraph), sharing the graph instead of
+// levelizing the netlist again: GenerateAll and the scenario providers hand
+// in their drop grader's graph (sim.Grader.Graph). Cost is a small number of
+// worklist passes over the gate array — negligible next to a single PODEM
+// search — recorded in the "learn.build_ns" histogram with the fact count in
+// the "learn.facts" counter. The graph is retained: Extend requires it to
+// have been extended (netlist.Graph.Extend) before the learning is.
 func BuildLearningOn(n *netlist.Netlist, graph *netlist.Graph, reg *obs.Registry) *Learning {
 	start := time.Now()
 	l := &Learning{
@@ -116,11 +107,11 @@ func BuildLearningOn(n *netlist.Netlist, graph *netlist.Graph, reg *obs.Registry
 // probes) — and that region is fanout-closed: appended and re-spliced nets
 // are read only by gates inside it. Its complement is therefore fanin-closed,
 // so facts outside the region are untouched exactly because a fresh
-// BuildLearning would re-derive them unchanged, and the fixpoint re-run over
+// BuildLearningOn would re-derive them unchanged, and the fixpoint re-run over
 // order[stale:] (a valid topological suffix) converges to the same facts a
 // fresh build derives inside the region: both iterate the same monotone
 // derivation against the same fixed outside facts. Result: value-identical
-// to BuildLearning on the extended netlist, at the cost of the appended
+// to BuildLearningOn on the extended netlist, at the cost of the appended
 // region only.
 //
 // The current total fact count re-records on "learn.facts" (matching what a
@@ -128,9 +119,6 @@ func BuildLearningOn(n *netlist.Netlist, graph *netlist.Graph, reg *obs.Registry
 // "learn.extend_ns" histogram, beside "learn.build_ns".
 func (l *Learning) Extend(order []netlist.GateID, stale int, reg *obs.Registry) error {
 	start := time.Now()
-	if l.graph == nil {
-		return fmt.Errorf("atpg: Learning.Extend requires a shared graph (BuildLearningOn)")
-	}
 	if len(order) != len(l.graph.Order()) {
 		return fmt.Errorf("atpg: Learning.Extend order has %d gates but the shared graph has %d — extend the graph first",
 			len(order), len(l.graph.Order()))

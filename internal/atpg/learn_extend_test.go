@@ -13,7 +13,7 @@ import (
 // across k -> k+1 -> k+2: after each Unroller.Extend, Learning.Extend over
 // the appended suffix must leave the cache value-identical — same fact count,
 // same cantBe(net, v) answer for every net and value — to a fresh
-// BuildLearning over the extended netlist. This is the invalidation-rule
+// BuildLearningOn over the extended netlist. This is the invalidation-rule
 // soundness check: facts are fanin-determined, and the stale suffix of the
 // annotation order is fanout-closed, so recomputing only it is exact.
 func TestLearningExtendMatchesFresh(t *testing.T) {
@@ -30,10 +30,11 @@ func TestLearningExtendMatchesFresh(t *testing.T) {
 		}
 		learn := BuildLearningOn(clone, graph, nil)
 		for {
-			fresh, err := BuildLearning(clone, nil)
+			freshGraph, err := clone.BuildGraph()
 			if err != nil {
 				t.Fatalf("seed %d k=%d: fresh build: %v", seed, ur.Frames(), err)
 			}
+			fresh := BuildLearningOn(clone, freshGraph, nil)
 			if learn.Facts() != fresh.Facts() {
 				t.Fatalf("seed %d k=%d: %d facts extended vs %d fresh",
 					seed, ur.Frames(), learn.Facts(), fresh.Facts())

@@ -43,10 +43,11 @@ func constantConeCircuit(t *testing.T) *netlist.Netlist {
 // logic are not.
 func TestLearningConstantConeFacts(t *testing.T) {
 	n := constantConeCircuit(t)
-	learn, err := BuildLearning(n, nil)
+	graph, err := n.BuildGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
+	learn := BuildLearningOn(n, graph, nil)
 	if learn.Facts() == 0 {
 		t.Fatal("no facts learned on a circuit full of constant cones")
 	}
@@ -106,10 +107,11 @@ func TestLearningScreenSoundOracle(t *testing.T) {
 	var sm *fault.SiteMap
 	totalScreened := 0
 	for _, n := range nets {
-		learn, err := BuildLearning(n, nil)
+		graph, err := n.BuildGraph()
 		if err != nil {
 			t.Fatal(err)
 		}
+		learn := BuildLearningOn(n, graph, nil)
 		u := fault.NewUniverse(n)
 		for _, obsPts := range [][]sim.ObsPoint{sim.CombObsPoints(n), sim.OutputObsPoints(n)} {
 			o, err := testutil.NewOracle(n, obsPts)

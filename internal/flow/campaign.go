@@ -147,7 +147,7 @@ type CampaignOptions struct {
 	// idling. 0 means runtime.NumCPU(); ATPG.Workers must be left 0.
 	Workers int
 	// Serial runs providers one at a time in Add order (deterministic
-	// profiling; RunCampaign uses it for Options.SerialScenarios).
+	// profiling; RunCampaign uses it for Options.Serial).
 	Serial bool
 	// Progress, when non-nil, observes every merged delta and provider
 	// completion. It is called with the merge lock held: keep it fast and

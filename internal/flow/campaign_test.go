@@ -48,9 +48,10 @@ func sameReport(t *testing.T, label string, a, b *Report) {
 }
 
 // TestCampaignShardInvariance is the acceptance criterion for the streaming
-// merge under the work-stealing queue: campaigns with 1, 4 and 16 workers
+// merge under the shared queue cursor: campaigns with 1, 4 and 16 workers
 // classify the benchmark identically, with the one-worker run — whose
-// searches follow the class list strictly — as the deterministic reference.
+// searches follow the sorted class list strictly — as the deterministic
+// reference.
 func TestCampaignShardInvariance(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)

@@ -19,9 +19,10 @@
 // A Campaign runs providers concurrently under a context.Context —
 // cancellation and deadlines stop ATPG mid-search with no goroutine leaks —
 // and reports per-provider progress events as deltas merge. Every ATPG
-// provider hands atpg.GenerateAll one hardest-first class list, which its
-// workers drain through a work-stealing sched.Queue, while one campaign-wide
-// sched.Pool caps the searches in flight.
+// provider hands atpg.GenerateAll the set of classes to target, and
+// GenerateAll owns the dispatch order (hardest-first, drawn by every worker
+// from one sched.Queue cursor), while one campaign-wide sched.Pool caps the
+// searches in flight.
 //
 // On top of the campaign core, RunCampaign assembles the paper's
 // deliverable: it classifies every fault of the original universe as
@@ -158,9 +159,10 @@ type Options struct {
 	// by one shared sched.Pool. 0 means runtime.NumCPU(); ATPG.Workers must
 	// be left 0.
 	Workers int
-	// SerialScenarios disables cross-provider parallelism (useful for
-	// deterministic profiling); by default providers run concurrently.
-	SerialScenarios bool
+	// Serial runs the providers one at a time (CampaignOptions.Serial), which
+	// is useful for deterministic profiling; by default they run
+	// concurrently.
+	Serial bool
 	// MaxFrames enables the adaptive sequential-depth sweep: every scenario
 	// whose transform stack ends in a free-init constraint.Unroll runs as a
 	// swept ScenarioProvider, extending one clone preparation from the
@@ -216,7 +218,7 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 	c := NewCampaign(n, u, CampaignOptions{
 		ATPG:     opts.ATPG,
 		Workers:  opts.Workers,
-		Serial:   opts.SerialScenarios,
+		Serial:   opts.Serial,
 		Progress: opts.Progress,
 		Metrics:  opts.Metrics,
 		Journal:  opts.Journal,

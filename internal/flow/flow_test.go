@@ -230,7 +230,7 @@ func TestReportRendering(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
 	r, err := RunCampaign(context.Background(), n, u, []Scenario{{Name: "online-obs", Observe: constraint.ObserveOutputs}},
-		Options{SerialScenarios: true})
+		Options{Serial: true})
 	if err != nil {
 		t.Fatal(err)
 	}

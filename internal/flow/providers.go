@@ -3,26 +3,24 @@ package flow
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"olfui/internal/atpg"
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
-	"olfui/internal/logic"
 	"olfui/internal/netlist"
 	"olfui/internal/obs"
 	"olfui/internal/sim"
 )
 
-// classesIn lists the representatives of collapse in ascending FID order,
-// skipping those cum holds Untestable (a nil cum skips none). Providers order
-// the list with hardestFirst before handing it to GenerateAll. The depth
-// sweep passes its cumulative map and recomputes the collapse per depth:
-// appended frames grow fanout on frame-invariant nets, which only refines
-// the partition, so every member of a skipped representative's former class
-// is itself already proven untestable.
+// classesIn lists the representatives of collapse, skipping those cum holds
+// Untestable (a nil cum skips none), as the set of classes a scenario depth
+// hands GenerateAll, which orders them itself. The depth sweep passes its
+// cumulative map and recomputes the collapse per depth: appended frames grow
+// fanout on frame-invariant nets, which only refines the partition, so every
+// member of a skipped representative's former class is itself already
+// proven untestable.
 func classesIn(collapse *fault.Collapse, u *fault.Universe, cum *fault.StatusMap) []fault.FID {
 	classes := []fault.FID{}
 	for id := 0; id < u.NumFaults(); id++ {
@@ -31,36 +29,6 @@ func classesIn(collapse *fault.Collapse, u *fault.Universe, cum *fault.StatusMap
 			classes = append(classes, fid)
 		}
 	}
-	return classes
-}
-
-// hardestFirst sorts classes in place by descending SCOAP detection
-// difficulty of the class representative and returns them: detecting
-// stuck-at-v on net n needs n controlled to ¬v and the value propagated to
-// an observation point, so the difficulty is CC(¬v)(n) + CO(n)
-// (saturating). Ties keep ascending-FID order, so the order is
-// deterministic for a given annotation pass.
-//
-// Every ATPG provider hands GenerateAll its class list in this order, and
-// spends the one degree of freedom dispatch order has on fault dropping: hard
-// faults are searched while the live remainder is largest, and each of their
-// completed tests drops many easy classes wholesale — easy-first order would
-// search those classes instead. Reordering is sound for the campaign
-// deliverable because Detected and Untestable are order-invariant complete
-// proofs; only Aborted verdicts are search-order-sensitive.
-func hardestFirst(u *fault.Universe, ann *netlist.Annotations, classes []fault.FID) []fault.FID {
-	cost := func(fid fault.FID) int32 {
-		f := u.FaultOf(fid)
-		net := u.NetOf(f.Site)
-		return netlist.SatAdd(ann.CCOf(net, f.SA == logic.Zero), ann.CO[net])
-	}
-	sort.Slice(classes, func(i, j int) bool {
-		ci, cj := cost(classes[i]), cost(classes[j])
-		if ci != cj {
-			return ci > cj
-		}
-		return classes[i] < classes[j]
-	})
 	return classes
 }
 
@@ -197,15 +165,9 @@ func (p *BaselineProvider) Channel() Channel { return ChannelFullScan }
 // final delta carries the class-spread map (re-announcing representatives
 // is harmless — the lattice join is idempotent).
 func (p *BaselineProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
-	ann, err := env.N.Annotate()
-	if err != nil {
-		return err
-	}
 	em := newEmitter(p.Name(), emit)
 	var emitErr error
 	opts := env.ATPG
-	opts.Annotations = ann
-	opts.Classes = hardestFirst(env.Universe, ann, classesIn(fault.NewCollapse(env.Universe), env.Universe, nil))
 	opts.Progress = func(fid fault.FID, v atpg.Verdict) {
 		if emitErr == nil {
 			emitErr = em.add(fid, verdictStatus(v))
@@ -430,8 +392,8 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 			dspan = env.Span.Child(fmt.Sprintf("depth:k=%d", ur.Frames()))
 		}
 		// The depth's targets: every class not yet proven untestable at a
-		// shallower depth, hardest-first.
-		classes := hardestFirst(cu, ann, classesIn(fault.NewCollapse(cu), cu, cum))
+		// shallower depth.
+		classes := classesIn(fault.NewCollapse(cu), cu, cum)
 		if sweep != nil {
 			// Re-targeting accounting: every depth re-counts its targets on
 			// the atpg.classes counter, but a re-targeted class that is not
@@ -690,8 +652,6 @@ type PatternSet struct {
 // either the scenario transform was unsound or the stimulus drives the
 // design outside its mission model.
 type PatternProvider struct {
-	// ProviderName is the delta source name; empty means "patterns".
-	ProviderName string
 	// Sets are graded in order, one delta per set.
 	Sets []PatternSet
 	// Detected is the union of faults any set detected, set after Run.
@@ -699,12 +659,7 @@ type PatternProvider struct {
 }
 
 // Name implements Provider.
-func (p *PatternProvider) Name() string {
-	if p.ProviderName == "" {
-		return "patterns"
-	}
-	return p.ProviderName
-}
+func (p *PatternProvider) Name() string { return "patterns" }
 
 // Channel implements Provider.
 func (p *PatternProvider) Channel() Channel { return ChannelMission }

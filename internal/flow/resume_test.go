@@ -105,7 +105,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 16, FFs: 2, Outputs: 2})
 		scenarios := resumeScenarios()
 
-		ref, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{SerialScenarios: true})
+		ref, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{Serial: true})
 		if err != nil {
 			t.Fatalf("seed %d reference: %v", seed, err)
 		}
@@ -130,8 +130,8 @@ func TestKillResumeEquivalence(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			doneProviders, mergedDeltas := 0, 0
 			_, err = RunCampaign(ctx, nl, fault.NewUniverse(nl), scenarios, Options{
-				SerialScenarios: true,
-				Journal:         j1,
+				Serial:  true,
+				Journal: j1,
 				Progress: func(e Event) {
 					if e.Done && e.Err == nil {
 						doneProviders++
@@ -161,8 +161,8 @@ func TestKillResumeEquivalence(t *testing.T) {
 				t.Fatalf("seed %d %s: interrupted run left no journal state", seed, kill.name)
 			}
 			res, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{
-				SerialScenarios: true,
-				Journal:         j2,
+				Serial:  true,
+				Journal: j2,
 			})
 			if err != nil {
 				t.Fatalf("seed %d %s resume: %v", seed, kill.name, err)
@@ -278,8 +278,8 @@ func TestWarmStartRestoredBaselineRunsCold(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		_, err = RunCampaign(ctx, nl, fault.NewUniverse(nl), scenarios, Options{
-			SerialScenarios: true,
-			Journal:         j1,
+			Serial:  true,
+			Journal: j1,
 			Progress: func(e Event) {
 				if e.Done && e.Provider == "full-scan" {
 					cancel()

@@ -16,10 +16,10 @@ import (
 )
 
 // TestSchedulerInvariance is the scheduler's correctness property: on seeded
-// random netlists, campaigns with 4 and 16 workers classify identically to
-// the one-worker run, whose searches follow each class list strictly — with
-// chunked stealing in play, across one-shot scenarios AND the swept
-// per-depth queues. The backtrack budget is raised far above need so no
+// random netlists, campaigns with 4 and 16 workers, all drawing from one
+// cursor per run, classify identically to the one-worker run, whose searches
+// follow each sorted class list strictly — across one-shot scenarios AND the
+// swept per-depth queues. The backtrack budget is raised far above need so no
 // verdict can fall into the only order-sensitive state (Aborted).
 func TestSchedulerInvariance(t *testing.T) {
 	atpgOpts := atpg.Options{BacktrackLimit: 1 << 20}
@@ -92,13 +92,15 @@ func TestWorkerBudgetNotOversubscribed(t *testing.T) {
 // TestSchedulerCancellation is the scheduler-path analogue of
 // TestCampaignCancellation: cancelling mid-merge with queue-fed providers and
 // a multi-worker budget must return the context error, unblock every worker
-// parked on the slot pool, and leave no goroutines behind.
+// parked on the slot pool, leave no goroutines behind, and leave no class
+// counted on the campaign's sched.queue_depth gauge.
 func TestSchedulerCancellation(t *testing.T) {
 	nl := testutil.RandomNetlist(3, testutil.RandOpts{Inputs: 6, Gates: 40, FFs: 4, Outputs: 3})
 	u := fault.NewUniverse(nl)
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	reg := obs.New()
 	var once sync.Once
 	_, err := RunCampaign(ctx, nl, u, []Scenario{
 		{Name: "online-obs", Observe: constraint.ObserveOutputs},
@@ -106,6 +108,7 @@ func TestSchedulerCancellation(t *testing.T) {
 		// A budget below the provider count forces workers to contend on the
 		// pool, so cancellation must also reach Acquire waiters.
 		Workers: 2,
+		Metrics: reg,
 		Progress: func(Event) {
 			once.Do(cancel) // cancel on the first merged delta
 		},
@@ -114,12 +117,15 @@ func TestSchedulerCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	waitGoroutines(t, base)
+	if depth := reg.Snapshot().Counter("sched.queue_depth"); depth != 0 {
+		t.Fatalf("sched.queue_depth = %d after the cancelled campaign, want 0", depth)
+	}
 }
 
 // TestSchedulerTelemetry pins the multi-worker exactness of the telemetry
 // layer (the default-budget pin is TestRegistryMatchesStats) plus the
-// scheduler's own instrumentation: chunk leases recorded, the campaign-wide queue-depth
-// gauge drained to zero, worker busy time observed, and the worker high-water
+// scheduler's own instrumentation: the campaign-wide queue-depth gauge
+// drained to zero, worker busy time observed, and the worker high-water
 // within budget.
 func TestSchedulerTelemetry(t *testing.T) {
 	n := benchCircuit(t)
@@ -169,9 +175,6 @@ func TestSchedulerTelemetry(t *testing.T) {
 		}
 	}
 
-	if got := snap.Counter("sched.chunks"); got == 0 {
-		t.Error("sched.chunks = 0: no queue ever leased a chunk")
-	}
 	if got := snap.Counter("sched.queue_depth"); got != 0 {
 		t.Errorf("sched.queue_depth ends at %d, want 0 (every class handed out or pruned)", got)
 	}

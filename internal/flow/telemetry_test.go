@@ -206,10 +206,11 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 func TestMetricsOptionValidation(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	learn, err := atpg.BuildLearning(n, nil)
+	graph, err := n.BuildGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
+	learn := atpg.BuildLearningOn(n, graph, nil)
 	for field, bad := range map[string]atpg.Options{
 		"ATPG.Metrics": {Metrics: obs.New()},
 		"ATPG.Learn":   {Learn: learn},

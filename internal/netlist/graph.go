@@ -32,21 +32,28 @@ func (n *Netlist) BuildGraph() (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Graph{
-		order:    order,
-		pos:      make([]int32, len(n.Gates)),
-		conStart: make([]int32, len(n.Nets)+1),
-	}
+	g := &Graph{order: order, pos: make([]int32, len(n.Gates))}
 	for i := range g.pos {
 		g.pos[i] = -1
 	}
 	for i, id := range order {
 		g.pos[id] = int32(i)
 	}
+	g.buildConsumers(n)
+	return g, nil
+}
 
-	// Two passes over the fanout pin lists: count distinct readers per net,
-	// then fill. lastNet[gate] de-duplicates multi-pin reads of one net —
-	// valid because each pass walks one net's pins at a time.
+// buildConsumers (re)builds the consumer CSR over every net of n, reusing
+// the capacity the graph already holds. Two passes over the fanout pin
+// lists: count distinct readers per net, then fill. lastNet[gate]
+// de-duplicates multi-pin reads of one net — valid because each pass walks
+// one net's pins at a time.
+func (g *Graph) buildConsumers(n *Netlist) {
+	if cap(g.conStart) < len(n.Nets)+1 {
+		g.conStart = make([]int32, len(n.Nets)+1)
+	}
+	g.conStart = g.conStart[:len(n.Nets)+1]
+	clear(g.conStart)
 	lastNet := make([]NetID, len(n.Gates))
 	for i := range lastNet {
 		lastNet[i] = InvalidNet
@@ -67,7 +74,11 @@ func (n *Netlist) BuildGraph() (*Graph, error) {
 	for i := 1; i < len(g.conStart); i++ {
 		g.conStart[i] += g.conStart[i-1]
 	}
-	g.cons = make([]GateID, g.conStart[len(n.Nets)])
+	total := int(g.conStart[len(n.Nets)])
+	if cap(g.cons) < total {
+		g.cons = make([]GateID, total)
+	}
+	g.cons = g.cons[:total]
 	fill := make([]int32, len(n.Nets))
 	copy(fill, g.conStart[:len(n.Nets)])
 	for i := range lastNet {
@@ -87,7 +98,6 @@ func (n *Netlist) BuildGraph() (*Graph, error) {
 			fill[nid]++
 		}
 	}
-	return g, nil
 }
 
 // Extend rebuilds the graph in place over a netlist that grew by appended
@@ -145,58 +155,7 @@ func (g *Graph) Extend(n *Netlist, order []GateID) error {
 		}
 	}
 
-	// Rebuild the consumer CSR exactly as BuildGraph does, reusing capacity.
-	if cap(g.conStart) < len(n.Nets)+1 {
-		g.conStart = make([]int32, len(n.Nets)+1)
-	}
-	g.conStart = g.conStart[:len(n.Nets)+1]
-	for i := range g.conStart {
-		g.conStart[i] = 0
-	}
-	lastNet := make([]NetID, len(n.Gates))
-	for i := range lastNet {
-		lastNet[i] = InvalidNet
-	}
-	for nid := range n.Nets {
-		for _, pin := range n.Nets[nid].Fanout {
-			gid := pin.Gate
-			if n.Gates[gid].Kind == KDead {
-				continue
-			}
-			if lastNet[gid] == NetID(nid) {
-				continue
-			}
-			lastNet[gid] = NetID(nid)
-			g.conStart[nid+1]++
-		}
-	}
-	for i := 1; i < len(g.conStart); i++ {
-		g.conStart[i] += g.conStart[i-1]
-	}
-	total := int(g.conStart[len(n.Nets)])
-	if cap(g.cons) < total {
-		g.cons = make([]GateID, total)
-	}
-	g.cons = g.cons[:total]
-	fill := make([]int32, len(n.Nets))
-	copy(fill, g.conStart[:len(n.Nets)])
-	for i := range lastNet {
-		lastNet[i] = InvalidNet
-	}
-	for nid := range n.Nets {
-		for _, pin := range n.Nets[nid].Fanout {
-			gid := pin.Gate
-			if n.Gates[gid].Kind == KDead {
-				continue
-			}
-			if lastNet[gid] == NetID(nid) {
-				continue
-			}
-			lastNet[gid] = NetID(nid)
-			g.cons[fill[nid]] = gid
-			fill[nid]++
-		}
-	}
+	g.buildConsumers(n)
 	return nil
 }
 

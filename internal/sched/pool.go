@@ -76,21 +76,3 @@ func (p *Pool) Release() {
 	p.mActive.Add(-1)
 	<-p.slots
 }
-
-// Cap returns the slot budget (0 on a nil pool).
-func (p *Pool) Cap() int {
-	if p == nil {
-		return 0
-	}
-	return cap(p.slots)
-}
-
-// Peak returns the highest concurrent slot count observed (0 on a nil pool).
-func (p *Pool) Peak() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peak
-}

@@ -26,20 +26,31 @@ func seq(n int) []fault.FID {
 	return out
 }
 
-// TestStaticFIFOOrder pins the single-worker contract: a one-worker queue
-// hands out classes in exactly the enqueued order, whatever its chunk size —
-// the static order GenerateAll's deterministic single-worker runs rely on.
+// TestStaticFIFOOrder pins the cursor contract: with removals interleaved
+// between pops, Next returns the surviving classes in exactly the list order
+// — the order GenerateAll's deterministic single-worker runs rely on.
 func TestStaticFIFOOrder(t *testing.T) {
-	in := fids(7, 3, 11, 0, 5)
-	q := NewQueue(in, Options{Workers: 1})
-	for i, want := range in {
-		got, ok := q.Next(0)
-		if !ok || got != want {
-			t.Fatalf("pop %d: got (%d,%v), want %d", i, got, ok, want)
+	q := NewQueue(fids(7, 3, 11, 0, 5, 9, 2), nil)
+	for i, step := range []struct {
+		remove []fault.FID
+		want   fault.FID
+	}{
+		{want: 7},
+		{remove: fids(11, 5), want: 3},
+		{want: 0},
+		{remove: fids(2), want: 9},
+	} {
+		for _, fid := range step.remove {
+			if !q.Remove(fid) {
+				t.Fatalf("pop %d: queued class %d not removed", i, fid)
+			}
+		}
+		if got, ok := q.Next(); !ok || got != step.want {
+			t.Fatalf("pop %d: got (%d,%v), want %d", i, got, ok, step.want)
 		}
 	}
-	if _, ok := q.Next(0); ok {
-		t.Fatal("drained queue still yields classes")
+	if fid, ok := q.Next(); ok {
+		t.Fatalf("drained queue still yields class %d", fid)
 	}
 }
 
@@ -47,16 +58,17 @@ func TestStaticFIFOOrder(t *testing.T) {
 // handed out exactly once and the queue drains exactly when all are handed.
 func TestExactlyOnce(t *testing.T) {
 	const n, workers = 500, 8
-	q := NewQueue(seq(n), Options{Workers: workers})
+	reg := obs.New()
+	q := NewQueue(seq(n), reg)
 	var mu sync.Mutex
 	got := map[fault.FID]int{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
-				fid, ok := q.Next(w)
+				fid, ok := q.Next()
 				if !ok {
 					return
 				}
@@ -64,7 +76,7 @@ func TestExactlyOnce(t *testing.T) {
 				got[fid]++
 				mu.Unlock()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if len(got) != n {
@@ -75,141 +87,76 @@ func TestExactlyOnce(t *testing.T) {
 			t.Fatalf("class %d handed out %d times", fid, c)
 		}
 	}
-	if live := q.Live(); live != 0 {
-		t.Fatalf("drained queue reports %d live", live)
+	if depth := reg.Snapshot().Counter("sched.queue_depth"); depth != 0 {
+		t.Fatalf("drained queue reports depth %d", depth)
 	}
 }
 
 // TestRemoveSemantics pins the tombstone rules: removing a queued class
 // succeeds once and it is never handed out; removing an unknown, started, or
-// already-removed class reports false.
+// already-removed class reports false. Close removes every class still
+// queued, so the depth gauge reads 0 and nothing is handed out afterwards.
 func TestRemoveSemantics(t *testing.T) {
-	q := NewQueue(fids(1, 2, 3), Options{})
-	if q.Remove(99) {
+	q := NewQueue(fids(1, 2, 3), nil)
+	if q.Remove(99) || q.Remove(-1) {
 		t.Fatal("removed a class the queue never held")
 	}
 	if !q.Remove(2) || q.Remove(2) {
 		t.Fatal("queued class must remove exactly once")
 	}
-	first, ok := q.Next(0)
+	first, ok := q.Next()
 	if !ok {
 		t.Fatal("queue empty after one removal")
 	}
 	if q.Remove(first) {
 		t.Fatal("removed a class already handed to a worker")
 	}
-	rest, ok := q.Next(0)
+	rest, ok := q.Next()
 	if !ok {
 		t.Fatal("second live class missing")
 	}
 	if first == 2 || rest == 2 || first == rest {
 		t.Fatalf("handed out %d then %d with 2 removed", first, rest)
 	}
-	if _, ok := q.Next(0); ok {
+	if _, ok := q.Next(); ok {
 		t.Fatal("queue must be dry: two handed, one removed")
 	}
-}
 
-// TestChunkDecay: lease sizes shrink geometrically as the queue drains, and
-// the shared pool always yields work while live classes remain unleased.
-func TestChunkDecay(t *testing.T) {
-	q := NewQueue(seq(128), Options{Workers: 2})
-	// First lease: 128/(2*2) = 32 classes for worker 0.
-	if _, ok := q.Next(0); !ok {
-		t.Fatal("no first chunk")
-	}
-	if n := q.liveInLocked(0); n != 31 { // 32 leased, 1 handed out
-		t.Fatalf("first lease remainder %d, want 31", n)
-	}
-	// Worker 1's first lease divides the remaining live load (127 — leased
-	// but unstarted classes still count): 127/(2*2) = 31.
-	if _, ok := q.Next(1); !ok {
-		t.Fatal("no second chunk")
-	}
-	if n := q.liveInLocked(1); n != 30 {
-		t.Fatalf("second lease remainder %d, want 30", n)
-	}
-}
-
-// liveInLocked is a test helper: the unstarted lease size of worker v.
-func (q *Queue) liveInLocked(v int) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.liveIn(v)
-}
-
-// TestSkewStealing is the planted-hard-cluster stress: worker 0 leases a
-// large early chunk and then stalls on its first class (the hard cluster);
-// the other workers must drain everything else and then STEAL worker 0's
-// unstarted lease rather than idle — no worker sees an empty queue while
-// live classes remain, which is the scheduler's whole reason to exist.
-func TestSkewStealing(t *testing.T) {
-	const n, workers = 256, 4
 	reg := obs.New()
-	q := NewQueue(seq(n), Options{Workers: workers, Metrics: reg})
-
-	// Worker 0 takes the big head lease (256/8 = 32 classes) and stalls.
-	first, ok := q.Next(0)
-	if !ok {
-		t.Fatal("no work for the stalling worker")
+	q = NewQueue(fids(4, 5, 6), reg)
+	q.Next()
+	q.Close()
+	if depth := reg.Snapshot().Counter("sched.queue_depth"); depth != 0 {
+		t.Fatalf("closed queue reports depth %d", depth)
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	drained := map[fault.FID]bool{first: true}
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				fid, ok := q.Next(w)
-				if !ok {
-					return
-				}
-				mu.Lock()
-				// Next must never run dry while live classes remain; Live()
-				// counting only unhanded classes makes this checkable.
-				drained[fid] = true
-				mu.Unlock()
-			}
-		}(w)
+	if fid, ok := q.Next(); ok {
+		t.Fatalf("closed queue handed out class %d", fid)
 	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	// Everything except worker 0's single in-flight class must be drained:
-	// the thieves emptied the shared pool AND worker 0's unstarted lease.
-	if len(drained) != n {
-		t.Fatalf("drained %d classes with a stalled worker, want %d", len(drained), n)
+	if q.Remove(6) {
+		t.Fatal("removed a class from a closed queue")
 	}
-	snap := reg.Snapshot()
-	if steals := snap.Counter("sched.steals"); steals == 0 {
-		t.Fatal("no steals despite a stalled worker holding a large lease")
-	}
-	if chunks := snap.Counter("sched.chunks"); chunks == 0 {
-		t.Fatal("no chunk leases recorded")
-	}
-	if depth := snap.Counter("sched.queue_depth"); depth != 0 {
-		t.Fatalf("queue depth gauge ends at %d, want 0", depth)
+	q.Close()
+	if depth := reg.Snapshot().Counter("sched.queue_depth"); depth != 0 {
+		t.Fatalf("closing twice moved the depth to %d", depth)
 	}
 }
 
 // TestConcurrentChurn is the -race stress: many workers draining one queue
-// through its chunk leases and steals while they remove classes from it
-// concurrently. Correctness bar: no class is handed out twice and the run
-// terminates.
+// while they remove classes from it concurrently. Correctness bar: no class
+// is handed out twice and the run terminates.
 func TestConcurrentChurn(t *testing.T) {
 	const n, workers = 2000, 16
-	q := NewQueue(seq(n), Options{Workers: workers})
+	q := NewQueue(seq(n), nil)
 	var handed [n]int32
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			i := 0
 			for {
-				fid, ok := q.Next(w)
+				fid, ok := q.Next()
 				if !ok {
 					return
 				}
@@ -222,7 +169,7 @@ func TestConcurrentChurn(t *testing.T) {
 				}
 				i++
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for fid, c := range handed {
@@ -233,8 +180,8 @@ func TestConcurrentChurn(t *testing.T) {
 }
 
 // TestPool pins the worker-slot budget: Acquire blocks at capacity, Release
-// frees a slot, Peak tracks the high water, and a cancelled context unblocks
-// a waiter. A nil pool is a no-op gate.
+// frees a slot, sched.workers.peak tracks the high water, and a cancelled
+// context unblocks a waiter. A nil pool is a no-op gate.
 func TestPool(t *testing.T) {
 	var nilPool *Pool
 	if !nilPool.Acquire(context.Background()) {
@@ -244,9 +191,6 @@ func TestPool(t *testing.T) {
 
 	reg := obs.New()
 	p := NewPool(2, reg)
-	if p.Cap() != 2 {
-		t.Fatalf("Cap = %d", p.Cap())
-	}
 	if !p.Acquire(context.Background()) || !p.Acquire(context.Background()) {
 		t.Fatal("free slots refused")
 	}
@@ -263,9 +207,6 @@ func TestPool(t *testing.T) {
 	p.Release()
 	if ok := <-acquired; !ok {
 		t.Fatal("waiter not admitted after Release")
-	}
-	if p.Peak() != 2 {
-		t.Fatalf("Peak = %d, want 2", p.Peak())
 	}
 	if got := reg.Snapshot().Counter("sched.workers.peak"); got != 2 {
 		t.Fatalf("sched.workers.peak = %d, want 2", got)
