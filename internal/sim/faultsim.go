@@ -352,28 +352,74 @@ func (ws *seqWords) drop(w int, caught uint64, detected *fault.Set) {
 }
 
 // regroup packs the surviving lanes, in order, into the first
-// words(ws.alive) words. A lane only ever moves to a lower position
-// w*faultLanes+l, so packing in place never overwrites a lane still to be
-// moved. The good slot needs no move: every word runs the same good machine.
+// words(ws.alive) words. Each source word's survivors move at once (see
+// moveWord). A lane only ever moves to a lower position w*faultLanes+l, so
+// packing in place never overwrites a lane still to be moved. The good slot
+// needs no move: every word runs the same good machine.
 func (ws *seqWords) regroup() {
 	k := 0
 	for w := 0; w < ws.num; w++ {
-		for live := ws.live[w]; live != 0; live &= live - 1 {
-			l := bits.TrailingZeros64(live)
-			if dw, dl := k/faultLanes, k%faultLanes; dw != w || dl != l {
-				ws.fids[k] = ws.fids[w*faultLanes+l]
-				moveLane(ws.sources(dw), dl, ws.sources(w), l)
+		live := ws.live[w]
+		// A word that starts at position k with its survivors in its lowest
+		// lanes is already in place.
+		if live != 0 && (k != w*faultLanes || live&(live+1) != 0) {
+			for l, i := live, k; l != 0; l, i = l&(l-1), i+1 {
+				ws.fids[i] = ws.fids[w*faultLanes+bits.TrailingZeros64(l)]
 			}
-			k++
+			ws.moveWord(w, live, k)
 		}
+		k += bits.OnesCount64(live)
 	}
 	ws.pack(k)
 }
 
-// moveLane copies lane sl of src into lane dl of dst, value by value.
-func moveLane(dst []logic.PV, dl int, src []logic.PV, sl int) {
-	for i := range dst {
-		dst[i].L0 = dst[i].L0&^(1<<uint(dl)) | (src[i].L0>>uint(sl)&1)<<uint(dl)
-		dst[i].L1 = dst[i].L1&^(1<<uint(dl)) | (src[i].L1>>uint(sl)&1)<<uint(dl)
+// moveWord moves the live lanes of word w, in order, to positions k, k+1, ...
+// For every source net it compresses the live lanes' bits of each rail to
+// the bottom of the word, then shifts them into the destination word from
+// lane k%faultLanes, spilling into the next word. The compress is the
+// parallel-suffix one of Warren's Hacker's Delight (section 7-4), with its
+// six move masks computed once for the word. Lanes outside the moved ones,
+// the good slot among them, are not written.
+func (ws *seqWords) moveWord(w int, live uint64, k int) {
+	var mv [6]uint64
+	m, mk := live, ^live<<1
+	for i := range mv {
+		mp := mk ^ mk<<1
+		mp ^= mp << 2
+		mp ^= mp << 4
+		mp ^= mp << 8
+		mp ^= mp << 16
+		mp ^= mp << 32
+		mv[i] = mp & m
+		m = m ^ mv[i] | mv[i]>>(1<<i)
+		mk &^= mp
+	}
+	compress := func(x uint64) uint64 {
+		x &= live
+		for i, v := range mv {
+			t := x & v
+			x = x ^ t | t>>(1<<i)
+		}
+		return x
+	}
+
+	n := bits.OnesCount64(live)
+	dw, dl := k/faultLanes, k%faultLanes
+	here := min(n, faultLanes-dl) // lanes that land in word dw
+	in := (uint64(1)<<here - 1) << dl
+	dst, src := ws.sources(dw), ws.sources(w)
+	var spill []logic.PV
+	if here < n {
+		spill = ws.sources(dw + 1)
+	}
+	over := uint64(1)<<(n-here) - 1
+	for i, v := range src {
+		l0, l1 := compress(v.L0), compress(v.L1)
+		dst[i].L0 = dst[i].L0&^in | l0<<dl&in
+		dst[i].L1 = dst[i].L1&^in | l1<<dl&in
+		if spill != nil {
+			spill[i].L0 = spill[i].L0&^over | l0>>here
+			spill[i].L1 = spill[i].L1&^over | l1>>here
+		}
 	}
 }

@@ -406,7 +406,9 @@ func (gr *Grader) evalConeDetect() bool {
 	// re-evaluated immediately. Everything else is scheduled.
 	for _, g := range s.injSrcs {
 		out := s.N.Gates[g].Out
-		gr.writeNet(out, s.sourceVal(g, out), ep)
+		old := s.vals[out]
+		s.vals[out] = s.sourceVal(g, out)
+		gr.logWrite(out, old, ep)
 	}
 	for _, g := range s.injGates {
 		if pos := gr.graph.Pos(g); pos >= 0 {
@@ -416,11 +418,14 @@ func (gr *Grader) evalConeDetect() bool {
 	// Drain in op order, so each gate is evaluated at most once with all of
 	// its faulty input values already settled.
 	for len(gr.heap) > 0 {
-		o := &s.ops[gr.popMin()]
-		if o.out == netlist.InvalidNet {
+		pos := gr.popMin()
+		out := s.ops[pos].out
+		if out == netlist.InvalidNet {
 			continue // KOutput marker: nothing to compute
 		}
-		gr.writeNet(o.out, s.eval(o), ep)
+		old := s.vals[out]
+		s.run(s.ops[pos : pos+1])
+		gr.logWrite(out, old, ep)
 	}
 
 	// Only two things can flip an observation point: its net changed, or its
@@ -450,21 +455,18 @@ func (gr *Grader) evalConeDetect() bool {
 	return false
 }
 
-// writeNet commits a recomputed net value: if it changed, the old value goes
-// to the undo log and every consumer is scheduled. Each net has one driver
-// and each gate evaluates at most once per fault, so a net is logged at most
-// once.
-func (gr *Grader) writeNet(net netlist.NetID, nv logic.PV, ep uint64) {
-	s := gr.good
-	old := s.vals[net]
-	if nv == old {
+// logWrite records a recomputed net value: if it changed from old, the old
+// value goes to the undo log and every consumer is scheduled. Each net has
+// one driver and each gate evaluates at most once per fault, so a net is
+// logged at most once.
+func (gr *Grader) logWrite(net netlist.NetID, old logic.PV, ep uint64) {
+	if gr.good.vals[net] == old {
 		return
 	}
 	gr.chStamp[net] = ep
 	gr.chIdx[net] = int32(len(gr.undoNets))
 	gr.undoNets = append(gr.undoNets, net)
 	gr.undoVals = append(gr.undoVals, old)
-	s.vals[net] = nv
 	for _, c := range gr.graph.Consumers(net) {
 		if pos := gr.graph.Pos(c); pos >= 0 {
 			gr.schedule(pos, ep)

@@ -327,6 +327,112 @@ func TestGradeSeqRegroupEdges(t *testing.T) {
 	}
 }
 
+// TestGradeSeqRegroupCompaction pins the moves regrouping makes a whole word
+// at a time, on the circuit of TestGradeSeqRegroupEdges: a buffer chain
+// b -> po_c beside a two-stage shift register a -> q1 -> q2 -> po_q. With b
+// at 1 the chain's stuck-at-0 faults are all caught in cycle 0 and its
+// stuck-at-1 faults never are. Two targets, a/Z and q1/D stuck-at-1, put a 1
+// into q1 in cycle 0 that the good machine does not hold, which reaches po_q
+// only in cycle 2. The fault list is laid out so that after cycle 0
+//
+//   - word 0 keeps 60 survivors in lanes 0-59 and word 2 none, so the 66
+//     survivors are regrouped from three words into two;
+//   - word 1's six survivors are lanes 1, 50 (a/Z), 51-53 and 57 (q1/D). Its
+//     first three land in lanes 60-62 of word 0 and the other three spill
+//     into lanes 0-2 of word 1;
+//   - so a/Z moves down 49 lanes and q1/D 55, and each carries its diverged
+//     flip-flop state into a different destination word.
+func TestGradeSeqRegroupCompaction(t *testing.T) {
+	n := netlist.New("compaction")
+	a := n.Input("a")
+	b := n.Input("b")
+	n.OutputPort("po_q", n.DFF("q2", n.DFF("q1", a)))
+	cur := b
+	for i := 0; i < 62; i++ {
+		cur = n.Buf(fmt.Sprintf("c%d", i), cur)
+	}
+	n.OutputPort("po_c", cur)
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	u := fault.NewUniverse(n)
+
+	var sa0, sa1 []fault.FID
+	chainSite := func(g netlist.GateID, pin int32) {
+		f0, f1 := u.PinFaults(g, pin)
+		sa0, sa1 = append(sa0, f0), append(sa1, f1)
+	}
+	chainSite(mustGateID(t, n, "b"), fault.OutputPin)
+	for i := 0; i < 62; i++ {
+		g := mustGateID(t, n, fmt.Sprintf("c%d", i))
+		chainSite(g, 0)
+		chainSite(g, fault.OutputPin)
+	}
+	chainSite(mustGateID(t, n, "po_c"), 0)
+	_, viaA := u.PinFaults(mustGateID(t, n, "a"), fault.OutputPin)
+	_, viaD := u.PinFaults(mustGateID(t, n, "q1"), netlist.DffD)
+
+	word1 := make([]fault.FID, logic.WordBits-1)
+	caught, kept := sa0[3:], sa1[60:]
+	for l := range word1 {
+		switch l {
+		case 1, 51, 52, 53:
+			word1[l], kept = kept[0], kept[1:]
+		case 50:
+			word1[l] = viaA
+		case 57:
+			word1[l] = viaD
+		default:
+			word1[l], caught = caught[0], caught[1:]
+		}
+	}
+	faults := append([]fault.FID{}, sa1[:60]...) // word 0, lanes 0-59
+	faults = append(faults, sa0[:3]...)          // word 0, lanes 60-62
+	faults = append(faults, word1...)
+	faults = append(faults, caught[:5]...) // word 2
+
+	stim := sim.Stimulus{Inputs: []netlist.NetID{a, b}, Cycles: [][]logic.V{
+		{logic.Zero, logic.One}, // q1 captures the targets' stuck 1
+		{logic.X, logic.One},    // ... which shifts into q2
+		{logic.X, logic.One},    // ... and reaches po_q
+	}}
+	reg := obs.New()
+	got, err := sim.GradeSeqSitesObs(n, u, stim, sim.OutputObsPoints(n), faults, nil, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceGradeSeq(n, u, stim, sim.OutputObsPoints(n), faults, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffSets(t, "compaction", u, got, want)
+	if !got.Has(viaA) || !got.Has(viaD) || got.Count() != 3+57+5+2 {
+		t.Fatalf("detected %d faults (a/Z %v, q1/D %v), want the 65 chain stuck-at-0 faults and both targets",
+			got.Count(), got.Has(viaA), got.Has(viaD))
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		"sim.gradeseq.lanes":    int64(len(faults)),
+		"sim.gradeseq.words":    3,
+		"sim.gradeseq.cycles":   3 + 2 + 2,
+		"sim.gradeseq.regroups": 1,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+
+	// The targets are detected only in the last cycle, after the move.
+	stim.Cycles = stim.Cycles[:2]
+	early, err := sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if early.Has(viaA) || early.Has(viaD) {
+		t.Fatal("a target detected within two cycles; the moves are not exercised")
+	}
+}
+
 func mustGateID(t *testing.T, n *netlist.Netlist, name string) netlist.GateID {
 	t.Helper()
 	id, ok := n.GateByName(name)
@@ -374,7 +480,7 @@ func TestGradeSeqScreenTraceRegister(t *testing.T) {
 // missionTraces draws count seeded stimuli for the bench design in mission
 // mode: scan and debug pins at 0, rstn at 1, exactly one of op0-op3 high,
 // the data inputs random.
-func missionTraces(t *testing.T, n *netlist.Netlist, rng *rand.Rand, count, cycles int) []flow.PatternSet {
+func missionTraces(t testing.TB, n *netlist.Netlist, rng *rand.Rand, count, cycles int) []flow.PatternSet {
 	t.Helper()
 	pis := n.PrimaryInputs()
 	inputs := make([]netlist.NetID, len(pis))
@@ -413,6 +519,37 @@ func missionTraces(t *testing.T, n *netlist.Netlist, rng *rand.Rand, count, cycl
 		sets[s] = flow.PatternSet{Name: fmt.Sprintf("mission%d", s), Stim: stim}
 	}
 	return sets
+}
+
+// BenchmarkGradeSeqMission grades the mission-import workload's pattern
+// sets: four seeded 2,000-cycle mission traces on the width-16 bench design,
+// observed at its outputs, each set grading the faults the sets before it
+// left undetected, as flow.PatternProvider does. It reports the word-cycles
+// each grading pass simulates.
+func BenchmarkGradeSeqMission(b *testing.B) {
+	n := bench.Build(16)
+	u := fault.NewUniverse(n)
+	sets := missionTraces(b, n, rand.New(rand.NewSource(1)), 4, 2000)
+	pts := sim.OutputObsPoints(n)
+	reg := obs.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		remaining := allFaults(u)
+		for _, set := range sets {
+			det, err := sim.GradeSeqSitesObs(n, u, set.Stim, pts, remaining, nil, reg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			live := remaining[:0]
+			for _, fid := range remaining {
+				if !det.Has(fid) {
+					live = append(live, fid)
+				}
+			}
+			remaining = live
+		}
+	}
+	b.ReportMetric(float64(reg.Snapshot().Counter("sim.gradeseq.cycles"))/float64(b.N), "word-cycles/op")
 }
 
 // benchClassDigest is the classification of the width-16 bench design under

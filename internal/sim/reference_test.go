@@ -296,10 +296,17 @@ func compareKernel(t *testing.T, what string, n *netlist.Netlist, s *sim.Simulat
 }
 
 // runBoth drives the kernel and the reference through the given cycles of
-// random ternary inputs, replacing the injections every few cycles (and
-// clearing them once), and compares them after every EvalComb and every
-// CommitState.
+// random ternary inputs, replacing the injections every few cycles with
+// randomInjections (and clearing them once), and compares them after every
+// EvalComb and every CommitState.
 func runBoth(t *testing.T, what string, rng *rand.Rand, n *netlist.Netlist, s *sim.Simulator, r *refSim, cycles int) {
+	t.Helper()
+	runBothDrawing(t, what, rng, n, s, r, cycles, func() []sim.Injection { return randomInjections(rng, n) })
+}
+
+// runBothDrawing is runBoth drawing each replacement injection set from draw.
+func runBothDrawing(t *testing.T, what string, rng *rand.Rand, n *netlist.Netlist, s *sim.Simulator, r *refSim,
+	cycles int, draw func() []sim.Injection) {
 	t.Helper()
 	var inputs []netlist.NetID
 	for _, g := range n.PrimaryInputs() {
@@ -310,7 +317,7 @@ func runBoth(t *testing.T, what string, rng *rand.Rand, n *netlist.Netlist, s *s
 		case c == cycles/2:
 			injectBoth(s, r, nil)
 		case c%6 == 0:
-			injectBoth(s, r, randomInjections(rng, n))
+			injectBoth(s, r, draw())
 		}
 		for _, net := range inputs {
 			v := randomPV(rng)
@@ -339,6 +346,95 @@ func TestSimulatorMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		runBoth(t, fmt.Sprintf("seed %d", seed), rng, n, s, mustRefSim(t, n), 24)
+	}
+}
+
+// opsNetlist is a seeded random sequential circuit holding every gate shape
+// the kernel compiles to an opcode of its own: AND, NAND, OR and NOR at 2 to
+// 5 inputs, XOR, XNOR, BUF, NOT and MUX2, fed by both tie kinds, primary
+// inputs, a DFF and a DFFR. The gates are added in a random order, each
+// reading random earlier nets.
+func opsNetlist(t *testing.T, seed int64) *netlist.Netlist {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	n := netlist.New(fmt.Sprintf("ops%d", seed))
+	pool := []netlist.NetID{n.Tie0("tie0"), n.Tie1("tie1")}
+	for i := 0; i < 4; i++ {
+		pool = append(pool, n.Input(fmt.Sprintf("i%d", i)))
+	}
+	rstn := n.Input("rstn")
+	q, qr := n.NewNet("q"), n.NewNet("qr")
+	pool = append(pool, q, qr)
+
+	type shape struct {
+		kind netlist.Kind
+		ins  int
+	}
+	shapes := []shape{{netlist.KXor, 2}, {netlist.KXnor, 2}, {netlist.KBuf, 1}, {netlist.KNot, 1}, {netlist.KMux2, 3}}
+	for _, k := range []netlist.Kind{netlist.KAnd, netlist.KNand, netlist.KOr, netlist.KNor} {
+		for ins := 2; ins <= 5; ins++ {
+			shapes = append(shapes, shape{k, ins})
+		}
+	}
+	rng.Shuffle(len(shapes), func(i, j int) { shapes[i], shapes[j] = shapes[j], shapes[i] })
+	for i, sh := range shapes {
+		ins := make([]netlist.NetID, sh.ins)
+		for p := range ins {
+			ins[p] = pool[rng.Intn(len(pool))]
+		}
+		pool = append(pool, n.Gates[n.AddGate(sh.kind, fmt.Sprintf("g%d_%v%d", i, sh.kind, sh.ins), ins...)].Out)
+	}
+	late := pool[len(pool)-len(shapes)/2:]
+	pickLate := func() netlist.NetID { return late[rng.Intn(len(late))] }
+	n.AddGateOut(netlist.KDFF, "ff", q, pickLate())
+	n.AddGateOut(netlist.KDFFR, "ffr", qr, pickLate(), rstn)
+	for i := 0; i < 4; i++ {
+		n.OutputPort(fmt.Sprintf("o%d", i), pickLate())
+	}
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestSimulatorMatchesReferenceEveryOp pins every opcode and arity of the
+// kernel to the netlist walk, injected and not: on circuits holding every
+// gate shape (opsNetlist), each injection set adds random injections on the
+// next stretch of a shuffled list of every input pin and every output of
+// every gate, so over the run each of them carries an injection at least
+// once, next to randomInjections' stacks.
+func TestSimulatorMatchesReferenceEveryOp(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for seed := int64(1); seed <= 8; seed++ {
+		n := opsNetlist(t, seed)
+		var sites []fault.Site
+		for g := range n.Gates {
+			gate := &n.Gates[g]
+			for p := range gate.Ins {
+				sites = append(sites, fault.Site{Gate: netlist.GateID(g), Pin: int32(p)})
+			}
+			if gate.Out != netlist.InvalidNet {
+				sites = append(sites, fault.Site{Gate: netlist.GateID(g), Pin: fault.OutputPin})
+			}
+		}
+		rng.Shuffle(len(sites), func(i, j int) { sites[i], sites[j] = sites[j], sites[i] })
+		next := 0
+		draw := func() []sim.Injection {
+			injs := randomInjections(rng, n)
+			for i := 0; i < len(sites)/4+1; i++ {
+				injs = append(injs, sim.Injection{Site: sites[next%len(sites)], SA: randomStuck(rng), Mask: rng.Uint64()})
+				next++
+			}
+			return injs
+		}
+		s, err := sim.New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runBothDrawing(t, fmt.Sprintf("seed %d", seed), rng, n, s, mustRefSim(t, n), 48, draw)
+		if next < len(sites) {
+			t.Fatalf("seed %d: only %d of %d pins carried an injection", seed, next, len(sites))
+		}
 	}
 }
 

@@ -6,14 +6,16 @@
 //     reference machine per 64-bit word), used to grade SBST programs and
 //     mission traces. It skips faults with no structural path to an
 //     observation point, drops each fault in the cycle it is detected, and
-//     packs the survivors into fewer words as they thin out.
+//     packs the survivors into fewer words as they thin out, moving each
+//     word's survivors at once.
 //
 // The simulator is cycle-based and compiled: New turns the levelized
-// combinational order into a flat program of ops, one per gate, and
-// EvalComb settles the network by running that program once. Step
-// additionally commits flip-flop state. DFFR reset is treated synchronously
-// (RSTN=0 forces Q to 0 at the next Step), which is sufficient for the
-// mission-mode analyses in this library.
+// combinational order into a flat program of ops, one per gate, each
+// specialised by gate kind and arity with its input nets inline, and
+// EvalComb settles the network by running that program once through one
+// evaluation switch. Step additionally commits flip-flop state. DFFR reset
+// is treated synchronously (RSTN=0 forces Q to 0 at the next Step), which
+// is sufficient for the mission-mode analyses in this library.
 package sim
 
 import (
@@ -32,14 +34,48 @@ type Injection struct {
 	Mask uint64 // machines affected
 }
 
+// opcode is the gate kind of a compiled op, specialised by arity: the 2-input
+// AND, NAND, OR and NOR have codes of their own, so that every gate of up to
+// three inputs carries its input nets inline.
+type opcode uint8
+
+const (
+	opNop opcode = iota // a KOutput marker: nothing to compute
+	opBuf
+	opNot
+	opAnd2
+	opNand2
+	opOr2
+	opNor2
+	opXor
+	opXnor
+	opMux
+	// The n-ary codes, for AND, NAND, OR and NOR of three or more inputs.
+	opAnd
+	opNand
+	opOr
+	opNor
+)
+
+// operandPins lists, for each inline opcode, the gate pin that each of the
+// operands a, b and c reads. A mux's operands are its select, D0 and D1.
+var operandPins = [...][]int32{
+	opBuf: {0}, opNot: {0},
+	opAnd2: {0, 1}, opNand2: {0, 1}, opOr2: {0, 1}, opNor2: {0, 1},
+	opXor: {0, 1}, opXnor: {0, 1},
+	opMux: {netlist.MuxS, netlist.MuxD0, netlist.MuxD1},
+}
+
 // op is one compiled gate evaluation. Op i of Simulator.ops evaluates the
 // gate at position i of the graph's order, so a position indexes its op.
+// An inline opcode's operands a, b and c are its input nets (see
+// operandPins); an n-ary opcode reads the b input nets from Simulator.ins,
+// starting at offset a.
 type op struct {
-	kind netlist.Kind
-	out  netlist.NetID // InvalidNet for a KOutput marker, which is a no-op
-	in   int32         // first input net in Simulator.ins
-	n    int32         // input count
-	inj  int32         // 0, or the gate's injAt entry (see AddInjection)
+	code    opcode
+	inj     int32         // 0, or the gate's injAt entry (see AddInjection)
+	out     netlist.NetID // InvalidNet for opNop
+	a, b, c int32
 }
 
 // flop is one compiled flip-flop: its Q, D and RSTN nets (RSTN is
@@ -79,20 +115,21 @@ func (m *pinMask) add(mask uint64, sa logic.V) {
 
 // Simulator is a 64-way parallel ternary simulator for one netlist. It runs
 // a compiled program: one op per gate of the levelized order, each holding
-// the gate kind, the output net and a range of input nets in one shared
-// slice, so a settle never touches the netlist's gate structs. Injected
-// gates take a slower path that reads every pin through its override mask;
-// all other ops read the net values directly.
+// its opcode, its output net and its input nets (inline, or a range of one
+// shared slice for a wide gate), so a settle never touches the netlist's
+// gate structs. Injected gates take a slower path that reads every pin
+// through its override mask; all other ops read the net values directly.
 type Simulator struct {
 	N     *netlist.Netlist
 	graph *netlist.Graph
 	// vals holds one value per net of the compiled netlist (nets of them),
-	// then one scratch slot per input of the widest gate (see evalInjected).
+	// then one scratch slot per input of the widest gate (see runInjected).
 	vals []logic.PV
 	nets int
 	ops  []op
-	ins  []netlist.NetID
-	// scratchIn is the offset in ins of the scratch slots' net IDs.
+	// ins holds the input nets of the n-ary ops, then the scratch slots'
+	// net IDs from offset scratchIn.
+	ins       []netlist.NetID
 	scratchIn int32
 	ties      []tie
 	ffs       []flop
@@ -133,18 +170,14 @@ func New(n *netlist.Netlist) (*Simulator, error) {
 func (s *Simulator) compile() {
 	n := s.N
 	order := s.graph.Order()
-	pins, widest := 0, 0
+	widest := 0
 	for _, gid := range order {
-		k := len(n.Gates[gid].Ins)
-		pins += k
-		widest = max(widest, k)
+		widest = max(widest, len(n.Gates[gid].Ins))
 	}
 	s.ops = resize(s.ops, len(order))
-	s.ins = resize(s.ins, pins+widest)[:0]
+	s.ins = s.ins[:0]
 	for i, gid := range order {
-		g := &n.Gates[gid]
-		s.ops[i] = op{kind: g.Kind, out: g.Out, in: int32(len(s.ins)), n: int32(len(g.Ins))}
-		s.ins = append(s.ins, g.Ins...)
+		s.ops[i] = s.compileOp(&n.Gates[gid])
 	}
 	s.scratchIn = int32(len(s.ins))
 	for p := 0; p < widest; p++ {
@@ -181,6 +214,49 @@ func (s *Simulator) compile() {
 	}
 	s.next = resize(s.next, len(s.ffs))
 	s.injAt = resize(s.injAt, len(n.Gates))
+}
+
+// compileOp compiles one gate of the order into its op. An AND, NAND, OR or
+// NOR of three or more inputs gets its n-ary opcode and appends its input
+// nets to s.ins; every other gate carries them inline.
+func (s *Simulator) compileOp(g *netlist.Gate) op {
+	var code, wide opcode
+	switch g.Kind {
+	case netlist.KOutput:
+		return op{code: opNop, out: g.Out}
+	case netlist.KBuf:
+		code = opBuf
+	case netlist.KNot:
+		code = opNot
+	case netlist.KAnd:
+		code, wide = opAnd2, opAnd
+	case netlist.KNand:
+		code, wide = opNand2, opNand
+	case netlist.KOr:
+		code, wide = opOr2, opOr
+	case netlist.KNor:
+		code, wide = opNor2, opNor
+	case netlist.KXor:
+		code = opXor
+	case netlist.KXnor:
+		code = opXnor
+	case netlist.KMux2:
+		code = opMux
+	default:
+		panic(fmt.Sprintf("sim: cannot compile %v gate %q", g.Kind, g.Name))
+	}
+	o := op{code: code, out: g.Out}
+	pins := operandPins[code]
+	if len(g.Ins) > len(pins) {
+		o.code, o.a, o.b = wide, int32(len(s.ins)), int32(len(g.Ins))
+		s.ins = append(s.ins, g.Ins...)
+		return o
+	}
+	operands := [...]*int32{&o.a, &o.b, &o.c}
+	for j, p := range pins {
+		*operands[j] = int32(g.Ins[p])
+	}
+	return o
 }
 
 // resize returns s cut or extended to length n; entries past len(s) are
@@ -300,63 +376,90 @@ func (s *Simulator) EvalComb() {
 		out := s.N.Gates[g].Out
 		s.vals[out] = s.sourceVal(g, out)
 	}
-	for i := range s.ops {
-		if o := &s.ops[i]; o.out != netlist.InvalidNet {
-			s.vals[o.out] = s.eval(o)
-		}
-	}
+	s.run(s.ops)
 }
 
-// eval computes an op's output value from the current net values.
-func (s *Simulator) eval(o *op) logic.PV {
-	if o.inj != 0 {
-		return s.evalInjected(o)
-	}
+// run evaluates ops in order, each writing its output net from the current
+// net values. It holds the only copy of the gate semantics: a flagged op
+// reaches them through a bare copy of itself (see runInjected).
+func (s *Simulator) run(ops []op) {
 	vals := s.vals
-	ins := s.ins[o.in : o.in+o.n]
-	switch o.kind {
-	case netlist.KBuf:
-		return vals[ins[0]]
-	case netlist.KNot:
-		return vals[ins[0]].Not()
-	case netlist.KAnd, netlist.KNand:
-		v := vals[ins[0]]
-		for _, in := range ins[1:] {
-			v = v.And(vals[in])
+	for i := range ops {
+		o := &ops[i]
+		if o.inj != 0 {
+			s.runInjected(o)
+			continue
 		}
-		if o.kind == netlist.KNand {
-			v = v.Not()
+		var v logic.PV
+		switch o.code {
+		case opNop:
+			continue
+		case opBuf:
+			v = vals[o.a]
+		case opNot:
+			v = vals[o.a].Not()
+		case opAnd2:
+			v = vals[o.a].And(vals[o.b])
+		case opNand2:
+			v = vals[o.a].And(vals[o.b]).Not()
+		case opOr2:
+			v = vals[o.a].Or(vals[o.b])
+		case opNor2:
+			v = vals[o.a].Or(vals[o.b]).Not()
+		case opXor:
+			v = vals[o.a].Xor(vals[o.b])
+		case opXnor:
+			v = vals[o.a].Xor(vals[o.b]).Not()
+		case opMux:
+			v = logic.PVMux(vals[o.a], vals[o.b], vals[o.c])
+		case opAnd, opNand:
+			ins := s.ins[o.a : o.a+o.b]
+			v = vals[ins[0]]
+			for _, in := range ins[1:] {
+				v = v.And(vals[in])
+			}
+			if o.code == opNand {
+				v = v.Not()
+			}
+		case opOr, opNor:
+			ins := s.ins[o.a : o.a+o.b]
+			v = vals[ins[0]]
+			for _, in := range ins[1:] {
+				v = v.Or(vals[in])
+			}
+			if o.code == opNor {
+				v = v.Not()
+			}
 		}
-		return v
-	case netlist.KOr, netlist.KNor:
-		v := vals[ins[0]]
-		for _, in := range ins[1:] {
-			v = v.Or(vals[in])
-		}
-		if o.kind == netlist.KNor {
-			v = v.Not()
-		}
-		return v
-	case netlist.KXor:
-		return vals[ins[0]].Xor(vals[ins[1]])
-	case netlist.KXnor:
-		return vals[ins[0]].Xor(vals[ins[1]]).Not()
-	case netlist.KMux2:
-		return logic.PVMux(vals[ins[netlist.MuxS]], vals[ins[netlist.MuxD0]], vals[ins[netlist.MuxD1]])
+		vals[o.out] = v
 	}
-	panic(fmt.Sprintf("sim: cannot evaluate %v gate", o.kind))
 }
 
-// evalInjected evaluates a flagged op: it copies every pin value, through
-// the pin's mask, into the scratch slots behind the nets, runs an unflagged
-// copy of the op over those slots, and applies the output mask.
-func (s *Simulator) evalInjected(o *op) logic.PV {
-	base := s.nets
-	for p, net := range s.ins[o.in : o.in+o.n] {
-		s.vals[base+p] = s.masks[o.inj+int32(p)].apply(s.vals[net])
+// runInjected evaluates a flagged op: it writes every pin's value, through
+// the pin's mask, into the scratch slots behind the nets, runs a bare copy
+// of the op over those slots, and applies the output mask.
+func (s *Simulator) runInjected(o *op) {
+	if o.out == netlist.InvalidNet {
+		return // a KOutput marker: ObsVal applies its pin mask
 	}
-	bare := op{kind: o.kind, in: s.scratchIn, n: o.n}
-	return s.masks[o.inj-1].apply(s.eval(&bare))
+	pin := s.masks[o.inj:] // input pin p's mask is pin[p]
+	slot := int32(s.nets)  // the first scratch slot
+	bare := [1]op{{code: o.code, out: o.out}}
+	if o.code >= opAnd { // an n-ary op
+		for p, net := range s.ins[o.a : o.a+o.b] {
+			s.vals[slot+int32(p)] = pin[p].apply(s.vals[net])
+		}
+		bare[0].a, bare[0].b = s.scratchIn, o.b
+	} else {
+		in := [...]int32{o.a, o.b, o.c}
+		operands := [...]*int32{&bare[0].a, &bare[0].b, &bare[0].c}
+		for j, p := range operandPins[o.code] {
+			s.vals[slot+p] = pin[p].apply(s.vals[in[j]])
+			*operands[j] = slot + p
+		}
+	}
+	s.run(bare[:])
+	s.vals[o.out] = s.masks[o.inj-1].apply(s.vals[o.out])
 }
 
 // Step settles the combinational network, then clocks every flip-flop.
