@@ -41,9 +41,9 @@
 //
 // On top of the single-fault core, GenerateAll drives the collapsed fault
 // list through a bounded worker pool with fault dropping. It owns the
-// dispatch order: it sorts its classes hardest-first by SCOAP detection
-// difficulty, and every worker draws the next class of that one list from a
-// shared sched.Queue cursor. The engine leaves every input its search did
+// dispatch order: it sorts the classes its replay leaves hardest-first by
+// SCOAP detection difficulty, and every worker draws the next class of that
+// one list from a shared sched.Queue cursor. The engine leaves every input its search did
 // not need at X; GenerateAll completes each Detected search's test (every X
 // becomes a pseudo-random 0 or 1, seeded by the class's FID) and immediately
 // fault-simulates it (sim.Grader, PPSFP), so incidentally detected faults

@@ -1,7 +1,6 @@
 package atpg
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/rand/v2"
@@ -95,12 +94,15 @@ type workItem struct {
 // deterministic searches, while the workers keep the per-fault searches
 // parallel.
 //
-// Dispatch order: GenerateAll sorts its classes hardest-first (hardestFirst:
-// descending SCOAP detection difficulty, ties in ascending FID order), and
-// the replay, the learning screen and the workers all walk that one order.
-// Hard classes are searched while the most classes are still live, and each
-// of their completed tests drops easy classes that would otherwise each cost
-// a search. The order of Options.Classes does not matter.
+// Dispatch order: GenerateAll sorts the classes the replay leaves
+// hardest-first (hardestFirst: descending SCOAP detection difficulty, ties in
+// ascending FID order), and the learning screen and the workers walk that one
+// order. Hard classes are searched while the most classes are still live, and
+// each of their completed tests drops easy classes that would otherwise each
+// cost a search. The replay needs no order: the grader finds its hits by
+// walking nets, not the list, and resolves them in FID order, so the sort
+// waits for it and orders only the classes it left. The order of
+// Options.Classes does not matter.
 //
 // Before a worker hands a Detected result to the drop loop, it completes the
 // test (completeTest): every X the search left in Result.Pattern and
@@ -149,8 +151,8 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	// Rep path-compresses (writes), so a shared instance would race across
 	// concurrent runs. It is O(faults·α) — noise next to the search.
 	collapse := fault.NewCollapse(u)
-	// reps is the run's own class list: hardestFirst sorts it in place and
-	// the queue below filters it in place, so a caller's list is copied.
+	// reps is the run's own class list: it is filtered and sorted in place
+	// below, so a caller's list is copied.
 	var reps []fault.FID
 	if opts.Classes == nil {
 		for id := 0; id < u.NumFaults(); id++ {
@@ -204,7 +206,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 			return nil, err
 		}
 	}
-	hardestFirst(u, ann, reps)
 
 	// live is the incrementally pruned drop-candidate list: classes not yet
 	// proven Detected or Untestable. Aborted classes stay live — a later
@@ -341,6 +342,11 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		st.ReplayElapsed = time.Since(replayStart)
 	}
 
+	// The replay's hits do not depend on the list's order (see Dispatch
+	// order above), so only the classes it left are sorted.
+	reps = slices.DeleteFunc(reps, func(fid fault.FID) bool { return livePos[fid] < 0 })
+	hardestFirst(u, ann, reps)
+
 	// FIRE-style screen: classes whose joint injection provably can never
 	// activate resolve Untestable in constant time — before any worker, any
 	// search-generated pattern or any search sees them. The verdict is the
@@ -350,10 +356,13 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	// end applies to screened classes exactly as to searched ones. A replay
 	// cannot detect a screened class, and the grader's own activation screen
 	// skips it, so the replay goes first and the screen only expands the
-	// classes the replay left.
+	// classes the replay left. It keeps the classes it cannot prove, in
+	// sorted order.
 	if learn != nil {
+		unproved := reps[:0]
 		for _, fid := range reps {
-			if livePos[fid] < 0 || !learn.ScreenInjection(opts.Sites.Expand(u.FaultOf(fid))) {
+			if !learn.ScreenInjection(opts.Sites.Expand(u.FaultOf(fid))) {
+				unproved = append(unproved, fid)
 				continue
 			}
 			status.Set(fid, fault.Untestable)
@@ -364,19 +373,13 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 			unlive(fid)
 			commit(fid, Untestable)
 		}
+		reps = unproved
 	}
 
-	// The queue holds the classes left live, in sorted order: filtering the
-	// run's own list in place keeps that order and copies nothing. Closing
-	// it on every return sheds what a cancelled run leaves queued from the
-	// depth gauge.
-	queued := reps[:0]
-	for _, fid := range reps {
-		if livePos[fid] >= 0 {
-			queued = append(queued, fid)
-		}
-	}
-	src = sched.NewQueue(queued, opts.Metrics)
+	// The queue holds the classes left live, in sorted order. Closing it on
+	// every return sheds what a cancelled run leaves queued from the depth
+	// gauge.
+	src = sched.NewQueue(reps, opts.Metrics)
 	defer src.Close()
 
 	// Workers pull classes from src, gated per search by the (possibly nil,
@@ -516,18 +519,22 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 // pass. Reordering is sound because Detected and Untestable are
 // order-invariant complete proofs; only Aborted verdicts are
 // search-order-sensitive.
+//
+// Each class's cost is computed once, into a key that sorts ascending in
+// exactly that order: CostInf − cost in the high 32 bits (a cost lies in
+// [0, CostInf]) and the FID in the low 32.
 func hardestFirst(u *fault.Universe, ann *netlist.Annotations, classes []fault.FID) {
-	cost := func(fid fault.FID) int32 {
+	keys := make([]uint64, len(classes))
+	for i, fid := range classes {
 		f := u.FaultOf(fid)
 		net := u.NetOf(f.Site)
-		return netlist.SatAdd(ann.CCOf(net, f.SA == logic.Zero), ann.CO[net])
+		cost := netlist.SatAdd(ann.CCOf(net, f.SA == logic.Zero), ann.CO[net])
+		keys[i] = uint64(netlist.CostInf-cost)<<32 | uint64(fid)
 	}
-	slices.SortFunc(classes, func(a, b fault.FID) int {
-		if ca, cb := cost(a), cost(b); ca != cb {
-			return cmp.Compare(cb, ca)
-		}
-		return cmp.Compare(a, b)
-	})
+	slices.Sort(keys)
+	for i, k := range keys {
+		classes[i] = fault.FID(uint32(k))
+	}
 }
 
 // completeTest fills, in place, every X entry of a Detected search's pattern

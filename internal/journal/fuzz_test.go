@@ -34,28 +34,40 @@ func FuzzReadFrames(f *testing.F) {
 }
 
 // FuzzOpen runs journal recovery end to end on arbitrary directories: it
-// writes the fuzzed bytes as MANIFEST, as wal-N.log for the fuzzed generation
-// N and, when withSnap is set, as snap-N.log, then calls Open. Open must
-// return an error or a journal, never panic. After a successful Open and
-// Close, a second Open must succeed and recover a State deep-equal to the
-// first: the tail the first Open repaired reads back clean. The seed corpus
-// in testdata/fuzz/FuzzOpen holds a fresh skeleton, a one-delta wal, a torn
-// wal tail, a headerless wal, a snapshot plus wal, a manifest naming a
-// missing generation and a corrupt snapshot.
+// writes the fuzzed bytes as wal-N.log for the fuzzed generation N, as
+// snap-N.log when withSnap is set and as MANIFEST when withManifest is set,
+// then calls Open. Open must return an error or a journal, never panic; over
+// a directory without a MANIFEST, which holds no journal, it must return a
+// fresh journal that recovers nothing. After a successful Open and Close, a
+// second Open must succeed and recover a State deep-equal to the first: the
+// tail the first Open repaired reads back clean. The seed corpus in
+// testdata/fuzz/FuzzOpen holds a fresh skeleton, a one-delta wal, a torn wal
+// tail, a headerless wal, a snapshot plus wal, a manifest naming a missing
+// generation, a corrupt snapshot and a wal plus snapshot without a MANIFEST.
 func FuzzOpen(f *testing.F) {
-	f.Fuzz(func(t *testing.T, manifest []byte, gen uint8, wal, snap []byte, withSnap bool) {
+	f.Fuzz(func(t *testing.T, manifest []byte, gen uint8, wal, snap []byte, withSnap, withManifest bool) {
 		dir := t.TempDir()
 		write := func(name string, data []byte) {
 			if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
 				t.Fatal(err)
 			}
 		}
-		write("MANIFEST", manifest)
+		if withManifest {
+			write("MANIFEST", manifest)
+		}
 		write(walName(uint64(gen)), wal)
 		if withSnap {
 			write(snapName(uint64(gen)), snap)
 		}
 		j, err := Open(dir, Options{})
+		if !withManifest {
+			if err != nil {
+				t.Fatalf("Open of a directory without a MANIFEST: %v", err)
+			}
+			if st := j.Recovered(); st != nil {
+				t.Fatalf("a directory without a MANIFEST recovers %+v", st)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -57,6 +57,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"olfui/internal/fault"
@@ -191,6 +192,9 @@ func Open(dir string, opt Options) (*Journal, error) {
 	if !haveManifest {
 		// Fresh journal: generation 0, no snapshot, empty wal, then the
 		// manifest — created last so a half-created journal is invisible.
+		// Whatever generation files a crash left before the manifest hold
+		// no journal, so they go first.
+		j.cleanStale(false)
 		if err := j.openWal(0, true); err != nil {
 			return nil, err
 		}
@@ -198,8 +202,6 @@ func Open(dir string, opt Options) (*Journal, error) {
 			j.wal.Close()
 			return nil, err
 		}
-		j.gen = 0
-		j.cleanStale()
 		return j, nil
 	}
 	j.gen = gen
@@ -271,7 +273,7 @@ func Open(dir string, opt Options) (*Journal, error) {
 		j.recovered = st
 	}
 	j.sinceComp = len(st.Deltas)
-	j.cleanStale()
+	j.cleanStale(true)
 	return j, nil
 }
 
@@ -504,9 +506,13 @@ func (j *Journal) openWal(gen uint64, create bool) error {
 	return nil
 }
 
-// cleanStale best-effort deletes generation files the manifest no longer
-// names — leftovers of a crash mid-compaction.
-func (j *Journal) cleanStale() {
+// cleanStale best-effort deletes every generation file (wal, snapshot, a
+// temp file of either, MANIFEST.tmp) except the live generation's wal and
+// snapshot. With live set those are the ones the manifest names, and the
+// rest are leftovers of a crash mid-compaction. Without it no generation is
+// live: the directory has no manifest, so it holds no journal, and whatever
+// files a crash left while creating one all go.
+func (j *Journal) cleanStale(live bool) {
 	ents, err := os.ReadDir(j.dir)
 	if err != nil {
 		return
@@ -514,12 +520,12 @@ func (j *Journal) cleanStale() {
 	keepWal, keepSnap := walName(j.gen), snapName(j.gen)
 	for _, e := range ents {
 		name := e.Name()
+		if live && (name == keepWal || name == keepSnap) {
+			continue
+		}
+		base, tmp := strings.CutSuffix(name, ".tmp")
 		var gen uint64
-		switch {
-		case name == keepWal || name == keepSnap || name == "MANIFEST":
-		case sscanGen(name, "wal-%d.log", &gen) || sscanGen(name, "snap-%d.log", &gen):
-			os.Remove(filepath.Join(j.dir, name))
-		case name == keepSnap+".tmp" || name == "MANIFEST.tmp":
+		if tmp && base == "MANIFEST" || sscanGen(base, "wal-%d.log", &gen) || sscanGen(base, "snap-%d.log", &gen) {
 			os.Remove(filepath.Join(j.dir, name))
 		}
 	}

@@ -345,9 +345,74 @@ func TestStaleGenerationCleanup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	for _, f := range []string{"snap-7.log", "MANIFEST.tmp"} {
+	for _, f := range []string{"snap-7.log", "snap-7.log.tmp", "MANIFEST.tmp"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
 			t.Errorf("stale %s survived Open", f)
 		}
+	}
+}
+
+// TestOpenHalfCreatedJournal opens directories a crash left after a fresh
+// journal's wal was created and before its MANIFEST was written. Without a
+// MANIFEST a directory holds no journal, so Open must start a fresh one over
+// whatever generation files it finds, and a reopen must recover exactly what
+// was appended since.
+func TestOpenHalfCreatedJournal(t *testing.T) {
+	src := t.TempDir()
+	j, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendDelta("full-scan", "baseline", testDelta("baseline:0", 0, 1, fault.Detected)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	oneDelta, err := os.ReadFile(filepath.Join(src, "wal-0.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+	}{
+		{"bare wal", map[string][]byte{"wal-0.log": []byte(magic)}},
+		{"one-delta wal and a stray snapshot", map[string][]byte{"wal-0.log": oneDelta, "snap-0.log": oneDelta}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for name, data := range tc.files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := j.Recovered(); st != nil {
+				t.Fatalf("a directory without a MANIFEST recovers %+v", st)
+			}
+			d := testDelta("scenario x:0", 0, 2, fault.Untestable)
+			if err := j.AppendDelta("mission", "scenario x", d); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+
+			j, err = Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			want := &State{
+				Channels: map[string]*fault.AccumulatorSnapshot{},
+				Deltas:   []Delta{{Channel: "mission", Provider: "scenario x", D: d}},
+				Done:     map[string]int{},
+				Results:  map[string]*ProviderResult{},
+			}
+			if st := j.Recovered(); !reflect.DeepEqual(st, want) {
+				t.Fatalf("reopen recovers %+v, want %+v", st, want)
+			}
+		})
 	}
 }

@@ -24,6 +24,9 @@ import (
 // faulty-machine pass — a gate's output can differ from the good machine
 // only if an input net differs or the gate itself carries an injection, and
 // both cases are seeded or scheduled (see TestGraderMatchesFullEvalReference).
+// Each changed net is final when it is written, so the observation points
+// that read it are compared right then, and the evaluation stops at the
+// first one that differs: the rest of the cone cannot undo a detection.
 // A Grader is not safe for concurrent use.
 type Grader struct {
 	n     *netlist.Netlist
@@ -391,8 +394,12 @@ func (gr *Grader) candidates(faults []fault.FID, detected *fault.Set) []fault.FI
 }
 
 // evalConeDetect re-settles only the injection sites' output cone on top of
-// the good values, logging every changed net, then reports whether any
-// observation point differs from the good machine.
+// the good values, logging every changed net, and reports whether any
+// observation point differs from the good machine. It stops at the first
+// difference: logWrite compares each changed net's observation points as it
+// logs the net, and a net is final once written, because source sites are
+// written before any op runs and ops drain in order position. What an early
+// return leaves pending is discarded by the next call's heap reset and epoch.
 func (gr *Grader) evalConeDetect() bool {
 	s := gr.good
 	gr.epoch++
@@ -408,7 +415,9 @@ func (gr *Grader) evalConeDetect() bool {
 		out := s.N.Gates[g].Out
 		old := s.vals[out]
 		s.vals[out] = s.sourceVal(g, out)
-		gr.logWrite(out, old, ep)
+		if gr.logWrite(out, old, ep) {
+			return true
+		}
 	}
 	for _, g := range s.injGates {
 		if pos := gr.graph.Pos(g); pos >= 0 {
@@ -425,20 +434,14 @@ func (gr *Grader) evalConeDetect() bool {
 		}
 		old := s.vals[out]
 		s.run(s.ops[pos : pos+1])
-		gr.logWrite(out, old, ep)
-	}
-
-	// Only two things can flip an observation point: its net changed, or its
-	// own gate carries a pin injection (which alters the read with no net
-	// change). Scan exactly those.
-	for i, net := range gr.undoNets {
-		for _, oi := range gr.obsNetIdx[gr.obsNetStart[net]:gr.obsNetStart[net+1]] {
-			p := gr.obs[oi]
-			if gr.undoVals[i].Diff(s.read(p.Gate, p.Pin, net)) != 0 {
-				return true
-			}
+		if gr.logWrite(out, old, ep) {
+			return true
 		}
 	}
+
+	// No changed net flipped an observation point. The one other way to
+	// flip one is a pin injection on its own gate, which alters the read
+	// with no net change.
 	for _, g := range s.injGates {
 		for _, oi := range gr.obsGateIdx[gr.obsGateStart[g]:gr.obsGateStart[g+1]] {
 			p := gr.obs[oi]
@@ -456,22 +459,31 @@ func (gr *Grader) evalConeDetect() bool {
 }
 
 // logWrite records a recomputed net value: if it changed from old, the old
-// value goes to the undo log and every consumer is scheduled. Each net has
-// one driver and each gate evaluates at most once per fault, so a net is
-// logged at most once.
-func (gr *Grader) logWrite(net netlist.NetID, old logic.PV, ep uint64) {
-	if gr.good.vals[net] == old {
-		return
+// value goes to the undo log, and logWrite reports whether an observation
+// point reading the net sees it differ from old. If none does, every
+// consumer is scheduled. Each net has one driver and each gate evaluates at
+// most once per fault, so a net is logged at most once, with its final
+// faulty value.
+func (gr *Grader) logWrite(net netlist.NetID, old logic.PV, ep uint64) bool {
+	s := gr.good
+	if s.vals[net] == old {
+		return false
 	}
 	gr.chStamp[net] = ep
 	gr.chIdx[net] = int32(len(gr.undoNets))
 	gr.undoNets = append(gr.undoNets, net)
 	gr.undoVals = append(gr.undoVals, old)
+	for _, oi := range gr.obsNetIdx[gr.obsNetStart[net]:gr.obsNetStart[net+1]] {
+		if p := gr.obs[oi]; old.Diff(s.read(p.Gate, p.Pin, net)) != 0 {
+			return true
+		}
+	}
 	for _, c := range gr.graph.Consumers(net) {
 		if pos := gr.graph.Pos(c); pos >= 0 {
 			gr.schedule(pos, ep)
 		}
 	}
+	return false
 }
 
 // schedule pushes an op position onto the pending min-heap once per epoch.

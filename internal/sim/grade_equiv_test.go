@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"olfui/internal/bench"
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/logic"
@@ -314,5 +315,52 @@ func TestGradeIntoDoesNotAllocate(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, grade); a != 0 {
 		t.Errorf("GradeInto allocates %v times per call after warm-up, want 0", a)
+	}
+}
+
+// BenchmarkGradeReplayUnrolled measures the replay word a scenario's
+// GenerateAll grades before any search: 64 seeded, fully specified rows
+// against every collapse representative of the bench design's mission-reach
+// clone (two unrolled frames, observed at its outputs and capture probes),
+// at widths 8 and 32. Every net of a completed row is definite, so few
+// classes are screened and the cone evaluations set the cost. It reports the
+// classes graded and the classes the word detects.
+func BenchmarkGradeReplayUnrolled(b *testing.B) {
+	for _, width := range []int{8, 32} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			n := bench.Build(width)
+			sm, err := constraint.ApplyMapped(n, bench.Scenarios(2)[2].Transforms...) // mission-reach
+			if err != nil {
+				b.Fatal(err)
+			}
+			u := fault.NewUniverse(n)
+			collapse := fault.NewCollapse(u)
+			var reps []fault.FID
+			for id := 0; id < u.NumFaults(); id++ {
+				if fid := fault.FID(id); collapse.Rep(fid) == fid {
+					reps = append(reps, fid)
+				}
+			}
+			gr, err := sim.NewGraderSites(n, u, constraint.ObserveOutputsAndCaptures(n), sm)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(width)))
+			patterns := make([]sim.Pattern, logic.WordBits)
+			for i := range patterns {
+				patterns[i] = make(sim.Pattern, len(n.PrimaryInputs()))
+				for j := range patterns[i] {
+					patterns[i][j] = logic.FromBit(rng.Uint64())
+				}
+			}
+			dst := fault.NewSet(u)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst.Clear()
+				gr.GradeInto(dst, patterns, nil, reps)
+			}
+			b.ReportMetric(float64(len(reps)), "classes")
+			b.ReportMetric(float64(dst.Count()), "detected")
+		})
 	}
 }
