@@ -424,6 +424,50 @@ func allFaultGradeSeq(n *netlist.Netlist, u *fault.Universe, stim sim.Stimulus) 
 	return sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), all)
 }
 
+// TestPatternProviderObservedGatePin grades a set observed at an input pin
+// of an AND gate, where structural equivalence does not hold: the collapse
+// merges g/A, g/B and g/Z stuck-at-0 (and the fanout-free stems a/Z and b/Z
+// with them), yet with a = b = 1 only g/A and a/Z stuck-at-0 show at g/A.
+// The provider must then grade every fault alone and detect exactly what a
+// direct grading of all faults detects.
+func TestPatternProviderObservedGatePin(t *testing.T) {
+	n := netlist.New("gate-pin")
+	a := n.Input("a")
+	b := n.Input("b")
+	n.OutputPort("po", n.And("g", a, b))
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	u := fault.NewUniverse(n)
+	g, _ := n.GateByName("g")
+	pts := []sim.ObsPoint{{Gate: g, Pin: 0}}
+	stim := sim.Stimulus{Inputs: []netlist.NetID{a, b}, Cycles: [][]logic.V{{logic.One, logic.One}}}
+	p := &PatternProvider{Sets: []PatternSet{{
+		Name: "and-pin", Stim: stim,
+		Observe: func(*netlist.Netlist) []sim.ObsPoint { return pts },
+	}}}
+	if err := p.Run(context.Background(), Env{N: n, Universe: u}, func(fault.Delta) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	all := make([]fault.FID, u.NumFaults())
+	for id := range all {
+		all[id] = fault.FID(id)
+	}
+	want, err := sim.GradeSeq(n, u, stim, pts, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fid := range all {
+		if p.Detected.Has(fid) != want.Has(fid) {
+			t.Errorf("%s: provider says %v, direct grading %v",
+				u.Describe(u.FaultOf(fid)), p.Detected.Has(fid), want.Has(fid))
+		}
+	}
+	if want.Count() != 2 {
+		t.Fatalf("direct grading detects %d faults, want g/A and a/Z stuck-at-0", want.Count())
+	}
+}
+
 // TestCampaignProgressEvents checks the per-provider event stream: ordered
 // delta sequences and exactly one terminal event per provider.
 func TestCampaignProgressEvents(t *testing.T) {

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -641,16 +642,22 @@ type PatternSet struct {
 
 // PatternProvider grades externally supplied mission stimuli with
 // sim.GradeSeqSitesObs and streams the detected faults into the mission
-// channel — the ROADMAP's "functional pattern import". The grader skips
-// faults no observation point can see, drops each fault in the cycle it is
-// detected and regroups the survivors, so a set's cost tracks the faults it
-// has yet to detect. A malformed set (a row that does not drive every
-// input) fails the provider with an error naming the set and the cycle.
-// Because mission detections and scenario untestability proofs merge into
-// the same lattice, a stimulus that detects a fault some scenario proved
-// functionally untestable fails the campaign with a fault.ConflictError:
-// either the scenario transform was unsound or the stimulus drives the
-// design outside its mission model.
+// channel — the ROADMAP's "functional pattern import". It grades one lane
+// per structural-equivalence class (see gradedReps) and spreads each
+// detection to the class's members, so a set's delta lists every detected
+// fault. The grader skips faults no observation point can see, drops each
+// fault in the cycle it is detected and regroups the survivors, so a set's
+// cost tracks the classes it has yet to detect. A malformed set (a row that
+// does not drive every input) fails the provider with an error naming the
+// set and the cycle. Because mission detections and scenario
+// untestability proofs merge into the same lattice, a stimulus that
+// detects a fault some scenario proved functionally untestable fails the
+// campaign with a fault.ConflictError: either the scenario transform was
+// unsound or the stimulus drives the design outside its mission model.
+//
+// Each set gets a "set:<name>" span with two attributes: graded, the
+// classes graded (one fault each), and detected, the faults its delta
+// lists.
 type PatternProvider struct {
 	// Sets are graded in order, one delta per set.
 	Sets []PatternSet
@@ -664,61 +671,91 @@ func (p *PatternProvider) Name() string { return "patterns" }
 // Channel implements Provider.
 func (p *PatternProvider) Channel() Channel { return ChannelMission }
 
-// Run implements Provider. Faults detected by an earlier set are dropped
-// from later gradings — re-detection could only re-announce an entry the
-// lattice already holds, so skipping it changes no merged status, no
+// Run implements Provider. Classes detected by an earlier set are dropped
+// from later gradings — re-detection could only re-announce entries the
+// lattice already holds, so skipping them changes no merged status, no
 // conflict outcome, and no Detected union, while each set's simulation cost
 // tracks the shrinking remainder.
 func (p *PatternProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
-	remaining := make([]fault.FID, env.Universe.NumFaults())
-	for id := range remaining {
-		remaining[id] = fault.FID(id)
+	u := env.Universe
+	points := make([][]sim.ObsPoint, len(p.Sets))
+	for i, set := range p.Sets {
+		obsFn := set.Observe
+		if obsFn == nil {
+			obsFn = constraint.ObserveOutputs
+		}
+		points[i] = obsFn(env.N)
 	}
-	detected := fault.NewSet(env.Universe)
-	seq := 0
-	for _, set := range p.Sets {
+	rep := gradedReps(env.N, u, points)
+	var remaining []fault.FID // the graded fault of every class not yet detected
+	for id, r := range rep {
+		if r == fault.FID(id) {
+			remaining = append(remaining, r)
+		}
+	}
+	detected := fault.NewSet(u)
+	for seq, set := range p.Sets {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if set.Name == "" {
 			return fmt.Errorf("pattern set %d has no name", seq)
 		}
-		obsFn := set.Observe
-		if obsFn == nil {
-			obsFn = constraint.ObserveOutputs
-		}
 		setSpan := env.Span.Child("set:" + set.Name)
 		det, err := sim.GradeSeqSitesObs(
-			env.N, env.Universe, set.Stim, obsFn(env.N), remaining, nil, env.Metrics)
+			env.N, u, set.Stim, points[seq], remaining, nil, env.Metrics)
 		if err != nil {
 			setSpan.End()
 			return fmt.Errorf("pattern set %q: %w", set.Name, err)
 		}
-		setSpan.SetInt("graded", int64(len(remaining)))
-		setSpan.SetInt("detected", int64(det.Count()))
-		setSpan.End()
 		d := fault.Delta{Source: p.Name(), Seq: seq}
-		det.ForEach(func(fid fault.FID) {
-			d.FIDs = append(d.FIDs, fid)
-			d.Statuses = append(d.Statuses, fault.Detected)
-		})
-		seq++
+		for id, r := range rep {
+			if det.Has(r) {
+				d.FIDs = append(d.FIDs, fault.FID(id))
+				d.Statuses = append(d.Statuses, fault.Detected)
+				detected.Add(fault.FID(id))
+			}
+		}
+		setSpan.SetInt("graded", int64(len(remaining)))
+		setSpan.SetInt("detected", int64(len(d.FIDs)))
+		setSpan.End()
 		if err := emit(d); err != nil {
 			return err
 		}
-		detected.UnionWith(det)
-		if det.Count() > 0 {
-			live := remaining[:0]
-			for _, fid := range remaining {
-				if !detected.Has(fid) {
-					live = append(live, fid)
-				}
-			}
-			remaining = live
-		}
+		remaining = slices.DeleteFunc(remaining, det.Has)
 	}
 	p.Detected = detected
 	return nil
+}
+
+// gradedReps maps every fault of u to the fault PatternProvider grades for
+// it: the representative of its structural-equivalence class
+// (fault.NewCollapse). Equivalent faults make identical faulty machines in
+// every cycle, and a point that reads a net through a pin only the
+// fanout-free stem/branch rule touches (a primary output, a flip-flop pin)
+// reads a stem fault and its branch fault alike, so one lane grades the
+// whole class. A point on an input pin of a BUF, NOT, AND, NAND, OR or NOR
+// gate would not: the collapse merges that pin's fault with the gate's
+// output fault, and only the pin fault shows at the pin. With any such
+// point among points, every fault is graded alone.
+func gradedReps(n *netlist.Netlist, u *fault.Universe, points [][]sim.ObsPoint) []fault.FID {
+	rep := make([]fault.FID, u.NumFaults())
+	for id := range rep {
+		rep[id] = fault.FID(id)
+	}
+	for _, pts := range points {
+		for _, pt := range pts {
+			switch n.Gates[pt.Gate].Kind {
+			case netlist.KBuf, netlist.KNot, netlist.KAnd, netlist.KNand, netlist.KOr, netlist.KNor:
+				return rep
+			}
+		}
+	}
+	collapse := fault.NewCollapse(u)
+	for id, fid := range rep {
+		rep[id] = collapse.Rep(fid)
+	}
+	return rep
 }
 
 var _ Provider = (*BaselineProvider)(nil)

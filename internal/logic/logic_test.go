@@ -216,6 +216,11 @@ func TestPVSplatAndSelect(t *testing.T) {
 			}
 		}
 	}
+	for i := 0; i < 256; i++ {
+		if v := V(i); v != Zero && v != One && PVSplat(v) != PVAllX {
+			t.Errorf("PVSplat(%d) = %+v, want X in every slot", i, PVSplat(v))
+		}
+	}
 	s := Select(0x00FF, PVAllOne, PVAllZero)
 	if s.Get(0) != One || s.Get(8) != Zero {
 		t.Error("Select mask handling wrong")

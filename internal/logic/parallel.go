@@ -25,16 +25,19 @@ var (
 	PVAllX    = PV{}
 )
 
-// PVSplat returns a PV holding v in all 64 slots.
-func PVSplat(v V) PV {
-	switch v {
-	case Zero:
-		return PVAllZero
-	case One:
-		return PVAllOne
-	}
-	return PVAllX
-}
+// PVSplat returns a PV holding v in all 64 slots: PVAllZero for Zero,
+// PVAllOne for One, and PVAllX for X or any other value. It is one load
+// from a table indexed by every V, not a switch: a simulator drives its
+// inputs through it every cycle, and random stimulus bits would defeat a
+// branch predictor.
+func PVSplat(v V) PV { return splat[v] }
+
+// splat is PVSplat's table. Every entry but Zero's and One's is the zero PV,
+// X in every slot.
+var splat = func() (t [256]PV) {
+	t[Zero], t[One] = PVAllZero, PVAllOne
+	return t
+}()
 
 // PVFromBits builds a fully-known PV from a bit mask (bit set means One).
 func PVFromBits(mask uint64) PV { return PV{L0: ^mask, L1: mask} }

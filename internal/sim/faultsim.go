@@ -170,6 +170,10 @@ func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 	reg.Counter("sim.gradeseq.words").Add(int64(ws.num))
 	mCycles := reg.Counter("sim.gradeseq.cycles")
 	mRegroups := reg.Counter("sim.gradeseq.regroups")
+	obsNets := make([]netlist.NetID, len(observe))
+	for i, p := range observe {
+		obsNets[i] = n.Gates[p.Gate].Ins[p.Pin]
+	}
 
 	for _, cyc := range stim.Cycles {
 		mCycles.Add(int64(ws.num))
@@ -179,7 +183,7 @@ func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 				s.SetInputV(net, cyc[i])
 			}
 			s.EvalComb()
-			caught := observedDiff(s, observe) & ws.live[w]
+			caught := observedDiff(s, observe, obsNets) & ws.live[w]
 			s.CommitState()
 			ws.save(w)
 			ws.drop(w, caught, detected)
@@ -233,17 +237,17 @@ const (
 )
 
 // observedDiff returns the lanes whose value at some observation point is
-// known and differs from the good machine's known value.
-func observedDiff(s *Simulator, observe []ObsPoint) uint64 {
+// known and differs from the good machine's known value. nets[i] is the net
+// observe[i] reads. The good lane's two rail bits pick the faulty rail by
+// mask arithmetic, not by a branch on the value: a good 1 reports the lanes
+// at 0, a good 0 the lanes at 1, and a good X neither. goodSlot is the top
+// lane, so shifting a rail down by it leaves just the good lane's bit, and
+// negating that bit spreads it over the word.
+func observedDiff(s *Simulator, observe []ObsPoint, nets []netlist.NetID) uint64 {
 	var diff uint64
-	for _, p := range observe {
-		v := s.ObsVal(p)
-		switch v.Get(goodSlot) {
-		case logic.One:
-			diff |= v.L0
-		case logic.Zero:
-			diff |= v.L1
-		}
+	for i, p := range observe {
+		v := s.read(p.Gate, p.Pin, nets[i])
+		diff |= v.L0&-(v.L1>>goodSlot) | v.L1&-(v.L0>>goodSlot)
 	}
 	return diff
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
@@ -20,7 +22,9 @@ import (
 // universe's sites and keeps the listed, not yet detected faults it meets.
 // Each candidate then re-evaluates only the ops reachable from its injection
 // sites, in order position, recording changed nets in an undo log that is
-// rolled back before the next candidate. Values are identical to a full
+// rolled back before the next candidate. The pending ops are one bit per op
+// position, scanned upward between the lowest and highest word that holds
+// one (see schedule). Values are identical to a full
 // faulty-machine pass — a gate's output can differ from the good machine
 // only if an input net differs or the gate itself carries an injection, and
 // both cases are seeded or scheduled (see TestGraderMatchesFullEvalReference).
@@ -52,11 +56,13 @@ type Grader struct {
 	stamp     uint32
 	cands     []fault.FID
 
-	// Per-fault event-driven scratch. epoch stamps replace clearing: a
-	// sched/chStamp entry is valid only when it equals the current epoch.
+	// Per-fault event-driven scratch. pending holds one bit per op
+	// position; only its words [lo, hi) can hold a set bit. epoch stamps
+	// replace clearing: a chStamp entry is valid only when it equals the
+	// current epoch.
+	pending  []uint64
+	lo, hi   int
 	epoch    uint64
-	sched    []uint64 // per op position: epoch when scheduled
-	heap     []int32  // min-heap of pending op positions
 	chStamp  []uint64 // per net: epoch when changed
 	chIdx    []int32  // per net: undo-log index when changed
 	undoNets []netlist.NetID
@@ -150,9 +156,10 @@ func (gr *Grader) Graph() *netlist.Graph { return gr.graph }
 // gates and nets since construction (constraint.Unroller.Extend): the shared
 // graph and good machine extend in place from the supplied topological order
 // (netlist.Graph.Extend documents the order contract) and recompile, and the
-// grader's own tables are re-read — input and flip-flop lists, per-op and
-// per-net scratch (zero epoch stamps are always stale, so appended entries
-// need no initialization), the observation CSRs, and the screen's site
+// grader's own tables are re-read — input and flip-flop lists, the pending
+// bitset (resized and emptied, since op positions move) and per-net scratch
+// (zero epoch stamps are always stale, so appended entries need no
+// initialization), the observation CSRs, and the screen's site
 // index, which must follow both re-spliced pins and the replicas the site
 // map gained. The observation points themselves, the universe and the site
 // map are the ones supplied at construction: the unroll extension contract
@@ -176,7 +183,9 @@ func (gr *Grader) sync() {
 	gr.ffs = n.FlipFlops()
 	gr.piVals = resize(gr.piVals, len(gr.pis))
 	gr.ffVals = resize(gr.ffVals, len(gr.ffs))
-	gr.sched = resize(gr.sched, len(gr.good.ops))
+	gr.pending = resize(gr.pending, (len(gr.good.ops)+63)/64)
+	clear(gr.pending)
+	gr.lo, gr.hi = len(gr.pending), 0
 	gr.chStamp = resize(gr.chStamp, len(n.Nets))
 	gr.chIdx = resize(gr.chIdx, len(n.Nets))
 	gr.obsNet = resize(gr.obsNet, len(gr.obs))
@@ -373,7 +382,7 @@ func (gr *Grader) candidates(faults []fault.FID, detected *fault.Set) []fault.FI
 	}
 	cands := gr.cands[:0]
 	s := gr.good
-	for net, v := range s.vals[:s.nets] {
+	for net, v := range s.vals {
 		if v.L0|v.L1 == 0 {
 			continue
 		}
@@ -398,13 +407,17 @@ func (gr *Grader) candidates(faults []fault.FID, detected *fault.Set) []fault.FI
 // observation point differs from the good machine. It stops at the first
 // difference: logWrite compares each changed net's observation points as it
 // logs the net, and a net is final once written, because source sites are
-// written before any op runs and ops drain in order position. What an early
-// return leaves pending is discarded by the next call's heap reset and epoch.
+// written before any op runs and ops drain in order position. The next call
+// clears the pending bits between lo and hi, which is all an early return
+// can leave behind.
 func (gr *Grader) evalConeDetect() bool {
 	s := gr.good
 	gr.epoch++
 	ep := gr.epoch
-	gr.heap = gr.heap[:0]
+	if gr.lo < gr.hi {
+		clear(gr.pending[gr.lo:gr.hi])
+	}
+	gr.lo, gr.hi = len(gr.pending), 0
 	gr.undoNets = gr.undoNets[:0]
 	gr.undoVals = gr.undoVals[:0]
 
@@ -421,21 +434,27 @@ func (gr *Grader) evalConeDetect() bool {
 	}
 	for _, g := range s.injGates {
 		if pos := gr.graph.Pos(g); pos >= 0 {
-			gr.schedule(pos, ep)
+			gr.schedule(pos)
 		}
 	}
 	// Drain in op order, so each gate is evaluated at most once with all of
-	// its faulty input values already settled.
-	for len(gr.heap) > 0 {
-		pos := gr.popMin()
-		out := s.ops[pos].out
-		if out == netlist.InvalidNet {
-			continue // KOutput marker: nothing to compute
-		}
-		old := s.vals[out]
-		s.run(s.ops[pos : pos+1])
-		if gr.logWrite(out, old, ep) {
-			return true
+	// its faulty input values already settled. An op schedules only its
+	// consumers, which come later in the order, so the scan never has to
+	// look back: hi may grow while it runs, lo cannot drop below w.
+	for w := gr.lo; w < gr.hi; w++ {
+		for gr.pending[w] != 0 {
+			word := gr.pending[w]
+			gr.pending[w] = word & (word - 1)
+			pos := w<<6 | bits.TrailingZeros64(word)
+			out := s.ops[pos].out
+			if out == netlist.InvalidNet {
+				continue // KOutput marker: nothing to compute
+			}
+			old := s.vals[out]
+			s.run(s.ops[pos : pos+1])
+			if gr.logWrite(out, old, ep) {
+				return true
+			}
 		}
 	}
 
@@ -480,52 +499,18 @@ func (gr *Grader) logWrite(net netlist.NetID, old logic.PV, ep uint64) bool {
 	}
 	for _, c := range gr.graph.Consumers(net) {
 		if pos := gr.graph.Pos(c); pos >= 0 {
-			gr.schedule(pos, ep)
+			gr.schedule(pos)
 		}
 	}
 	return false
 }
 
-// schedule pushes an op position onto the pending min-heap once per epoch.
-func (gr *Grader) schedule(pos int32, ep uint64) {
-	if gr.sched[pos] == ep {
-		return
-	}
-	gr.sched[pos] = ep
-	h := append(gr.heap, pos)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	gr.heap = h
-}
-
-// popMin removes and returns the smallest pending op position.
-func (gr *Grader) popMin() int32 {
-	h := gr.heap
-	min := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h[l] < h[small] {
-			small = l
-		}
-		if r < last && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	gr.heap = h
-	return min
+// schedule marks an op position pending and widens [lo, hi) to its word. A
+// position marked twice is one bit, so no op runs twice for one fault, and
+// the drain never marks a position it has passed.
+func (gr *Grader) schedule(pos int32) {
+	w := int(pos >> 6)
+	gr.pending[w] |= 1 << uint(pos&63)
+	gr.lo = min(gr.lo, w)
+	gr.hi = max(gr.hi, w+1)
 }

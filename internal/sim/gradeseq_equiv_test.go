@@ -591,3 +591,90 @@ func TestPatternCampaignMatchesReference(t *testing.T) {
 		t.Errorf("class digest %s, want %s", d, benchClassDigest)
 	}
 }
+
+// TestPatternProviderSetDeltas pins every delta flow.PatternProvider emits,
+// not just the union TestPatternCampaignMatchesReference compares: on three
+// seeded mission traces over the width-16 bench design, set k's delta lists,
+// in FID order and all Detected, exactly the faults the reference grader
+// detects for set k over the whole universe, minus those earlier sets
+// detected. The provider grades one fault per equivalence class, so the
+// test also asserts that a set after the first detects a class with at
+// least two members: its delta is where the spreading shows.
+func TestPatternProviderSetDeltas(t *testing.T) {
+	n := bench.Build(16)
+	u := fault.NewUniverse(n)
+	sets := missionTraces(t, n, rand.New(rand.NewSource(24)), 3, 12)
+	var deltas []fault.Delta
+	p := &flow.PatternProvider{Sets: sets}
+	err := p.Run(context.Background(), flow.Env{N: n, Universe: u}, func(d fault.Delta) error {
+		deltas = append(deltas, d)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != len(sets) {
+		t.Fatalf("%d deltas for %d sets", len(deltas), len(sets))
+	}
+	collapse := fault.NewCollapse(u)
+	earlier := fault.NewSet(u)
+	spread := 0 // later-set classes detected with two or more members
+	for k, set := range sets {
+		want, err := referenceGradeSeq(n, u, set.Stim, sim.OutputObsPoints(n), allFaults(u), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.DiffWith(earlier)
+		d := deltas[k]
+		if d.Source != p.Name() || d.Seq != k {
+			t.Errorf("set %d: delta %s#%d, want %s#%d", k, d.Source, d.Seq, p.Name(), k)
+		}
+		if got, wantIDs := fmt.Sprint(d.FIDs), fmt.Sprint(want.IDs()); got != wantIDs {
+			t.Errorf("set %d: delta lists %s, want %s", k, got, wantIDs)
+		}
+		members := map[fault.FID]int{}
+		for i, fid := range d.FIDs {
+			if d.Statuses[i] != fault.Detected {
+				t.Errorf("set %d: %s has status %v", k, u.Describe(u.FaultOf(fid)), d.Statuses[i])
+			}
+			members[collapse.Rep(fid)]++
+		}
+		for _, c := range members {
+			if k > 0 && c >= 2 {
+				spread++
+			}
+		}
+		earlier.UnionWith(want)
+	}
+	if spread == 0 {
+		t.Fatal("no set after the first detects a class with two or more members; the spreading is not exercised")
+	}
+	if got, want := fmt.Sprint(p.Detected.IDs()), fmt.Sprint(earlier.IDs()); got != want {
+		t.Errorf("Detected holds %s, the deltas %s", got, want)
+	}
+}
+
+// TestGradeSeqAllocsIndependentOfCycles pins that sequential grading does
+// not allocate per cycle: grading the whole universe of the width-16 bench
+// design on one mission trace makes as many allocations over 2,000 cycles
+// as over its first 200. The count covers the simulator, the words and the
+// result; a settle, an observation or a regroup that allocated would grow
+// it with the cycles.
+func TestGradeSeqAllocsIndependentOfCycles(t *testing.T) {
+	n := bench.Build(16)
+	u := fault.NewUniverse(n)
+	long := missionTraces(t, n, rand.New(rand.NewSource(25)), 1, 2000)[0].Stim
+	short := sim.Stimulus{Inputs: long.Inputs, Cycles: long.Cycles[:200]}
+	pts := sim.OutputObsPoints(n)
+	faults := allFaults(u)
+	allocs := func(stim sim.Stimulus) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := sim.GradeSeqSitesObs(n, u, stim, pts, faults, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a200, a2000 := allocs(short), allocs(long); a200 != a2000 {
+		t.Errorf("GradeSeqSitesObs allocates %v times over 200 cycles and %v over 2,000", a200, a2000)
+	}
+}

@@ -12,8 +12,9 @@
 // The simulator is cycle-based and compiled: New turns the levelized
 // combinational order into a flat program of ops, one per gate, each
 // specialised by gate kind and arity with its input nets inline, and
-// EvalComb settles the network by running that program once through one
-// evaluation switch. Step additionally commits flip-flop state. DFFR reset
+// EvalComb settles the network by running that program once: unflagged ops
+// through one evaluation switch, ops of injected gates through a masked copy
+// of it. Step additionally commits flip-flop state. DFFR reset
 // is treated synchronously (RSTN=0 forces Q to 0 at the next Step), which
 // is sufficient for the mission-mode analyses in this library.
 package sim
@@ -117,23 +118,19 @@ func (m *pinMask) add(mask uint64, sa logic.V) {
 // a compiled program: one op per gate of the levelized order, each holding
 // its opcode, its output net and its input nets (inline, or a range of one
 // shared slice for a wide gate), so a settle never touches the netlist's
-// gate structs. Injected gates take a slower path that reads every pin
-// through its override mask; all other ops read the net values directly.
+// gate structs. An op whose gate carries an injection is flagged and
+// evaluated by runInjected, which reads every pin through its override mask
+// and computes the gate from those reads; all other ops read the net values
+// directly in run.
 type Simulator struct {
 	N     *netlist.Netlist
 	graph *netlist.Graph
-	// vals holds one value per net of the compiled netlist (nets of them),
-	// then one scratch slot per input of the widest gate (see runInjected).
-	vals []logic.PV
-	nets int
-	ops  []op
-	// ins holds the input nets of the n-ary ops, then the scratch slots'
-	// net IDs from offset scratchIn.
-	ins       []netlist.NetID
-	scratchIn int32
-	ties      []tie
-	ffs       []flop
-	next      []logic.PV // per flip-flop: pending next state
+	vals  []logic.PV // one value per net of the compiled netlist
+	ops   []op
+	ins   []netlist.NetID // the input nets of the n-ary ops
+	ties  []tie
+	ffs   []flop
+	next  []logic.PV // per flip-flop: pending next state
 	// srcNets lists the output nets of every source gate (inputs, ties,
 	// flip-flops) in gate order: the values that carry a machine's state
 	// from one cycle to the next.
@@ -170,27 +167,14 @@ func New(n *netlist.Netlist) (*Simulator, error) {
 func (s *Simulator) compile() {
 	n := s.N
 	order := s.graph.Order()
-	widest := 0
-	for _, gid := range order {
-		widest = max(widest, len(n.Gates[gid].Ins))
-	}
 	s.ops = resize(s.ops, len(order))
 	s.ins = s.ins[:0]
 	for i, gid := range order {
 		s.ops[i] = s.compileOp(&n.Gates[gid])
 	}
-	s.scratchIn = int32(len(s.ins))
-	for p := 0; p < widest; p++ {
-		s.ins = append(s.ins, netlist.NetID(len(n.Nets)+p))
-	}
-
-	// Values of existing nets survive; the scratch slots move up behind the
-	// new nets, and everything beyond the old nets starts at X.
-	s.vals = resize(s.vals, len(n.Nets)+widest)
-	for i := s.nets; i < len(s.vals); i++ {
-		s.vals[i] = logic.PVAllX
-	}
-	s.nets = len(n.Nets)
+	// Values of existing nets survive (a netlist only grows); new nets get
+	// the zero PV, X in every slot.
+	s.vals = resize(s.vals, len(n.Nets))
 
 	s.ties, s.ffs, s.srcNets = s.ties[:0], s.ffs[:0], s.srcNets[:0]
 	for i := range n.Gates {
@@ -380,8 +364,8 @@ func (s *Simulator) EvalComb() {
 }
 
 // run evaluates ops in order, each writing its output net from the current
-// net values. It holds the only copy of the gate semantics: a flagged op
-// reaches them through a bare copy of itself (see runInjected).
+// net values. A flagged op leaves the loop for runInjected; every other op
+// reads its input nets directly.
 func (s *Simulator) run(ops []op) {
 	vals := s.vals
 	for i := range ops {
@@ -435,31 +419,58 @@ func (s *Simulator) run(ops []op) {
 	}
 }
 
-// runInjected evaluates a flagged op: it writes every pin's value, through
-// the pin's mask, into the scratch slots behind the nets, runs a bare copy
-// of the op over those slots, and applies the output mask.
+// runInjected evaluates a flagged op directly: it reads every input pin
+// through the pin's mask, computes the gate from those reads, and applies
+// the output mask. Its switch is run's gate semantics with masked operands;
+// TestSimulatorMatchesReferenceEveryOp injects on every pin and output of
+// every opcode and arity to keep the two in step.
 func (s *Simulator) runInjected(o *op) {
 	if o.out == netlist.InvalidNet {
-		return // a KOutput marker: ObsVal applies its pin mask
+		return // a KOutput marker: reading it as an observation point applies its pin mask
 	}
+	vals := s.vals
 	pin := s.masks[o.inj:] // input pin p's mask is pin[p]
-	slot := int32(s.nets)  // the first scratch slot
-	bare := [1]op{{code: o.code, out: o.out}}
-	if o.code >= opAnd { // an n-ary op
-		for p, net := range s.ins[o.a : o.a+o.b] {
-			s.vals[slot+int32(p)] = pin[p].apply(s.vals[net])
+	var v logic.PV
+	switch o.code {
+	case opBuf:
+		v = pin[0].apply(vals[o.a])
+	case opNot:
+		v = pin[0].apply(vals[o.a]).Not()
+	case opAnd2:
+		v = pin[0].apply(vals[o.a]).And(pin[1].apply(vals[o.b]))
+	case opNand2:
+		v = pin[0].apply(vals[o.a]).And(pin[1].apply(vals[o.b])).Not()
+	case opOr2:
+		v = pin[0].apply(vals[o.a]).Or(pin[1].apply(vals[o.b]))
+	case opNor2:
+		v = pin[0].apply(vals[o.a]).Or(pin[1].apply(vals[o.b])).Not()
+	case opXor:
+		v = pin[0].apply(vals[o.a]).Xor(pin[1].apply(vals[o.b]))
+	case opXnor:
+		v = pin[0].apply(vals[o.a]).Xor(pin[1].apply(vals[o.b])).Not()
+	case opMux:
+		v = logic.PVMux(pin[netlist.MuxS].apply(vals[o.a]),
+			pin[netlist.MuxD0].apply(vals[o.b]), pin[netlist.MuxD1].apply(vals[o.c]))
+	case opAnd, opNand:
+		ins := s.ins[o.a : o.a+o.b]
+		v = pin[0].apply(vals[ins[0]])
+		for p, in := range ins[1:] {
+			v = v.And(pin[p+1].apply(vals[in]))
 		}
-		bare[0].a, bare[0].b = s.scratchIn, o.b
-	} else {
-		in := [...]int32{o.a, o.b, o.c}
-		operands := [...]*int32{&bare[0].a, &bare[0].b, &bare[0].c}
-		for j, p := range operandPins[o.code] {
-			s.vals[slot+p] = pin[p].apply(s.vals[in[j]])
-			*operands[j] = slot + p
+		if o.code == opNand {
+			v = v.Not()
+		}
+	case opOr, opNor:
+		ins := s.ins[o.a : o.a+o.b]
+		v = pin[0].apply(vals[ins[0]])
+		for p, in := range ins[1:] {
+			v = v.Or(pin[p+1].apply(vals[in]))
+		}
+		if o.code == opNor {
+			v = v.Not()
 		}
 	}
-	s.run(bare[:])
-	s.vals[o.out] = s.masks[o.inj-1].apply(s.vals[o.out])
+	vals[o.out] = s.masks[o.inj-1].apply(v)
 }
 
 // Step settles the combinational network, then clocks every flip-flop.
