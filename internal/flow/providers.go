@@ -646,14 +646,16 @@ type PatternSet struct {
 // per structural-equivalence class (see gradedReps) and spreads each
 // detection to the class's members, so a set's delta lists every detected
 // fault. The grader skips faults no observation point can see, drops each
-// fault in the cycle it is detected and regroups the survivors, so a set's
-// cost tracks the classes it has yet to detect. A malformed set (a row that
-// does not drive every input) fails the provider with an error naming the
-// set and the cycle. Because mission detections and scenario
-// untestability proofs merge into the same lattice, a stimulus that
-// detects a fault some scenario proved functionally untestable fails the
-// campaign with a fault.ConflictError: either the scenario transform was
-// unsound or the stimulus drives the design outside its mission model.
+// fault in the cycle it is detected, regroups the survivors, and retires
+// those a local proof shows no cycle of the set can detect once they fit
+// one word, so a set's cost tracks the classes it can still detect. A
+// malformed set (a row that does not drive every input, or an input listed
+// twice) fails the provider with an error naming the set and the cycle or
+// input. Because mission detections and scenario untestability proofs
+// merge into the same lattice, a stimulus that detects a fault some
+// scenario proved functionally untestable fails the campaign with a
+// fault.ConflictError: either the scenario transform was unsound or the
+// stimulus drives the design outside its mission model.
 //
 // Each set gets a "set:<name>" span with two attributes: graded, the
 // classes graded (one fault each), and detected, the faults its delta

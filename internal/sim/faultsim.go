@@ -81,12 +81,18 @@ type Stimulus struct {
 }
 
 // check rejects a stimulus the simulator cannot apply to n: an input that is
-// not a net of n, or a cycle that does not drive exactly the listed inputs.
+// not a net of n, a net listed twice, or a cycle that does not drive exactly
+// the listed inputs.
 func (st Stimulus) check(n *netlist.Netlist) error {
+	listed := make([]bool, len(n.Nets))
 	for i, net := range st.Inputs {
 		if net < 0 || int(net) >= len(n.Nets) {
 			return fmt.Errorf("stimulus input %d is net %d, netlist %q has %d nets", i, net, n.Name, len(n.Nets))
 		}
+		if listed[net] {
+			return fmt.Errorf("stimulus input %d lists net %q again", i, n.Nets[net].Name)
+		}
+		listed[net] = true
 	}
 	for c, cyc := range st.Cycles {
 		if len(cyc) != len(st.Inputs) {
@@ -119,10 +125,10 @@ func GradeSeqSites(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 
 // GradeSeqSitesObs is GradeSeqSites recording into a telemetry registry (nil
 // disables recording). It returns an error, before simulating anything, for
-// a stimulus whose inputs are not nets of n or whose cycles do not drive
-// exactly its inputs.
+// a stimulus whose inputs are not distinct nets of n or whose cycles do not
+// drive exactly its inputs.
 //
-// Grading follows PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992) in three
+// Grading follows PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992) in four
 // steps, none of which changes which faults are detected:
 //
 //   - Screen. A fault none of whose sites lies in the fan-in cone of an
@@ -137,6 +143,14 @@ func GradeSeqSites(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 //     outputs, inputs, ties) move with it. Every other net is recomputed
 //     from the sources each cycle, so a word's state between cycles is just
 //     those values plus its injections.
+//   - Prove. Once the survivors first fit one word, each single-site fault
+//     among them that is not on a flip-flop or an observation pin gets one
+//     local proof (see prover): if the fault's effect dies at a fanout-free
+//     dominator under every assignment of the dominator's local support,
+//     with ties and the inputs the stimulus holds at one known value in
+//     every cycle as constants, no cycle can detect it, and it leaves its
+//     word as a detected fault does, undetected. Grading stops at once when
+//     no fault is left.
 //
 // Counters:
 //
@@ -146,6 +160,7 @@ func GradeSeqSites(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 //	                          into, 63 lanes to a word
 //	sim.gradeseq.cycles       word-cycles simulated; shrinks as faults drop
 //	sim.gradeseq.regroups     times the survivors were packed into fewer words
+//	sim.gradeseq.proved       faults the proof showed undetectable
 func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 	observe []ObsPoint, faults []fault.FID, sm *fault.SiteMap, reg *obs.Registry) (*fault.Set, error) {
 
@@ -170,12 +185,20 @@ func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 	reg.Counter("sim.gradeseq.words").Add(int64(ws.num))
 	mCycles := reg.Counter("sim.gradeseq.cycles")
 	mRegroups := reg.Counter("sim.gradeseq.regroups")
+	mProved := reg.Counter("sim.gradeseq.proved")
 	obsNets := make([]netlist.NetID, len(observe))
 	for i, p := range observe {
 		obsNets[i] = n.Gates[p.Gate].Ins[p.Pin]
 	}
+	prove := func() { mProved.Add(int64(ws.prove(newProver(s, stim, observe)))) }
+	if ws.num == 1 {
+		prove()
+	}
 
 	for _, cyc := range stim.Cycles {
+		if ws.alive == 0 {
+			break
+		}
 		mCycles.Add(int64(ws.num))
 		for w := 0; w < ws.num; w++ {
 			ws.load(w)
@@ -188,12 +211,12 @@ func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 			ws.save(w)
 			ws.drop(w, caught, detected)
 		}
-		if ws.alive == 0 {
-			break
-		}
-		if words(ws.alive) < ws.num {
+		if ws.alive > 0 && words(ws.alive) < ws.num {
 			ws.regroup()
 			mRegroups.Inc()
+			if ws.num == 1 {
+				prove()
+			}
 		}
 	}
 	return detected, nil
@@ -351,8 +374,31 @@ func (ws *seqWords) drop(w int, caught uint64, detected *fault.Set) {
 	for c := caught; c != 0; c &= c - 1 {
 		detected.Add(ws.fids[w*faultLanes+bits.TrailingZeros64(c)])
 	}
-	ws.live[w] &^= caught
-	ws.alive -= bits.OnesCount64(caught)
+	ws.retire(w, caught)
+}
+
+// retire removes the given lanes of word w from its live lanes.
+func (ws *seqWords) retire(w int, lanes uint64) {
+	ws.live[w] &^= lanes
+	ws.alive -= bits.OnesCount64(lanes)
+}
+
+// prove retires every live lane of the lone word whose fault p shows
+// undetectable, and returns how many it retired. A fault with replica sites
+// is not tried. The proof overwrites simulator values and injections, so the
+// next load reinstalls the word.
+func (ws *seqWords) prove(p *prover) int {
+	ws.cur = -1
+	var proved uint64
+	for l := ws.live[0]; l != 0; l &= l - 1 {
+		lane := bits.TrailingZeros64(l)
+		f := ws.u.FaultOf(ws.fids[lane])
+		if len(ws.sm.Replicas(f.Gate)) == 0 && p.proves(f) {
+			proved |= 1 << uint(lane)
+		}
+	}
+	ws.retire(0, proved)
+	return bits.OnesCount64(proved)
 }
 
 // regroup packs the surviving lanes, in order, into the first

@@ -5,9 +5,11 @@
 //   - fault-parallel sequential grading (63 faulty machines + 1 good
 //     reference machine per 64-bit word), used to grade SBST programs and
 //     mission traces. It skips faults with no structural path to an
-//     observation point, drops each fault in the cycle it is detected, and
+//     observation point, drops each fault in the cycle it is detected,
 //     packs the survivors into fewer words as they thin out, moving each
-//     word's survivors at once.
+//     word's survivors at once, and, once they fit one word, retires those
+//     a local proof at a fanout-free dominator shows undetectable under the
+//     inputs the stimulus holds constant.
 //
 // The simulator is cycle-based and compiled: New turns the levelized
 // combinational order into a flat program of ops, one per gate, each
@@ -356,11 +358,17 @@ func (s *Simulator) EvalComb() {
 	for _, t := range s.ties {
 		s.vals[t.out] = t.v
 	}
+	s.overrideSources()
+	s.run(s.ops)
+}
+
+// overrideSources applies the injected sources' output overrides to the
+// values their nets hold.
+func (s *Simulator) overrideSources() {
 	for _, g := range s.injSrcs {
 		out := s.N.Gates[g].Out
 		s.vals[out] = s.sourceVal(g, out)
 	}
-	s.run(s.ops)
 }
 
 // run evaluates ops in order, each writing its output net from the current

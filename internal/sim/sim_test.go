@@ -420,8 +420,9 @@ func TestGradeSeqManyFaultBatches(t *testing.T) {
 }
 
 // TestGradeSeqRejectsMalformedStimulus pins the stimulus check: a cycle that
-// does not drive exactly the listed inputs, or an input that is not a net of
-// the circuit, is an error naming the cycle or input, not an index panic.
+// does not drive exactly the listed inputs, an input that is not a net of
+// the circuit, or a net listed twice (whose later entry would silently win)
+// is an error naming the cycle or input, not an index panic.
 func TestGradeSeqRejectsMalformedStimulus(t *testing.T) {
 	n := netlist.New("ragged")
 	a, b := n.Input("a"), n.Input("b")
@@ -442,6 +443,7 @@ func TestGradeSeqRejectsMalformedStimulus(t *testing.T) {
 		{"long row", []netlist.NetID{a, b}, [][]logic.V{ok, ok, {logic.One, logic.One, logic.One}}, "cycle 2"},
 		{"net past the end", []netlist.NetID{a, netlist.NetID(len(n.Nets))}, [][]logic.V{ok}, "input 1"},
 		{"negative net", []netlist.NetID{netlist.InvalidNet, b}, [][]logic.V{ok}, "input 0"},
+		{"net listed twice", []netlist.NetID{a, b, a}, [][]logic.V{{logic.One, logic.One, logic.Zero}}, "input 2"},
 	} {
 		_, err := GradeSeq(n, u, Stimulus{Inputs: tc.inputs, Cycles: tc.cycles}, OutputObsPoints(n), all)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
