@@ -26,11 +26,10 @@
 //	                        and queued classes, ETA) on stderr, leaving
 //	                        stdout to the report
 //
-// Every provider screens provably unactivatable faults through a static
-// learning pass before searching (see ARCHITECTURE.md "Learning & batched
-// search"); -no-learn disables the pass — verdicts are unchanged, runs are
-// just slower — and the report's "learning:" line summarizes facts learned
-// and classes screened.
+// Before searching, every provider's screen stage retires the classes a
+// ternary constant or the lack of any combinational path to an observation
+// point proves untestable (see ARCHITECTURE.md "Screen stage & batched
+// search"); the report's "screen:" line counts them by rule.
 package main
 
 import (
@@ -62,7 +61,6 @@ type config struct {
 	sweep      bool   // adaptive sequential-depth sweep of the reach scenario
 	maxFrames  int    // sweep depth budget; 0 defaults, implies -sweep when set
 	patterns   string // stimulus file for the pattern-import provider
-	noLearn    bool   // skip the static learning pass (FIRE-style screening)
 	progress   bool
 	selfcheck  bool
 	metricsOut string // telemetry snapshot JSON path, written on exit
@@ -109,8 +107,6 @@ func main() {
 	flag.IntVar(&cfg.maxFrames, "max-frames", 0,
 		"depth budget for the sweep (0 = -frames+4); setting it implies -sweep")
 	flag.StringVar(&cfg.patterns, "patterns", "", "mission stimulus file to grade (see cmd/olfui/patterns.go for the format)")
-	flag.BoolVar(&cfg.noLearn, "no-learn", false,
-		"disable the static learning pass (constant propagation + recursive learning) that screens provably unactivatable faults before PODEM; verdicts are unchanged, only slower")
 	flag.BoolVar(&cfg.progress, "progress", false, "print per-provider delta merges and completions")
 	flag.BoolVar(&cfg.selfcheck, "selfcheck", false,
 		"exhaustively verify sampled untestability verdicts (small widths only)")
@@ -163,14 +159,10 @@ func runReport(ctx context.Context, cfg config, reg *obs.Registry) error {
 			len(r.Resumed), strings.Join(r.Resumed, ", "))
 	}
 
-	if !cfg.noLearn {
-		// Screening telemetry: facts are summed over every learning build of
-		// the campaign (baseline, scenario clones, sweep depths — extensions
-		// re-record the extended cache's total), screened classes over every
-		// provider's pre-search FIRE screen.
-		fmt.Printf("  learning: %d facts learned, %d classes screened untestable before search\n",
-			reg.Counter("learn.facts").Load(), reg.Counter("atpg.learned_untestable").Load())
-	}
+	// Screened classes are summed over every GenerateAll of the campaign:
+	// the baseline, each scenario clone and each sweep depth.
+	fmt.Printf("  screen: %d constant, %d unobservable classes retired before search\n",
+		reg.Counter("atpg.screen.constant").Load(), reg.Counter("atpg.screen.unobservable").Load())
 	if pats := reg.Counter("flow.warm.patterns").Load(); pats > 0 {
 		fmt.Printf("  warm start: %d baseline tests replayed on scenario clones, %d classes dropped before search\n",
 			pats, reg.Counter("flow.warm.dropped").Load())
@@ -217,7 +209,7 @@ func runCampaign(ctx context.Context, cfg config, reg *obs.Registry) (*flow.Repo
 	scenarios := bench.Scenarios(cfg.frames)
 
 	opts := flow.Options{
-		ATPG:      atpg.Options{BacktrackLimit: cfg.limit, NoLearn: cfg.noLearn},
+		ATPG:      atpg.Options{BacktrackLimit: cfg.limit},
 		Workers:   cfg.workers,
 		MaxFrames: cfg.sweepBudget(),
 		Metrics:   reg,

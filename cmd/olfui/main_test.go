@@ -12,11 +12,14 @@ import (
 
 	"olfui/internal/atpg"
 	"olfui/internal/bench"
+	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/flow"
 	"olfui/internal/journal"
 	"olfui/internal/logic"
+	"olfui/internal/netlist"
 	"olfui/internal/obs"
+	"olfui/internal/sim"
 )
 
 // BenchmarkGenerateAllBench measures the fleet driver on the olfui benchmark
@@ -38,39 +41,65 @@ func BenchmarkGenerateAllBench(b *testing.B) {
 	}
 }
 
-// TestBenchVerdictsEqualWithLearning is the BENCH_PR7 equal-verdicts pin: the
-// committed benchmark numbers only count if the learning screen resolves the
-// exact same universe to the exact same classification as the plain engine.
-// It also asserts the screen actually fires on the benchmark circuit, so the
-// measured speedup includes it.
-func TestBenchVerdictsEqualWithLearning(t *testing.T) {
-	n := bench.Build(8)
-	u := fault.NewUniverse(n)
-	withLearn, err := atpg.GenerateAll(context.Background(), n, u, atpg.Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestBenchScreenRetiresOnlyUntestable is the screen pin behind the CI gate
+// on BenchmarkGenerateAllBench: the committed benchmark numbers only count
+// if the screen stage settles classes exactly as a search would. On the width-8 bench design at full
+// scan and on each bench.Scenarios(2) clone, with that clone's site map and
+// observation set, every class the screen retires (sim.Grader.Screen) must
+// be one a search proves Untestable (Engine.Generate). Both rules must fire
+// on the bench, so the measured speedup includes each of them.
+func TestBenchScreenRetiresOnlyUntestable(t *testing.T) {
+	type clone struct {
+		name string
+		n    *netlist.Netlist
+		sm   *fault.SiteMap
+		obs  []sim.ObsPoint
 	}
-	without, err := atpg.GenerateAll(context.Background(), n, u, atpg.Options{NoLearn: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withLearn.Stats.Aborted != 0 || without.Stats.Aborted != 0 {
-		t.Fatal("aborts on the benchmark; verdict equality only holds absent aborts")
-	}
-	if withLearn.Stats.Learned == 0 {
-		t.Fatal("learning screened nothing on the benchmark circuit")
-	}
-	if withLearn.Stats.Detected != without.Stats.Detected ||
-		withLearn.Stats.Untestable != without.Stats.Untestable {
-		t.Fatalf("tallies differ: %d/%d with learning vs %d/%d without",
-			withLearn.Stats.Detected, withLearn.Stats.Untestable,
-			without.Stats.Detected, without.Stats.Untestable)
-	}
-	for id := 0; id < u.NumFaults(); id++ {
-		fid := fault.FID(id)
-		if a, b := withLearn.Status.Get(fid), without.Status.Get(fid); a != b {
-			t.Errorf("%s: %v with learning, %v without", u.Describe(u.FaultOf(fid)), a, b)
+	full := bench.Build(8)
+	clones := []clone{{"full-scan", full, nil, sim.CombObsPoints(full)}}
+	for _, sc := range bench.Scenarios(2) {
+		c := bench.Build(8)
+		sm, err := constraint.ApplyMapped(c, sc.Transforms...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		clones = append(clones, clone{sc.Name, c, sm, sc.Observe(c)})
+	}
+	retired := map[sim.ScreenRule]int{}
+	for _, c := range clones {
+		u := fault.NewUniverse(c.n)
+		collapse := fault.NewCollapse(u)
+		var reps []fault.FID
+		for id := range u.NumFaults() {
+			if fid := fault.FID(id); collapse.Rep(fid) == fid {
+				reps = append(reps, fid)
+			}
+		}
+		grader, err := sim.NewGraderSites(c.n, u, c.obs, c.sm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := atpg.New(c.n, atpg.Options{ObsPoints: c.obs, Sites: c.sm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules := map[sim.ScreenRule]int{}
+		grader.Screen(reps, func(fid fault.FID, rule sim.ScreenRule) {
+			rules[rule]++
+			if r := eng.Generate(u.FaultOf(fid)); r.Verdict != atpg.Untestable {
+				t.Errorf("%s: the screen retires %s (rule %d), a search says %v",
+					c.name, u.Describe(u.FaultOf(fid)), rule, r.Verdict)
+			}
+		})
+		t.Logf("%s: %d classes, %d constant, %d unobservable", c.name, len(reps),
+			rules[sim.ScreenConstant], rules[sim.ScreenUnobservable])
+		for rule, k := range rules {
+			retired[rule] += k
+		}
+	}
+	if retired[sim.ScreenConstant] == 0 || retired[sim.ScreenUnobservable] == 0 {
+		t.Fatalf("retired %d constant and %d unobservable classes on the bench; both rules must fire",
+			retired[sim.ScreenConstant], retired[sim.ScreenUnobservable])
 	}
 }
 
@@ -88,12 +117,11 @@ func BenchmarkCampaignBench(b *testing.B) {
 // sweepBenchConfig is the BENCH_PR9 workload: a swept campaign at width 12,
 // every provider's workers drawing its hardest-first class list from one
 // queue cursor. The backtrack limit keeps per-class search bounded so
-// the measurement weighs scheduling and dropping rather than abort churn;
-// learning is off because its build cost would only dilute them.
+// the measurement weighs scheduling and dropping rather than abort churn.
 func sweepBenchConfig() config {
 	return config{
 		width: 12, frames: 2,
-		sweep: true, maxFrames: 2, limit: 64, noLearn: true,
+		sweep: true, maxFrames: 2, limit: 64,
 	}
 }
 
@@ -109,11 +137,10 @@ func BenchmarkCampaignSweep(b *testing.B) {
 
 // runSweepCampaign is the BENCH_PR10 workload: the benchmark circuit's swept
 // mission-reach scenario alone, run through the real campaign machinery with
-// learning on and a multi-depth budget — the depth loop the cross-depth warm
-// start accelerates (replay converts next-depth searches into pattern
-// grading, Learning.Extend replaces the per-depth fact rebuild, and the
-// grader's simulation graph extends in place), undiluted by the full-scan
-// baseline and the non-swept scenarios. The backtrack limit is tighter than
+// a multi-depth budget — the depth loop the cross-depth warm start
+// accelerates (replay converts next-depth searches into pattern grading, and
+// the grader's simulation graph extends in place), undiluted by the
+// full-scan baseline and the non-swept scenarios. The backtrack limit is tighter than
 // the BENCH_PR9 workload's because hard-class abort churn would only dilute
 // the measured depth loop.
 func runSweepCampaign(tb testing.TB, reg *obs.Registry) *flow.ScenarioProvider {
@@ -145,11 +172,10 @@ func BenchmarkCampaignSweepWarm(b *testing.B) {
 // TestCampaignSweepReplayDigestEqual pins the BENCH_PR10 workload at its
 // exact configuration: the warm sweep projects every fault of the benchmark
 // onto the same status (byte-identical digest) as a one-shot scenario run at
-// the sweep's final depth, which searches every class with no replay and
-// fresh graders and learning, and neither side aborts a class. It also
-// asserts replay fires on the benchmark workload, so the measured sweep
-// exercises all three warm-start layers rather than just the in-place
-// extension.
+// the sweep's final depth, which searches every class with no replay and a
+// fresh grader, and neither side aborts a class. It also asserts replay
+// fires on the benchmark workload, so the measured sweep exercises both
+// warm-start layers rather than just the in-place extension.
 func TestCampaignSweepReplayDigestEqual(t *testing.T) {
 	digest := func(st *fault.StatusMap) string {
 		b := make([]byte, st.Len())

@@ -42,8 +42,11 @@
 // On top of the single-fault core, GenerateAll drives the collapsed fault
 // list through a bounded worker pool with fault dropping. It owns the
 // dispatch order: it sorts the classes its replay leaves hardest-first by
-// SCOAP detection difficulty, and every worker draws the next class of that
-// one list from a shared sched.Queue cursor. The engine leaves every input its search did
+// SCOAP detection difficulty, retires the ones its drop grader's static
+// screen proves Untestable (a site net held at the stuck value by ternary
+// constants, or no site in the combinational fan-in cone of an observation
+// point), and every worker draws the next class of what is left from a
+// shared sched.Queue cursor. The engine leaves every input its search did
 // not need at X; GenerateAll completes each Detected search's test (every X
 // becomes a pseudo-random 0 or 1, seeded by the class's FID) and immediately
 // fault-simulates it (sim.Grader, PPSFP), so incidentally detected faults
@@ -162,19 +165,6 @@ type Options struct {
 	// one grader via sim.Grader.Extend instead of rebuilding the forward
 	// CSR and simulator every depth. Nil builds a fresh grader per run.
 	Grader *sim.Grader
-	// Learn optionally supplies a prebuilt static learning pass
-	// (BuildLearningOn) for the netlist. GenerateAll consults it to emit
-	// provably untestable classes in constant time before any search
-	// dispatches. Like Annotations it is read-only, so one build per
-	// constrained clone is shared across engines, and the depth sweep
-	// extends one build in place (Learning.Extend) for every depth.
-	// Nil makes GenerateAll build one internally unless NoLearn is set.
-	Learn *Learning
-	// NoLearn disables the static learning screen entirely — the escape
-	// hatch for debugging and for A/B-ing verdicts with and without it
-	// (olfui -no-learn). Verdicts are identical either way; only the work
-	// split between screen and search changes.
-	NoLearn bool
 	// ProbeThreshold sets how many backtracks a search must burn before the
 	// 64-way batched decision probe engages; easy faults below it never pay
 	// the probe's extra pass. 0 means DefaultProbeThreshold; negative
@@ -203,7 +193,9 @@ type Options struct {
 	// drop-grader traffic
 	// ("atpg.drop.graded" / "atpg.drop.hits" — the hit rate of fault
 	// dropping — and "atpg.drop.grade_ns", the coordinator's wall time
-	// grading patterns to drop faults), abort attribution
+	// grading patterns to drop faults), the screen stage's retirements by
+	// rule ("atpg.screen.constant" / "atpg.screen.unobservable"), abort
+	// attribution
 	// ("atpg.abort.limit" / "atpg.abort.cancel") and the per-class
 	// search-time histogram ("atpg.search_ns"). Handles
 	// resolve once per run; every hot-path record is a single atomic add, so
@@ -213,7 +205,7 @@ type Options struct {
 }
 
 // Replay is a test set that GenerateAll grades against its class list before
-// the learning screen and any search, 64 rows per word, through the run's
+// the screen stage and any search, 64 rows per word, through the run's
 // drop grader. A class a word detects resolves Detected as a
 // simulation drop, and the rows of every word that detected a class join
 // the emitted test set ahead of the searches' tests; words that detect

@@ -19,7 +19,7 @@ import (
 // as a sort with the documented comparator does: descending saturating
 // CC(¬v)+CO of the representative's site net, ties in ascending FID. And a
 // one-worker GenerateAll whose Replay resolves part of the classes must
-// report the learning screen's verdicts, then the searches', in that order
+// report the screen stage's verdicts, then the searches', in that order
 // over the classes the replay left: the test replays the coordinator's
 // bookkeeping, grading each search's emitted test against the classes still
 // live to know which drops follow it.
@@ -95,9 +95,9 @@ func TestDispatchOrderOnBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := out.Stats
-	if st.Replayed == 0 || st.Replayed == len(reps) || st.Learned < 2 {
+	if st.Replayed == 0 || st.Replayed == len(reps) || st.Screened < 2 {
 		t.Fatalf("the replay resolved %d of %d classes and the screen %d: too few for the order to show",
-			st.Replayed, len(reps), st.Learned)
+			st.Replayed, len(reps), st.Screened)
 	}
 	for _, c := range calls[:st.Replayed] {
 		if !replayed.Has(c.fid) || c.v != atpg.Detected {
@@ -113,14 +113,14 @@ func TestDispatchOrderOnBench(t *testing.T) {
 
 	resolved := replayed.Clone()
 	last := -1
-	for _, c := range calls[:st.Learned] {
+	for _, c := range calls[:st.Screened] {
 		if i, ok := at[c.fid]; !ok || i <= last || c.v != atpg.Untestable {
 			t.Fatalf("screen reports class %d %v after the class at %d of the sorted survivors", c.fid, c.v, last)
 		}
 		last = at[c.fid]
 		resolved.Add(c.fid)
 	}
-	calls = calls[st.Learned:]
+	calls = calls[st.Screened:]
 
 	grader, err := sim.NewGraderSites(clone, u, obs, sm)
 	if err != nil {
@@ -159,5 +159,5 @@ func TestDispatchOrderOnBench(t *testing.T) {
 		t.Fatalf("%d searches, %d emitted tests unaccounted for", searches, len(tests))
 	}
 	t.Logf("%d classes (%d at CostInf): %d replayed, %d screened, %d searched",
-		len(reps), saturated, st.Replayed, st.Learned, searches)
+		len(reps), saturated, st.Replayed, st.Screened, searches)
 }

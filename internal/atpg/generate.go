@@ -28,9 +28,10 @@ type Stats struct {
 	Untestable int // classes proven untestable
 	Aborted    int // classes abandoned at the backtrack limit
 
-	// Learned counts the classes the static learning screen proved
-	// untestable before any search dispatched (a subset of Untestable).
-	Learned int
+	// Screened counts the classes the screen stage (sim.Grader.Screen)
+	// retired as Untestable before any search dispatched (a subset of
+	// Untestable).
+	Screened int
 
 	SimDropped int // classes detected by fault simulation alone, never targeted
 	Patterns   int // patterns in the emitted test set
@@ -96,7 +97,7 @@ type workItem struct {
 //
 // Dispatch order: GenerateAll sorts the classes the replay leaves
 // hardest-first (hardestFirst: descending SCOAP detection difficulty, ties in
-// ascending FID order), and the learning screen and the workers walk that one
+// ascending FID order), and the screen stage and the workers walk that one
 // order. Hard classes are searched while the most classes are still live, and
 // each of their completed tests drops easy classes that would otherwise each
 // cost a search. The replay needs no order: the grader finds its hits by
@@ -120,9 +121,16 @@ type workItem struct {
 // every run and at every worker count.
 //
 // With Options.Replay set, the drop grader first grades that test set
-// against the class list, before the learning screen and before any worker
+// against the class list, before the screen stage and before any worker
 // starts: its hits resolve as simulation drops, and the words that dropped a
 // class lead the emitted test set (see Replay).
+//
+// The screen stage then settles untestability before any search: the drop
+// grader's static screen (sim.Grader.Screen) retires, over the sorted
+// survivors, every class whose joint injection a ternary pass shows constant
+// at every site, or none of whose sites can reach an observation point
+// combinationally. No test on the run's clone detects such a class, so it
+// needs no search: one pass of the kernel and one cone walk settle them all.
 //
 // Workers pull classes rather than being dispatched to: every worker draws
 // the next class of the sorted list from one sched.Queue cursor, and a
@@ -130,7 +138,7 @@ type workItem struct {
 // coordinator has graded its previous pattern — so fault dropping sees every
 // pattern before more search work starts. A single worker therefore takes
 // the classes strictly in sorted order, and a one-worker run is fully
-// deterministic. Classes the replay or the learning screen resolves never
+// deterministic. Classes the replay or the screen stage resolves never
 // enter the queue, and classes a search's test drops are pruned from it in
 // flight.
 //
@@ -226,12 +234,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		livePos[fid] = int32(i)
 	}
 
-	// The learning shares the grader's forward graph, so the netlist is not
-	// levelized again.
-	learn := opts.Learn
-	if learn == nil && !opts.NoLearn {
-		learn = BuildLearningOn(n, grader.Graph(), opts.Metrics)
-	}
 	out := &Outcome{Status: status}
 	st := &out.Stats
 	st.Faults = u.NumFaults()
@@ -257,7 +259,8 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		mDropGraded   = reg.Counter("atpg.drop.graded")
 		mDropHits     = reg.Counter("atpg.drop.hits")
 		mDropGradeNs  = reg.Counter("atpg.drop.grade_ns")
-		mLearned      = reg.Counter("atpg.learned_untestable")
+		mConstant     = reg.Counter("atpg.screen.constant")
+		mUnobservable = reg.Counter("atpg.screen.unobservable")
 		hSearch       = reg.Histogram("atpg.search_ns")
 		mQueueWait    = reg.Counter("sched.queue_wait_ns")
 		hBusy         = reg.Histogram("sched.worker_busy_ns")
@@ -347,34 +350,28 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	reps = slices.DeleteFunc(reps, func(fid fault.FID) bool { return livePos[fid] < 0 })
 	hardestFirst(u, ann, reps)
 
-	// FIRE-style screen: classes whose joint injection provably can never
-	// activate resolve Untestable in constant time — before any worker, any
-	// search-generated pattern or any search sees them. The verdict is the
-	// same one the engine would prove by exhaustion (such searches close
-	// without a single decision), so screening is invisible to everything
-	// downstream except the work saved; spreading over the collapse at the
-	// end applies to screened classes exactly as to searched ones. A replay
-	// cannot detect a screened class, and the grader's own activation screen
-	// skips it, so the replay goes first and the screen only expands the
-	// classes the replay left. It keeps the classes it cannot prove, in
-	// sorted order.
-	if learn != nil {
-		unproved := reps[:0]
-		for _, fid := range reps {
-			if !learn.ScreenInjection(opts.Sites.Expand(u.FaultOf(fid))) {
-				unproved = append(unproved, fid)
-				continue
-			}
-			status.Set(fid, fault.Untestable)
-			st.Untestable++
-			st.Learned++
-			mUntestable.Inc()
-			mLearned.Inc()
-			unlive(fid)
-			commit(fid, Untestable)
+	// Screen stage: the grader's static screen retires every class a ternary
+	// constant or the lack of any combinational path to an observation point
+	// proves Untestable, before any worker or search-generated pattern sees
+	// them. The verdict is the one a search would prove, so screening is
+	// invisible to everything downstream except the work saved; spreading
+	// over the collapse at the end applies to screened classes exactly as to
+	// searched ones. A replay cannot detect a screened class, so the replay
+	// goes first and the screen only walks the classes it left, in sorted
+	// order, keeping the ones it cannot retire in that order.
+	reps = grader.Screen(reps, func(fid fault.FID, rule sim.ScreenRule) {
+		status.Set(fid, fault.Untestable)
+		st.Untestable++
+		st.Screened++
+		mUntestable.Inc()
+		if rule == sim.ScreenConstant {
+			mConstant.Inc()
+		} else {
+			mUnobservable.Inc()
 		}
-		reps = unproved
-	}
+		unlive(fid)
+		commit(fid, Untestable)
+	})
 
 	// The queue holds the classes left live, in sorted order. Closing it on
 	// every return sheds what a cancelled run leaves queued from the depth

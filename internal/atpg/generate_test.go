@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,6 +83,43 @@ func TestGenerateAllDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	waitGoroutines(t, base)
+}
+
+// TestGenerateCancelDoesNotMaskDetection pins the loop-boundary ordering fix:
+// a detection completed by the implication pass must be returned even when
+// the cancel flag is already set — the pattern is earned, and discarding it
+// as Aborted(cancel) would waste paid-for work and destabilize re-runs.
+func TestGenerateCancelDoesNotMaskDetection(t *testing.T) {
+	n := netlist.New("cancel_edge")
+	t0 := n.Tie0("t0")
+	b := n.Buf("b", t0)
+	n.OutputPort("o", b)
+	if err := n.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	u := fault.NewUniverse(n)
+	gid, ok := n.GateByName("b")
+	if !ok {
+		t.Fatal("no buf gate")
+	}
+	sa0, sa1 := u.PinFaults(gid, fault.OutputPin)
+	fid := sa0
+	if u.FaultOf(sa1).SA == logic.One {
+		fid = sa1
+	}
+	e, err := New(n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flag atomic.Bool
+	flag.Store(true)
+	e.cancel = &flag
+	// The tie drives the site to 0 on the very first implication, so s-a-1 is
+	// activated and observed with zero decisions: the engine reaches its
+	// detected/cancel check exactly once, with both conditions true.
+	if r := e.Generate(u.FaultOf(fid)); r.Verdict != Detected {
+		t.Fatalf("verdict %v with pre-set cancel, want Detected (implication already proved it)", r.Verdict)
+	}
 }
 
 // TestGenerateAllShardsMatchFull deals the class representatives

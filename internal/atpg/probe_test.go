@@ -1,40 +1,43 @@
 package atpg
 
 import (
-	"context"
 	"testing"
 
 	"olfui/internal/fault"
 	"olfui/internal/testutil"
 )
 
-// TestProbeVerdictsMatchScalar is the batched-search identity pin: running the
-// universe with the 64-way probe layer engaged from the first backtrack must
-// produce exactly the scalar engine's verdicts — probing prunes proven-dead
-// branches and reorders the search, it never changes what is provable.
-// Learning is disabled on both sides so every fault actually goes through the
-// decision loop under test.
+// TestProbeVerdictsMatchScalar is the batched-search identity pin: a search
+// with the 64-way probe layer engaged from the first backtrack must prove
+// exactly the scalar engine's verdict on every collapsed class — probing
+// prunes proven-dead branches and reorders the search, it never changes what
+// is provable. It calls Engine.Generate on every class directly, so every
+// class goes through the decision loop under test, including the ones
+// GenerateAll's screen stage would retire before search.
 func TestProbeVerdictsMatchScalar(t *testing.T) {
 	run := func(t *testing.T, name string, u *fault.Universe) {
 		t.Helper()
-		probed, err := GenerateAll(context.Background(), u.N, u,
-			Options{NoLearn: true, ProbeThreshold: 1})
+		probed, err := New(u.N, Options{ProbeThreshold: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		scalar, err := GenerateAll(context.Background(), u.N, u,
-			Options{NoLearn: true, ProbeThreshold: -1})
+		scalar, err := New(u.N, Options{ProbeThreshold: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if probed.Stats.Aborted != 0 || scalar.Stats.Aborted != 0 {
-			t.Fatalf("%s: aborts; identity only holds absent aborts", name)
-		}
-		for id := 0; id < u.NumFaults(); id++ {
+		collapse := fault.NewCollapse(u)
+		for id := range u.NumFaults() {
 			fid := fault.FID(id)
-			if a, b := probed.Status.Get(fid), scalar.Status.Get(fid); a != b {
-				t.Errorf("%s %s: %v probed, %v scalar",
-					name, u.Describe(u.FaultOf(fid)), a, b)
+			if collapse.Rep(fid) != fid {
+				continue
+			}
+			f := u.FaultOf(fid)
+			a, b := probed.Generate(f).Verdict, scalar.Generate(f).Verdict
+			if a == Aborted || b == Aborted {
+				t.Fatalf("%s %s: aborts; identity only holds absent aborts", name, u.Describe(f))
+			}
+			if a != b {
+				t.Errorf("%s %s: %v probed, %v scalar", name, u.Describe(f), a, b)
 			}
 		}
 	}

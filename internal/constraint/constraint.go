@@ -296,7 +296,7 @@ func outputCone(c *netlist.Netlist) []bool {
 	for i, g := range pos {
 		seeds[i] = c.Gate(g).Ins[0]
 	}
-	return c.FaninCone(seeds...)
+	return c.FaninCone(true, seeds...)
 }
 
 // ObsFn selects the observation points of a scenario on the transformed
@@ -360,23 +360,4 @@ func ObserveOutputsAndCaptures(c *netlist.Netlist) []sim.ObsPoint {
 		pts = append(pts, sim.ObsPoint{Gate: g, Pin: 0})
 	}
 	return pts
-}
-
-// ObserveOutputsNamed restricts observation to the named primary-output
-// gates, modeling outputs an on-line checker actually monitors (e.g. a bus
-// with a parity checker while status pins float).
-func ObserveOutputsNamed(names ...string) ObsFn {
-	return func(c *netlist.Netlist) []sim.ObsPoint {
-		want := make(map[string]bool, len(names))
-		for _, n := range names {
-			want[n] = true
-		}
-		var pts []sim.ObsPoint
-		for _, g := range c.PrimaryOutputs() {
-			if want[c.Gate(g).Name] {
-				pts = append(pts, sim.ObsPoint{Gate: g, Pin: 0})
-			}
-		}
-		return pts
-	}
 }

@@ -15,15 +15,6 @@ func RegisterBus(n *netlist.Netlist, name string, d Bus) Bus {
 	return q
 }
 
-// RegisterBusR builds a register with active-low reset-to-0.
-func RegisterBusR(n *netlist.Netlist, name string, d Bus, rstn netlist.NetID) Bus {
-	q := make(Bus, len(d))
-	for i := range d {
-		q[i] = n.DFFR(fmt.Sprintf("%s[%d]", name, i), d[i], rstn)
-	}
-	return q
-}
-
 // RegisterEn builds an enabled register with reset: when en=1 the register
 // captures d, otherwise it recirculates. Returns the Q bus.
 func RegisterEn(n *netlist.Netlist, name string, d Bus, en, rstn netlist.NetID) Bus {

@@ -136,9 +136,9 @@ func (e Event) ErrString() string {
 type CampaignOptions struct {
 	// ATPG is the engine configuration template. The options a campaign
 	// owns must be left nil: providers select observation, classes, site
-	// maps, annotations, learning caches, graders and replayed test sets
-	// per netlist, and the campaign installs its own progress callback,
-	// registry and worker pool.
+	// maps, annotations, graders and replayed test sets per netlist, and the
+	// campaign installs its own progress callback, registry and worker
+	// pool.
 	ATPG atpg.Options
 	// Workers is the TOTAL campaign worker budget: the maximum number of
 	// concurrently searching engine workers across every provider. Every
@@ -464,8 +464,8 @@ func (c *Campaign) total() int {
 
 // checkEngineOptions rejects the engine options a campaign owns, naming the
 // caller's options type (typ) in the error. Providers select observation,
-// classes, site maps, annotations, learning caches, graders and replayed test
-// sets per netlist — a scenario's clone differs from the original, so a
+// classes, site maps, annotations, graders and replayed test sets per
+// netlist — a scenario's clone differs from the original, so a
 // campaign-level value would index the wrong netlist — and the campaign
 // installs its own progress callback, registry, worker budget and worker
 // pool, which would silently overwrite a caller-set one.
@@ -479,7 +479,6 @@ func checkEngineOptions(typ string, o atpg.Options) error {
 		{"Classes", o.Classes != nil, "providers select classes"},
 		{"Sites", o.Sites != nil, "providers derive their own site maps"},
 		{"Annotations", o.Annotations != nil, "providers annotate their own netlists"},
-		{"Learn", o.Learn != nil, "providers build their own learning caches (NoLearn disables)"},
 		{"Grader", o.Grader != nil, "providers build their own graders"},
 		{"Replay", o.Replay != nil, "scenario providers replay the baseline's tests"},
 		{"Progress", o.Progress != nil, "use " + typ + ".Progress for campaign events"},

@@ -288,10 +288,9 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		return err // don't pay for the clone when already cancelled
 	}
 	// Clone preparation: the constrained clone, its universe and site map,
-	// observation points, annotations, drop grader and learning cache. Its
-	// cost lands in a "prep" child span and one "flow.prep_ns" sample.
-	// Preparation overlaps the baseline; only the replay and the search
-	// below wait for its tests.
+	// observation points, annotations and drop grader. Its cost lands in a
+	// "prep" child span and one "flow.prep_ns" sample. Preparation overlaps
+	// the baseline; only the replay and the search below wait for its tests.
 	prepStart := time.Now()
 	prepSpan := env.Span.Child("prep")
 	endPrep := func(err error) error {
@@ -353,15 +352,6 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		return endPrep(err)
 	}
 	grader.Instrument(env.Metrics)
-	var learn *atpg.Learning
-	if !env.ATPG.NoLearn {
-		// Learned facts depend only on the constrained netlist, not on the
-		// observation selection. They live on the grader's graph, so the
-		// clone is levelized once, and a sweep extends them per depth
-		// (Learning.Extend) over the appended frame and the re-spliced
-		// state-chain cone.
-		learn = atpg.BuildLearningOn(clone, grader.Graph(), env.Metrics)
-	}
 	endPrep(nil)
 
 	// missionLive: the fault's site net still has readers on the clone, so
@@ -423,7 +413,6 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		// than the final-frame-only approximation.
 		opts.Sites = sm
 		opts.Annotations = ann
-		opts.Learn = learn
 		opts.Grader = grader
 		opts.Classes = classes
 		// Warm start: before any search, GenerateAll replays a test set
@@ -512,7 +501,7 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		// cumulative map after the loop. Depths run sequentially, so elapsed
 		// time sums.
 		work.SimDropped += out.Stats.SimDropped
-		work.Learned += out.Stats.Learned
+		work.Screened += out.Stats.Screened
 		work.Backtracks += out.Stats.Backtracks
 		work.Decisions += out.Stats.Decisions
 		work.Implications += out.Stats.Implications
@@ -572,16 +561,11 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		if ann, err = clone.AnnotateAppended(ann, order, stale); err != nil {
 			return err
 		}
-		// The grader (simulator, shared graph, observation CSRs) and the
-		// learning cache extend in place over the appended suffix instead of
-		// rebuilding from the full netlist.
+		// The grader (simulator, shared graph, observation CSRs) extends in
+		// place over the appended suffix instead of rebuilding from the full
+		// netlist.
 		if err := grader.Extend(order); err != nil {
 			return fmt.Errorf("extend grader to %d frames: %w", ur.Frames(), err)
-		}
-		if learn != nil {
-			if err := learn.Extend(order, stale, env.Metrics); err != nil {
-				return fmt.Errorf("extend learning to %d frames: %w", ur.Frames(), err)
-			}
 		}
 	}
 

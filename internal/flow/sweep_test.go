@@ -256,7 +256,7 @@ func TestSweepConfigErrors(t *testing.T) {
 // sim-dropped, never what any fault classifies as — on seeded random
 // netlists the swept classification digest is byte-identical to a one-shot
 // campaign at the sweep's final depth, which replays only the baseline's
-// tests, on a fresh grader with fresh learning. The loop also asserts
+// tests, on a fresh grader. The loop also asserts
 // replay actually engaged somewhere, so the equality is not vacuous; that
 // every depth after the first replays exactly the rows the depth before it
 // emitted; and that the converged test set, the final depth's, holds no X

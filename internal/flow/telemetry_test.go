@@ -10,6 +10,7 @@ import (
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/obs"
+	"olfui/internal/sim"
 )
 
 // statSum accumulates the work fields of per-run engine stats: it sums every
@@ -200,20 +201,19 @@ func TestProgressSeqMonotonePerSource(t *testing.T) {
 }
 
 // TestMetricsOptionValidation pins the single-owner rule for the engine
-// options a campaign owns: a caller-set ATPG.Metrics, ATPG.Learn or
+// options a campaign owns: a caller-set ATPG.Metrics, ATPG.Grader or
 // ATPG.Replay is rejected up front at both API layers, each naming its own
 // options type.
 func TestMetricsOptionValidation(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	graph, err := n.BuildGraph()
+	grader, err := sim.NewGrader(n, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	learn := atpg.BuildLearningOn(n, graph, nil)
 	for field, bad := range map[string]atpg.Options{
 		"ATPG.Metrics": {Metrics: obs.New()},
-		"ATPG.Learn":   {Learn: learn},
+		"ATPG.Grader":  {Grader: grader},
 		"ATPG.Replay":  {Replay: &atpg.Replay{}},
 		"ATPG.Workers": {Workers: 2},
 	} {

@@ -5,9 +5,9 @@ import "fmt"
 // Graph is a dense forward-propagation index over a levelized netlist: the
 // levelized evaluation order, each gate's position in that order, and a
 // flattened, de-duplicated consumer list per net. It is the exported
-// implication graph that event-driven fault simulation and the static
-// learning pass walk — both need "who reads this net" and "in what order do
-// effects settle" without re-deriving them from Net.Fanout pin lists.
+// implication graph that event-driven fault simulation walks — it needs "who
+// reads this net" and "in what order do effects settle" without re-deriving
+// them from Net.Fanout pin lists.
 //
 // A Graph is read-only between construction and Extend, so one instance can
 // be shared by any number of concurrent engines and graders over the same

@@ -73,14 +73,22 @@ func (n *Netlist) Levelize() ([]GateID, error) {
 
 // FaninCone marks the live gates in the transitive fanin of the given nets:
 // cone[g] reports whether gate g's output can reach one of them. The walk
-// crosses flip-flops (their D and reset pins are fanin like any other),
-// stops at primary inputs and ties, and skips dead drivers, so it is the
-// sequential, any-number-of-cycles notion of reachability: a flip-flop in
-// the cone of the primary outputs holds state an on-line test can read out
-// eventually, and a gate outside the cone of every observation point can
-// never influence one, however long the circuit runs. One pass, linear in
-// the circuit.
-func (n *Netlist) FaninCone(roots ...NetID) []bool {
+// stops at primary inputs and ties and skips dead drivers. seq says whether
+// it crosses flip-flops:
+//
+//   - seq: a flip-flop's D and reset pins are fanin like any other, so the
+//     cone is the sequential, any-number-of-cycles notion of reachability. A
+//     flip-flop in the cone of the primary outputs holds state an on-line
+//     test can read out eventually, and a gate outside the cone of every
+//     observation point can never influence one, however long the circuit
+//     runs.
+//   - !seq: a flip-flop the walk meets is marked, since its output reaches a
+//     root, but its pins are not followed. This is the combinational
+//     (full-scan, one-frame) cone, in which flip-flop outputs are
+//     pseudo-inputs and nothing crosses a clock edge.
+//
+// One pass, linear in the circuit.
+func (n *Netlist) FaninCone(seq bool, roots ...NetID) []bool {
 	cone := make([]bool, len(n.Gates))
 	var stack []GateID
 	push := func(net NetID) {
@@ -99,6 +107,9 @@ func (n *Netlist) FaninCone(roots ...NetID) []bool {
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		if !seq && n.Gates[g].Kind.IsState() {
+			continue
+		}
 		for _, in := range n.Gates[g].Ins {
 			push(in)
 		}

@@ -208,11 +208,24 @@ func TestSyntheticExcludedFromFaultPins(t *testing.T) {
 func TestCones(t *testing.T) {
 	n := buildSmall(t)
 	y, _ := n.NetByName("y")
-	fanin := n.FaninCone(y)
+	fanin := n.FaninCone(true, y)
 	for _, name := range []string{"a", "b", "c", "ab", "nc", "y"} {
 		id, _ := n.GateByName(name)
 		if !fanin[id] {
 			t.Errorf("fanin cone of y missing %q", name)
+		}
+	}
+	// The output reads the flip-flop r: the sequential cone crosses it into
+	// the logic behind it, the combinational cone stops at r itself.
+	rq, _ := n.NetByName("r")
+	seqCone, combCone := n.FaninCone(true, rq), n.FaninCone(false, rq)
+	for _, name := range []string{"r", "y", "ab", "nc", "a", "b", "c"} {
+		id, _ := n.GateByName(name)
+		if !seqCone[id] {
+			t.Errorf("sequential fanin cone of r missing %q", name)
+		}
+		if combCone[id] != (name == "r") {
+			t.Errorf("combinational fanin cone of r: %q in cone = %v", name, combCone[id])
 		}
 	}
 	a, _ := n.NetByName("a")

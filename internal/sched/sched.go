@@ -7,8 +7,8 @@
 // that list: whichever worker asks next gets the next class not yet handed
 // out or removed, so every worker count walks one order, and a lone worker
 // takes the classes strictly in list order. The queue is also prunable in
-// flight: fault dropping and the learning screen remove classes that no
-// longer need a search, wherever they sit in the list.
+// flight: fault dropping removes classes that no longer need a search,
+// wherever they sit in the list.
 //
 // Verdict soundness is untouched by scheduling: Detected and Untestable are
 // complete proofs, so any dequeue order yields the same terminal statuses.
@@ -80,7 +80,7 @@ func (q *Queue) Next() (fault.FID, bool) {
 }
 
 // Remove prunes a class that no longer needs a search (dropped by fault
-// simulation, screened by learning). It returns false when the class was
+// simulation). It returns false when the class was
 // never queued, or was already handed out or removed.
 func (q *Queue) Remove(fid fault.FID) bool {
 	q.mu.Lock()

@@ -223,29 +223,14 @@ func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 }
 
 // observableFaults returns, in order, the faults with at least one site —
-// primary or replica — in the fan-in cone of an observation pin. A fault on
-// an input pin is in the cone when its gate is, or when the pin is itself
-// an observation point.
+// primary or replica — in the sequential fan-in cone of an observation pin
+// (obsReach). A fault on an input pin is in the cone when its gate is, or
+// when the pin is itself an observation point.
 func observableFaults(u *fault.Universe, observe []ObsPoint, faults []fault.FID, sm *fault.SiteMap) []fault.FID {
-	n := u.N
-	seeds := make([]netlist.NetID, len(observe))
-	obsPin := make(map[ObsPoint]bool, len(observe))
-	for i, p := range observe {
-		seeds[i] = n.Gates[p.Gate].Ins[p.Pin]
-		obsPin[p] = true
-	}
-	cone := n.FaninCone(seeds...)
-	reaches := func(g netlist.GateID, pin int32) bool {
-		return cone[g] || obsPin[ObsPoint{Gate: g, Pin: pin}]
-	}
+	reach := newObsReach(u.N, observe, true)
 	var out []fault.FID
 	for _, fid := range faults {
-		f := u.FaultOf(fid)
-		ok := reaches(f.Gate, f.Pin)
-		for _, rep := range sm.Replicas(f.Gate) {
-			ok = ok || reaches(rep, f.Pin)
-		}
-		if ok {
+		if reach.fault(u.FaultOf(fid), sm) {
 			out = append(out, fid)
 		}
 	}

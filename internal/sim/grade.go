@@ -146,12 +146,6 @@ func NewGraderSites(n *netlist.Netlist, u *fault.Universe, obsPts []ObsPoint, sm
 	return gr, nil
 }
 
-// Graph returns the grader's forward-propagation index — the one instance
-// shared with its internal simulator. It is read-only between Extends, so
-// other per-clone passes (the static learning pass) can build on it instead
-// of re-levelizing the netlist.
-func (gr *Grader) Graph() *netlist.Graph { return gr.graph }
-
 // Extend re-synchronizes the grader with a netlist that grew by appended
 // gates and nets since construction (constraint.Unroller.Extend): the shared
 // graph and good machine extend in place from the supplied topological order

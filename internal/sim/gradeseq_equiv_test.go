@@ -93,7 +93,7 @@ func onlineObsPoints(n *netlist.Netlist) []sim.ObsPoint {
 	for i, p := range pts {
 		seeds[i] = n.Gates[p.Gate].Ins[p.Pin]
 	}
-	cone := n.FaninCone(seeds...)
+	cone := n.FaninCone(true, seeds...)
 	for _, f := range n.FlipFlops() {
 		if cone[f] {
 			pts = append(pts, sim.ObsPoint{Gate: f, Pin: netlist.DffD})

@@ -1,7 +1,10 @@
 // Package sim implements levelized ternary simulation of netlists with
 // 64-way parallelism, plus stuck-at fault grading in two flavours:
 //
-//   - pattern-parallel single-fault (PPSFP) combinational grading, and
+//   - pattern-parallel single-fault (PPSFP) combinational grading, whose
+//     grader also carries the static untestability screen ATPG runs before
+//     any search (Grader.Screen: ternary constants and structural
+//     unobservability), and
 //   - fault-parallel sequential grading (63 faulty machines + 1 good
 //     reference machine per 64-bit word), used to grade SBST programs and
 //     mission traces. It skips faults with no structural path to an
