@@ -115,8 +115,8 @@ func BenchmarkCampaignBench(b *testing.B) {
 }
 
 // sweepBenchConfig is the BENCH_PR9 workload: a swept campaign at width 12,
-// every provider's workers drawing its hardest-first class list from one
-// queue cursor. The backtrack limit keeps per-class search bounded so
+// every provider's coordinator handing its hardest-first class list out to
+// its workers. The backtrack limit keeps per-class search bounded so
 // the measurement weighs scheduling and dropping rather than abort churn.
 func sweepBenchConfig() config {
 	return config{

@@ -45,14 +45,15 @@
 // SCOAP detection difficulty, retires the ones its drop grader's static
 // screen proves Untestable (a site net held at the stuck value by ternary
 // constants, or no site in the combinational fan-in cone of an observation
-// point), and every worker draws the next class of what is left from a
-// shared sched.Queue cursor. The engine leaves every input its search did
+// point), and its coordinator hands what is left to the workers in that
+// order, one class per ask. The engine leaves every input its search did
 // not need at X; GenerateAll completes each Detected search's test (every X
-// becomes a pseudo-random 0 or 1, seeded by the class's FID) and immediately
-// fault-simulates it (sim.Grader, PPSFP), so incidentally detected faults
-// never reach the deterministic engine. A fully specified test drives every
-// net to a definite value, so one test drops far more classes than the
-// partial assignment would.
+// becomes a pseudo-random 0 or 1, seeded by the class's FID) and stores it
+// in its drop grader (sim.Grader, PPSFP, 64 tests per word). Before it hands
+// a class out, the coordinator checks it against every stored test, so
+// incidentally detected faults never reach the deterministic engine. A
+// fully specified test drives every net to a definite value, so one test
+// drops far more classes than the partial assignment would.
 package atpg
 
 import (
@@ -190,17 +191,29 @@ type Options struct {
 	// "atpg.patterns"), search-work counters ("atpg.backtracks",
 	// "atpg.decisions", "atpg.implications", and "atpg.gate_evals", the
 	// gate evaluations those implication passes and probes actually ran),
-	// drop-grader traffic
-	// ("atpg.drop.graded" / "atpg.drop.hits" — the hit rate of fault
-	// dropping — and "atpg.drop.grade_ns", the coordinator's wall time
-	// grading patterns to drop faults), the screen stage's retirements by
-	// rule ("atpg.screen.constant" / "atpg.screen.unobservable"), abort
-	// attribution
-	// ("atpg.abort.limit" / "atpg.abort.cancel") and the per-class
-	// search-time histogram ("atpg.search_ns"). Handles
-	// resolve once per run; every hot-path record is a single atomic add, so
-	// the registry is cheap enough to leave always on. Nil disables all
-	// recording at the cost of one branch per record.
+	// drop-grader traffic, the screen stage's retirements by rule
+	// ("atpg.screen.constant" / "atpg.screen.unobservable"), abort
+	// attribution ("atpg.abort.limit" / "atpg.abort.cancel") and the
+	// per-class search-time histogram ("atpg.search_ns").
+	//
+	// The drop-grader traffic: "atpg.drop.graded" counts the dispatch
+	// checks, each a class checked against at least one search test (at its
+	// dispatch, on its result when a test was emitted meanwhile, or at the
+	// end of the run when it aborted), plus the live classes each replay
+	// word is graded against. "atpg.drop.hits" counts the simulation drops
+	// they find, so hits/graded is the hit rate of fault dropping, and
+	// "atpg.drop.grade_ns" is the coordinator's wall time grading: the
+	// replay, storing each search test, and the checks, each walk to the
+	// next class to hand out timed as a whole, the drops it resolves and
+	// their Progress calls included. On the grader
+	// GenerateAll builds, "sim.grade.words" counts one settled word per
+	// replay word and per stored search test, and "sim.grade.fault_evals"
+	// the cone evaluations: per replay word, one per activated live class,
+	// and per check, one per word with an activated lane.
+	//
+	// Handles resolve once per run; every hot-path record is a single
+	// atomic add, so the registry is cheap enough to leave always on. Nil
+	// disables all recording at the cost of one branch per record.
 	Metrics *obs.Registry
 }
 

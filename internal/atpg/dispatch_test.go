@@ -19,10 +19,11 @@ import (
 // as a sort with the documented comparator does: descending saturating
 // CC(¬v)+CO of the representative's site net, ties in ascending FID. And a
 // one-worker GenerateAll whose Replay resolves part of the classes must
-// report the screen stage's verdicts, then the searches', in that order
-// over the classes the replay left: the test replays the coordinator's
-// bookkeeping, grading each search's emitted test against the classes still
-// live to know which drops follow it.
+// report the screen stage's verdicts, then one report per class left, in
+// sorted order. A class is reported as a Detected simulation drop exactly
+// when the search tests emitted before it detect it, graded by a fresh
+// grader; any other class is reported with its search's verdict, and each
+// Detected search consumes the next emitted test, which must detect it.
 func TestDispatchOrderOnBench(t *testing.T) {
 	clone, sm, obs := benchClone(t, bench.Scenarios(2)[2]) // mission-reach
 	u := fault.NewUniverse(clone)
@@ -127,36 +128,41 @@ func TestDispatchOrderOnBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	tests, states := out.Patterns[replayRows:], out.States[replayRows:]
-	next, searches := 0, 0
-	for len(calls) > 0 {
-		for next < len(left) && resolved.Has(left[next]) {
-			next++
+	emitted, searches, drops := 0, 0, 0
+	detects := func(lo, hi int, fid fault.FID) bool {
+		return lo < hi && grader.Grade(tests[lo:hi], states[lo:hi], []fault.FID{fid}).Has(fid)
+	}
+	for _, fid := range left {
+		if resolved.Has(fid) {
+			continue
+		}
+		if len(calls) == 0 || calls[0].fid != fid {
+			t.Fatalf("after %d searches and %d drops, class %d is not reported next", searches, drops, fid)
 		}
 		c := calls[0]
 		calls = calls[1:]
-		if next == len(left) || c.fid != left[next] {
-			t.Fatalf("search %d reports class %d, the next class in order is at %d of %d", searches, c.fid, next, len(left))
-		}
-		next++
-		searches++
-		if c.v != atpg.Aborted { // an Aborted class stays live: a later test may drop it
-			resolved.Add(c.fid)
-		}
-		if c.v != atpg.Detected {
-			continue
-		}
-		live := slices.DeleteFunc(slices.Clone(left), resolved.Has)
-		grader.Grade(tests[:1], states[:1], live).ForEach(func(fid fault.FID) {
-			if len(calls) == 0 || calls[0] != (call{fid, atpg.Detected}) {
-				t.Fatalf("after the test of class %d, want class %d dropped", c.fid, fid)
+		switch {
+		case detects(0, emitted, fid):
+			if c.v != atpg.Detected {
+				t.Fatalf("class %d is reported %v, but a test emitted before it detects it", fid, c.v)
 			}
-			calls = calls[1:]
-			resolved.Add(fid)
-		})
-		tests, states = tests[1:], states[1:]
+			drops++
+		case c.v == atpg.Detected:
+			if !detects(emitted, emitted+1, fid) {
+				t.Fatalf("class %d is reported Detected, but neither a test emitted before it nor the next one detects it", fid)
+			}
+			emitted++
+			searches++
+		default:
+			searches++
+		}
 	}
-	if searches < 2 || len(tests) != 0 {
-		t.Fatalf("%d searches, %d emitted tests unaccounted for", searches, len(tests))
+	if len(calls) != 0 || emitted != len(tests) {
+		t.Fatalf("%d reports and %d emitted tests unaccounted for", len(calls), len(tests)-emitted)
+	}
+	if searches < 2 || drops != st.SimDropped-st.Replayed || emitted != st.Detected-st.SimDropped {
+		t.Fatalf("%d searches, %d of them Detected, and %d drops; the run counts %d simulation drops beyond the replay and %d Detected searches",
+			searches, emitted, drops, st.SimDropped-st.Replayed, st.Detected-st.SimDropped)
 	}
 	t.Logf("%d classes (%d at CostInf): %d replayed, %d screened, %d searched",
 		len(reps), saturated, st.Replayed, st.Screened, searches)

@@ -13,7 +13,6 @@ import (
 	"olfui/internal/fault"
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
-	"olfui/internal/sched"
 	"olfui/internal/sim"
 )
 
@@ -77,36 +76,35 @@ type Outcome struct {
 	States   []sim.Pattern
 }
 
-// workItem pairs a targeted class representative with its engine result and
-// the worker that produced it (the coordinator acks per worker).
+// workItem is one class the coordinator hands to a worker: the class
+// representative and the number of search tests emitted when the
+// coordinator checked it. The worker sends it back with its search's result.
 type workItem struct {
-	wid int
-	fid fault.FID
-	res Result
+	fid   fault.FID
+	tests int
+	res   Result
 }
 
 // GenerateAll runs deterministic ATPG over the collapsed fault list of the
 // universe (or the Options.Classes subset) with fault dropping: fault
-// classes fan out to a bounded worker pool (one Engine per worker), and every
-// pattern a worker generates is immediately fault-simulated against the
-// remaining undetected classes so incidentally covered faults are dropped
-// before more ATPG work is dispatched. The classic pattern-count/CPU-time
-// tradeoff: the serial drop loop shrinks both the test set and the number of
-// deterministic searches, while the workers keep the per-fault searches
-// parallel.
+// classes fan out to a bounded worker pool (one Engine per worker), and no
+// class reaches a search while a test already emitted detects it, so
+// incidentally covered faults are dropped instead of searched. The classic
+// pattern-count/CPU-time tradeoff: dropping shrinks both the test set and
+// the number of deterministic searches, while the workers keep the
+// per-fault searches parallel.
 //
 // Dispatch order: GenerateAll sorts the classes the replay leaves
 // hardest-first (hardestFirst: descending SCOAP detection difficulty, ties in
-// ascending FID order), and the screen stage and the workers walk that one
-// order. Hard classes are searched while the most classes are still live, and
-// each of their completed tests drops easy classes that would otherwise each
-// cost a search. The replay needs no order: the grader finds its hits by
-// walking nets, not the list, and resolves them in FID order, so the sort
-// waits for it and orders only the classes it left. The order of
-// Options.Classes does not matter.
+// ascending FID order), and the screen stage and the dispatch walk that one
+// order. Hard classes are searched first, and each of their completed tests
+// drops easy classes that would otherwise each cost a search. The replay
+// needs no order: the grader finds its hits by walking nets, not the list,
+// and resolves them in FID order, so the sort waits for it and orders only
+// the classes it left. The order of Options.Classes does not matter.
 //
-// Before a worker hands a Detected result to the drop loop, it completes the
-// test (completeTest): every X the search left in Result.Pattern and
+// Before a worker hands a Detected result to the coordinator, it completes
+// the test (completeTest): every X the search left in Result.Pattern and
 // Result.State becomes a pseudo-random 0 or 1, drawn from a stream seeded
 // only by the class representative's FID. This is sound: ternary simulation
 // is monotone, so every completion keeps every definite value of the partial
@@ -132,15 +130,27 @@ type workItem struct {
 // combinationally. No test on the run's clone detects such a class, so it
 // needs no search: one pass of the kernel and one cone walk settle them all.
 //
-// Workers pull classes rather than being dispatched to: every worker draws
-// the next class of the sorted list from one sched.Queue cursor, and a
-// per-worker ack keeps a worker from taking its next class until the
-// coordinator has graded its previous pattern — so fault dropping sees every
-// pattern before more search work starts. A single worker therefore takes
-// the classes strictly in sorted order, and a one-worker run is fully
-// deterministic. Classes the replay or the screen stage resolves never
-// enter the queue, and classes a search's test drops are pruned from it in
-// flight.
+// Fault dropping then happens at dispatch. The coordinator goroutine owns
+// the sorted list and the drop grader's test store, which holds the run's
+// search tests packed 64 to a word, each word's good machine settled once
+// (sim.Grader.AddTest). A worker that holds its sched.Pool slot asks the
+// coordinator for a class. The coordinator walks the list from its cursor
+// and checks each class once, at the head, against every search test
+// emitted so far (sim.Grader.Detects: one activation read and at most one
+// cone evaluation per word). A hit resolves the class as a simulation drop;
+// the first class no test detects goes to the worker, with the number of
+// tests emitted at the check. A worker asks again only after it has sent its
+// last result, so a single worker takes the classes strictly in sorted
+// order, each checked against every test before it, and a one-worker run is
+// fully deterministic. Its searches, tests and verdicts are those of
+// grading each new test at once against every class still live: a class
+// meets the same tests, only when it reaches the head, which is also when
+// its drop is announced. With several workers, a result whose class a test
+// emitted after its dispatch detects is discarded, and the class is the
+// simulation drop that test makes it. An Aborted class stays open to every
+// later test: when the run ends, it is checked against the tests emitted
+// after its search, and a hit upgrades it to a simulation drop, announced
+// as Detected.
 //
 // Cancelling ctx stops the run promptly — in-flight searches poll a shared
 // flag once per decision step — and returns ctx.Err() after every worker has
@@ -169,6 +179,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 			}
 		}
 	} else {
+		listed := fault.NewSet(u)
 		for _, fid := range opts.Classes {
 			if int(fid) < 0 || int(fid) >= u.NumFaults() {
 				return nil, fmt.Errorf("atpg: class %d out of universe range", fid)
@@ -176,6 +187,10 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 			if collapse.Rep(fid) != fid {
 				return nil, fmt.Errorf("atpg: class %d is not a collapse representative", fid)
 			}
+			if listed.Has(fid) {
+				return nil, fmt.Errorf("atpg: class %d listed twice", fid)
+			}
+			listed.Add(fid)
 		}
 		reps = slices.Clone(opts.Classes)
 	}
@@ -215,25 +230,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		}
 	}
 
-	// live is the incrementally pruned drop-candidate list: classes not yet
-	// proven Detected or Untestable. Aborted classes stay live — a later
-	// pattern may well cover a fault the deterministic search gave up on.
-	// livePos[fid] tracks each class's slot for O(1) swap-removal, so a
-	// pattern's grading cost tracks the shrinking remainder instead of
-	// rescanning every targeted class. Built (and validated) before the
-	// worker pool spawns so every error path leaves no goroutine behind.
-	live := append([]fault.FID(nil), reps...)
-	livePos := make([]int32, u.NumFaults())
-	for i := range livePos {
-		livePos[i] = -1
-	}
-	for i, fid := range live {
-		if livePos[fid] != -1 {
-			return nil, fmt.Errorf("atpg: class %d listed twice", fid)
-		}
-		livePos[fid] = int32(i)
-	}
-
 	out := &Outcome{Status: status}
 	st := &out.Stats
 	st.Faults = u.NumFaults()
@@ -262,6 +258,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		mConstant     = reg.Counter("atpg.screen.constant")
 		mUnobservable = reg.Counter("atpg.screen.unobservable")
 		hSearch       = reg.Histogram("atpg.search_ns")
+		mDepth        = reg.Counter("sched.queue_depth")
 		mQueueWait    = reg.Counter("sched.queue_wait_ns")
 		hBusy         = reg.Histogram("sched.worker_busy_ns")
 	)
@@ -273,66 +270,37 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		}
 	}
 
-	// src is the cursor workers drain, built once the replay and the screen
-	// below have resolved what they can. It shares the run's registry, so
-	// the queue-depth gauge aggregates across every run of a campaign.
-	var src *sched.Queue
-	unlive := func(fid fault.FID) {
-		// A resolved class needs no search: prune it from the queue too,
-		// wherever it sits (no-op when already handed to a worker).
-		if src != nil {
-			src.Remove(fid)
-		}
-		i := livePos[fid]
-		if i < 0 {
-			return
-		}
-		last := len(live) - 1
-		moved := live[last]
-		live[i] = moved
-		livePos[moved] = i
-		live = live[:last]
-		livePos[fid] = -1
+	// simDrop resolves a class a test detects as a simulation-dropped
+	// Detected class.
+	simDrop := func(fid fault.FID) {
+		status.Set(fid, fault.Detected)
+		st.Detected++
+		st.SimDropped++
+		mDetected.Inc()
+		mSimDropped.Inc()
+		mDropHits.Inc()
+		commit(fid, Detected)
 	}
 
-	// drop grades rows against the live classes and resolves every hit as a
-	// simulation-dropped Detected class, Aborted ones included: a later
-	// pattern may well cover a fault the search gave up on. dropped holds the
-	// hits afterwards.
-	dropped := fault.NewSet(u)
-	drop := func(patterns, states []sim.Pattern) {
-		mDropGraded.Add(int64(len(live)))
-		gradeStart := time.Now()
-		dropped.Clear()
-		grader.GradeInto(dropped, patterns, states, live)
-		mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
-		mDropHits.Add(int64(dropped.Count()))
-		dropped.ForEach(func(fid fault.FID) {
-			if status.Get(fid) == fault.Aborted {
-				st.Aborted--
-				mAborted.Add(-1)
-			}
-			status.Set(fid, fault.Detected)
-			st.Detected++
-			st.SimDropped++
-			mDetected.Inc()
-			mSimDropped.Inc()
-			unlive(fid)
-			commit(fid, Detected)
-		})
-	}
-
-	// Replay: the given test set is graded word by word before any worker
-	// starts, so the classes it detects never reach a search (see Replay).
+	// Replay: the given test set is graded word by word against the classes
+	// it has not yet detected, before any worker starts, so the classes it
+	// detects never reach a search (see Replay).
 	if rp := opts.Replay; rp != nil {
 		replayStart := time.Now()
-		for lo := 0; lo < len(rp.Patterns) && len(live) > 0; lo += logic.WordBits {
+		dropped := fault.NewSet(u)
+		for lo := 0; lo < len(rp.Patterns) && len(reps) > 0; lo += logic.WordBits {
 			hi := min(lo+logic.WordBits, len(rp.Patterns))
 			st.ReplayPatterns += hi - lo
-			drop(rp.Patterns[lo:hi], rp.States[lo:hi])
+			mDropGraded.Add(int64(len(reps)))
+			gradeStart := time.Now()
+			dropped.Clear()
+			grader.GradeInto(dropped, rp.Patterns[lo:hi], rp.States[lo:hi], reps)
+			mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
 			if dropped.Count() == 0 {
 				continue
 			}
+			dropped.ForEach(simDrop)
+			reps = slices.DeleteFunc(reps, dropped.Has)
 			st.Replayed += dropped.Count()
 			out.Patterns = append(out.Patterns, rp.Patterns[lo:hi]...)
 			out.States = append(out.States, rp.States[lo:hi]...)
@@ -347,7 +315,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 
 	// The replay's hits do not depend on the list's order (see Dispatch
 	// order above), so only the classes it left are sorted.
-	reps = slices.DeleteFunc(reps, func(fid fault.FID) bool { return livePos[fid] < 0 })
 	hardestFirst(u, ann, reps)
 
 	// Screen stage: the grader's static screen retires every class a ternary
@@ -369,36 +336,47 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		} else {
 			mUnobservable.Inc()
 		}
-		unlive(fid)
 		commit(fid, Untestable)
 	})
 
-	// The queue holds the classes left live, in sorted order. Closing it on
-	// every return sheds what a cancelled run leaves queued from the depth
-	// gauge.
-	src = sched.NewQueue(reps, opts.Metrics)
-	defer src.Close()
+	// The coordinator hands the classes left out in sorted order; next is
+	// its cursor into reps. The sched.queue_depth gauge counts the classes
+	// from the cursor on, and every return sheds what a cancelled run left.
+	next := 0
+	mDepth.Add(int64(len(reps)))
+	defer func() { mDepth.Add(-int64(len(reps) - next)) }()
 
-	// Workers pull classes from src, gated per search by the (possibly nil,
-	// then ungated) campaign worker pool. The per-worker ack keeps each
-	// worker to one unprocessed result: it takes its next class only after
-	// the coordinator graded its previous pattern, so dropping prunes the
-	// queue before more search work starts. Spawning is skipped entirely
-	// when the replay and the screen resolved every class.
-	var cancelFlag atomic.Bool
-	numWorkers := workers
-	if numWorkers > len(live) {
-		numWorkers = len(live)
+	// The grader's test store holds this run's search tests, in emission
+	// order. detects checks a class against the ones from index k on,
+	// counted as drop grading. Its callers time whole stretches of checks
+	// for atpg.drop.grade_ns: reading the clock around every check would
+	// cost more than many of the checks it times.
+	grader.ResetTests()
+	detects := func(fid fault.FID, k int) bool {
+		if k >= grader.Tests() {
+			return false
+		}
+		mDropGraded.Inc()
+		return grader.Detects(fid, k)
 	}
-	results := make(chan workItem, numWorkers)
-	ack := make([]chan struct{}, numWorkers)
+
+	// Workers ask the coordinator for a class once they hold a slot of the
+	// (possibly nil, then ungated) campaign worker pool, take it from work,
+	// search it, and send the result back. A worker asks for its next class
+	// only after it has sent its last result, so a lone worker's next class
+	// is checked against the test its last search emitted. Spawning is
+	// skipped entirely when the replay and the screen resolved every class.
+	var cancelFlag atomic.Bool
+	numWorkers := min(workers, len(reps))
+	asks := make(chan struct{})
+	work := make(chan workItem)
+	results := make(chan workItem)
 	var wg sync.WaitGroup
-	for wid := 0; wid < numWorkers; wid++ {
-		ack[wid] = make(chan struct{}, 1)
+	for range numWorkers {
 		eng := NewWithAnnotations(n, ann, opts)
 		eng.cancel = &cancelFlag
 		wg.Add(1)
-		go func(wid int, eng *Engine) {
+		go func() {
 			defer wg.Done()
 			var busy int64
 			defer func() {
@@ -411,48 +389,77 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 				if !opts.Pool.Acquire(ctx) {
 					return
 				}
-				fid, ok := src.Next()
+				asks <- struct{}{}
+				w, ok := <-work
 				if !ok {
 					opts.Pool.Release()
 					return
 				}
 				mQueueWait.Add(time.Since(waitStart).Nanoseconds())
-				res := eng.Generate(u.FaultOf(fid))
-				if res.Verdict == Detected {
-					completeTest(fid, res.Pattern, res.State)
+				w.res = eng.Generate(u.FaultOf(w.fid))
+				if w.res.Verdict == Detected {
+					completeTest(w.fid, w.res.Pattern, w.res.State)
 				}
 				opts.Pool.Release()
-				busy += res.Elapsed.Nanoseconds()
-				results <- workItem{wid: wid, fid: fid, res: res}
-				<-ack[wid]
+				busy += w.res.Elapsed.Nanoseconds()
+				results <- w
 			}
-		}(wid, eng)
+		}()
 	}
 	go func() {
 		wg.Wait()
 		close(results)
 	}()
 
-	// The coordinator owns the status map: it fault-simulates each
-	// generated pattern, drops hits, and acks the producing worker.
+	// handOut answers one ask. It walks the list from the cursor, resolves
+	// every class a search test detects as a simulation drop, and hands the
+	// first class left to the asking worker. With no class left, or once the
+	// run is cancelled, it closes work, which retires every worker that asks.
+	workClosed := false
+	handOut := func() {
+		if workClosed {
+			return
+		}
+		if ctx.Err() == nil {
+			gradeStart := time.Now()
+			for next < len(reps) {
+				fid := reps[next]
+				next++
+				mDepth.Add(-1)
+				if !detects(fid, 0) {
+					mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
+					work <- workItem{fid: fid, tests: grader.Tests()}
+					return
+				}
+				simDrop(fid)
+			}
+			mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
+		}
+		close(work)
+		workClosed = true
+	}
+
+	// The coordinator owns the status map and the test store: it answers
+	// asks, and it commits each search's verdict, storing a Detected
+	// search's test. Aborted classes wait for the end of the run, when every
+	// test emitted after them is known.
+	var aborted []workItem
 	done := ctx.Done()
-	for {
+	for open := true; open; {
 		var w workItem
-		var open bool
 		select {
 		case <-done:
-			// Interrupt in-flight searches and keep draining (and acking)
-			// results so every worker can exit.
+			// Interrupt in-flight searches, stop handing out classes, and
+			// keep draining so every worker can exit.
 			cancelFlag.Store(true)
 			done = nil
 			continue
+		case <-asks:
+			handOut()
+			continue
 		case w, open = <-results:
 		}
-		if !open {
-			break
-		}
-		if ctx.Err() != nil {
-			ack[w.wid] <- struct{}{}
+		if !open || ctx.Err() != nil {
 			continue
 		}
 		st.Backtracks += w.res.Backtracks
@@ -464,44 +471,65 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		mImplications.Add(int64(w.res.Implications))
 		mGateEvals.Add(int64(w.res.GateEvals))
 		hSearch.Observe(w.res.Elapsed.Nanoseconds())
-		// A class dropped while its search was in flight needs no further
-		// accounting — the verdicts cannot disagree, only overlap.
-		if status.Get(w.fid) == fault.Undetected {
-			switch w.res.Verdict {
-			case Detected:
-				status.Set(w.fid, fault.Detected)
-				st.Detected++
-				mDetected.Inc()
-				unlive(w.fid)
-				commit(w.fid, Detected)
-				out.Patterns = append(out.Patterns, w.res.Pattern)
-				out.States = append(out.States, w.res.State)
-				st.Patterns++
-				mPatterns.Inc()
-				drop([]sim.Pattern{w.res.Pattern}, []sim.Pattern{w.res.State})
-			case Untestable:
-				status.Set(w.fid, fault.Untestable)
-				st.Untestable++
-				mUntestable.Inc()
-				unlive(w.fid)
-				commit(w.fid, Untestable)
-			case Aborted:
-				status.Set(w.fid, fault.Aborted)
-				st.Aborted++
-				mAborted.Inc()
-				if w.res.Abort == AbortCancel {
-					mAbortCancel.Inc()
-				} else {
-					mAbortLimit.Inc()
-				}
-				commit(w.fid, Aborted)
-			}
+		// A test another worker emitted while this search ran may detect
+		// the class. The class is then the simulation drop it would have
+		// been had that test come first, and the search's result is
+		// discarded: the verdicts cannot disagree, only overlap. Otherwise a
+		// Detected search's test joins the store.
+		gradeStart := time.Now()
+		dropped := detects(w.fid, w.tests)
+		if !dropped && w.res.Verdict == Detected {
+			grader.AddTest(w.res.Pattern, w.res.State)
 		}
-		ack[w.wid] <- struct{}{}
+		mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
+		if dropped {
+			simDrop(w.fid)
+			continue
+		}
+		switch w.res.Verdict {
+		case Detected:
+			status.Set(w.fid, fault.Detected)
+			st.Detected++
+			mDetected.Inc()
+			commit(w.fid, Detected)
+			out.Patterns = append(out.Patterns, w.res.Pattern)
+			out.States = append(out.States, w.res.State)
+			st.Patterns++
+			mPatterns.Inc()
+		case Untestable:
+			status.Set(w.fid, fault.Untestable)
+			st.Untestable++
+			mUntestable.Inc()
+			commit(w.fid, Untestable)
+		case Aborted:
+			status.Set(w.fid, fault.Aborted)
+			st.Aborted++
+			mAborted.Inc()
+			if w.res.Abort == AbortCancel {
+				mAbortCancel.Inc()
+			} else {
+				mAbortLimit.Inc()
+			}
+			commit(w.fid, Aborted)
+			aborted = append(aborted, workItem{fid: w.fid, tests: grader.Tests()})
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+
+	// A test emitted after an Aborted class's search covers it as well as a
+	// test emitted before: such a class is upgraded to a simulation drop
+	// (and re-announced as Detected).
+	gradeStart := time.Now()
+	for _, a := range aborted {
+		if detects(a.fid, a.tests) {
+			st.Aborted--
+			mAborted.Add(-1)
+			simDrop(a.fid)
+		}
+	}
+	mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
 
 	status.SpreadClasses(collapse)
 	st.Elapsed = time.Since(start)

@@ -48,7 +48,7 @@ func sameReport(t *testing.T, label string, a, b *Report) {
 }
 
 // TestCampaignShardInvariance is the acceptance criterion for the streaming
-// merge under the shared queue cursor: campaigns with 1, 4 and 16 workers
+// merge under coordinator dispatch: campaigns with 1, 4 and 16 workers
 // classify the benchmark identically, with the one-worker run — whose
 // searches follow the sorted class list strictly — as the deterministic
 // reference.

@@ -20,9 +20,9 @@
 // cancellation and deadlines stop ATPG mid-search with no goroutine leaks —
 // and reports per-provider progress events as deltas merge. Every ATPG
 // provider hands atpg.GenerateAll the set of classes to target, and
-// GenerateAll owns the dispatch order (hardest-first, drawn by every worker
-// from one sched.Queue cursor), while one campaign-wide sched.Pool caps the
-// searches in flight.
+// GenerateAll owns the dispatch order (hardest-first; its coordinator hands
+// the classes out to its workers one at a time), while one campaign-wide
+// sched.Pool caps the searches in flight.
 //
 // On top of the campaign core, RunCampaign assembles the paper's
 // deliverable: it classifies every fault of the original universe as

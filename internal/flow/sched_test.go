@@ -16,11 +16,12 @@ import (
 )
 
 // TestSchedulerInvariance is the scheduler's correctness property: on seeded
-// random netlists, campaigns with 4 and 16 workers, all drawing from one
-// cursor per run, classify identically to the one-worker run, whose searches
-// follow each sorted class list strictly — across one-shot scenarios AND the
-// swept per-depth queues. The backtrack budget is raised far above need so no
-// verdict can fall into the only order-sensitive state (Aborted).
+// random netlists, campaigns with 4 and 16 workers, each run's workers fed
+// by its one coordinator, classify identically to the one-worker run, whose
+// searches follow each sorted class list strictly — across one-shot
+// scenarios AND the swept per-depth class lists. The backtrack budget is
+// raised far above need so no verdict can fall into the only
+// order-sensitive state (Aborted).
 func TestSchedulerInvariance(t *testing.T) {
 	atpgOpts := atpg.Options{BacktrackLimit: 1 << 20}
 	scenarios := []Scenario{

@@ -1,3 +1,17 @@
+// Package sched provides the campaign's worker-slot budget: one Pool per
+// campaign caps the class searches in flight across every provider.
+//
+// Dispatch itself is not here: every atpg.GenerateAll run's coordinator
+// owns its class list, in dispatch order, and hands the classes out to its
+// workers one ask at a time, so every worker count walks one order and a
+// lone worker takes the classes strictly in list order. A worker acquires
+// its Pool slot before it asks for a class, so it never waits for a slot
+// with a class in hand.
+//
+// Verdict soundness is untouched by scheduling: Detected and Untestable are
+// complete proofs, so any dispatch order yields the same terminal statuses.
+// Only Aborted verdicts are order-sensitive (a pattern generated earlier may
+// drop a class another order would have searched to the backtrack limit).
 package sched
 
 import (

@@ -68,6 +68,13 @@ type Grader struct {
 	undoNets []netlist.NetID
 	undoVals []logic.PV
 
+	// Test store (AddTest, Detects): the stored tests packed
+	// logic.WordBits to a word, lane i of word w holding test
+	// w*logic.WordBits+i. words[w] is word w's settled good machine, one
+	// value per net; buffers past the open words are kept for reuse.
+	words  [][]logic.PV
+	ntests int
+
 	// Observation points indexed two ways: by the net their pin reads (a
 	// changed net can flip them) and by their gate (a pin injection on the
 	// obs gate can flip them with no net change). obsNet[i] is the net
@@ -88,10 +95,12 @@ type Grader struct {
 
 // Instrument attaches a telemetry registry. Counters:
 //
-//	sim.grade.patterns    patterns graded (pre-packing)
-//	sim.grade.words       pattern-parallel 64-wide batches evaluated —
-//	                      patterns/(64*words) is the PV-word utilization
-//	sim.grade.fault_evals faulty-machine cone evaluations actually run
+//	sim.grade.patterns    patterns graded by GradeInto plus tests stored by
+//	                      AddTest
+//	sim.grade.words       good-machine settles of a 64-wide word: one per
+//	                      GradeInto batch and one per AddTest
+//	sim.grade.fault_evals faulty-machine cone evaluations actually run, by
+//	                      GradeInto and by Detects (one per word it grades)
 //	sim.grade.screened    per-word fault gradings skipped by the activation
 //	                      screen (no lane controls any site to the opposite
 //	                      of its stuck value, so no detection is possible)
@@ -160,7 +169,9 @@ func NewGraderSites(n *netlist.Netlist, u *fault.Universe, obsPts []ObsPoint, sm
 // keeps all three valid (capture probes never move, appended gates are
 // site-free, replica growth is visible through the shared SiteMap). This is
 // what lets a depth sweep keep one warm grader instead of rebuilding the
-// full CSR and simulator per depth.
+// full CSR and simulator per depth. The test store is emptied: its words
+// were settled on the smaller netlist. Its buffers are kept and regrow to
+// the new net count as words reopen.
 func (gr *Grader) Extend(order []netlist.GateID) error {
 	if err := gr.good.Extend(order); err != nil {
 		return err
@@ -193,6 +204,7 @@ func (gr *Grader) sync() {
 		return int32(p.Gate)
 	})
 	gr.buildSiteIndex()
+	gr.ResetTests()
 }
 
 // buildSiteIndex rebuilds the screen's net-to-site CSR at its exact size:
@@ -220,22 +232,30 @@ func (gr *Grader) buildSiteIndex() {
 // gate's replicas — skipping sites the netlist no longer has (pins of a
 // tombstoned gate).
 func (gr *Grader) forEachSiteNet(fn func(net netlist.NetID, site int32)) {
-	visit := func(g netlist.GateID, pin int32, site int32) {
-		gate := &gr.n.Gates[g]
-		switch {
-		case pin == fault.OutputPin && gate.Out != netlist.InvalidNet:
-			fn(gate.Out, site)
-		case pin >= 0 && int(pin) < len(gate.Ins):
-			fn(gate.Ins[pin], site)
-		}
-	}
 	for i := 0; i < gr.u.NumSites(); i++ {
 		s := gr.u.Site(i)
-		visit(s.Gate, s.Pin, int32(i))
+		if net, ok := gr.siteNet(s.Gate, s.Pin); ok {
+			fn(net, int32(i))
+		}
 		for _, rep := range gr.sm.Replicas(s.Gate) {
-			visit(rep, s.Pin, int32(i))
+			if net, ok := gr.siteNet(rep, s.Pin); ok {
+				fn(net, int32(i))
+			}
 		}
 	}
+}
+
+// siteNet returns the net pin pin (or fault.OutputPin) of gate g sits on,
+// and false when the netlist no longer has the pin (a tombstoned gate).
+func (gr *Grader) siteNet(g netlist.GateID, pin int32) (netlist.NetID, bool) {
+	gate := &gr.n.Gates[g]
+	switch {
+	case pin == fault.OutputPin && gate.Out != netlist.InvalidNet:
+		return gate.Out, true
+	case pin >= 0 && int(pin) < len(gate.Ins):
+		return gate.Ins[pin], true
+	}
+	return netlist.InvalidNet, false
 }
 
 // buildObsCSR groups observation-point indices by an int32 key (net or gate).
@@ -325,25 +345,131 @@ func (gr *Grader) gradeBatch(patterns, statePatterns []Pattern, faults []fault.F
 	s.EvalComb()
 
 	for _, fid := range gr.candidates(faults, detected) {
-		f := gr.u.FaultOf(fid)
-		// Inject the fault's whole site set — itself plus any replicas —
-		// without materializing an Injection value: this loop runs per
-		// candidate per pattern batch, so the single-site path must stay
-		// allocation-free.
-		s.AddInjection(Injection{Site: f.Site, SA: f.SA, Mask: ^uint64(0)})
-		for _, rep := range gr.sm.Replicas(f.Gate) {
-			s.AddInjection(Injection{
-				Site: fault.Site{Gate: rep, Pin: f.Pin}, SA: f.SA, Mask: ^uint64(0)})
-		}
-		gr.mFaultEvals.Inc()
-		if gr.evalConeDetect() {
+		if gr.detect(gr.u.FaultOf(fid), ^uint64(0)) {
 			detected.Add(fid)
 		}
-		for i, net := range gr.undoNets {
-			s.vals[net] = gr.undoVals[i]
-		}
-		s.ClearInjections()
 	}
+}
+
+// detect injects f's whole site set — its site plus every replica — in the
+// lanes of mask on top of the settled good machine, reports whether an
+// observation point differs, and rolls the machine back. It builds no
+// Injection slice: it runs per candidate per word, so the single-site path
+// must stay allocation-free.
+func (gr *Grader) detect(f fault.Fault, mask uint64) bool {
+	s := gr.good
+	s.AddInjection(Injection{Site: f.Site, SA: f.SA, Mask: mask})
+	for _, rep := range gr.sm.Replicas(f.Gate) {
+		s.AddInjection(Injection{Site: fault.Site{Gate: rep, Pin: f.Pin}, SA: f.SA, Mask: mask})
+	}
+	gr.mFaultEvals.Inc()
+	hit := gr.evalConeDetect()
+	for i, net := range gr.undoNets {
+		s.vals[net] = gr.undoVals[i]
+	}
+	s.ClearInjections()
+	return hit
+}
+
+// ResetTests empties the test store. Its word buffers are kept, so a run
+// that stores as many tests as an earlier one allocates nothing.
+func (gr *Grader) ResetTests() { gr.ntests = 0 }
+
+// Tests returns the number of tests in the store: the next AddTest stores
+// test number Tests().
+func (gr *Grader) Tests() int { return gr.ntests }
+
+// AddTest stores one test: pattern drives the primary inputs and state the
+// flip-flop outputs (nil holds them at X), as one row of Grade does. The
+// test takes the next lane of the open word, or opens a word at all-X.
+// AddTest sets only that lane's input bits and settles the word's good
+// machine with one pass of the op program; every other lane keeps its
+// values, because each lane is evaluated on its own.
+func (gr *Grader) AddTest(pattern, state Pattern) {
+	w, lane := gr.ntests/logic.WordBits, gr.ntests%logic.WordBits
+	nets := len(gr.n.Nets)
+	if w == len(gr.words) {
+		gr.words = append(gr.words, nil)
+	}
+	if lane == 0 {
+		gr.words[w] = resize(gr.words[w], nets)
+		clear(gr.words[w]) // the zero PV is X in every lane
+	}
+	vals := gr.words[w]
+	for i, g := range gr.pis {
+		out := gr.n.Gates[g].Out
+		vals[out] = vals[out].Set(lane, pattern[i])
+	}
+	if state != nil {
+		for i, g := range gr.ffs {
+			out := gr.n.Gates[g].Out
+			vals[out] = vals[out].Set(lane, state[i])
+		}
+	}
+	s := gr.good
+	own := s.vals
+	s.vals = vals
+	s.EvalComb()
+	s.vals = own
+	gr.ntests++
+	gr.mPatterns.Inc()
+	gr.mWords.Inc()
+}
+
+// Detects reports whether a stored test numbered k or higher (k ≥ 0)
+// detects fault fid: it answers Grade(tests[k:], ...).Has(fid) for the
+// stored tests without settling a word again. Each word holding such a test
+// costs one activation read and at most one cone evaluation. The read takes
+// the lanes from k on in which some site of fid, primary or replica, has
+// the definite opposite of the stuck value on its net; the cone evaluation
+// injects every site in those lanes only. A lane that activates no site
+// cannot detect (see candidates), so masking it out changes no answer.
+// Detects stops at the first word that detects.
+func (gr *Grader) Detects(fid fault.FID, k int) bool {
+	f := gr.u.FaultOf(fid)
+	s := gr.good
+	own := s.vals
+	hit := false
+	for w := k / logic.WordBits; !hit && w*logic.WordBits < gr.ntests; w++ {
+		lanes := ^uint64(0)
+		if lo := k - w*logic.WordBits; lo > 0 {
+			lanes <<= uint(lo)
+		}
+		if hi := gr.ntests - w*logic.WordBits; hi < logic.WordBits {
+			lanes &= 1<<uint(hi) - 1
+		}
+		vals := gr.words[w]
+		act := gr.activation(vals, f) & lanes
+		if act == 0 {
+			gr.mScreened.Inc()
+			continue
+		}
+		s.vals = vals
+		hit = gr.detect(f, act)
+		s.vals = own
+	}
+	return hit
+}
+
+// activation returns the lanes of the settled word vals in which some site
+// of f, its own or a replica, carries the definite opposite of f's stuck
+// value.
+func (gr *Grader) activation(vals []logic.PV, f fault.Fault) uint64 {
+	lanes := func(g netlist.GateID) uint64 {
+		net, ok := gr.siteNet(g, f.Pin)
+		switch {
+		case !ok:
+			return 0
+		case f.SA == logic.Zero:
+			return vals[net].L1
+		}
+		return vals[net].L0
+	}
+	act := lanes(f.Gate)
+	for _, rep := range gr.sm.Replicas(f.Gate) {
+		act |= lanes(rep)
+	}
+	return act
 }
 
 // candidates returns the listed faults, not yet in detected, that the

@@ -66,12 +66,8 @@ func (gr *Grader) Screen(faults []fault.FID, retire func(fault.FID, ScreenRule))
 func (gr *Grader) constant(f fault.Fault) bool {
 	sa := logic.PVSplat(f.SA)
 	held := func(g netlist.GateID) bool {
-		gate := &gr.n.Gates[g]
-		net := gate.Out
-		if f.Pin != fault.OutputPin {
-			net = gate.Ins[f.Pin]
-		}
-		return gr.good.vals[net] == sa
+		net, ok := gr.siteNet(g, f.Pin)
+		return ok && gr.good.vals[net] == sa
 	}
 	if !held(f.Gate) {
 		return false

@@ -9,7 +9,6 @@ import (
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
 	"olfui/internal/logic"
-	"olfui/internal/netlist"
 	"olfui/internal/sim"
 	"olfui/internal/testutil"
 )
@@ -51,22 +50,7 @@ func screenCase(t *testing.T, netSeed int64, tied uint8, unroll bool, obsSeed in
 	case 1:
 		pts = sim.OutputObsPoints(n)
 	case 2:
-		rng := rand.New(rand.NewSource(obsSeed))
-		for _, p := range full {
-			if rng.Intn(2) == 0 {
-				pts = append(pts, p)
-			}
-		}
-		var comb []netlist.GateID
-		for i := range n.Gates {
-			if n.Gates[i].Kind.IsComb() {
-				comb = append(comb, netlist.GateID(i))
-			}
-		}
-		for range 2 {
-			g := comb[rng.Intn(len(comb))]
-			pts = append(pts, sim.ObsPoint{Gate: g, Pin: int32(rng.Intn(len(n.Gates[g].Ins)))})
-		}
+		pts = testutil.ObsWithGatePins(rand.New(rand.NewSource(obsSeed)), n, full)
 	}
 	what := fmt.Sprintf("net %d, tied %#x, unroll %v, obs %d/%d", netSeed, tied, unroll, obsChoice%3, obsSeed)
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"olfui/internal/netlist"
+	"olfui/internal/sim"
 )
 
 // RandOpts sizes a random netlist.
@@ -67,4 +68,28 @@ func RandomNetlist(seed int64, o RandOpts) *netlist.Netlist {
 		n.OutputPort(fmt.Sprintf("o%d", i), net)
 	}
 	return n
+}
+
+// ObsWithGatePins returns a random subset of pts (each point kept with
+// probability one half) plus two random input pins of combinational gates of
+// n, all drawn from rng: an observation set that also reads gate pins, not
+// only outputs and flip-flop inputs.
+func ObsWithGatePins(rng *rand.Rand, n *netlist.Netlist, pts []sim.ObsPoint) []sim.ObsPoint {
+	var out []sim.ObsPoint
+	for _, p := range pts {
+		if rng.Intn(2) == 0 {
+			out = append(out, p)
+		}
+	}
+	var comb []netlist.GateID
+	for i := range n.Gates {
+		if n.Gates[i].Kind.IsComb() {
+			comb = append(comb, netlist.GateID(i))
+		}
+	}
+	for range 2 {
+		g := comb[rng.Intn(len(comb))]
+		out = append(out, sim.ObsPoint{Gate: g, Pin: int32(rng.Intn(len(n.Gates[g].Ins)))})
+	}
+	return out
 }
