@@ -257,7 +257,8 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 	}
 	c.resumed = nil
 	// Journal recovery (no-op without a journal): restores accumulators,
-	// marks finished providers skippable, and rotates the wal.
+	// marks finished providers skippable, and rotates the wal when an
+	// unfinished provider's stream restarts.
 	js, err := c.recover(ev)
 	if err != nil {
 		return nil, err

@@ -15,20 +15,23 @@ import (
 
 // This file wires the campaign core to the durable journal: every committed
 // delta is teed into the journal write-ahead log (after the lattice accepts
-// it — losing the tail of un-fsynced deltas is free, because the provider
-// that emitted them is necessarily incomplete and re-executes on resume,
-// re-announcing evidence the idempotent merge absorbs), provider completions
-// append result + done records, and recovery replays journal state into the
-// per-channel accumulators so a resumed campaign skips finished providers
-// and pays only for unfinished work.
+// it, and without a sync — losing the tail of un-fsynced deltas is free,
+// because the provider that emitted them is necessarily incomplete and
+// re-executes on resume, re-announcing evidence the idempotent merge
+// absorbs), provider completions append result + done records (the done
+// marker's sync commits the provider), and recovery replays journal state
+// into the per-channel accumulators so a resumed campaign skips finished
+// providers and pays only for unfinished work.
 //
 // Resume semantics for an interrupted provider: its merged evidence is kept
 // (monotone lattice — re-proving can only re-announce), but its per-source
 // sequence state is reset so the re-run's fresh stream, restarting at seq 0,
 // is accepted as new evidence rather than rejected as a replay. Recovery
-// then compacts immediately, rotating the wal, so no single wal ever holds a
-// source restarting its numbering — which keeps wal replay strictly
-// monotone per source.
+// compacts only when it resets a source, rotating the wal, so no single wal
+// ever holds a source restarting its numbering — which keeps wal replay
+// strictly monotone per source. A journal whose recovered sources all belong
+// to finished providers resumes without writing: the providers that re-run
+// have no stream in the wal to restart.
 
 // Wire converts the event to its serializable form: the channel by name and
 // the error flattened through ErrString, so provider failures survive
@@ -124,9 +127,10 @@ func ownedBy(src, name string) bool {
 // configured it returns (nil, nil). On a fresh journal it records the
 // campaign fingerprint. On a journal with recovered state it verifies the
 // fingerprint, restores the per-channel accumulators, replays the wal's
-// delta suffix, resets the sequence state of every source whose provider did
-// not finish, and compacts — so the run starts from a clean generation with
-// finished providers marked skippable.
+// delta suffix, marks finished providers skippable and resets the sequence
+// state of every source whose provider did not finish. It compacts only when
+// it reset a source, so the restarted stream begins in a fresh wal; a
+// journal whose sources all belong to finished providers is left untouched.
 func (c *Campaign) recover(ev *EvidenceSet) (*journalState, error) {
 	j := c.opts.Journal
 	if j == nil {
@@ -201,6 +205,7 @@ func (c *Campaign) recover(ev *EvidenceSet) (*journalState, error) {
 	// provider: the owner re-executes and its fresh stream restarts at seq
 	// 0. Finished providers keep their state, so a re-delivered copy of
 	// their stream is rejected as the already-applied prefix.
+	reset := false
 	for ch, srcs := range sources {
 		for src := range srcs {
 			finished := false
@@ -212,14 +217,17 @@ func (c *Campaign) recover(ev *EvidenceSet) (*journalState, error) {
 			}
 			if !finished {
 				ev.channel(ch).ResetSource(src)
+				reset = true
 			}
 		}
 	}
 
-	// Mandatory compaction: rotate the wal so the re-executed sources'
-	// restarted numbering never shares a wal with their old stream.
-	if err := js.compact(ev); err != nil {
-		return nil, err
+	// Rotate the wal so the re-executed sources' restarted numbering never
+	// shares a wal with their old stream.
+	if reset {
+		if err := js.compact(ev); err != nil {
+			return nil, err
+		}
 	}
 	return js, nil
 }

@@ -1,9 +1,15 @@
 package flow
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -99,7 +105,12 @@ func assertReportsEquivalent(t *testing.T, ref, got *Report, label string) {
 // the kill point — verified via the journal's per-source appended-delta
 // counts. Two kill points per seed: at a provider boundary (some providers
 // durably done) and mid-stream (the killed provider's partial evidence is in
-// the wal).
+// the wal, so the resume restarts its stream and must rotate the wal). A
+// killed process writes nothing more, so the kill also closes the journal:
+// cancellation alone lets the provider in flight stream its remaining deltas
+// and its done marker, and on these netlists, whose providers emit every
+// delta after their search returns, turns the mid-stream kill into a
+// provider boundary.
 func TestKillResumeEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 16, FFs: 2, Outputs: 2})
@@ -113,7 +124,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 
 		kills := []struct {
 			name string
-			// cancel the campaign once the predicate holds for an observed event
+			// kill the campaign once the predicate holds for an observed event
 			trigger func(e Event, doneProviders, mergedDeltas int) bool
 		}{
 			{"provider-boundary", func(e Event, done, _ int) bool { return e.Done && done >= 2 }},
@@ -122,8 +133,8 @@ func TestKillResumeEquivalence(t *testing.T) {
 		for _, kill := range kills {
 			dir := t.TempDir()
 
-			// Interrupted run: cancel at the kill point.
-			j1, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+			// Interrupted run: cancel and close the journal at the kill point.
+			j1, err := journal.Open(dir, journal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,6 +151,7 @@ func TestKillResumeEquivalence(t *testing.T) {
 					}
 					if kill.trigger(e, doneProviders, mergedDeltas) {
 						cancel()
+						j1.Close()
 					}
 				},
 			})
@@ -147,13 +159,14 @@ func TestKillResumeEquivalence(t *testing.T) {
 			if err == nil {
 				t.Fatalf("seed %d %s: campaign finished before the kill point", seed, kill.name)
 			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("seed %d %s: interrupted run failed with %v, want cancellation", seed, kill.name, err)
+			if !errors.Is(err, context.Canceled) && !strings.Contains(err.Error(), "journal: closed") {
+				t.Fatalf("seed %d %s: interrupted run failed with %v, want cancellation or the closed journal",
+					seed, kill.name, err)
 			}
-			j1.Close()
+			killedGen := manifestGen(t, dir)
 
 			// Resumed run over the recovered journal.
-			j2, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+			j2, err := journal.Open(dir, journal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,6 +206,12 @@ func TestKillResumeEquivalence(t *testing.T) {
 					t.Errorf("seed %d: resumed %v, want the 2 providers done at the kill point", seed, res.Resumed)
 				}
 			}
+			if kill.name == "mid-stream" {
+				if gen := manifestGen(t, dir); gen <= killedGen {
+					t.Errorf("seed %d: resuming a half-streamed provider left the journal at generation %d (killed at %d)",
+						seed, gen, killedGen)
+				}
+			}
 			for si, sr := range res.Scenarios {
 				skipped := false
 				for _, name := range res.Resumed {
@@ -213,13 +232,15 @@ func TestKillResumeEquivalence(t *testing.T) {
 }
 
 // TestResumeCompletedCampaign: resuming a journal whose campaign finished
-// re-executes nothing and reproduces the report.
+// re-executes nothing, reproduces the report and writes nothing: MANIFEST
+// and the wal stay byte-identical and no snapshot appears, because no
+// provider's stream restarts.
 func TestResumeCompletedCampaign(t *testing.T) {
 	nl := testutil.RandomNetlist(5, testutil.RandOpts{Inputs: 4, Gates: 14, FFs: 1, Outputs: 2})
 	scenarios := resumeScenarios()
 	dir := t.TempDir()
 
-	j1, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+	j1, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,15 +250,35 @@ func TestResumeCompletedCampaign(t *testing.T) {
 	}
 	requireNoAborts(t, ref, "first run")
 	j1.Close()
+	readJournal := func() (manifest, wal []byte) {
+		t.Helper()
+		manifest, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal, err = os.ReadFile(filepath.Join(dir, "wal-0.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return manifest, wal
+	}
+	manifest, wal := readJournal()
 
-	j2, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+	j2, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
 	res, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios, Options{Journal: j2})
+	j2.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m, w := readJournal(); !bytes.Equal(m, manifest) || !bytes.Equal(w, wal) {
+		t.Errorf("resuming a finished journal rewrote it: MANIFEST %q → %q, wal %d → %d bytes",
+			manifest, m, len(wal), len(w))
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(snaps) != 0 {
+		t.Errorf("resuming a finished journal wrote %v", snaps)
 	}
 	if got := len(res.Resumed); got != 4 { // baseline + 3 scenarios
 		t.Fatalf("resumed %d providers (%v), want all 4", got, res.Resumed)
@@ -248,6 +289,159 @@ func TestResumeCompletedCampaign(t *testing.T) {
 		}
 	}
 	assertReportsEquivalent(t, ref, res, "full resume")
+}
+
+// walFrame is one record of a journal wal as TestResumeFromEveryRecordBoundary
+// walks it: the byte offsets that bound its frame, its kind, and the
+// provider a delta or done record names.
+type walFrame struct {
+	start, end int
+	kind       string
+	provider   string
+}
+
+// walFrames walks a wal file: an 8-byte magic, then frames of a 4-byte
+// little-endian payload length, a 4-byte CRC and the JSON payload.
+func walFrames(t *testing.T, wal []byte) []walFrame {
+	t.Helper()
+	var frames []walFrame
+	for off := 8; off < len(wal); {
+		if len(wal)-off < 8 {
+			t.Fatalf("wal ends inside a frame header at %d", off)
+		}
+		end := off + 8 + int(binary.LittleEndian.Uint32(wal[off:]))
+		if end > len(wal) {
+			t.Fatalf("frame at %d runs past the wal's %d bytes", off, len(wal))
+		}
+		var r struct {
+			Kind  string                     `json:"kind"`
+			Delta *struct{ Provider string } `json:"delta"`
+			Done  *struct{ Provider string } `json:"done"`
+		}
+		if err := json.Unmarshal(wal[off+8:end], &r); err != nil {
+			t.Fatalf("frame at %d: %v", off, err)
+		}
+		f := walFrame{start: off, end: end, kind: r.Kind}
+		switch {
+		case r.Delta != nil:
+			f.provider = r.Delta.Provider
+		case r.Done != nil:
+			f.provider = r.Done.Provider
+		}
+		frames = append(frames, f)
+		off = end
+	}
+	return frames
+}
+
+// manifestGen reads the generation a journal directory's MANIFEST names.
+func manifestGen(t *testing.T, dir string) uint64 {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Gen uint64 `json:"gen"`
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Gen
+}
+
+// TestResumeFromEveryRecordBoundary resumes every state a crash can leave a
+// campaign's journal in. The wal syncs only at the fingerprint and at done
+// markers, so after a power loss any prefix of it may be all that reached
+// the disk; a cut inside a frame is a torn tail that recovery truncates to
+// the frame before. From every frame boundary of a finished campaign's wal,
+// and from one cut inside each frame, the resumed run must classify as the
+// uninterrupted one, skip exactly the providers whose done marker survived,
+// append no delta from their sources, and rotate the wal exactly when a
+// surviving delta belongs to a provider that must re-run.
+func TestResumeFromEveryRecordBoundary(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 4, Gates: 16, FFs: 2, Outputs: 2})
+		scenarios := resumeScenarios()
+		src := t.TempDir()
+		j, err := journal.Open(src, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios,
+			Options{Serial: true, Journal: j})
+		j.Close()
+		if err != nil {
+			t.Fatalf("seed %d reference: %v", seed, err)
+		}
+		requireNoAborts(t, ref, "reference")
+		manifest, err := os.ReadFile(filepath.Join(src, "MANIFEST"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal, err := os.ReadFile(filepath.Join(src, "wal-0.log")) // the run never compacted
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := walFrames(t, wal)
+
+		resumeAt := func(cut int, survivors []walFrame) {
+			label := fmt.Sprintf("seed %d cut at byte %d of %d (%d whole records)", seed, cut, len(wal), len(survivors))
+			done := map[string]bool{}
+			for _, f := range survivors {
+				if f.kind == "done" {
+					done[f.provider] = true
+				}
+			}
+			restarts := false
+			for _, f := range survivors {
+				restarts = restarts || f.kind == "delta" && !done[f.provider]
+			}
+
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), manifest, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "wal-0.log"), wal[:cut], 0o666); err != nil {
+				t.Fatal(err)
+			}
+			j, err := journal.Open(dir, journal.Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			res, err := RunCampaign(context.Background(), nl, fault.NewUniverse(nl), scenarios,
+				Options{Serial: true, Journal: j})
+			j.Close()
+			if err != nil {
+				t.Fatalf("%s: resume: %v", label, err)
+			}
+			requireNoAborts(t, res, label)
+			assertReportsEquivalent(t, ref, res, label)
+
+			resumed := map[string]bool{}
+			for _, name := range res.Resumed {
+				resumed[name] = true
+			}
+			if !reflect.DeepEqual(resumed, done) {
+				t.Errorf("%s: resumed %v, want the providers whose done marker survived: %v", label, res.Resumed, done)
+			}
+			for s, n := range j.AppendedDeltas() {
+				for name := range done {
+					if n > 0 && ownedBy(s, name) {
+						t.Errorf("%s: resume appended %d deltas from %q of skipped provider %q", label, n, s, name)
+					}
+				}
+			}
+			if rotated := manifestGen(t, dir) > 0; rotated != restarts {
+				t.Errorf("%s: wal rotated = %v, want %v (a surviving delta of an unfinished provider)", label, rotated, restarts)
+			}
+		}
+		resumeAt(8, nil)
+		for i, f := range frames {
+			resumeAt((f.start+f.end)/2, frames[:i])
+			resumeAt(f.end, frames[:i+1])
+		}
+	}
 }
 
 // TestWarmStartRestoredBaselineRunsCold: a campaign killed once its
@@ -272,7 +466,7 @@ func TestWarmStartRestoredBaselineRunsCold(t *testing.T) {
 
 		// Serial order runs the baseline first: cancel at its completion.
 		dir := t.TempDir()
-		j1, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+		j1, err := journal.Open(dir, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +486,7 @@ func TestWarmStartRestoredBaselineRunsCold(t *testing.T) {
 		}
 		j1.Close()
 
-		j2, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+		j2, err := journal.Open(dir, journal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +518,7 @@ func TestResumeRejectsForeignCampaign(t *testing.T) {
 	nl := testutil.RandomNetlist(9, testutil.RandOpts{Inputs: 3, Gates: 10, FFs: 1, Outputs: 1})
 	dir := t.TempDir()
 
-	j1, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+	j1, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +528,7 @@ func TestResumeRejectsForeignCampaign(t *testing.T) {
 	}
 	j1.Close()
 
-	j2, err := journal.Open(dir, journal.Options{Sync: journal.SyncNone})
+	j2, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,8 @@ import (
 // again returns the same records and ends cleanly (an empty prefix reads as
 // a torn file header). The seed corpus in testdata/fuzz/FuzzReadFrames holds
 // an empty file, the bare magic, one delta frame, a torn record header, a
-// torn payload, a CRC mismatch and a CRC-valid record that is not JSON.
+// torn payload, a CRC mismatch, a CRC-valid record that is not JSON and a
+// delta frame followed by a zero-filled tail.
 func FuzzReadFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, valid, _ := readFrames(data)
@@ -42,8 +43,9 @@ func FuzzReadFrames(f *testing.F) {
 // second Open must succeed and recover a State deep-equal to the first: the
 // tail the first Open repaired reads back clean. The seed corpus in
 // testdata/fuzz/FuzzOpen holds a fresh skeleton, a one-delta wal, a torn wal
-// tail, a headerless wal, a snapshot plus wal, a manifest naming a missing
-// generation, a corrupt snapshot and a wal plus snapshot without a MANIFEST.
+// tail, a zero-filled wal tail, a headerless wal, a snapshot plus wal, a
+// manifest naming a missing generation, a corrupt snapshot and a wal plus
+// snapshot without a MANIFEST.
 func FuzzOpen(f *testing.F) {
 	f.Fuzz(func(t *testing.T, manifest []byte, gen uint8, wal, snap []byte, withSnap, withManifest bool) {
 		dir := t.TempDir()

@@ -20,33 +20,45 @@
 //
 // # Durability and crash windows
 //
-// Deltas are appended *after* the in-memory lattice accepts them, and the
-// fsync policy defaults to one fsync per record. A crash can therefore lose
-// at most the suffix of records not yet durable — never corrupt the prefix —
-// and losing a delta is free: the provider that emitted it is necessarily
-// incomplete (its done marker commits after its last delta), so resume
-// re-executes it and the lattice merge is idempotent under re-announced
-// evidence.
+// The wal is forced to disk only at the records recovery acts on: SetMeta
+// and AppendDone fsync, AppendDelta and AppendResult only write their frame.
+// Resume skips a provider exactly when it finds the provider's done marker
+// and re-runs every other provider from scratch, so a done marker is its
+// provider's commit record. Its fsync makes the marker, the provider's
+// result and every earlier record of the wal durable. A power loss can
+// therefore cost only records appended after the last done marker: deltas
+// and results of providers that had not finished, which resume re-executes
+// anyway, and the lattice merge is idempotent under re-announced evidence. A
+// process crash without a power loss costs at most the frame it interrupts,
+// because the kernel already holds every frame written before it. Either way
+// the damage is a tail: cut short, CRC-broken or zero-filled, never inside
+// the synced prefix.
 //
-// Compaction writes the full snapshot to a temp file, fsyncs, renames it
-// into place, opens a fresh empty wal, and only then flips MANIFEST (itself
-// written via temp + rename + directory fsync). A crash at any point leaves
-// MANIFEST naming a generation whose files are complete: before the flip the
-// old generation is still live and untouched, after it the new one is. Stale
-// generations are deleted lazily on the next Open. Rotating the wal at every
-// compaction also guarantees a single wal never contains a source restarting
-// its sequence numbering — resume resets incomplete sources to seq 0 and
-// immediately compacts, so replay never sees an in-stream seq reset.
+// Deltas are appended *after* the in-memory lattice accepts them, and a
+// provider's result strictly before its done marker, so a journal never
+// marks a provider skippable without the evidence and result it produced.
+//
+// Fresh-journal creation and compaction sync every file and directory they
+// write. Compaction writes the full snapshot to a temp file, fsyncs, renames
+// it into place, opens a fresh empty wal, and only then flips MANIFEST
+// (itself written via temp + rename + directory fsync). A crash at any point
+// leaves MANIFEST naming a generation whose files are complete: before the
+// flip the old generation is still live and untouched, after it the new one
+// is. Stale generations are deleted lazily on the next Open. Rotating the
+// wal at every compaction also guarantees a single wal never contains a
+// source restarting its sequence numbering: resume compacts whenever it
+// resets a source to seq 0, so replay never sees an in-stream seq reset.
 //
 // # Recovery
 //
 // Open reads the live generation's snapshot (which must be intact — it was
-// renamed into place complete) and then the wal, tolerating a truncated
-// tail: a record cut short by a crash, or one whose CRC does not match, ends
-// replay and the file is truncated back to the last whole record. A record
-// that passes its CRC but fails to parse is a hard error — that is software
-// corruption, not a crash artifact, and resuming past it would silently
-// drop evidence.
+// renamed into place complete) and then the wal, tolerating a damaged tail:
+// a record cut short, one whose CRC does not match, or a zero-length frame
+// (the zero-filled tail a power loss leaves on filesystems that persist a
+// file's size before its data) ends replay, and the file is truncated back
+// to the last whole record. A record that passes its CRC but fails to parse
+// is a hard error — that is software corruption, not a crash artifact, and
+// resuming past it would silently drop evidence.
 package journal
 
 import (
@@ -71,26 +83,14 @@ const magic = "OLFJNL1\n"
 // as tail corruption, not an allocation request.
 const maxRecord = 1 << 28
 
-// Sync selects the fsync policy for wal appends.
-type Sync int
-
-const (
-	// SyncAlways fsyncs the wal after every appended record: a committed
-	// delta survives power loss. The default.
-	SyncAlways Sync = iota
-	// SyncNone never fsyncs explicitly; the OS flushes when it pleases.
-	// Records still frame and recover identically — the only risk is losing
-	// a longer durable suffix on power loss, which resume absorbs.
-	SyncNone
-)
-
 // DefaultCompactEvery is the delta count between automatic compactions when
 // Options.CompactEvery is zero.
 const DefaultCompactEvery = 512
 
-// Options configures a journal.
+// Options configures a journal. Durability has no knob: the wal syncs at the
+// campaign fingerprint and at every done marker, and nowhere else (see
+// "Durability and crash windows" in the package doc).
 type Options struct {
-	Sync         Sync
 	CompactEvery int // deltas between WantCompact signals; 0 = DefaultCompactEvery
 }
 
@@ -319,17 +319,20 @@ func (j *Journal) Recovered() *State { return j.recovered }
 // Dir returns the journal directory.
 func (j *Journal) Dir() string { return j.dir }
 
-// SetMeta appends the campaign fingerprint record. A fresh journal records
-// it before any evidence so resume can refuse a mismatched campaign.
+// SetMeta appends the campaign fingerprint record and syncs the wal. A fresh
+// journal records it before any evidence so resume can refuse a mismatched
+// campaign.
 func (j *Journal) SetMeta(meta json.RawMessage) error {
-	return j.append(record{Kind: "meta", Meta: meta})
+	return j.append(record{Kind: "meta", Meta: meta}, true)
 }
 
-// AppendDelta journals one committed evidence batch.
+// AppendDelta journals one committed evidence batch without syncing: until
+// its provider's done marker commits it, a power loss may take it, and
+// resume re-runs that provider anyway.
 func (j *Journal) AppendDelta(channel, provider string, d fault.Delta) error {
 	err := j.append(record{Kind: "delta", Delta: &deltaRecord{
 		Channel: channel, Provider: provider, D: wire.FromDelta(d),
-	}})
+	}}, false)
 	if err == nil {
 		j.mu.Lock()
 		j.sinceComp++
@@ -339,17 +342,20 @@ func (j *Journal) AppendDelta(channel, provider string, d fault.Delta) error {
 	return err
 }
 
-// AppendResult journals a provider's terminal result. It must commit before
-// the provider's done marker: a done marker without a result would leave a
-// resumed Report unable to account for the skipped provider.
+// AppendResult journals a provider's terminal result without syncing. It
+// must come before the provider's done marker, whose sync commits it: a done
+// marker without a result would leave a resumed Report unable to account for
+// the skipped provider.
 func (j *Journal) AppendResult(r *ProviderResult) error {
-	return j.append(record{Kind: "result", Result: r})
+	return j.append(record{Kind: "result", Result: r}, false)
 }
 
-// AppendDone journals a provider-finished marker with its merged delta
-// count. After this record is durable, resume will skip the provider.
+// AppendDone journals a provider-finished marker with its merged delta count
+// and syncs the wal. The marker is its provider's commit record: once
+// AppendDone returns, the marker, the provider's result and every earlier
+// record are durable, and resume will skip the provider.
 func (j *Journal) AppendDone(provider string, merged int) error {
-	return j.append(record{Kind: "done", Done: &doneRecord{Provider: provider, Merged: merged}})
+	return j.append(record{Kind: "done", Done: &doneRecord{Provider: provider, Merged: merged}}, true)
 }
 
 // WantCompact reports whether enough deltas accumulated since the last
@@ -462,7 +468,8 @@ func (j *Journal) Close() error {
 	return j.wal.Close()
 }
 
-func (j *Journal) append(r record) error {
+// append frames r onto the wal and, with sync set, forces the wal to disk.
+func (j *Journal) append(r record, sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -471,7 +478,7 @@ func (j *Journal) append(r record) error {
 	if err := writeFrame(j.wal, r); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if j.opt.Sync == SyncAlways {
+	if sync {
 		if err := j.wal.Sync(); err != nil {
 			return fmt.Errorf("journal: %w", err)
 		}
@@ -651,6 +658,12 @@ func readFrames(data []byte) (recs []record, valid int64, tail error) {
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
+		if n == 0 {
+			// writeFrame never writes an empty payload, and an empty payload's
+			// CRC is 0: these are zero bytes at a frame boundary, the tail of
+			// a file whose size reached the disk before its data did.
+			return recs, int64(off), &corruptError{msg: "zero-length record (zero-filled tail)"}
+		}
 		if n > maxRecord {
 			return recs, int64(off), &corruptError{msg: fmt.Sprintf("implausible record length %d", n)}
 		}

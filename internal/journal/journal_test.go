@@ -213,6 +213,52 @@ func TestCRCMismatchEndsReplayAtDamage(t *testing.T) {
 	}
 }
 
+// TestZeroFilledTailIsTornTail: a power loss on a filesystem that persists a
+// file's size before its data leaves zero bytes after the last record that
+// reached the disk. At a frame boundary they read as a record of length 0
+// with CRC 0, which the empty payload's CRC matches; writeFrame never writes
+// an empty payload, so recovery must truncate there like any torn tail
+// instead of refusing the journal.
+func TestZeroFilledTailIsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	wal := fill(t, dir, 3)
+	whole, err := os.Stat(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("zero-filled wal tail refused: %v", err)
+	}
+	if st := j.Recovered(); st == nil || len(st.Deltas) != 3 {
+		t.Fatalf("recovered %+v, want the 3-delta intact prefix", st)
+	}
+	if info, err := os.Stat(wal); err != nil || info.Size() != whole.Size() {
+		t.Fatalf("wal not truncated back to its %d whole-record bytes: %v, %v", whole.Size(), info.Size(), err)
+	}
+	if err := j.AppendDelta("full-scan", "baseline", testDelta("baseline:0", 3, 9, fault.Aborted)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if st := j.Recovered(); st == nil || len(st.Deltas) != 4 {
+		t.Fatalf("recovered %+v after repair+append, want 4 deltas", st)
+	}
+}
+
 func TestCRCValidGarbageIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	wal := fill(t, dir, 1)
