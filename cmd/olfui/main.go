@@ -72,6 +72,9 @@ type config struct {
 // validate rejects inconsistent flag combinations with a one-line error
 // before any netlist, transform or provider work starts.
 func (cfg config) validate() error {
+	if cfg.width < 1 {
+		return fmt.Errorf("-width must be >= 1, got %d", cfg.width)
+	}
 	if cfg.frames < 1 {
 		return fmt.Errorf("-frames must be >= 1, got %d", cfg.frames)
 	}

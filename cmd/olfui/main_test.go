@@ -360,6 +360,8 @@ func TestFlagValidation(t *testing.T) {
 		cfg  config
 		want string
 	}{
+		"width 0":    {config{width: 0, frames: 2}, "-width"},
+		"width -3":   {config{width: -3, frames: 2}, "-width"},
 		"frames":     {config{width: 2, frames: 0}, "-frames"},
 		"max-frames": {config{width: 2, frames: 3, maxFrames: 2}, "-max-frames"},
 		"resume":     {config{width: 2, frames: 2, resume: true}, "-resume"},

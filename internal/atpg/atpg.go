@@ -166,13 +166,6 @@ type Options struct {
 	// one grader via sim.Grader.Extend instead of rebuilding the forward
 	// CSR and simulator every depth. Nil builds a fresh grader per run.
 	Grader *sim.Grader
-	// ProbeThreshold sets how many backtracks a search must burn before the
-	// 64-way batched decision probe engages; easy faults below it never pay
-	// the probe's extra pass. 0 means DefaultProbeThreshold; negative
-	// disables probing. Probing prunes only provably dead branches and
-	// steers the search order, so verdicts are probe-invariant absent
-	// backtrack-limit aborts.
-	ProbeThreshold int
 	// Annotations optionally supplies precomputed testability annotations
 	// for the netlist (Netlist.Annotate). They are read-only during
 	// generation, so one Annotate pass can be shared across the engines of
@@ -190,7 +183,7 @@ type Options struct {
 	// verdict counters mirroring Stats ("atpg.classes", "atpg.classes.*",
 	// "atpg.patterns"), search-work counters ("atpg.backtracks",
 	// "atpg.decisions", "atpg.implications", and "atpg.gate_evals", the
-	// gate evaluations those implication passes and probes actually ran),
+	// gate evaluations those implication passes actually ran),
 	// drop-grader traffic, the screen stage's retirements by rule
 	// ("atpg.screen.constant" / "atpg.screen.unobservable"), abort
 	// attribution ("atpg.abort.limit" / "atpg.abort.cancel") and the
@@ -299,9 +292,8 @@ type Result struct {
 	// what the step changed; GateEvals measures that cost.
 	Implications int
 	// GateEvals counts the gate evaluations the search ran: one per
-	// combinational gate an implication pass re-evaluated, and one per gate
-	// per rail a batched probe evaluated. It is the search's unit of raw
-	// simulation work.
+	// combinational gate an implication pass re-evaluated. It is the
+	// search's unit of raw simulation work.
 	GateEvals int
 	// Elapsed is the wall-clock time of this search.
 	Elapsed time.Duration
@@ -394,15 +386,6 @@ type Engine struct {
 	// visited carries the current backtrace's epoch.
 	netDemand []objDemand
 	buckets   [][]netlist.NetID // multiple-backtrace worklist by level
-
-	// Batched-probe arenas (see probe.go): dual-rail ternary values per net,
-	// packed candidate inputs per assignable, and the slot-to-candidate maps.
-	probeAfter   int // backtracks before probing engages; <0 disables
-	probeIn      []logic.PV
-	probeGood    []logic.PV
-	probeBad     []logic.PV
-	probeCandIdx [logic.WordBits]int32
-	probeCandVal [logic.WordBits]logic.V
 }
 
 // New builds an engine for the netlist. It fails only if the netlist does not
@@ -439,16 +422,6 @@ func NewWithAnnotations(n *netlist.Netlist, ann *netlist.Annotations, opts Optio
 		visited:    make([]uint32, len(n.Nets)),
 		netDemand:  make([]objDemand, len(n.Nets)),
 		cone:       make([]uint8, len(n.Gates)),
-		probeGood:  make([]logic.PV, len(n.Nets)),
-		probeBad:   make([]logic.PV, len(n.Nets)),
-	}
-	switch {
-	case opts.ProbeThreshold < 0:
-		e.probeAfter = -1
-	case opts.ProbeThreshold == 0:
-		e.probeAfter = DefaultProbeThreshold
-	default:
-		e.probeAfter = opts.ProbeThreshold
 	}
 	for _, p := range obs {
 		if p.Pin < 64 {
@@ -472,7 +445,6 @@ func NewWithAnnotations(n *netlist.Netlist, ann *netlist.Annotations, opts Optio
 		e.deadIn[i] = len(n.Nets[net].Fanout) == 0
 	}
 	e.assigns = make([]logic.V, len(e.assignable))
-	e.probeIn = make([]logic.PV, len(e.assignable))
 	e.demand = make([]objDemand, len(e.assignable))
 	maxLvl := int32(0)
 	for _, l := range ann.Level {

@@ -34,9 +34,8 @@ const (
 // gates, and backtrace walks their fan-in, under which N is closed; and
 // detection reads only the observation pins an F gate (or a source carrying
 // an output site) drives, or that are themselves injected — coneObs. A fault
-// effect cannot show at any other pin. So implication and the probe settle
-// N alone, and values outside it, stale from earlier searches, are never
-// read.
+// effect cannot show at any other pin. So implication settles N alone, and
+// values outside it, stale from earlier searches, are never read.
 func (e *Engine) buildCone() {
 	for _, g := range e.coneGates {
 		e.cone[g] = 0

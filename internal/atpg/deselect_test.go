@@ -47,13 +47,10 @@ func scanMux(t testing.TB, k int, sel logic.V, other func(n *netlist.Netlist) ne
 func freeInput(n *netlist.Netlist) netlist.NetID { return n.Input("x") }
 
 // checkDeselectCircuit pins the engine to the reference on every fault of
-// n's universe u, at both probe thresholds, and re-proves every verdict with
-// the exhaustive oracle.
+// n's universe u and re-proves every verdict with the exhaustive oracle.
 func checkDeselectCircuit(t *testing.T, n *netlist.Netlist, u *fault.Universe, limit int) {
 	t.Helper()
-	for _, probe := range []int{0, 1} {
-		CheckReference(t, n, u, Options{BacktrackLimit: limit, ProbeThreshold: probe})
-	}
+	CheckReference(t, n, u, Options{BacktrackLimit: limit})
 	e, err := New(n, Options{BacktrackLimit: limit})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +77,8 @@ func checkDeselectCircuit(t *testing.T, n *netlist.Netlist, u *fault.Universe, l
 // upstream whose only path runs through the deselected pin (xPathFrom), and a
 // pin site a tie activates before any decision (computeFrontier).
 //
-// Without the rule, at limit 256 and the default probe threshold, every
-// targeted fault below ends Aborted after 257 backtracks.
+// Without the rule, at limit 256, every targeted fault below ends Aborted
+// after 257 backtracks.
 func TestDeselectedMuxPinUntestable(t *testing.T) {
 	and := func(n *netlist.Netlist) netlist.NetID { return n.And("g", n.Input("x"), n.Input("y")) }
 	tie := func(n *netlist.Netlist) netlist.NetID { return n.Tie1("one") }
@@ -152,24 +149,22 @@ func TestDeselectedRuleNeedsEqualSelect(t *testing.T) {
 			Sites: []fault.Site{{Gate: mux, Pin: netlist.MuxD1}, {Gate: sel, Pin: fault.OutputPin}},
 			SA:    sa,
 		}
-		for _, probe := range []int{0, 1} {
-			opts := Options{BacktrackLimit: 256, ProbeThreshold: probe}
-			got := NewWithAnnotations(n, ann, opts).GenerateInjection(inj)
-			ref := &refEngine{Engine: NewWithAnnotations(n, ann, opts), obs: sim.CombObsPoints(n)}
-			if d := diffResults(got, ref.refGenerateInjection(inj)); d != "" {
-				t.Errorf("s-a-%v, probe %d: %s", sa, probe, d)
-			}
-			det, _ := o.DetectableInjection(inj)
-			want := Untestable
-			if det {
-				want = Detected
-			}
-			if got.Verdict != want {
-				t.Errorf("s-a-%v, probe %d: %v, oracle says %v", sa, probe, got.Verdict, want)
-			}
-			if sa == logic.One && !det {
-				t.Fatal("the oracle finds no test for the stuck-at-1 joint injection; the case lost its subject")
-			}
+		opts := Options{BacktrackLimit: 256}
+		got := NewWithAnnotations(n, ann, opts).GenerateInjection(inj)
+		ref := &refEngine{Engine: NewWithAnnotations(n, ann, opts), obs: sim.CombObsPoints(n)}
+		if d := diffResults(got, ref.refGenerateInjection(inj)); d != "" {
+			t.Errorf("s-a-%v: %s", sa, d)
+		}
+		det, _ := o.DetectableInjection(inj)
+		want := Untestable
+		if det {
+			want = Detected
+		}
+		if got.Verdict != want {
+			t.Errorf("s-a-%v: %v, oracle says %v", sa, got.Verdict, want)
+		}
+		if sa == logic.One && !det {
+			t.Fatal("the oracle finds no test for the stuck-at-1 joint injection; the case lost its subject")
 		}
 	}
 }

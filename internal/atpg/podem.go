@@ -72,21 +72,9 @@ func (e *Engine) GenerateInjection(inj fault.Injection) (res Result) {
 			if !ok {
 				continue
 			}
-			flipped := false
-			if e.probeAfter >= 0 && e.backtracks >= e.probeAfter {
-				var oc probeOutcome
-				idx, v, oc = e.probeDecision(idx, v)
-				if oc == probeConflict {
-					// Both branches of the backtraced input are proven dead,
-					// so the whole current subtree is dead: fall through to
-					// the backtrack path without advancing.
-					break
-				}
-				flipped = oc == probePushProven
-			}
 			e.assigns[idx] = v
 			e.changed = append(e.changed, idx)
-			e.stack = append(e.stack, decision{idx: idx, val: v, flipped: flipped})
+			e.stack = append(e.stack, decision{idx: idx, val: v})
 			decisions++
 			advanced = true
 			break

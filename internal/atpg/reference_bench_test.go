@@ -1,6 +1,7 @@
 package atpg_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"olfui/internal/flow"
 	"olfui/internal/netlist"
 	"olfui/internal/sim"
+	"olfui/internal/testutil"
 )
 
 // benchClone builds the mission clone of sc over the width-8 bench design,
@@ -32,8 +34,8 @@ func benchClone(t testing.TB, sc flow.Scenario) (*netlist.Netlist, *fault.SiteMa
 // is 0 under every assignment, so its stuck-at-0 is untestable, and so is a
 // stuck-at on any input stem, which both adders read alike. Neither
 // implication nor a cheap structural argument shows that: PODEM enumerates
-// both carry chains, and at k = 8 those searches end Aborted at every limit
-// up to a few thousand backtracks.
+// both carry chains. At k = 8, 11 of the 356 classes end Aborted at limit
+// 2048, and the default limit resolves them all.
 func adderMiter(t testing.TB, k int) *netlist.Netlist {
 	t.Helper()
 	n := netlist.New("miter")
@@ -52,25 +54,22 @@ func adderMiter(t testing.TB, k int) *netlist.Netlist {
 // TestConeSearchMatchesReferenceOnBench pins every search on the bench
 // design's mission clones — the scenarios the campaign benchmark runs, at 2
 // and 3 unrolled frames — to the full-pass reference engine, at the
-// benchmark's backtrack limit, with the probe at its default threshold and
-// engaged from the first backtrack. The deselected-pin rule settles the
-// bench's scan-mux faults at their first implication pass, so these clones
-// backtrack only a few times each; the 8-bit adder miter is the
-// configuration that drives the cone, the event-driven passes and the probe
-// through thousands of backtracks per search.
+// benchmark's backtrack limit. The deselected-pin rule settles the bench's
+// scan-mux faults at their first implication pass, so these clones backtrack
+// only a few times each; the 8-bit adder miter is the configuration that
+// drives the cone and the event-driven passes through thousands of
+// backtracks per search.
 func TestConeSearchMatchesReferenceOnBench(t *testing.T) {
 	miter := adderMiter(t, 8)
 	mu := fault.NewUniverse(miter)
-	for _, probe := range []int{0, 1} {
-		t.Run(fmt.Sprintf("adder-miter/probe=%d", probe), func(t *testing.T) {
-			t.Parallel()
-			s, b := atpg.CheckReference(t, miter, mu, atpg.Options{BacktrackLimit: 2048, ProbeThreshold: probe})
-			if b < 2048 {
-				t.Fatalf("%d backtracks over %d searches; the miter no longer searches deep", b, s)
-			}
-			t.Logf("%d searches, %d backtracks matched the reference", s, b)
-		})
-	}
+	t.Run("adder-miter", func(t *testing.T) {
+		t.Parallel()
+		s, b := atpg.CheckReference(t, miter, mu, atpg.Options{BacktrackLimit: 2048})
+		if b < 2048 {
+			t.Fatalf("%d backtracks over %d searches; the miter no longer searches deep", b, s)
+		}
+		t.Logf("%d searches, %d backtracks matched the reference", s, b)
+	})
 	done := map[string]bool{}
 	for _, frames := range []int{2, 3} {
 		for _, sc := range bench.Scenarios(frames) {
@@ -84,18 +83,73 @@ func TestConeSearchMatchesReferenceOnBench(t *testing.T) {
 			done[key] = true
 			clone, sm, obs := benchClone(t, sc)
 			u := fault.NewUniverse(clone)
-			for _, probe := range []int{0, 1} {
-				t.Run(fmt.Sprintf("%s/frames=%d/probe=%d", sc.Name, frames, probe), func(t *testing.T) {
-					t.Parallel()
-					s, b := atpg.CheckReference(t, clone, u, atpg.Options{
-						BacktrackLimit: 2048,
-						ProbeThreshold: probe,
-						Sites:          sm,
-						ObsPoints:      obs,
-					})
-					t.Logf("%d searches, %d backtracks matched the reference", s, b)
+			t.Run(fmt.Sprintf("%s/frames=%d", sc.Name, frames), func(t *testing.T) {
+				t.Parallel()
+				s, b := atpg.CheckReference(t, clone, u, atpg.Options{
+					BacktrackLimit: 2048,
+					Sites:          sm,
+					ObsPoints:      obs,
 				})
-			}
+				t.Logf("%d searches, %d backtracks matched the reference", s, b)
+			})
+		}
+	}
+}
+
+// generateMiter runs a one-worker GenerateAll over every class of the 8-bit
+// adder miter at the default backtrack limit.
+func generateMiter(tb testing.TB, n *netlist.Netlist, u *fault.Universe) *atpg.Outcome {
+	tb.Helper()
+	out, err := atpg.GenerateAll(context.Background(), n, u, atpg.Options{Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestGenerateAdderMiterMatchesOracle checks the verdicts of searches
+// thousands of backtracks deep against checkers that share no search code
+// with the engine. At the default limit the 8-bit adder miter resolves every
+// class, and its 17 inputs are within the exhaustive oracle's reach: the
+// oracle re-proves every Untestable verdict, and the PPSFP grader confirms
+// that the emitted tests detect every Detected fault.
+func TestGenerateAdderMiterMatchesOracle(t *testing.T) {
+	miter := adderMiter(t, 8)
+	u := fault.NewUniverse(miter)
+	out := generateMiter(t, miter, u)
+	st := out.Stats
+	if st.Classes != 356 || st.Detected != 221 || st.Untestable != 135 || st.Aborted != 0 {
+		t.Fatalf("%d classes: %d detected, %d untestable, %d aborted; want 356: 221, 135, 0",
+			st.Classes, st.Detected, st.Untestable, st.Aborted)
+	}
+	if st.Backtracks < atpg.DefaultBacktrackLimit {
+		t.Fatalf("%d backtracks; the miter no longer searches deep", st.Backtracks)
+	}
+	if err := testutil.VerifyUntestable(u, out.Status, nil); err != nil {
+		t.Fatal(err)
+	}
+	detected := out.Status.FaultsWith(fault.Detected)
+	det, err := sim.GradeComb(miter, u, out.Patterns, out.States, detected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if det.Count() != len(detected) {
+		t.Fatalf("the %d emitted tests detect %d of %d Detected faults", len(out.Patterns), det.Count(), len(detected))
+	}
+	t.Logf("%d backtracks; %d untestable and %d detected faults confirmed",
+		st.Backtracks, len(out.Status.FaultsWith(fault.Untestable)), len(detected))
+}
+
+// BenchmarkGenerateAdderMiter times the one-worker GenerateAll that
+// TestGenerateAdderMiterMatchesOracle checks: the deep-search workload, whose
+// searches run thousands of backtracks each.
+func BenchmarkGenerateAdderMiter(b *testing.B) {
+	miter := adderMiter(b, 8)
+	u := fault.NewUniverse(miter)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := generateMiter(b, miter, u); out.Stats.Aborted != 0 {
+			b.Fatalf("%d aborted", out.Stats.Aborted)
 		}
 	}
 }

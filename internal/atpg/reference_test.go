@@ -2,7 +2,6 @@ package atpg
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"testing"
 	"time"
@@ -18,10 +17,9 @@ import (
 // This file keeps the engine as it was before implication was confined to
 // each fault's relevance cone and made event-driven: a full levelized pass
 // over every gate on every decision step, a D-frontier scan over the whole
-// levelized order, a probe that settles both rails of every gate, and
-// detection checks at every observation point. The functions are verbatim
-// copies under ref names; CheckReference runs every fault through both
-// engines and requires identical searches.
+// levelized order, and detection checks at every observation point. The
+// functions are verbatim copies under ref names; CheckReference runs every
+// fault through both engines and requires identical searches.
 
 // refEngine is the reference engine: an Engine searched through the ref
 // functions below, with the full observation set they check.
@@ -82,20 +80,15 @@ func diffResults(got, want Result) string {
 // TestConeSearchMatchesReference pins the cone-restricted, event-driven
 // engine to the full-pass reference, search by search, on seeded random
 // sequential netlists under full-scan and output-only observation, and on a
-// 3-frame unrolled clone searched through its replica site map — each with
-// the probe at its default threshold and engaged from the first backtrack.
-// The bench design's mission scenarios are pinned the same way in
+// 3-frame unrolled clone searched through its replica site map. The bench
+// design's mission scenarios are pinned the same way in
 // reference_bench_test.go.
 func TestConeSearchMatchesReference(t *testing.T) {
-	probes := []int{0, 1}
 	var searches, backtracks int
 	check := func(n *netlist.Netlist, u *fault.Universe, opts Options) {
-		for _, p := range probes {
-			opts.ProbeThreshold = p
-			s, b := CheckReference(t, n, u, opts)
-			searches += s
-			backtracks += b
-		}
+		s, b := CheckReference(t, n, u, opts)
+		searches += s
+		backtracks += b
 	}
 	for seed := int64(1); seed <= 12; seed++ {
 		n := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 6, Gates: 80, FFs: 4, Outputs: 2})
@@ -166,20 +159,8 @@ func (e *refEngine) refGenerateInjection(inj fault.Injection) (res Result) {
 			if !ok {
 				continue
 			}
-			flipped := false
-			if e.probeAfter >= 0 && e.backtracks >= e.probeAfter {
-				var oc probeOutcome
-				idx, v, oc = e.refProbeDecision(idx, v)
-				if oc == probeConflict {
-					// Both branches of the backtraced input are proven dead,
-					// so the whole current subtree is dead: fall through to
-					// the backtrack path without advancing.
-					break
-				}
-				flipped = oc == probePushProven
-			}
 			e.assigns[idx] = v
-			e.stack = append(e.stack, decision{idx: idx, val: v, flipped: flipped})
+			e.stack = append(e.stack, decision{idx: idx, val: v})
 			decisions++
 			advanced = true
 			break
@@ -362,147 +343,4 @@ func (e *refEngine) refComputeFrontier() {
 	sort.SliceStable(e.dfront, func(i, j int) bool {
 		return e.ann.CO[e.n.Gates[e.dfront[i]].Out] < e.ann.CO[e.n.Gates[e.dfront[j]].Out]
 	})
-}
-
-// refProbeDecision evaluates up to 64 single-assignment extensions of the
-// current partial assignment in one dual-rail parallel-value pass: slot k of
-// every PV word simulates good and faulty machines under the current assigns
-// plus candidate k's (input, value) override. Two slot facts feed back into
-// the search:
-//
-//   - Dead branch: if under candidate k every injection site's good value is
-//     known equal to the stuck value, no completion of that branch ever
-//     activates the fault, so no completion detects it. Ternary implication
-//     is monotone (known values persist under every refinement), so this is
-//     a proof, and pruning the branch cannot change any verdict — the
-//     exhaustion argument simply skips a subtree that provably contains no
-//     detection.
-//   - Immediate divergence: if under candidate k some observation point has
-//     known, differing good/faulty values, that candidate is a detection the
-//     scalar loop will confirm on the next implication pass — take it first.
-//     This is search-order steering only; verdicts never depend on it.
-//
-// The pass reuses engine-owned arenas (probeGood/probeBad/probeIn), so a
-// probing worker allocates nothing.
-func (e *refEngine) refProbeDecision(idx int32, v logic.V) (int32, logic.V, probeOutcome) {
-	// Fill candidate slots pairwise: the backtraced input first (slots 0/1 =
-	// value v / its complement), then every other free, live input.
-	ncand := 0
-	addPair := func(i int32) {
-		e.probeCandIdx[ncand] = i
-		e.probeCandVal[ncand] = v
-		e.probeCandIdx[ncand+1] = i
-		e.probeCandVal[ncand+1] = v.Not()
-		ncand += 2
-	}
-	addPair(idx)
-	for i := range e.assignable {
-		if int32(i) == idx || e.assigns[i] != logic.X || e.deadIn[i] {
-			continue
-		}
-		if ncand+2 > logic.WordBits {
-			break
-		}
-		addPair(int32(i))
-	}
-	candMask := ^uint64(0)
-	if ncand < logic.WordBits {
-		candMask = (uint64(1) << uint(ncand)) - 1
-	}
-
-	// Pack per-assignable input words: the current assignment splatted, with
-	// each candidate's override in its slot.
-	for i, net := range e.assignable {
-		e.probeIn[e.pIdx[net]] = logic.PVSplat(e.assigns[i])
-	}
-	for k := 0; k < ncand; k++ {
-		net := e.assignable[e.probeCandIdx[k]]
-		pi := e.pIdx[net]
-		e.probeIn[pi] = e.probeIn[pi].Set(k, e.probeCandVal[k])
-	}
-
-	e.refProbeEval()
-
-	// Dead-branch accumulation: slots where every site's good value is known
-	// equal to the stuck value.
-	dead := candMask
-	for _, net := range e.siteNets {
-		good := e.probeGood[net]
-		if e.sa == logic.One {
-			dead &= good.L1
-		} else {
-			dead &= good.L0
-		}
-		if dead == 0 {
-			break
-		}
-	}
-
-	// Immediate-divergence steering: prefer a candidate whose faulty machine
-	// already differs at an observation point, skipping dead slots.
-	if det := e.refProbeDetectMask() & candMask &^ dead; det != 0 {
-		k := bits.TrailingZeros64(det)
-		return e.probeCandIdx[k], e.probeCandVal[k], probePush
-	}
-
-	deadV, deadNotV := dead&1 != 0, dead&2 != 0
-	switch {
-	case deadV && deadNotV:
-		return idx, v, probeConflict
-	case deadV:
-		return idx, v.Not(), probePushProven
-	case deadNotV:
-		return idx, v, probePushProven
-	}
-	return idx, v, probePush
-}
-
-// refProbeEval settles good and faulty machines over the whole circuit in one
-// levelized dual-rail pass from the packed candidate inputs, mirroring
-// imply() with PV words in place of D5 values.
-func (e *refEngine) refProbeEval() {
-	for i := range e.n.Gates {
-		g := &e.n.Gates[i]
-		var pv logic.PV
-		switch g.Kind {
-		case netlist.KTie0:
-			pv = logic.PVAllZero
-		case netlist.KTie1:
-			pv = logic.PVAllOne
-		case netlist.KInput, netlist.KDFF, netlist.KDFFR:
-			pv = e.probeIn[e.pIdx[g.Out]]
-		default:
-			continue
-		}
-		e.probeGood[g.Out] = pv
-		if e.injOut[i] {
-			pv = logic.PVSplat(e.sa)
-		}
-		e.probeBad[g.Out] = pv
-	}
-	for _, gid := range e.ann.Order() {
-		g := &e.n.Gates[gid]
-		if g.Out == netlist.InvalidNet {
-			continue
-		}
-		e.probeGood[g.Out] = e.probeEvalGate(gid, g, e.probeGood, false)
-		bad := e.probeEvalGate(gid, g, e.probeBad, true)
-		if e.injOut[gid] {
-			bad = logic.PVSplat(e.sa)
-		}
-		e.probeBad[g.Out] = bad
-	}
-}
-
-// refProbeDetectMask returns the slots where some observation point's good and
-// faulty values are both known and differ.
-func (e *refEngine) refProbeDetectMask() uint64 {
-	var det uint64
-	for _, p := range e.obs {
-		g := &e.n.Gates[p.Gate]
-		good := e.probeGood[g.Ins[p.Pin]]
-		bad := e.probePinVal(p.Gate, g, int(p.Pin), e.probeBad, true)
-		det |= good.Diff(bad)
-	}
-	return det
 }

@@ -116,7 +116,7 @@ func BenchmarkGradeSeqMultiSite(b *testing.B) {
 	b.ReportMetric(float64(cu.NumFaults()), "faults")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.GradeSeqSites(clone, cu, stim, obs, faults, sm); err != nil {
+		if _, err := sim.GradeSeq(clone, cu, stim, obs, faults, sm, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -18,9 +18,6 @@ import (
 // Bus is an ordered list of nets, index 0 = least significant bit.
 type Bus []netlist.NetID
 
-// Width returns the number of bits.
-func (b Bus) Width() int { return len(b) }
-
 // InputBus creates width primary inputs named name[0..width-1].
 func InputBus(n *netlist.Netlist, name string, width int) Bus {
 	b := make(Bus, width)

@@ -5,13 +5,11 @@ import "math/bits"
 // Set is a bitset over the dense fault IDs of one Universe.
 type Set struct {
 	words []uint64
-	size  int
 }
 
 // NewSet returns an empty set sized for u.
 func NewSet(u *Universe) *Set {
-	n := u.NumFaults()
-	return &Set{words: make([]uint64, (n+63)/64), size: n}
+	return &Set{words: make([]uint64, (u.NumFaults()+63)/64)}
 }
 
 // Add inserts id.
@@ -37,7 +35,7 @@ func (s *Set) Count() int {
 
 // Clone returns a copy.
 func (s *Set) Clone() *Set {
-	return &Set{words: append([]uint64(nil), s.words...), size: s.size}
+	return &Set{words: append([]uint64(nil), s.words...)}
 }
 
 // UnionWith adds all elements of t to s.
@@ -78,6 +76,3 @@ func (s *Set) IDs() []FID {
 	s.ForEach(func(id FID) { out = append(out, id) })
 	return out
 }
-
-// Universe size the set was created for.
-func (s *Set) UniverseSize() int { return s.size }

@@ -421,7 +421,7 @@ func allFaultGradeSeq(n *netlist.Netlist, u *fault.Universe, stim sim.Stimulus) 
 	for id := range all {
 		all[id] = fault.FID(id)
 	}
-	return sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), all)
+	return sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), all, nil, nil)
 }
 
 // TestPatternProviderObservedGatePin grades a set observed at an input pin
@@ -453,7 +453,7 @@ func TestPatternProviderObservedGatePin(t *testing.T) {
 	for id := range all {
 		all[id] = fault.FID(id)
 	}
-	want, err := sim.GradeSeq(n, u, stim, pts, all)
+	want, err := sim.GradeSeq(n, u, stim, pts, all, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -625,9 +625,9 @@ type PatternSet struct {
 }
 
 // PatternProvider grades externally supplied mission stimuli with
-// sim.GradeSeqSitesObs and streams the detected faults into the mission
-// channel — the ROADMAP's "functional pattern import". It grades one lane
-// per structural-equivalence class (see gradedReps) and spreads each
+// sim.GradeSeq and streams the detected faults into the mission channel —
+// the ROADMAP's "functional pattern import". It grades one lane per
+// structural-equivalence class (see gradedReps) and spreads each
 // detection to the class's members, so a set's delta lists every detected
 // fault. The grader skips faults no observation point can see, drops each
 // fault in the cycle it is detected, regroups the survivors, and retires
@@ -688,7 +688,7 @@ func (p *PatternProvider) Run(ctx context.Context, env Env, emit EmitFn) error {
 			return fmt.Errorf("pattern set %d has no name", seq)
 		}
 		setSpan := env.Span.Child("set:" + set.Name)
-		det, err := sim.GradeSeqSitesObs(
+		det, err := sim.GradeSeq(
 			env.N, u, set.Stim, points[seq], remaining, nil, env.Metrics)
 		if err != nil {
 			setSpan.End()

@@ -23,21 +23,3 @@ func (d D5) WithFaulty(v V) D5 { return D5{Good: d.Good, Faulty: v} }
 // still evolve toward D or D̄ as more inputs are assigned. Fault-effect
 // propagation paths (X-paths) run through HasX nets.
 func (d D5) HasX() bool { return !d.Good.IsKnown() || !d.Faulty.IsKnown() }
-
-// And5All folds And over a non-empty input slice.
-func And5All(vs []D5) D5 {
-	v := vs[0]
-	for _, w := range vs[1:] {
-		v = v.And(w)
-	}
-	return v
-}
-
-// Or5All folds Or over a non-empty input slice.
-func Or5All(vs []D5) D5 {
-	v := vs[0]
-	for _, w := range vs[1:] {
-		v = v.Or(w)
-	}
-	return v
-}

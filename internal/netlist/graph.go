@@ -163,9 +163,6 @@ func (g *Graph) Extend(n *Netlist, order []GateID) error {
 // dead gates excluded; KOutput markers included). Callers must not modify it.
 func (g *Graph) Order() []GateID { return g.order }
 
-// At returns the gate at position i of the evaluation order.
-func (g *Graph) At(i int32) GateID { return g.order[i] }
-
 // Pos returns gate id's position in the evaluation order, or -1 if the gate
 // is never evaluated (a source or dead gate).
 func (g *Graph) Pos(id GateID) int32 { return g.pos[id] }

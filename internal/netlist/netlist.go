@@ -16,7 +16,6 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NetID identifies a net within a Netlist.
@@ -421,14 +420,4 @@ func (n *Netlist) gatesOfKind(k Kind) []GateID {
 		}
 	}
 	return out
-}
-
-// SortedGroupNames returns group names in lexical order (for stable reports).
-func (n *Netlist) SortedGroupNames() []string {
-	names := make([]string, 0, len(n.Groups))
-	for k := range n.Groups {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -47,14 +47,6 @@ type Annotations struct {
 // Order returns the levelized gate order the annotations were computed on.
 func (a *Annotations) Order() []GateID { return a.order }
 
-// MinCC returns the cheaper of the two controllabilities of a net.
-func (a *Annotations) MinCC(net NetID) int32 {
-	if a.CC0[net] < a.CC1[net] {
-		return a.CC0[net]
-	}
-	return a.CC1[net]
-}
-
 // CCOf returns the controllability of net toward value one (true) or zero.
 func (a *Annotations) CCOf(net NetID, one bool) int32 {
 	if one {

@@ -108,25 +108,14 @@ func (st Stimulus) check(n *netlist.Netlist) error {
 // an observed net carries a known value differing from the good machine's
 // known value. Outputs are sampled after combinational settling, before the
 // clock edge, every cycle.
-func GradeSeq(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
-	observe []ObsPoint, faults []fault.FID) (*fault.Set, error) {
-	return GradeSeqSites(n, u, stim, observe, faults, nil)
-}
-
-// GradeSeqSites is GradeSeq with each fault expanded through the site map
-// before injection: a fault's lane carries the joint multi-site faulty
-// machine (every replica site stuck at once), which is how a permanent
-// defect on a time-expanded clone is graded. A nil map grades classical
-// single-site faults.
-func GradeSeqSites(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
-	observe []ObsPoint, faults []fault.FID, sm *fault.SiteMap) (*fault.Set, error) {
-	return GradeSeqSitesObs(n, u, stim, observe, faults, sm, nil)
-}
-
-// GradeSeqSitesObs is GradeSeqSites recording into a telemetry registry (nil
-// disables recording). It returns an error, before simulating anything, for
-// a stimulus whose inputs are not distinct nets of n or whose cycles do not
-// drive exactly its inputs.
+//
+// Each fault is expanded through the site map before injection: a fault's
+// lane carries the joint multi-site faulty machine (every replica site stuck
+// at once), which is how a permanent defect on a time-expanded clone is
+// graded. A nil map grades classical single-site faults. reg receives the
+// counters below; nil disables recording. GradeSeq returns an error, before
+// simulating anything, for a stimulus whose inputs are not distinct nets of
+// n or whose cycles do not drive exactly its inputs.
 //
 // Grading follows PROOFS (Niermann, Cheng & Patel, IEEE TCAD 1992) in four
 // steps, none of which changes which faults are detected:
@@ -161,7 +150,7 @@ func GradeSeqSites(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 //	sim.gradeseq.cycles       word-cycles simulated; shrinks as faults drop
 //	sim.gradeseq.regroups     times the survivors were packed into fewer words
 //	sim.gradeseq.proved       faults the proof showed undetectable
-func GradeSeqSitesObs(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
+func GradeSeq(n *netlist.Netlist, u *fault.Universe, stim Stimulus,
 	observe []ObsPoint, faults []fault.FID, sm *fault.SiteMap, reg *obs.Registry) (*fault.Set, error) {
 
 	if err := stim.check(n); err != nil {

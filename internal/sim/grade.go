@@ -119,21 +119,17 @@ func NewGrader(n *netlist.Netlist, u *fault.Universe) (*Grader, error) {
 	return NewGraderSites(n, u, nil, nil)
 }
 
-// NewGraderObs builds a grader detecting only at the given observation
+// NewGraderSites builds a grader detecting only at the given observation
 // points; nil means the full-scan set (CombObsPoints). Restricted graders are
 // what keeps fault dropping sound when ATPG itself runs with restricted
 // observability: a pattern may only drop a fault if the difference shows at a
-// point the scenario actually observes.
-func NewGraderObs(n *netlist.Netlist, u *fault.Universe, obs []ObsPoint) (*Grader, error) {
-	return NewGraderSites(n, u, obs, nil)
-}
-
-// NewGraderSites builds a grader that expands each graded fault through the
-// site map before injection: every site of the joint injection is stuck
-// simultaneously in the faulty machine. A nil map is classical single-site
-// grading. Graders used to drop faults for a multi-site ATPG run must share
-// the run's site map for the same reason they share its observation points:
-// detection claims on differently injected machines do not transfer.
+// point the scenario actually observes. The grader expands each graded fault
+// through the site map before injection: every site of the joint injection is
+// stuck simultaneously in the faulty machine. A nil map is classical
+// single-site grading. Graders used to drop faults for a multi-site ATPG run
+// must share the run's site map for the same reason they share its
+// observation points: detection claims on differently injected machines do
+// not transfer.
 func NewGraderSites(n *netlist.Netlist, u *fault.Universe, obsPts []ObsPoint, sm *fault.SiteMap) (*Grader, error) {
 	good, err := New(n)
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 	"olfui/internal/testutil"
 )
 
-// referenceGradeSeq is the definitional sequential grader GradeSeqSitesObs
+// referenceGradeSeq is the definitional sequential grader GradeSeq
 // must match: every word of 63 faults gets its own netlist-walking refSim
 // and runs every cycle of the stimulus. No screen, no fault dropping, no
 // regrouping, no compiled kernel — just the detection rule.
@@ -183,7 +183,7 @@ func gradeSeqObsSets(rng *rand.Rand, n *netlist.Netlist) []obsSet {
 	}
 }
 
-// checkGradeSeq grades faults with GradeSeqSitesObs, recording into reg, and
+// checkGradeSeq grades faults with GradeSeq, recording into reg, and
 // with the reference, reports every fault the two disagree on and every
 // fault the screen skips that the reference detects, and returns the
 // grader's detections.
@@ -191,7 +191,7 @@ func checkGradeSeq(t *testing.T, what string, reg *obs.Registry, u *fault.Univer
 	pts []sim.ObsPoint, faults []fault.FID, sm *fault.SiteMap) *fault.Set {
 
 	t.Helper()
-	got, err := sim.GradeSeqSitesObs(u.N, u, stim, pts, faults, sm, reg)
+	got, err := sim.GradeSeq(u.N, u, stim, pts, faults, sm, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestGradeSeqRegroupEdges(t *testing.T) {
 		{logic.X, logic.One},    // ... and reaches po_q
 	}}
 	reg := obs.New()
-	got, err := sim.GradeSeqSitesObs(n, u, stim, sim.OutputObsPoints(n), faults, nil, reg)
+	got, err := sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), faults, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestGradeSeqRegroupEdges(t *testing.T) {
 	// Two cycles are not enough: the detection really is in the last cycle,
 	// after the move.
 	stim.Cycles = stim.Cycles[:2]
-	early, err := sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), faults)
+	early, err := sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), faults, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestGradeSeqRegroupCompaction(t *testing.T) {
 		{logic.X, logic.One},    // ... and reaches po_q
 	}}
 	reg := obs.New()
-	got, err := sim.GradeSeqSitesObs(n, u, stim, sim.OutputObsPoints(n), faults, nil, reg)
+	got, err := sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), faults, nil, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestGradeSeqRegroupCompaction(t *testing.T) {
 
 	// The targets are detected only in the last cycle, after the move.
 	stim.Cycles = stim.Cycles[:2]
-	early, err := sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), faults)
+	early, err := sim.GradeSeq(n, u, stim, sim.OutputObsPoints(n), faults, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,7 +798,7 @@ func BenchmarkGradeSeqMission(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		remaining := allFaults(u)
 		for _, set := range sets {
-			det, err := sim.GradeSeqSitesObs(n, u, set.Stim, pts, remaining, nil, reg)
+			det, err := sim.GradeSeq(n, u, set.Stim, pts, remaining, nil, reg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1008,12 +1008,12 @@ func TestGradeSeqAllocsIndependentOfCycles(t *testing.T) {
 	faults := allFaults(u)
 	allocs := func(stim sim.Stimulus) float64 {
 		return testing.AllocsPerRun(2, func() {
-			if _, err := sim.GradeSeqSitesObs(n, u, stim, pts, faults, nil, nil); err != nil {
+			if _, err := sim.GradeSeq(n, u, stim, pts, faults, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if a200, a2000 := allocs(short), allocs(long); a200 != a2000 {
-		t.Errorf("GradeSeqSitesObs allocates %v times over 200 cycles and %v over 2,000", a200, a2000)
+		t.Errorf("GradeSeq allocates %v times over 200 cycles and %v over 2,000", a200, a2000)
 	}
 }

@@ -85,22 +85,22 @@ func TestGraderJointInjection(t *testing.T) {
 				t.Errorf("joint detection = %v, want %v", got, tc.wantJoint)
 			}
 
-			// GradeSeqSites must agree with the PPSFP grader on the same
+			// GradeSeq must agree with the PPSFP grader on the same
 			// joint machine.
 			stim := Stimulus{Inputs: []netlist.NetID{a}, Cycles: [][]logic.V{{logic.Zero}, {logic.One}}}
-			det, err := GradeSeqSites(n, u, stim, CombObsPoints(n), []fault.FID{fid}, sm)
+			det, err := GradeSeq(n, u, stim, CombObsPoints(n), []fault.FID{fid}, sm, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := det.Has(fid); got != tc.wantJoint {
-				t.Errorf("GradeSeqSites detection = %v, want %v", got, tc.wantJoint)
+				t.Errorf("GradeSeq detection = %v, want %v", got, tc.wantJoint)
 			}
-			det, err = GradeSeqSites(n, u, stim, CombObsPoints(n), []fault.FID{fid}, nil)
+			det, err = GradeSeq(n, u, stim, CombObsPoints(n), []fault.FID{fid}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := det.Has(fid); got != tc.wantSingle {
-				t.Errorf("GradeSeqSites nil-map detection = %v, want %v", got, tc.wantSingle)
+				t.Errorf("GradeSeq nil-map detection = %v, want %v", got, tc.wantSingle)
 			}
 		})
 	}

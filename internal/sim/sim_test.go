@@ -318,7 +318,7 @@ func TestGraderObsRestriction(t *testing.T) {
 	// Output-only grader: the register-bound cone becomes invisible. This
 	// is the fault that is detectable full-scan but not under output-only
 	// observation.
-	ol, err := NewGraderObs(n, u, OutputObsPoints(n))
+	ol, err := NewGraderSites(n, u, OutputObsPoints(n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestGraderObsRestriction(t *testing.T) {
 
 	// An explicit single-point subset: only the flip-flop D pin.
 	qg := mustGate(t, n, "q")
-	dOnly, err := NewGraderObs(n, u, []ObsPoint{{Gate: qg, Pin: netlist.DffD}})
+	dOnly, err := NewGraderSites(n, u, []ObsPoint{{Gate: qg, Pin: netlist.DffD}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestGradeSeqToggleCircuit(t *testing.T) {
 	} {
 		ids = append(ids, u.IDOf(f))
 	}
-	det, err := GradeSeq(n, u, stim, OutputObsPoints(n), ids)
+	det, err := GradeSeq(n, u, stim, OutputObsPoints(n), ids, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func TestGradeSeqManyFaultBatches(t *testing.T) {
 	}
 	stim := Stimulus{Inputs: []netlist.NetID{in}}
 	stim.Cycles = [][]logic.V{{logic.Zero}, {logic.One}}
-	det, err := GradeSeq(n, u, stim, OutputObsPoints(n), all)
+	det, err := GradeSeq(n, u, stim, OutputObsPoints(n), all, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestGradeSeqRejectsMalformedStimulus(t *testing.T) {
 		{"negative net", []netlist.NetID{netlist.InvalidNet, b}, [][]logic.V{ok}, "input 0"},
 		{"net listed twice", []netlist.NetID{a, b, a}, [][]logic.V{{logic.One, logic.One, logic.Zero}}, "input 2"},
 	} {
-		_, err := GradeSeq(n, u, Stimulus{Inputs: tc.inputs, Cycles: tc.cycles}, OutputObsPoints(n), all)
+		_, err := GradeSeq(n, u, Stimulus{Inputs: tc.inputs, Cycles: tc.cycles}, OutputObsPoints(n), all, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
 		}
