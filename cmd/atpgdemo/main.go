@@ -8,6 +8,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"olfui/internal/atpg"
@@ -19,18 +20,23 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 0, "ATPG workers (0 = NumCPU)")
 	limit := flag.Int("limit", 0, "backtrack limit (0 = default)")
-	width := flag.Int("width", 8, "datapath width")
+	width := flag.Int("width", 8, "datapath width (at least 1)")
 	flag.Parse()
 
-	if err := run(*workers, *limit, *width); err != nil {
+	if err := run(os.Stdout, *limit, *width); err != nil {
 		fmt.Fprintln(os.Stderr, "atpgdemo:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workers, limit, width int) error {
+// run builds the demo design at the given datapath width, runs GenerateAll
+// with the given backtrack limit, and writes the cross-check report to w. It
+// refuses a width below 1 before building anything.
+func run(w io.Writer, limit, width int) error {
+	if width < 1 {
+		return fmt.Errorf("-width must be >= 1, got %d", width)
+	}
 	n := netlist.New("demo")
 	a := dp.InputBus(n, "a", width)
 	b := dp.InputBus(n, "b", width)
@@ -53,17 +59,17 @@ func run(workers, limit, width int) error {
 	y2 := n.Or("y2", u1, u2, u3)
 	n.OutputPort("po2", y2)
 
-	fmt.Println(n.CollectStats())
+	fmt.Fprintln(w, n.CollectStats())
 	u := fault.NewUniverse(n)
 
-	out, err := atpg.GenerateAll(context.Background(), n, u, atpg.Options{Workers: workers, BacktrackLimit: limit})
+	out, err := atpg.GenerateAll(context.Background(), n, u, atpg.Options{BacktrackLimit: limit})
 	if err != nil {
 		return fmt.Errorf("GenerateAll: %w", err)
 	}
-	fmt.Println("atpg:", out.Stats)
+	fmt.Fprintln(w, "atpg:", out.Stats)
 
 	counts := out.Status.Counts()
-	fmt.Printf("universe: %d detected, %d untestable, %d aborted, %d undetected\n",
+	fmt.Fprintf(w, "universe: %d detected, %d untestable, %d aborted, %d undetected\n",
 		counts[fault.Detected], counts[fault.Untestable], counts[fault.Aborted], counts[fault.Undetected])
 	if counts[fault.Undetected] != 0 {
 		return fmt.Errorf("%d faults left undetected: GenerateAll must classify everything", counts[fault.Undetected])
@@ -76,7 +82,7 @@ func run(workers, limit, width int) error {
 	if err != nil {
 		return fmt.Errorf("GradeComb: %w", err)
 	}
-	fmt.Printf("confirmation: test set detects %d / %d detected-classified faults\n",
+	fmt.Fprintf(w, "confirmation: test set detects %d / %d detected-classified faults\n",
 		simDet.Count(), len(det))
 	if simDet.Count() != len(det) {
 		return fmt.Errorf("test set misses %d detected-classified faults", len(det)-simDet.Count())
@@ -87,7 +93,7 @@ func run(workers, limit, width int) error {
 	if err != nil {
 		return fmt.Errorf("GradeComb: %w", err)
 	}
-	fmt.Printf("confirmation: test set detects %d / %d untestable-classified faults (want 0)\n",
+	fmt.Fprintf(w, "confirmation: test set detects %d / %d untestable-classified faults (want 0)\n",
 		simUnt.Count(), len(unt))
 	if simUnt.Count() != 0 {
 		return fmt.Errorf("test set detects %d untestable-classified faults", simUnt.Count())
@@ -98,7 +104,7 @@ func run(workers, limit, width int) error {
 		return fmt.Errorf("planted gate u3 missing")
 	}
 	rid := u.IDOf(fault.Fault{Site: fault.Site{Gate: u3g, Pin: fault.OutputPin}, SA: logic.Zero})
-	fmt.Printf("planted redundant fault %s: %v\n", u.Describe(u.FaultOf(rid)), out.Status.Get(rid))
+	fmt.Fprintf(w, "planted redundant fault %s: %v\n", u.Describe(u.FaultOf(rid)), out.Status.Get(rid))
 	// Detecting the redundancy is a soundness bug at any budget; the full
 	// untestability proof is only owed at the default backtrack limit (a
 	// starved -limit run may legitimately abort it).
@@ -109,6 +115,6 @@ func run(workers, limit, width int) error {
 		return fmt.Errorf("planted redundant fault classified %v, want untestable", got)
 	}
 
-	fmt.Println("OK")
+	fmt.Fprintln(w, "OK")
 	return nil
 }

@@ -3,13 +3,13 @@
 // one-hot-decoded operation field, and a write-only trace register — the
 // structures whose faults full-scan ATPG counts as testable although no
 // mission-mode stimulus can expose them. It drives the campaign API —
-// spreading every provider's searches over a shared worker budget
-// (-workers), sweeping the reach-constrained scenario to adaptively chosen
-// sequential depth (-sweep, -max-frames) and grading imported mission
-// stimuli (-patterns) — prints
-// per-scenario ATPG stats (with a per-depth convergence table for swept
-// scenarios), the fault classification, and the coverage-target correction,
-// and exits non-zero if any internal cross-check fails.
+// running the providers under a shared worker budget (-workers; each
+// provider searches one class at a time), sweeping the reach-constrained
+// scenario to adaptively chosen sequential depth (-sweep, -max-frames) and
+// grading imported mission stimuli (-patterns) — prints per-scenario ATPG
+// stats (with a per-depth convergence table for swept scenarios), the fault
+// classification, and the coverage-target correction, and exits non-zero if
+// any internal cross-check fails.
 //
 // Every run records engine, simulator and campaign telemetry into an
 // internal/obs registry (always on; the recording cost is atomic ops on the
@@ -28,8 +28,8 @@
 //
 // Before searching, every provider's screen stage retires the classes a
 // ternary constant or the lack of any combinational path to an observation
-// point proves untestable (see ARCHITECTURE.md "Screen stage & batched
-// search"); the report's "screen:" line counts them by rule.
+// point proves untestable (see ARCHITECTURE.md "Screen stage &
+// cone-restricted search"); the report's "screen:" line counts them by rule.
 package main
 
 import (
@@ -102,7 +102,9 @@ func (cfg config) sweepBudget() int {
 func main() {
 	var cfg config
 	flag.IntVar(&cfg.width, "width", 8, "datapath width")
-	flag.IntVar(&cfg.workers, "workers", 0, "total ATPG worker budget across providers (0 = NumCPU)")
+	flag.IntVar(&cfg.workers, "workers", 0,
+		"searches in flight across providers (0 = NumCPU); each ATPG provider searches one class at a time, "+
+			"so a budget above the number of ATPG providers leaves slots unused")
 	flag.IntVar(&cfg.limit, "limit", 0, "backtrack limit (0 = default)")
 	flag.IntVar(&cfg.frames, "frames", 2, "time frames for the reach-constrained scenario")
 	flag.BoolVar(&cfg.sweep, "sweep", false,

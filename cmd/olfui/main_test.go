@@ -22,7 +22,7 @@ import (
 	"olfui/internal/sim"
 )
 
-// BenchmarkGenerateAllBench measures the fleet driver on the olfui benchmark
+// BenchmarkGenerateAllBench measures GenerateAll on the olfui benchmark
 // circuit — the workload the incrementally pruned live-class list (vs
 // rescanning every class per pattern) is aimed at.
 func BenchmarkGenerateAllBench(b *testing.B) {
@@ -115,8 +115,8 @@ func BenchmarkCampaignBench(b *testing.B) {
 }
 
 // sweepBenchConfig is the BENCH_PR9 workload: a swept campaign at width 12,
-// every provider's coordinator handing its hardest-first class list out to
-// its workers. The backtrack limit keeps per-class search bounded so
+// every provider's dispatch loop searching its hardest-first class list one
+// class at a time. The backtrack limit keeps per-class search bounded so
 // the measurement weighs scheduling and dropping rather than abort churn.
 func sweepBenchConfig() config {
 	return config{

@@ -183,8 +183,8 @@ func (p *progressReporter) summary(final bool) {
 	} else if live == 0 {
 		eta = "0s"
 	}
-	// The queue depth counts the classes not yet handed to a worker,
-	// campaign-wide across every running GenerateAll.
+	// The queue depth counts the classes not yet dispatched, campaign-wide
+	// across every running GenerateAll.
 	fmt.Fprintf(p.w, "  progress: %d/%d classes resolved, %d live, %d queued, %.0f classes/s, ETA %s\n",
 		resolved, classes, live, p.queueDepth.Load(), rate, eta)
 }

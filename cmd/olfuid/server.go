@@ -39,8 +39,10 @@ type runSpec struct {
 	DeltaDelayMS int `json:"delta_delay_ms"`
 }
 
-// maxWorkers bounds a run's worker budget. Every provider builds one engine
-// per worker, up to its live class count, so the budget multiplies memory.
+// maxWorkers bounds a run's worker budget. The budget only sizes the run's
+// search-slot pool: every ATPG provider searches with one engine, one class
+// at a time, so engines do not multiply with the budget, and slots beyond
+// the provider count stay unused. The bound refuses nonsensical specs.
 const maxWorkers = 256
 
 // maxSpecBytes bounds a submitted run spec's body.

@@ -68,9 +68,9 @@ func TestServerHTTP(t *testing.T) {
 	defer hs.Close()
 
 	// Bad specs are rejected before anything is queued, each for its own
-	// cause: out-of-range knobs, a worker budget that would build an engine
-	// fleet per provider, unknown fields (a typo, a retired knob), content
-	// after the spec object, and a body over the size limit. They go to a listener of their own, closed
+	// cause: out-of-range knobs, a worker budget above maxWorkers, unknown
+	// fields (a typo, a retired knob), content after the spec object, and a
+	// body over the size limit. They go to a listener of their own, closed
 	// before any run starts: the server drops the oversized body's
 	// connection, and closing it lingers for half a second.
 	bad := httptest.NewServer(srv.routes())

@@ -40,20 +40,20 @@
 // controllability.
 //
 // On top of the single-fault core, GenerateAll drives the collapsed fault
-// list through a bounded worker pool with fault dropping. It owns the
-// dispatch order: it sorts the classes its replay leaves hardest-first by
-// SCOAP detection difficulty, retires the ones its drop grader's static
-// screen proves Untestable (a site net held at the stuck value by ternary
-// constants, or no site in the combinational fan-in cone of an observation
-// point), and its coordinator hands what is left to the workers in that
-// order, one class per ask. The engine leaves every input its search did
-// not need at X; GenerateAll completes each Detected search's test (every X
-// becomes a pseudo-random 0 or 1, seeded by the class's FID) and stores it
-// in its drop grader (sim.Grader, PPSFP, 64 tests per word). Before it hands
-// a class out, the coordinator checks it against every stored test, so
-// incidentally detected faults never reach the deterministic engine. A
-// fully specified test drives every net to a definite value, so one test
-// drops far more classes than the partial assignment would.
+// list through one engine with fault dropping. It owns the dispatch order:
+// it sorts the classes its replay leaves hardest-first by SCOAP detection
+// difficulty, retires the ones its drop grader's static screen proves
+// Untestable (a site net held at the stuck value by ternary constants, or no
+// site in the combinational fan-in cone of an observation point), and its
+// dispatch loop takes what is left in that order, one class at a time. The
+// engine leaves every input its search did not need at X; GenerateAll
+// completes each Detected search's test (every X becomes a pseudo-random 0
+// or 1, seeded by the class's FID) and stores it in its drop grader
+// (sim.Grader, PPSFP, 64 tests per word). Before it searches a class, the
+// loop checks it against every stored test, so incidentally detected faults
+// never reach the deterministic engine. A fully specified test drives every
+// net to a definite value, so one test drops far more classes than the
+// partial assignment would.
 package atpg
 
 import (
@@ -104,8 +104,6 @@ type Options struct {
 	// BacktrackLimit bounds the number of decision flips per fault before
 	// the engine gives up with Aborted. 0 means DefaultBacktrackLimit.
 	BacktrackLimit int
-	// Workers bounds GenerateAll's concurrency. 0 means runtime.NumCPU().
-	Workers int
 	// ObsPoints restricts where fault effects count as detected. Nil means
 	// the full-scan set (sim.CombObsPoints: primary outputs plus flip-flop
 	// D pins); an explicit set models restricted observability, e.g. the
@@ -126,11 +124,12 @@ type Options struct {
 	// clone, and each later swept depth replays the tests of the depth
 	// before it.
 	Replay *Replay
-	// Pool optionally gates every worker's per-class search on a
-	// campaign-global slot budget (sched.NewPool), capping concurrently
-	// searching goroutines across every provider of a campaign no matter
-	// how many GenerateAll runs overlap. Nil leaves this run's concurrency
-	// bounded only by Workers.
+	// Pool optionally gates every search of the run on a campaign-global
+	// slot budget (sched.NewPool): GenerateAll holds a slot for each search
+	// and for nothing else, so the pool caps the searches in flight across
+	// every GenerateAll run of a campaign. A run searches one class at a
+	// time, so the pool's size never changes what a run computes, only how
+	// many runs search at once. Nil leaves the run ungated.
 	Pool *sched.Pool
 	// Sites optionally expands every targeted fault into a joint multi-site
 	// injection (fault.SiteMap.Expand): the stuck value is injected at the
@@ -159,7 +158,7 @@ type Options struct {
 	// built (sim.NewGraderSites) over this run's netlist, universe,
 	// ObsPoints and Sites — GenerateAll cannot verify the match, and
 	// detection claims on differently observed or injected machines do not
-	// transfer. GenerateAll uses it only from its coordinator goroutine (a
+	// transfer. GenerateAll uses it only from the caller's goroutine (a
 	// Grader is not safe for concurrent use) and does not re-Instrument it,
 	// so a caller can keep one warm grader across sequential runs on an
 	// incrementally extended clone — the depth sweep's per-depth runs share
@@ -168,14 +167,13 @@ type Options struct {
 	Grader *sim.Grader
 	// Annotations optionally supplies precomputed testability annotations
 	// for the netlist (Netlist.Annotate). They are read-only during
-	// generation, so one Annotate pass can be shared across the engines of
-	// a run and across concurrent GenerateAll runs on the same netlist. Nil
-	// computes them internally.
+	// generation, so one Annotate pass can be shared across concurrent
+	// GenerateAll runs on the same netlist. Nil computes them internally.
 	Annotations *netlist.Annotations
 	// Progress, when non-nil, receives every class verdict GenerateAll
 	// commits — deterministic results, fault-simulation drops, and
 	// Aborted-to-Detected upgrades (re-announced as Detected) — in commit
-	// order from the coordinator goroutine. Providers use it to stream
+	// order on the caller's goroutine. Providers use it to stream
 	// evidence deltas while generation is still running; it must not block
 	// for long and must not call back into the engine.
 	Progress func(fid fault.FID, v Verdict)
@@ -185,24 +183,27 @@ type Options struct {
 	// "atpg.decisions", "atpg.implications", and "atpg.gate_evals", the
 	// gate evaluations those implication passes actually ran),
 	// drop-grader traffic, the screen stage's retirements by rule
-	// ("atpg.screen.constant" / "atpg.screen.unobservable"), abort
-	// attribution ("atpg.abort.limit" / "atpg.abort.cancel") and the
-	// per-class search-time histogram ("atpg.search_ns").
+	// ("atpg.screen.constant" / "atpg.screen.unobservable"), backtrack-limit
+	// aborts ("atpg.abort.limit"), the per-class search-time histogram
+	// ("atpg.search_ns"), and the dispatch loop's scheduling record: the
+	// classes not yet dispatched ("sched.queue_depth", a gauge), the time
+	// spent waiting for Pool slots ("sched.queue_wait_ns") and one
+	// "sched.worker_busy_ns" sample of the run's summed search time.
 	//
 	// The drop-grader traffic: "atpg.drop.graded" counts the dispatch
-	// checks, each a class checked against at least one search test (at its
-	// dispatch, on its result when a test was emitted meanwhile, or at the
-	// end of the run when it aborted), plus the live classes each replay
-	// word is graded against. "atpg.drop.hits" counts the simulation drops
-	// they find, so hits/graded is the hit rate of fault dropping, and
-	// "atpg.drop.grade_ns" is the coordinator's wall time grading: the
-	// replay, storing each search test, and the checks, each walk to the
-	// next class to hand out timed as a whole, the drops it resolves and
-	// their Progress calls included. On the grader
-	// GenerateAll builds, "sim.grade.words" counts one settled word per
-	// replay word and per stored search test, and "sim.grade.fault_evals"
-	// the cone evaluations: per replay word, one per activated live class,
-	// and per check, one per word with an activated lane.
+	// checks, each a class checked against at least one search test (when
+	// it reaches the head of the order, or at the end of the run when it
+	// aborted), plus the live classes each replay word is graded against.
+	// "atpg.drop.hits" counts the simulation drops they find, so
+	// hits/graded is the hit rate of fault dropping, and
+	// "atpg.drop.grade_ns" is the run's wall time grading: the replay,
+	// storing each search test, and the checks, each walk to the next class
+	// to search timed as a whole, the drops it resolves and their Progress
+	// calls included. On the grader GenerateAll builds, "sim.grade.words"
+	// counts one settled word per replay word and per stored search test,
+	// and "sim.grade.fault_evals" the cone evaluations: per replay word, one
+	// per activated live class, and per check, one per word with an
+	// activated lane.
 	//
 	// Handles resolve once per run; every hot-path record is a single
 	// atomic add, so the registry is cheap enough to leave always on. Nil
@@ -229,7 +230,7 @@ type Replay struct {
 	States   []sim.Pattern
 	// Hit, when non-nil, observes every word that detected a class: rows
 	// [lo, hi) and the class representatives they detected. It runs on the
-	// caller's goroutine before any worker starts; the set is reused for the
+	// caller's goroutine before any search; the set is reused for the
 	// next word, so Hit must not keep it.
 	Hit func(lo, hi int, detected *fault.Set)
 }
@@ -307,15 +308,16 @@ type decision struct {
 }
 
 // Engine is a single-fault PODEM test generator. It is not safe for
-// concurrent use; GenerateAll builds one per worker.
+// concurrent use; GenerateAll builds one per run.
 type Engine struct {
 	n    *netlist.Netlist
 	ann  *netlist.Annotations
 	opts Options
 	// cancel, when non-nil, aborts in-flight searches: Generate polls it
 	// once per decision step and returns Aborted as soon as it is set.
-	// GenerateAll shares one flag across its worker fleet so a cancelled
-	// context interrupts even a search deep inside the backtrack budget.
+	// GenerateAll points it at a flag its context's cancellation sets, so a
+	// cancelled context interrupts even a search deep inside the backtrack
+	// budget.
 	cancel *atomic.Bool
 
 	// assignable lists the controllable input nets: primary inputs in
@@ -399,8 +401,8 @@ func New(n *netlist.Netlist, opts Options) (*Engine, error) {
 }
 
 // NewWithAnnotations builds an engine on precomputed testability annotations.
-// The annotations are read-only during search, so a fleet of engines (one per
-// worker) can share one Annotate pass.
+// The annotations are read-only during search, so engines of concurrent runs
+// on one netlist can share one Annotate pass.
 func NewWithAnnotations(n *netlist.Netlist, ann *netlist.Annotations, opts Options) *Engine {
 	if opts.BacktrackLimit <= 0 {
 		opts.BacktrackLimit = DefaultBacktrackLimit

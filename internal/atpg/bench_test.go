@@ -51,8 +51,8 @@ func BenchmarkGenerateSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateAll measures the full fleet driver — collapse, parallel
-// PODEM, per-pattern fault dropping — over the whole universe.
+// BenchmarkGenerateAll measures the full driver — collapse, screen, PODEM,
+// fault dropping at dispatch — over the whole universe.
 func BenchmarkGenerateAll(b *testing.B) {
 	n := benchCircuit(b)
 	u := fault.NewUniverse(n)
@@ -65,19 +65,6 @@ func BenchmarkGenerateAll(b *testing.B) {
 		}
 		if out.Stats.Aborted != 0 {
 			b.Fatalf("%d aborted", out.Stats.Aborted)
-		}
-	}
-}
-
-// BenchmarkGenerateAllSerial is the single-worker baseline for the parallel
-// speedup trajectory.
-func BenchmarkGenerateAllSerial(b *testing.B) {
-	n := benchCircuit(b)
-	u := fault.NewUniverse(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := GenerateAll(context.Background(), n, u, Options{Workers: 1}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

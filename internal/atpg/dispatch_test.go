@@ -18,7 +18,7 @@ import (
 // design's mission-reach clone. HardestFirst must order every class exactly
 // as a sort with the documented comparator does: descending saturating
 // CC(¬v)+CO of the representative's site net, ties in ascending FID. And a
-// one-worker GenerateAll whose Replay resolves part of the classes must
+// GenerateAll whose Replay resolves part of the classes must
 // report the screen stage's verdicts, then one report per class left, in
 // sorted order. A class is reported as a Detected simulation drop exactly
 // when the search tests emitted before it detect it, graded by a fresh
@@ -71,7 +71,7 @@ func TestDispatchOrderOnBench(t *testing.T) {
 
 	// A replay of the first rows of a full run's test set resolves part of
 	// the classes.
-	opts := atpg.Options{Workers: 1, Sites: sm, ObsPoints: obs}
+	opts := atpg.Options{Sites: sm, ObsPoints: obs}
 	full, err := atpg.GenerateAll(context.Background(), clone, u, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 	"olfui/internal/testutil"
 )
 
-// eagerGenerateAll is the reference for a one-worker GenerateAll without a
+// eagerGenerateAll is the reference for a GenerateAll without a
 // replay: the drop loop GenerateAll ran before it checked each class at the
 // head of the order. It sorts and screens the classes as GenerateAll does,
 // then searches them in order. Every completed test is graded at once
@@ -94,7 +94,7 @@ func eagerGenerateAll(t *testing.T, n *netlist.Netlist, u *fault.Universe, opts 
 	return out, upgraded
 }
 
-// eagerCase checks a one-worker GenerateAll against eagerGenerateAll on one
+// eagerCase checks GenerateAll against eagerGenerateAll on one
 // generated case and returns the reference's Aborted classes and upgrades.
 // The clone is a random netlist from netSeed whose primary input i is tied
 // to i%2 through constraint.Tie when bit i of tied is set, and, with unroll,
@@ -137,7 +137,7 @@ func eagerCase(t *testing.T, netSeed int64, tied uint8, unroll bool, obsSeed int
 		netSeed, tied, unroll, obsChoice%3, obsSeed, 1+limit%4)
 
 	u := fault.NewUniverse(n)
-	opts := Options{Workers: 1, ObsPoints: pts, Sites: sm, BacktrackLimit: 1 + int(limit%4)}
+	opts := Options{ObsPoints: pts, Sites: sm, BacktrackLimit: 1 + int(limit%4)}
 	got, err := GenerateAll(context.Background(), n, u, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
@@ -165,8 +165,8 @@ func eagerCase(t *testing.T, netSeed int64, tied uint8, unroll bool, obsSeed int
 // TestGenerateAllMatchesEagerDrop pins the dispatch check against the drop
 // loop it replaced: over generated clones with tied inputs, with and
 // without a two-frame unroll's replica site map, under full-scan,
-// output-only and gate-pin observation, at backtrack limits of 1 to 4, a
-// one-worker GenerateAll reports every status, emits every test in order
+// output-only and gate-pin observation, at backtrack limits of 1 to 4,
+// GenerateAll reports every status, emits every test in order
 // and counts every Stats field as eagerGenerateAll does. It fails unless
 // some class aborts and some Aborted class is upgraded by a later test, so
 // both paths are exercised.

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,52 +74,51 @@ type Outcome struct {
 	States   []sim.Pattern
 }
 
-// workItem is one class the coordinator hands to a worker: the class
-// representative and the number of search tests emitted when the
-// coordinator checked it. The worker sends it back with its search's result.
-type workItem struct {
+// abortedClass is an Aborted class and the number of search tests emitted
+// when its search ended; the end of the run checks it against the tests
+// emitted after.
+type abortedClass struct {
 	fid   fault.FID
 	tests int
-	res   Result
 }
 
 // GenerateAll runs deterministic ATPG over the collapsed fault list of the
-// universe (or the Options.Classes subset) with fault dropping: fault
-// classes fan out to a bounded worker pool (one Engine per worker), and no
-// class reaches a search while a test already emitted detects it, so
-// incidentally covered faults are dropped instead of searched. The classic
+// universe (or the Options.Classes subset) with fault dropping: one Engine
+// searches the classes one at a time on the caller's goroutine, and no class
+// reaches a search while a test already emitted detects it, so incidentally
+// covered faults are dropped instead of searched. The classic
 // pattern-count/CPU-time tradeoff: dropping shrinks both the test set and
-// the number of deterministic searches, while the workers keep the
-// per-fault searches parallel.
+// the number of deterministic searches. Parallelism lives one level up: a
+// campaign runs its providers' GenerateAll runs concurrently, and
+// Options.Pool caps the searches in flight across them.
 //
 // Dispatch order: GenerateAll sorts the classes the replay leaves
 // hardest-first (hardestFirst: descending SCOAP detection difficulty, ties in
-// ascending FID order), and the screen stage and the dispatch walk that one
-// order. Hard classes are searched first, and each of their completed tests
-// drops easy classes that would otherwise each cost a search. The replay
-// needs no order: the grader finds its hits by walking nets, not the list,
-// and resolves them in FID order, so the sort waits for it and orders only
-// the classes it left. The order of Options.Classes does not matter.
+// ascending FID order), and the screen stage and the dispatch loop walk that
+// one order. Hard classes are searched first, and each of their completed
+// tests drops easy classes that would otherwise each cost a search. The
+// replay needs no order: the grader finds its hits by walking nets, not the
+// list, and resolves them in FID order, so the sort waits for it and orders
+// only the classes it left. The order of Options.Classes does not matter.
 //
-// Before a worker hands a Detected result to the coordinator, it completes
-// the test (completeTest): every X the search left in Result.Pattern and
-// Result.State becomes a pseudo-random 0 or 1, drawn from a stream seeded
-// only by the class representative's FID. This is sound: ternary simulation
-// is monotone, so every completion keeps every definite value of the partial
-// assignment, the observed fault effect included, and the completed test
-// still detects its target. The filled inputs are the controllables the
-// engine searches over, and scenario constraints are structural in the
-// netlist, so a completed test is as legal as any assignment the search could
-// pick. What it buys: a partial test leaves most nets X, and the grader can
-// only drop faults whose effect shows on definite values; a completed test
-// makes every net definite, so one test drops many more classes, and fewer
-// classes reach a search. The seed makes a class's completed test the same in
-// every run and at every worker count.
+// Before a Detected search's test joins the run, GenerateAll completes it
+// (completeTest): every X the search left in Result.Pattern and Result.State
+// becomes a pseudo-random 0 or 1, drawn from a stream seeded only by the
+// class representative's FID. This is sound: ternary simulation is monotone,
+// so every completion keeps every definite value of the partial assignment,
+// the observed fault effect included, and the completed test still detects
+// its target. The filled inputs are the controllables the engine searches
+// over, and scenario constraints are structural in the netlist, so a
+// completed test is as legal as any assignment the search could pick. What
+// it buys: a partial test leaves most nets X, and the grader can only drop
+// faults whose effect shows on definite values; a completed test makes every
+// net definite, so one test drops many more classes, and fewer classes reach
+// a search. The seed makes a class's completed test the same in every run.
 //
 // With Options.Replay set, the drop grader first grades that test set
-// against the class list, before the screen stage and before any worker
-// starts: its hits resolve as simulation drops, and the words that dropped a
-// class lead the emitted test set (see Replay).
+// against the class list, before the screen stage and before any search:
+// its hits resolve as simulation drops, and the words that dropped a class
+// lead the emitted test set (see Replay).
 //
 // The screen stage then settles untestability before any search: the drop
 // grader's static screen (sim.Grader.Screen) retires, over the sorted
@@ -130,41 +127,32 @@ type workItem struct {
 // combinationally. No test on the run's clone detects such a class, so it
 // needs no search: one pass of the kernel and one cone walk settle them all.
 //
-// Fault dropping then happens at dispatch. The coordinator goroutine owns
-// the sorted list and the drop grader's test store, which holds the run's
-// search tests packed 64 to a word, each word's good machine settled once
-// (sim.Grader.AddTest). A worker that holds its sched.Pool slot asks the
-// coordinator for a class. The coordinator walks the list from its cursor
-// and checks each class once, at the head, against every search test
-// emitted so far (sim.Grader.Detects: one activation read and at most one
-// cone evaluation per word). A hit resolves the class as a simulation drop;
-// the first class no test detects goes to the worker, with the number of
-// tests emitted at the check. A worker asks again only after it has sent its
-// last result, so a single worker takes the classes strictly in sorted
-// order, each checked against every test before it, and a one-worker run is
-// fully deterministic. Its searches, tests and verdicts are those of
-// grading each new test at once against every class still live: a class
-// meets the same tests, only when it reaches the head, which is also when
-// its drop is announced. With several workers, a result whose class a test
-// emitted after its dispatch detects is discarded, and the class is the
-// simulation drop that test makes it. An Aborted class stays open to every
-// later test: when the run ends, it is checked against the tests emitted
-// after its search, and a hit upgrades it to a simulation drop, announced
-// as Detected.
+// Fault dropping then happens at dispatch. The drop grader's test store
+// holds the run's search tests packed 64 to a word, each word's good machine
+// settled once (sim.Grader.AddTest). The dispatch loop walks the sorted list
+// and checks each class once, at the head, against every search test emitted
+// so far (sim.Grader.Detects: one activation read and at most one cone
+// evaluation per word). A hit resolves the class as a simulation drop. The
+// first class no test detects is searched: the loop acquires an Options.Pool
+// slot, runs the search, releases the slot, and commits the verdict, storing
+// a Detected search's completed test before it checks the next class. So the
+// classes are taken strictly in sorted order, each checked against every
+// test before it, and a run is fully deterministic, whatever the pool's
+// size. Its searches, tests and verdicts are those of grading each new test
+// at once against every class still live: a class meets the same tests,
+// only when it reaches the head, which is also when its drop is announced.
+// An Aborted class stays open to every later test: when the run ends, it is
+// checked against the tests emitted after its search, and a hit upgrades it
+// to a simulation drop, announced as Detected.
 //
-// Cancelling ctx stops the run promptly — in-flight searches poll a shared
-// flag once per decision step — and returns ctx.Err() after every worker has
-// drained, so no goroutines outlive the call.
+// Cancelling ctx stops the run promptly — the search in flight polls a flag
+// that context.AfterFunc sets, once per decision step — and returns
+// ctx.Err(). GenerateAll starts no goroutine of its own.
 func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opts Options) (*Outcome, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-
 	// The collapse is recomputed per run rather than shared via Options:
 	// Rep path-compresses (writes), so a shared instance would race across
 	// concurrent runs. It is O(faults·α) — noise next to the search.
@@ -251,7 +239,6 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		mImplications = reg.Counter("atpg.implications")
 		mGateEvals    = reg.Counter("atpg.gate_evals")
 		mAbortLimit   = reg.Counter("atpg.abort.limit")
-		mAbortCancel  = reg.Counter("atpg.abort.cancel")
 		mDropGraded   = reg.Counter("atpg.drop.graded")
 		mDropHits     = reg.Counter("atpg.drop.hits")
 		mDropGradeNs  = reg.Counter("atpg.drop.grade_ns")
@@ -339,18 +326,18 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		commit(fid, Untestable)
 	})
 
-	// The coordinator hands the classes left out in sorted order; next is
-	// its cursor into reps. The sched.queue_depth gauge counts the classes
-	// from the cursor on, and every return sheds what a cancelled run left.
+	// The dispatch loop takes the classes left in sorted order; next is its
+	// cursor into reps. The sched.queue_depth gauge counts the classes from
+	// the cursor on, and every return sheds what a cancelled run left.
 	next := 0
 	mDepth.Add(int64(len(reps)))
 	defer func() { mDepth.Add(-int64(len(reps) - next)) }()
 
 	// The grader's test store holds this run's search tests, in emission
 	// order. detects checks a class against the ones from index k on,
-	// counted as drop grading. Its callers time whole stretches of checks
-	// for atpg.drop.grade_ns: reading the clock around every check would
-	// cost more than many of the checks it times.
+	// counted as drop grading. The loop times whole stretches of checks for
+	// atpg.drop.grade_ns: reading the clock around every check would cost
+	// more than many of the checks it times.
 	grader.ResetTests()
 	detects := func(fid fault.FID, k int) bool {
 		if k >= grader.Tests() {
@@ -360,159 +347,87 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 		return grader.Detects(fid, k)
 	}
 
-	// Workers ask the coordinator for a class once they hold a slot of the
-	// (possibly nil, then ungated) campaign worker pool, take it from work,
-	// search it, and send the result back. A worker asks for its next class
-	// only after it has sent its last result, so a lone worker's next class
-	// is checked against the test its last search emitted. Spawning is
-	// skipped entirely when the replay and the screen resolved every class.
-	var cancelFlag atomic.Bool
-	numWorkers := min(workers, len(reps))
-	asks := make(chan struct{})
-	work := make(chan workItem)
-	results := make(chan workItem)
-	var wg sync.WaitGroup
-	for range numWorkers {
-		eng := NewWithAnnotations(n, ann, opts)
-		eng.cancel = &cancelFlag
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var busy int64
-			defer func() {
-				if busy > 0 {
-					hBusy.Observe(busy)
-				}
-			}()
-			for !cancelFlag.Load() {
-				waitStart := time.Now()
-				if !opts.Pool.Acquire(ctx) {
-					return
-				}
-				asks <- struct{}{}
-				w, ok := <-work
-				if !ok {
-					opts.Pool.Release()
-					return
-				}
-				mQueueWait.Add(time.Since(waitStart).Nanoseconds())
-				w.res = eng.Generate(u.FaultOf(w.fid))
-				if w.res.Verdict == Detected {
-					completeTest(w.fid, w.res.Pattern, w.res.State)
-				}
-				opts.Pool.Release()
-				busy += w.res.Elapsed.Nanoseconds()
-				results <- w
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// handOut answers one ask. It walks the list from the cursor, resolves
-	// every class a search test detects as a simulation drop, and hands the
-	// first class left to the asking worker. With no class left, or once the
-	// run is cancelled, it closes work, which retires every worker that asks.
-	workClosed := false
-	handOut := func() {
-		if workClosed {
-			return
-		}
-		if ctx.Err() == nil {
-			gradeStart := time.Now()
-			for next < len(reps) {
-				fid := reps[next]
-				next++
-				mDepth.Add(-1)
-				if !detects(fid, 0) {
-					mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
-					work <- workItem{fid: fid, tests: grader.Tests()}
-					return
-				}
-				simDrop(fid)
-			}
-			mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
-		}
-		close(work)
-		workClosed = true
-	}
-
-	// The coordinator owns the status map and the test store: it answers
-	// asks, and it commits each search's verdict, storing a Detected
-	// search's test. Aborted classes wait for the end of the run, when every
-	// test emitted after them is known.
-	var aborted []workItem
-	done := ctx.Done()
-	for open := true; open; {
-		var w workItem
-		select {
-		case <-done:
-			// Interrupt in-flight searches, stop handing out classes, and
-			// keep draining so every worker can exit.
-			cancelFlag.Store(true)
-			done = nil
+	// The engine is built for the first class that needs a search, so a run
+	// whose replay, screen and drops settle every class builds none.
+	// Cancelling ctx sets the flag it polls.
+	var (
+		cancelled atomic.Bool
+		eng       *Engine
+		aborted   []abortedClass
+		busy      int64
+	)
+	stop := context.AfterFunc(ctx, func() { cancelled.Store(true) })
+	defer stop()
+	gradeStart := time.Now()
+	for next < len(reps) && !cancelled.Load() {
+		fid := reps[next]
+		next++
+		mDepth.Add(-1)
+		if detects(fid, 0) {
+			simDrop(fid)
 			continue
-		case <-asks:
-			handOut()
-			continue
-		case w, open = <-results:
-		}
-		if !open || ctx.Err() != nil {
-			continue
-		}
-		st.Backtracks += w.res.Backtracks
-		st.Decisions += w.res.Decisions
-		st.Implications += w.res.Implications
-		st.GateEvals += w.res.GateEvals
-		mBacktracks.Add(int64(w.res.Backtracks))
-		mDecisions.Add(int64(w.res.Decisions))
-		mImplications.Add(int64(w.res.Implications))
-		mGateEvals.Add(int64(w.res.GateEvals))
-		hSearch.Observe(w.res.Elapsed.Nanoseconds())
-		// A test another worker emitted while this search ran may detect
-		// the class. The class is then the simulation drop it would have
-		// been had that test come first, and the search's result is
-		// discarded: the verdicts cannot disagree, only overlap. Otherwise a
-		// Detected search's test joins the store.
-		gradeStart := time.Now()
-		dropped := detects(w.fid, w.tests)
-		if !dropped && w.res.Verdict == Detected {
-			grader.AddTest(w.res.Pattern, w.res.State)
 		}
 		mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
-		if dropped {
-			simDrop(w.fid)
-			continue
+		if eng == nil {
+			eng = NewWithAnnotations(n, ann, opts)
+			eng.cancel = &cancelled
 		}
-		switch w.res.Verdict {
+		// The pool slot is held for the search alone.
+		waitStart := time.Now()
+		if !opts.Pool.Acquire(ctx) {
+			return nil, ctx.Err()
+		}
+		mQueueWait.Add(time.Since(waitStart).Nanoseconds())
+		res := eng.Generate(u.FaultOf(fid))
+		opts.Pool.Release()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		busy += res.Elapsed.Nanoseconds()
+		st.Backtracks += res.Backtracks
+		st.Decisions += res.Decisions
+		st.Implications += res.Implications
+		st.GateEvals += res.GateEvals
+		mBacktracks.Add(int64(res.Backtracks))
+		mDecisions.Add(int64(res.Decisions))
+		mImplications.Add(int64(res.Implications))
+		mGateEvals.Add(int64(res.GateEvals))
+		hSearch.Observe(res.Elapsed.Nanoseconds())
+		switch res.Verdict {
 		case Detected:
-			status.Set(w.fid, fault.Detected)
+			completeTest(fid, res.Pattern, res.State)
+			status.Set(fid, fault.Detected)
 			st.Detected++
 			mDetected.Inc()
-			commit(w.fid, Detected)
-			out.Patterns = append(out.Patterns, w.res.Pattern)
-			out.States = append(out.States, w.res.State)
+			commit(fid, Detected)
+			out.Patterns = append(out.Patterns, res.Pattern)
+			out.States = append(out.States, res.State)
 			st.Patterns++
 			mPatterns.Inc()
 		case Untestable:
-			status.Set(w.fid, fault.Untestable)
+			status.Set(fid, fault.Untestable)
 			st.Untestable++
 			mUntestable.Inc()
-			commit(w.fid, Untestable)
+			commit(fid, Untestable)
 		case Aborted:
-			status.Set(w.fid, fault.Aborted)
+			status.Set(fid, fault.Aborted)
 			st.Aborted++
 			mAborted.Inc()
-			if w.res.Abort == AbortCancel {
-				mAbortCancel.Inc()
-			} else {
-				mAbortLimit.Inc()
-			}
-			commit(w.fid, Aborted)
-			aborted = append(aborted, workItem{fid: w.fid, tests: grader.Tests()})
+			// A search that cancellation interrupted ended the run above, so
+			// every Aborted verdict committed here hit the backtrack limit.
+			mAbortLimit.Inc()
+			commit(fid, Aborted)
+			aborted = append(aborted, abortedClass{fid: fid, tests: grader.Tests()})
 		}
+		// Storing the test counts as drop grading, with the walk it feeds.
+		gradeStart = time.Now()
+		if res.Verdict == Detected {
+			grader.AddTest(res.Pattern, res.State)
+		}
+	}
+	mDropGradeNs.Add(time.Since(gradeStart).Nanoseconds())
+	if busy > 0 {
+		hBusy.Observe(busy)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -521,7 +436,7 @@ func GenerateAll(ctx context.Context, n *netlist.Netlist, u *fault.Universe, opt
 	// A test emitted after an Aborted class's search covers it as well as a
 	// test emitted before: such a class is upgraded to a simulation drop
 	// (and re-announced as Detected).
-	gradeStart := time.Now()
+	gradeStart = time.Now()
 	for _, a := range aborted {
 		if detects(a.fid, a.tests) {
 			st.Aborted--

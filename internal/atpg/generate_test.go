@@ -17,7 +17,7 @@ import (
 	"olfui/internal/testutil"
 )
 
-// waitGoroutines asserts the worker fleet drained after a cancelled run.
+// waitGoroutines asserts a cancelled run left no goroutine behind.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	if err := testutil.WaitGoroutines(base); err != nil {
@@ -37,38 +37,36 @@ func TestGenerateAllPreCancelled(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestGenerateAllCancelMidRun cancels while the fleet is mid-flight: the run
-// must return ctx.Err() promptly, every worker goroutine must exit, and the
-// classes still queued must leave the sched.queue_depth gauge, which a
-// campaign server's registry keeps across runs.
+// TestGenerateAllCancelMidRun cancels in the middle of a run: it must return
+// ctx.Err() promptly, leave no goroutine behind (the one context.AfterFunc
+// starts to set the search's cancel flag included), and shed the classes
+// still queued from the sched.queue_depth gauge, which a campaign server's
+// registry keeps across runs.
 func TestGenerateAllCancelMidRun(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	for _, workers := range []int{1, 4} {
-		base := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		reg := obs.New()
-		fired := false
-		opts := Options{
-			Workers: workers,
-			Metrics: reg,
-			Progress: func(fault.FID, Verdict) {
-				// Cancel on the first committed verdict, with plenty of
-				// classes still undispatched.
-				if !fired {
-					fired = true
-					cancel()
-				}
-			},
-		}
-		out, err := GenerateAll(ctx, n, u, opts)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v (out=%v), want context.Canceled", workers, err, out != nil)
-		}
-		waitGoroutines(t, base)
-		if depth := reg.Snapshot().Counter("sched.queue_depth"); depth != 0 {
-			t.Fatalf("workers=%d: sched.queue_depth = %d after the cancelled run, want 0", workers, depth)
-		}
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	reg := obs.New()
+	fired := false
+	opts := Options{
+		Metrics: reg,
+		Progress: func(fault.FID, Verdict) {
+			// Cancel on the first committed verdict, with plenty of classes
+			// still undispatched.
+			if !fired {
+				fired = true
+				cancel()
+			}
+		},
+	}
+	out, err := GenerateAll(ctx, n, u, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (out=%v), want context.Canceled", err, out != nil)
+	}
+	waitGoroutines(t, base)
+	if depth := reg.Snapshot().Counter("sched.queue_depth"); depth != 0 {
+		t.Fatalf("sched.queue_depth = %d after the cancelled run, want 0", depth)
 	}
 }
 
@@ -177,7 +175,7 @@ func TestGenerateAllShardsMatchFull(t *testing.T) {
 }
 
 // TestGenerateAllOrdersItsClasses pins that GenerateAll owns the dispatch
-// order: a one-worker run given the same classes ascending, reversed or as
+// order: a run given the same classes ascending, reversed or as
 // nil searches them in one order (hardest-first), so the three Outcomes are
 // equal — statuses, the emitted test set, and every stat but the times.
 func TestGenerateAllOrdersItsClasses(t *testing.T) {
@@ -194,7 +192,7 @@ func TestGenerateAllOrdersItsClasses(t *testing.T) {
 	slices.Reverse(reversed)
 	run := func(classes []fault.FID) *Outcome {
 		t.Helper()
-		out, err := GenerateAll(context.Background(), n, u, Options{Workers: 1, Classes: classes})
+		out, err := GenerateAll(context.Background(), n, u, Options{Classes: classes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,16 +308,16 @@ func TestGenerateAllProgressMatchesOutcome(t *testing.T) {
 // classifies every class as that run did, resolves every Detected class as
 // a simulation drop before any search, emits only rows of the replayed set,
 // and that emitted set still detects every Detected class. Mis-sized rows
-// are rejected before any worker spawns.
+// are rejected before any search.
 func TestGenerateAllReplay(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)
-	first, err := GenerateAll(context.Background(), n, u, Options{Workers: 1})
+	first, err := GenerateAll(context.Background(), n, u, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hits := 0
-	second, err := GenerateAll(context.Background(), n, u, Options{Workers: 1, Replay: &Replay{
+	second, err := GenerateAll(context.Background(), n, u, Options{Replay: &Replay{
 		Patterns: first.Patterns,
 		States:   first.States,
 		Hit:      func(_, _ int, detected *fault.Set) { hits += detected.Count() },

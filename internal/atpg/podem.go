@@ -30,7 +30,7 @@ func (e *Engine) GenerateInjection(inj fault.Injection) (res Result) {
 		panic("atpg: injection stuck value must be 0 or 1")
 	}
 	// The per-search work tallies are plain ints — telemetry aggregation
-	// happens once per class in GenerateAll's coordinator, never inside the
+	// happens once per class in GenerateAll's dispatch loop, never inside the
 	// decision loop.
 	start := time.Now()
 	decisions, implications := 0, 0

@@ -96,11 +96,11 @@ func TestConeSearchMatchesReferenceOnBench(t *testing.T) {
 	}
 }
 
-// generateMiter runs a one-worker GenerateAll over every class of the 8-bit
+// generateMiter runs GenerateAll over every class of the 8-bit
 // adder miter at the default backtrack limit.
 func generateMiter(tb testing.TB, n *netlist.Netlist, u *fault.Universe) *atpg.Outcome {
 	tb.Helper()
-	out, err := atpg.GenerateAll(context.Background(), n, u, atpg.Options{Workers: 1})
+	out, err := atpg.GenerateAll(context.Background(), n, u, atpg.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestGenerateAdderMiterMatchesOracle(t *testing.T) {
 		st.Backtracks, len(out.Status.FaultsWith(fault.Untestable)), len(detected))
 }
 
-// BenchmarkGenerateAdderMiter times the one-worker GenerateAll that
+// BenchmarkGenerateAdderMiter times the GenerateAll that
 // TestGenerateAdderMiterMatchesOracle checks: the deep-search workload, whose
 // searches run thousands of backtracks each.
 func BenchmarkGenerateAdderMiter(b *testing.B) {

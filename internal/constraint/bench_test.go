@@ -122,7 +122,7 @@ func BenchmarkGradeSeqMultiSite(b *testing.B) {
 	}
 }
 
-// BenchmarkUnrolledATPGMultiSite measures the full multi-site fleet driver —
+// BenchmarkUnrolledATPGMultiSite measures the full multi-site GenerateAll —
 // PODEM over joint multi-frame injections with site-map-aware fault dropping
 // — on a 3-frame unrolled clone.
 func BenchmarkUnrolledATPGMultiSite(b *testing.B) {

@@ -249,12 +249,11 @@ func TestUnrollerAnnotationOrderMatchesAnnotate(t *testing.T) {
 		for i := range clone.Nets {
 			net := netlist.NetID(i)
 			if ann.Level[net] != full.Level[net] || ann.CC0[net] != full.CC0[net] ||
-				ann.CC1[net] != full.CC1[net] || ann.CO[net] != full.CO[net] ||
-				ann.FanoutCnt[net] != full.FanoutCnt[net] {
-				t.Fatalf("step %d net %q: incremental (L=%d CC0=%d CC1=%d CO=%d FO=%d) vs full (L=%d CC0=%d CC1=%d CO=%d FO=%d)",
+				ann.CC1[net] != full.CC1[net] || ann.CO[net] != full.CO[net] {
+				t.Fatalf("step %d net %q: incremental (L=%d CC0=%d CC1=%d CO=%d) vs full (L=%d CC0=%d CC1=%d CO=%d)",
 					step, clone.Net(net).Name,
-					ann.Level[net], ann.CC0[net], ann.CC1[net], ann.CO[net], ann.FanoutCnt[net],
-					full.Level[net], full.CC0[net], full.CC1[net], full.CO[net], full.FanoutCnt[net])
+					ann.Level[net], ann.CC0[net], ann.CC1[net], ann.CO[net],
+					full.Level[net], full.CC0[net], full.CC1[net], full.CO[net])
 			}
 		}
 	}

@@ -53,13 +53,13 @@ func (c Channel) String() string {
 type Env struct {
 	N        *netlist.Netlist
 	Universe *fault.Universe
-	// ATPG configures the provider's engines. Workers arrives as the FULL
-	// campaign budget — the shared Pool, pre-filled into ATPG.Pool, caps how
-	// many of those workers actually search at once across all providers.
-	// ObsPoints, Classes, Sites and Replay arrive nil — providers select
-	// their own observation points, ordered class list, injection site map
-	// and replayed test set.
-	// Metrics is pre-filled with the campaign registry.
+	// ATPG configures the provider's engines. Pool arrives pre-filled with
+	// the campaign's shared sched.Pool, which caps how many searches run at
+	// once across all providers; each GenerateAll run searches one class at
+	// a time. ObsPoints, Classes, Sites and Replay arrive nil — providers
+	// select their own observation points, ordered class list, injection
+	// site map and replayed test set. Metrics is pre-filled with the
+	// campaign registry.
 	ATPG atpg.Options
 	// Metrics is the campaign telemetry registry (nil when the campaign runs
 	// uninstrumented; all recording methods no-op on nil).
@@ -140,11 +140,12 @@ type CampaignOptions struct {
 	// campaign installs its own progress callback, registry and worker
 	// pool.
 	ATPG atpg.Options
-	// Workers is the TOTAL campaign worker budget: the maximum number of
-	// concurrently searching engine workers across every provider. Every
-	// provider sees the full budget and one shared sched.Pool arbitrates, so
-	// an early-finishing provider's slots flow to the others instead of
-	// idling. 0 means runtime.NumCPU(); ATPG.Workers must be left 0.
+	// Workers is the TOTAL campaign worker budget: the size of the one
+	// sched.Pool that caps the searches in flight across every provider.
+	// Each ATPG provider searches one class at a time, so a budget above
+	// the number of ATPG providers leaves slots unused, and below it the
+	// providers take turns. The budget changes no verdict, test or delta,
+	// only how many providers search at once. 0 means runtime.NumCPU().
 	Workers int
 	// Serial runs providers one at a time in Add order (deterministic
 	// profiling; RunCampaign uses it for Options.Serial).
@@ -334,7 +335,7 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 	}
 
 	// One pool for the whole campaign: however many providers overlap, at
-	// most `total` engine workers hold a search slot at once.
+	// most `total` searches hold a slot at once.
 	total := c.total()
 	pool := sched.NewPool(total, reg)
 	runOne := func(pi int) {
@@ -378,7 +379,6 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 		span := root.Child("provider:" + p.Name())
 		span.SetAttr("channel", p.Channel().String())
 		env := Env{N: c.n, Universe: c.u, ATPG: c.opts.ATPG, Metrics: reg, Span: span}
-		env.ATPG.Workers = total
 		env.ATPG.Metrics = reg
 		env.ATPG.Pool = pool
 		err := p.Run(ctx, env, emitFor(pi))
@@ -468,8 +468,8 @@ func (c *Campaign) total() int {
 // classes, site maps, annotations, graders and replayed test sets per
 // netlist — a scenario's clone differs from the original, so a
 // campaign-level value would index the wrong netlist — and the campaign
-// installs its own progress callback, registry, worker budget and worker
-// pool, which would silently overwrite a caller-set one.
+// installs its own progress callback, registry and worker pool, which would
+// silently overwrite a caller-set one.
 func checkEngineOptions(typ string, o atpg.Options) error {
 	for _, f := range []struct {
 		name string
@@ -484,7 +484,6 @@ func checkEngineOptions(typ string, o atpg.Options) error {
 		{"Replay", o.Replay != nil, "scenario providers replay the baseline's tests"},
 		{"Progress", o.Progress != nil, "use " + typ + ".Progress for campaign events"},
 		{"Metrics", o.Metrics != nil, "use " + typ + ".Metrics for campaign telemetry"},
-		{"Workers", o.Workers != 0, "use " + typ + ".Workers for the campaign budget"},
 		{"Pool", o.Pool != nil, "use " + typ + ".Workers for the campaign budget"},
 	} {
 		if f.set {

@@ -19,7 +19,7 @@ import (
 	"olfui/internal/testutil"
 )
 
-// waitGoroutines asserts the campaign's providers and workers drained.
+// waitGoroutines asserts the campaign's provider goroutines drained.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	if err := testutil.WaitGoroutines(base); err != nil {
@@ -48,10 +48,9 @@ func sameReport(t *testing.T, label string, a, b *Report) {
 }
 
 // TestCampaignShardInvariance is the acceptance criterion for the streaming
-// merge under coordinator dispatch: campaigns with 1, 4 and 16 workers
-// classify the benchmark identically, with the one-worker run — whose
-// searches follow the sorted class list strictly — as the deterministic
-// reference.
+// merge on the benchmark: campaigns with budgets of 1, 4 and 16 workers
+// classify it identically, and each baseline's test set detects every fault
+// it calls Detected.
 func TestCampaignShardInvariance(t *testing.T) {
 	n := benchCircuit(t)
 	u := fault.NewUniverse(n)

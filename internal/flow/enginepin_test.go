@@ -11,9 +11,10 @@ import (
 	"olfui/internal/obs"
 )
 
-// TestCampaignEnginePins pins whole single-worker campaigns on the bench
+// TestCampaignEnginePins pins whole one-worker campaigns on the bench
 // design: the classification digest, the search-work counters and the drop
-// side. With one worker the campaign is deterministic, so any change to the
+// side. A campaign is deterministic at every worker budget
+// (TestSchedulerInvariance), so any change to the
 // PODEM engine that alters a verdict, a pattern (which changes what fault
 // dropping removes) or the search trajectory (backtracks, decisions,
 // implication passes) shows up here. Speedups to the engine must keep all

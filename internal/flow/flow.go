@@ -20,9 +20,12 @@
 // cancellation and deadlines stop ATPG mid-search with no goroutine leaks —
 // and reports per-provider progress events as deltas merge. Every ATPG
 // provider hands atpg.GenerateAll the set of classes to target, and
-// GenerateAll owns the dispatch order (hardest-first; its coordinator hands
-// the classes out to its workers one at a time), while one campaign-wide
-// sched.Pool caps the searches in flight.
+// GenerateAll owns the dispatch order (hardest-first; one loop on the
+// provider's goroutine searches the classes one at a time), while one
+// campaign-wide sched.Pool caps the searches in flight across providers. So
+// the worker budget decides only how many providers search at once: a
+// campaign's classification, test sets and delta streams are the same at
+// every budget.
 //
 // On top of the campaign core, RunCampaign assembles the paper's
 // deliverable: it classifies every fault of the original universe as
@@ -154,10 +157,9 @@ type Options struct {
 	// ATPG configures the engines. The options a campaign owns must be
 	// left nil (see CampaignOptions.ATPG).
 	ATPG atpg.Options
-	// Workers is the campaign-wide worker budget: the maximum number of
-	// concurrently searching engine workers across ALL providers, enforced
-	// by one shared sched.Pool. 0 means runtime.NumCPU(); ATPG.Workers must
-	// be left 0.
+	// Workers is the campaign-wide worker budget (CampaignOptions.Workers):
+	// the maximum number of searches in flight across ALL providers,
+	// enforced by one shared sched.Pool. 0 means runtime.NumCPU().
 	Workers int
 	// Serial runs the providers one at a time (CampaignOptions.Serial), which
 	// is useful for deterministic profiling; by default they run

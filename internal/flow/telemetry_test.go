@@ -38,7 +38,7 @@ func (s *statSum) add(st atpg.Stats) {
 // TestRegistryMatchesStats is the telemetry layer's exactness pin: one
 // registry hammered by every provider of a swept, parallel campaign
 // reports totals identical to the sum of the per-run atpg.Stats — the
-// counters mirror the coordinator's tallies branch for branch, not
+// counters mirror GenerateAll's tallies branch for branch, not
 // approximately. Run under -race this also proves the recording paths are
 // data-race-free in their real usage.
 func TestRegistryMatchesStats(t *testing.T) {
@@ -93,7 +93,7 @@ func TestRegistryMatchesStats(t *testing.T) {
 	if want.classes == 0 || want.detected == 0 || want.untestable == 0 || want.gateEvals == 0 {
 		t.Fatalf("degenerate campaign: %+v", want)
 	}
-	// Every pattern is drop-graded under the coordinator's timer.
+	// Every pattern is drop-graded under the dispatch loop's timer.
 	if want.patterns != 0 && snap.Counter("atpg.drop.grade_ns") == 0 {
 		t.Errorf("atpg.drop.grade_ns = 0 after %d patterns", want.patterns)
 	}
@@ -215,7 +215,6 @@ func TestMetricsOptionValidation(t *testing.T) {
 		"ATPG.Metrics": {Metrics: obs.New()},
 		"ATPG.Grader":  {Grader: grader},
 		"ATPG.Replay":  {Replay: &atpg.Replay{}},
-		"ATPG.Workers": {Workers: 2},
 	} {
 		c := NewCampaign(n, u, CampaignOptions{ATPG: bad})
 		if err := c.Add(&BaselineProvider{}); err != nil {

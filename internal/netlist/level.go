@@ -116,26 +116,3 @@ func (n *Netlist) FaninCone(seq bool, roots ...NetID) []bool {
 	}
 	return cone
 }
-
-// FanoutCone returns the set of live gates in the transitive fanout of the
-// given nets, crossing flip-flops.
-func (n *Netlist) FanoutCone(roots ...NetID) map[GateID]bool {
-	seen := map[GateID]bool{}
-	var stack []NetID
-	stack = append(stack, roots...)
-	for len(stack) > 0 {
-		net := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range n.Nets[net].Fanout {
-			g := &n.Gates[p.Gate]
-			if g.Kind == KDead || seen[p.Gate] {
-				continue
-			}
-			seen[p.Gate] = true
-			if g.Out != InvalidNet {
-				stack = append(stack, g.Out)
-			}
-		}
-	}
-	return seen
-}

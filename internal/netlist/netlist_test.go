@@ -228,18 +228,6 @@ func TestCones(t *testing.T) {
 			t.Errorf("combinational fanin cone of r: %q in cone = %v", name, combCone[id])
 		}
 	}
-	a, _ := n.NetByName("a")
-	fanout := n.FanoutCone(a)
-	for _, name := range []string{"ab", "y", "r", "po"} {
-		id, _ := n.GateByName(name)
-		if !fanout[id] {
-			t.Errorf("fanout cone of a missing %q", name)
-		}
-	}
-	ncID, _ := n.GateByName("nc")
-	if fanout[ncID] {
-		t.Error("fanout cone of a should not contain nc")
-	}
 }
 
 func TestStats(t *testing.T) {

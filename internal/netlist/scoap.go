@@ -2,8 +2,8 @@ package netlist
 
 import "fmt"
 
-// Testability annotations: per-net logic levels, fanout classification and
-// SCOAP-lite controllability/observability measures. The ATPG engine uses
+// Testability annotations: per-net logic levels and SCOAP-lite
+// controllability/observability measures. The ATPG engine uses
 // them to pick backtrace paths (easiest/hardest input) and to choose which
 // D-frontier gate to advance (lowest observability first); they are also a
 // cheap static signal for reporting which regions of a design are hard to
@@ -37,9 +37,6 @@ type Annotations struct {
 	// net's value to an observation point (primary-output input pin or
 	// flip-flop D pin), CostInf if no structural path exists.
 	CO []int32
-	// FanoutCnt[net] is the number of input pins reading the net; nets with
-	// FanoutCnt > 1 are fanout stems, where fault effects reconverge.
-	FanoutCnt []int32
 
 	order []GateID
 }
@@ -63,12 +60,11 @@ func (n *Netlist) Annotate() (*Annotations, error) {
 		return nil, err
 	}
 	a := &Annotations{
-		Level:     make([]int32, len(n.Nets)),
-		CC0:       make([]int32, len(n.Nets)),
-		CC1:       make([]int32, len(n.Nets)),
-		CO:        make([]int32, len(n.Nets)),
-		FanoutCnt: make([]int32, len(n.Nets)),
-		order:     order,
+		Level: make([]int32, len(n.Nets)),
+		CC0:   make([]int32, len(n.Nets)),
+		CC1:   make([]int32, len(n.Nets)),
+		CO:    make([]int32, len(n.Nets)),
+		order: order,
 	}
 	for i := range n.Nets {
 		a.CC0[i], a.CC1[i] = CostInf, CostInf
@@ -117,12 +113,11 @@ func (n *Netlist) AnnotateAppended(prev *Annotations, order []GateID, from int) 
 			n.Name, len(order), want)
 	}
 	a := &Annotations{
-		Level:     make([]int32, len(n.Nets)),
-		CC0:       make([]int32, len(n.Nets)),
-		CC1:       make([]int32, len(n.Nets)),
-		CO:        make([]int32, len(n.Nets)),
-		FanoutCnt: make([]int32, len(n.Nets)),
-		order:     order,
+		Level: make([]int32, len(n.Nets)),
+		CC0:   make([]int32, len(n.Nets)),
+		CC1:   make([]int32, len(n.Nets)),
+		CO:    make([]int32, len(n.Nets)),
+		order: order,
 	}
 	// Forward prefix: carry the previous values; the recompute suffix below
 	// overwrites every net whose level or controllability can have changed.
@@ -178,11 +173,10 @@ func (a *Annotations) forward(n *Netlist, order []GateID) {
 	}
 }
 
-// finish fills fanout counts and runs the full backward observability pass.
+// finish runs the full backward observability pass.
 func (a *Annotations) finish(n *Netlist, order []GateID) {
 	for i := range n.Nets {
 		a.CO[i] = CostInf
-		a.FanoutCnt[i] = int32(len(n.Nets[i].Fanout))
 	}
 	for i := range n.Gates {
 		g := &n.Gates[i]

@@ -30,9 +30,6 @@ func TestAnnotateBasics(t *testing.T) {
 	if ann.CO[z] != 0 || ann.CO[y] != 1 || ann.CO[a] != 3 {
 		t.Errorf("CO = z:%d y:%d a:%d, want 0/1/3", ann.CO[z], ann.CO[y], ann.CO[a])
 	}
-	if ann.FanoutCnt[y] != 1 {
-		t.Errorf("FanoutCnt[y] = %d, want 1", ann.FanoutCnt[y])
-	}
 }
 
 func TestAnnotateTieAndUnreachable(t *testing.T) {
@@ -138,12 +135,11 @@ func TestAnnotateAppendedMatchesFull(t *testing.T) {
 		for i := range n.Nets {
 			id := NetID(i)
 			if ann.Level[id] != full.Level[id] || ann.CC0[id] != full.CC0[id] ||
-				ann.CC1[id] != full.CC1[id] || ann.CO[id] != full.CO[id] ||
-				ann.FanoutCnt[id] != full.FanoutCnt[id] {
-				t.Fatalf("step %d net %q: incremental (%d,%d,%d,%d,%d) != full (%d,%d,%d,%d,%d)",
+				ann.CC1[id] != full.CC1[id] || ann.CO[id] != full.CO[id] {
+				t.Fatalf("step %d net %q: incremental (%d,%d,%d,%d) != full (%d,%d,%d,%d)",
 					step, n.Nets[i].Name,
-					ann.Level[id], ann.CC0[id], ann.CC1[id], ann.CO[id], ann.FanoutCnt[id],
-					full.Level[id], full.CC0[id], full.CC1[id], full.CO[id], full.FanoutCnt[id])
+					ann.Level[id], ann.CC0[id], ann.CC1[id], ann.CO[id],
+					full.Level[id], full.CC0[id], full.CC1[id], full.CO[id])
 			}
 		}
 	}

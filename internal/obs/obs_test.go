@@ -197,7 +197,7 @@ func TestSnapshotJSONStable(t *testing.T) {
 }
 
 // TestConcurrentRecording hammers one registry from many goroutines — the
-// exact usage pattern of parallel GenerateAll workers and providers — and
+// exact usage pattern of concurrent GenerateAll runs and providers — and
 // asserts the snapshot totals are exact. Run under -race this also proves
 // the recording paths are data-race-free.
 func TestConcurrentRecording(t *testing.T) {

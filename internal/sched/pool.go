@@ -1,17 +1,18 @@
 // Package sched provides the campaign's worker-slot budget: one Pool per
 // campaign caps the class searches in flight across every provider.
 //
-// Dispatch itself is not here: every atpg.GenerateAll run's coordinator
-// owns its class list, in dispatch order, and hands the classes out to its
-// workers one ask at a time, so every worker count walks one order and a
-// lone worker takes the classes strictly in list order. A worker acquires
-// its Pool slot before it asks for a class, so it never waits for a slot
-// with a class in hand.
+// Dispatch itself is not here: every atpg.GenerateAll run walks its own
+// class list, in dispatch order, on its caller's goroutine, and searches one
+// class at a time. It acquires a Pool slot once it has a class to search and
+// releases it when the search ends, so a slot is held only by a running
+// search, and the pool decides only how many runs search at once, never
+// what any run computes.
 //
 // Verdict soundness is untouched by scheduling: Detected and Untestable are
 // complete proofs, so any dispatch order yields the same terminal statuses.
 // Only Aborted verdicts are order-sensitive (a pattern generated earlier may
-// drop a class another order would have searched to the backtrack limit).
+// drop a class another order would have searched to the backtrack limit),
+// and each run's order is fixed by its class list alone.
 package sched
 
 import (
@@ -21,11 +22,10 @@ import (
 	"olfui/internal/obs"
 )
 
-// Pool is the campaign-global worker-slot budget: a counting semaphore every
-// engine worker acquires for the duration of one class search. One Pool per
-// campaign caps the number of concurrently searching goroutines at the
-// campaign budget no matter how many providers run at once, although every
-// provider sizes its own fleet to the full budget.
+// Pool is the campaign-global worker-slot budget: a counting semaphore a
+// GenerateAll run acquires for the duration of one class search. One Pool
+// per campaign caps the number of concurrent searches at the campaign budget
+// no matter how many providers run at once.
 //
 // A nil *Pool is a valid no-op (no gating), so single-use callers of
 // atpg.GenerateAll need not build one.

@@ -11,7 +11,7 @@ import (
 
 // Grader is a reusable PPSFP combinational fault-grading engine. It keeps one
 // simulator plus all per-batch and per-fault scratch allocated across calls,
-// so tight generate-then-drop loops (the ATPG fleet driver) neither rebuild
+// so tight generate-then-drop loops (atpg.GenerateAll) neither rebuild
 // levelized state nor churn the allocator per pattern.
 //
 // Per 64-pattern word the good machine is settled once by a full pass of the

@@ -184,7 +184,8 @@ func (c graderCase) dense(what string, gr *sim.Grader, reg *obs.Registry, patter
 
 // sparse grades single patterns whose inputs and state are at least 70% X,
 // one call each, dropping every detected fault from the list between calls
-// as the ATPG coordinator does. It returns how many faults were detected.
+// (the eager generate-then-drop shape). It returns how many faults were
+// detected.
 func (c graderCase) sparse(what string, rng *rand.Rand, gr *sim.Grader, reg *obs.Registry, calls int) int {
 	c.t.Helper()
 	nPI, nFF := len(c.n.PrimaryInputs()), len(c.n.FlipFlops())
@@ -215,9 +216,9 @@ func (c graderCase) sparse(what string, rng *rand.Rand, gr *sim.Grader, reg *obs
 // forward activation screen counted in the reference. It grades three
 // shapes: mostly-known 100-pattern sets with and without driven state;
 // single patterns at least 70% X graded one call at a time against a
-// shrinking list, the ATPG coordinator's shape; and, on an unrolled clone, a
-// grader extended over an Unroller.Extend beside a fresh one built on the
-// extended netlist.
+// shrinking list, the eager generate-then-drop shape; and, on an unrolled
+// clone, a grader extended over an Unroller.Extend beside a fresh one built
+// on the extended netlist.
 func TestGraderMatchesFullEvalReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var totals refCounts

@@ -132,7 +132,7 @@ func TestRandomNetlistDeterministicAndValid(t *testing.T) {
 }
 
 // TestATPGVerdictsAgainstOracle is the core property test: on randomized
-// small netlists, every Untestable verdict the ATPG fleet emits — under
+// small netlists, every Untestable verdict GenerateAll emits — under
 // full-scan and under output-only observation — must survive exhaustive
 // simulation, and every Detected verdict must be exhaustively detectable.
 func TestATPGVerdictsAgainstOracle(t *testing.T) {
@@ -140,7 +140,7 @@ func TestATPGVerdictsAgainstOracle(t *testing.T) {
 		nl := RandomNetlist(seed, RandOpts{Inputs: 4, Gates: 14, FFs: 2, Outputs: 2})
 		u := fault.NewUniverse(nl)
 		for _, obs := range [][]sim.ObsPoint{nil, sim.OutputObsPoints(nl)} {
-			out, err := atpg.GenerateAll(context.Background(), nl, u, atpg.Options{ObsPoints: obs, Workers: 2})
+			out, err := atpg.GenerateAll(context.Background(), nl, u, atpg.Options{ObsPoints: obs})
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
