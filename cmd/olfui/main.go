@@ -52,14 +52,13 @@ import (
 	"olfui/internal/testutil"
 )
 
-// config collects the command-line knobs.
+// config collects the command-line knobs. The embedded bench.Spec holds
+// -width, -frames, -max-frames and -workers, which olfuid takes as a run
+// spec's fields; validate resolves -sweep into its MaxFrames.
 type config struct {
-	width      int
-	workers    int
+	bench.Spec
 	limit      int
-	frames     int
 	sweep      bool   // adaptive sequential-depth sweep of the reach scenario
-	maxFrames  int    // sweep depth budget; 0 defaults, implies -sweep when set
 	patterns   string // stimulus file for the pattern-import provider
 	progress   bool
 	selfcheck  bool
@@ -69,17 +68,17 @@ type config struct {
 	resume     bool   // continue the campaign the journal recovered
 }
 
-// validate rejects inconsistent flag combinations with a one-line error
-// before any netlist, transform or provider work starts.
-func (cfg config) validate() error {
-	if cfg.width < 1 {
-		return fmt.Errorf("-width must be >= 1, got %d", cfg.width)
+// validate resolves the sweep's depth budget (-max-frames when set, which
+// implies -sweep; -frames+4 under a bare -sweep; 0 when sweeping is off)
+// into MaxFrames, then rejects out-of-range knobs with bench.Spec's bounds
+// and inconsistent flag combinations with a one-line error, before any
+// netlist, transform or provider work starts.
+func (cfg *config) validate() error {
+	if cfg.sweep && cfg.MaxFrames == 0 {
+		cfg.MaxFrames = cfg.Frames + 4
 	}
-	if cfg.frames < 1 {
-		return fmt.Errorf("-frames must be >= 1, got %d", cfg.frames)
-	}
-	if cfg.maxFrames != 0 && cfg.maxFrames < cfg.frames {
-		return fmt.Errorf("-max-frames (%d) must be >= -frames (%d)", cfg.maxFrames, cfg.frames)
+	if err := cfg.Spec.Validate(); err != nil {
+		return err
 	}
 	if cfg.resume && cfg.journalDir == "" {
 		return fmt.Errorf("-resume requires -journal")
@@ -87,29 +86,17 @@ func (cfg config) validate() error {
 	return nil
 }
 
-// sweepBudget resolves the sweep's depth budget: 0 when sweeping is off,
-// -max-frames when set (setting it implies -sweep), -frames+4 otherwise.
-func (cfg config) sweepBudget() int {
-	if cfg.maxFrames > 0 {
-		return cfg.maxFrames
-	}
-	if cfg.sweep {
-		return cfg.frames + 4
-	}
-	return 0
-}
-
 func main() {
 	var cfg config
-	flag.IntVar(&cfg.width, "width", 8, "datapath width")
-	flag.IntVar(&cfg.workers, "workers", 0,
+	flag.IntVar(&cfg.Width, "width", 8, "datapath width")
+	flag.IntVar(&cfg.Workers, "workers", 0,
 		"searches in flight across providers (0 = NumCPU); each ATPG provider searches one class at a time, "+
 			"so a budget above the number of ATPG providers leaves slots unused")
 	flag.IntVar(&cfg.limit, "limit", 0, "backtrack limit (0 = default)")
-	flag.IntVar(&cfg.frames, "frames", 2, "time frames for the reach-constrained scenario")
+	flag.IntVar(&cfg.Frames, "frames", 2, "time frames for the reach-constrained scenario")
 	flag.BoolVar(&cfg.sweep, "sweep", false,
 		"adaptively deepen the reach scenario frame by frame until its projected untestable set converges")
-	flag.IntVar(&cfg.maxFrames, "max-frames", 0,
+	flag.IntVar(&cfg.MaxFrames, "max-frames", 0,
 		"depth budget for the sweep (0 = -frames+4); setting it implies -sweep")
 	flag.StringVar(&cfg.patterns, "patterns", "", "mission stimulus file to grade (see cmd/olfui/patterns.go for the format)")
 	flag.BoolVar(&cfg.progress, "progress", false, "print per-provider delta merges and completions")
@@ -205,18 +192,18 @@ func runCampaign(ctx context.Context, cfg config, reg *obs.Registry) (*flow.Repo
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	n := bench.Build(cfg.width)
+	n := bench.Build(cfg.Width)
 	if err := n.Validate(); err != nil {
 		return nil, nil, err
 	}
 	fmt.Println(n.CollectStats())
 	u := fault.NewUniverse(n)
-	scenarios := bench.Scenarios(cfg.frames)
+	scenarios := bench.Scenarios(cfg.Frames)
 
 	opts := flow.Options{
 		ATPG:      atpg.Options{BacktrackLimit: cfg.limit},
-		Workers:   cfg.workers,
-		MaxFrames: cfg.sweepBudget(),
+		Workers:   cfg.Workers,
+		MaxFrames: cfg.MaxFrames,
 		Metrics:   reg,
 	}
 	var sweepChecks []string

@@ -59,7 +59,7 @@ func TestBenchScreenRetiresOnlyUntestable(t *testing.T) {
 	clones := []clone{{"full-scan", full, nil, sim.CombObsPoints(full)}}
 	for _, sc := range bench.Scenarios(2) {
 		c := bench.Build(8)
-		sm, err := constraint.ApplyMapped(c, sc.Transforms...)
+		_, sm, err := constraint.Apply(c, sc.Transforms...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestBenchScreenRetiresOnlyUntestable(t *testing.T) {
 // BenchmarkCampaignBench measures the full campaign — the baseline plus the
 // three scenarios streaming into one merge.
 func BenchmarkCampaignBench(b *testing.B) {
-	cfg := config{width: 4, frames: 2}
+	cfg := config{Spec: bench.Spec{Width: 4, Frames: 2}}
 	for i := 0; i < b.N; i++ {
 		if err := runQuiet(cfg); err != nil {
 			b.Fatal(err)
@@ -120,8 +120,8 @@ func BenchmarkCampaignBench(b *testing.B) {
 // the measurement weighs scheduling and dropping rather than abort churn.
 func sweepBenchConfig() config {
 	return config{
-		width: 12, frames: 2,
-		sweep: true, maxFrames: 2, limit: 64,
+		Spec:  bench.Spec{Width: 12, Frames: 2, MaxFrames: 2},
+		sweep: true, limit: 64,
 	}
 }
 
@@ -303,7 +303,7 @@ seq xor-walk
 1001000100001
 0110000100001
 `)
-	cfg := config{width: 2, workers: 4, frames: 2, patterns: path, selfcheck: true}
+	cfg := config{Spec: bench.Spec{Width: 2, Frames: 2, Workers: 4}, patterns: path, selfcheck: true}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +332,12 @@ func campaignQuiet(t *testing.T, cfg config) *flow.Report {
 // cross-check must fail naming it.
 func TestCrossCheckGradesScenarioTestSets(t *testing.T) {
 	for _, cfg := range []config{
-		{width: 2, frames: 2},
-		{width: 2, frames: 2, sweep: true, maxFrames: 4},
+		{Spec: bench.Spec{Width: 2, Frames: 2}},
+		{Spec: bench.Spec{Width: 2, Frames: 2, MaxFrames: 4}, sweep: true},
 	} {
 		r := campaignQuiet(t, cfg)
 		if err := quiet(func() error { return crossCheck(r, r.Universe) }); err != nil {
-			t.Fatalf("fresh campaign (max frames %d): %v", cfg.maxFrames, err)
+			t.Fatalf("fresh campaign (max frames %d): %v", cfg.MaxFrames, err)
 		}
 		for _, sr := range r.Scenarios {
 			saved := *sr.Outcome
@@ -346,25 +346,28 @@ func TestCrossCheckGradesScenarioTestSets(t *testing.T) {
 			*sr.Outcome = saved
 			if err == nil || !strings.Contains(err.Error(), sr.Scenario.Name) {
 				t.Errorf("scenario %q (max frames %d) with an empty test set: err = %v, want one naming it",
-					sr.Scenario.Name, cfg.maxFrames, err)
+					sr.Scenario.Name, cfg.MaxFrames, err)
 			}
 		}
 	}
 }
 
-// TestFlagValidation pins the up-front flag rejections: each inconsistent
-// combination fails with a one-line error naming the flag, before any
-// transform or provider work starts.
+// TestFlagValidation pins the up-front flag rejections: each out-of-range
+// knob fails with bench.Spec's bounds and message (the ones olfuid applies
+// to a run spec), and each inconsistent combination with a one-line error
+// naming the flag, before any transform or provider work starts.
 func TestFlagValidation(t *testing.T) {
 	for name, tc := range map[string]struct {
 		cfg  config
 		want string
 	}{
-		"width 0":    {config{width: 0, frames: 2}, "-width"},
-		"width -3":   {config{width: -3, frames: 2}, "-width"},
-		"frames":     {config{width: 2, frames: 0}, "-frames"},
-		"max-frames": {config{width: 2, frames: 3, maxFrames: 2}, "-max-frames"},
-		"resume":     {config{width: 2, frames: 2, resume: true}, "-resume"},
+		"width 0":    {config{Spec: bench.Spec{Width: 0, Frames: 2}}, "width must be in [1,64]"},
+		"width -3":   {config{Spec: bench.Spec{Width: -3, Frames: 2}}, "width must be in [1,64]"},
+		"frames":     {config{Spec: bench.Spec{Width: 2, Frames: 0}}, "frames must be in [1,12]"},
+		"frames 40":  {config{Spec: bench.Spec{Width: 2, Frames: 40}}, "frames must be in [1,12]"},
+		"max-frames": {config{Spec: bench.Spec{Width: 2, Frames: 3, MaxFrames: 2}}, "max_frames (2) must be 0 or >= frames (3)"},
+		"workers -5": {config{Spec: bench.Spec{Width: 2, Frames: 2, Workers: -5}}, "workers must be in [0,256]"},
+		"resume":     {config{Spec: bench.Spec{Width: 2, Frames: 2}, resume: true}, "-resume"},
 	} {
 		_, _, err := runCampaign(context.Background(), tc.cfg, nil)
 		if err == nil {
@@ -381,7 +384,7 @@ func TestFlagValidation(t *testing.T) {
 // depth sweep with per-depth exhaustive selfchecks, report table, and the
 // final cross-checks.
 func TestRunSweepSelfcheck(t *testing.T) {
-	cfg := config{width: 1, frames: 2, sweep: true, maxFrames: 3, selfcheck: true}
+	cfg := config{Spec: bench.Spec{Width: 1, Frames: 2, MaxFrames: 3}, sweep: true, selfcheck: true}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +436,7 @@ func TestSelfcheckReprovesEveryUntestable(t *testing.T) {
 func TestSweepMatchesOneShotOnBench(t *testing.T) {
 	// Deeper frames need more backtracks than the default limit allows on
 	// the width-2 bench; equality is only claimed absent aborts.
-	swept := campaignQuiet(t, config{width: 2, frames: 2, sweep: true, maxFrames: 4, limit: 1 << 20})
+	swept := campaignQuiet(t, config{Spec: bench.Spec{Width: 2, Frames: 2, MaxFrames: 4}, sweep: true, limit: 1 << 20})
 	var sw *flow.SweepResult
 	for _, sr := range swept.Scenarios {
 		if sr.Sweep != nil {
@@ -446,7 +449,7 @@ func TestSweepMatchesOneShotOnBench(t *testing.T) {
 	if sw == nil {
 		t.Fatal("no scenario swept")
 	}
-	oneshot := campaignQuiet(t, config{width: 2, frames: sw.FinalFrames, limit: 1 << 20})
+	oneshot := campaignQuiet(t, config{Spec: bench.Spec{Width: 2, Frames: sw.FinalFrames}, limit: 1 << 20})
 	for _, r := range []*flow.Report{swept, oneshot} {
 		for _, sr := range r.Scenarios {
 			if sr.Outcome.Stats.Aborted != 0 {
@@ -473,7 +476,7 @@ func TestJournalFingerprintCompatible(t *testing.T) {
 		`{"name":"full-scan","channel":"full-scan"},{"name":"scenario:mission","channel":"mission"},` +
 		`{"name":"scenario:mission-reach","channel":"mission"},{"name":"scenario:online","channel":"mission"}]}`
 	dir := filepath.Join(t.TempDir(), "default")
-	campaignQuiet(t, config{width: 2, frames: 2, journalDir: dir})
+	campaignQuiet(t, config{Spec: bench.Spec{Width: 2, Frames: 2}, journalDir: dir})
 	j, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -488,11 +491,11 @@ func TestJournalFingerprintCompatible(t *testing.T) {
 		cfg  config
 		meta string
 	}{
-		"sharded roster": {config{width: 2, frames: 2}, strings.Replace(want,
+		"sharded roster": {config{Spec: bench.Spec{Width: 2, Frames: 2}}, strings.Replace(want,
 			`{"name":"full-scan","channel":"full-scan"}`,
 			`{"name":"full-scan[1/3]","channel":"full-scan"},{"name":"full-scan[2/3]","channel":"full-scan"},`+
 				`{"name":"full-scan[3/3]","channel":"full-scan"}`, 1)},
-		"no_replay": {config{width: 2, frames: 2, sweep: true}, `{"design":"bench2","faults":322,"no_replay":true,"providers":[` +
+		"no_replay": {config{Spec: bench.Spec{Width: 2, Frames: 2}, sweep: true}, `{"design":"bench2","faults":322,"no_replay":true,"providers":[` +
 			`{"name":"full-scan","channel":"full-scan"},{"name":"scenario:mission","channel":"mission"},` +
 			`{"name":"scenario:online","channel":"mission"},{"name":"sweep:mission-reach","channel":"mission"}]}`},
 	} {

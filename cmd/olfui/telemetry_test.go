@@ -47,7 +47,7 @@ func BenchmarkGenerateAllBenchTelemetry(b *testing.B) {
 // targeted classes, new and cumulative untestable counts.
 func TestSweepSpanTreeMatchesConvergence(t *testing.T) {
 	reg := obs.New()
-	cfg := config{width: 2, frames: 2, sweep: true, maxFrames: 4}
+	cfg := config{Spec: bench.Spec{Width: 2, Frames: 2, MaxFrames: 4}, sweep: true}
 	var r *flow.Report
 	err := quiet(func() error {
 		var e error
@@ -124,7 +124,7 @@ type sweepDepthRow struct {
 // and carry non-zero engine and campaign totals plus the span tree.
 func TestMetricsOutFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	cfg := config{width: 2, frames: 2, metricsOut: path}
+	cfg := config{Spec: bench.Spec{Width: 2, Frames: 2}, metricsOut: path}
 	if err := runQuiet(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -23,12 +24,11 @@ import (
 )
 
 // runSpec is a submitted campaign's parameters: the benchmark design knobs
-// plus server-side pacing. Zero values take the documented defaults.
+// plus server-side pacing. A zero width takes the default 8 and a zero
+// frames the default 2. The embedded bench.Spec's JSON fields come first,
+// as width, frames, max_frames and workers.
 type runSpec struct {
-	Width     int `json:"width"`      // datapath width (default 8)
-	Frames    int `json:"frames"`     // reach-scenario time frames (default 2)
-	MaxFrames int `json:"max_frames"` // >0 sweeps the reach scenario to this depth budget
-	Workers   int `json:"workers"`    // campaign-wide worker budget (0 = NumCPU, at most maxWorkers)
+	bench.Spec
 	// Serial runs the campaign's providers one at a time instead of
 	// concurrently — slower, but interrupting the server then leaves a clean
 	// prefix of completed providers for resume to skip.
@@ -38,12 +38,6 @@ type runSpec struct {
 	// server mid-campaign at a predictable point; production runs leave it 0.
 	DeltaDelayMS int `json:"delta_delay_ms"`
 }
-
-// maxWorkers bounds a run's worker budget. The budget only sizes the run's
-// search-slot pool: every ATPG provider searches with one engine, one class
-// at a time, so engines do not multiply with the budget, and slots beyond
-// the provider count stay unused. The bound refuses nonsensical specs.
-const maxWorkers = 256
 
 // maxSpecBytes bounds a submitted run spec's body.
 const maxSpecBytes = 1 << 20
@@ -80,18 +74,10 @@ func (sp *runSpec) normalize() error {
 	if sp.Frames == 0 {
 		sp.Frames = 2
 	}
-	switch {
-	case sp.Width < 1 || sp.Width > 64:
-		return fmt.Errorf("width must be in [1,64], got %d", sp.Width)
-	case sp.Frames < 1 || sp.Frames > 12:
-		return fmt.Errorf("frames must be in [1,12], got %d", sp.Frames)
-	case sp.MaxFrames != 0 && sp.MaxFrames < sp.Frames:
-		return fmt.Errorf("max_frames (%d) must be 0 or >= frames (%d)", sp.MaxFrames, sp.Frames)
-	case sp.MaxFrames > 16:
-		return fmt.Errorf("max_frames must be <= 16, got %d", sp.MaxFrames)
-	case sp.Workers < 0 || sp.Workers > maxWorkers:
-		return fmt.Errorf("workers must be in [0,%d], got %d", maxWorkers, sp.Workers)
-	case sp.DeltaDelayMS < 0 || sp.DeltaDelayMS > 60_000:
+	if err := sp.Spec.Validate(); err != nil {
+		return err
+	}
+	if sp.DeltaDelayMS < 0 || sp.DeltaDelayMS > 60_000 {
 		return fmt.Errorf("delta_delay_ms must be in [0,60000], got %d", sp.DeltaDelayMS)
 	}
 	return nil
@@ -239,7 +225,13 @@ func newServer(data string, reg *obs.Registry) (*server, error) {
 		}
 		dir := filepath.Join(runsDir, e.Name())
 		var info runInfo
-		if err := readJSON(filepath.Join(dir, "run.json"), &info); err != nil {
+		err := readJSON(filepath.Join(dir, "run.json"), &info)
+		if errors.Is(err, fs.ErrNotExist) {
+			// A submission that died before its run.json was in place was
+			// never acknowledged: there is no run to recover.
+			continue
+		}
+		if err != nil {
 			return nil, fmt.Errorf("recover %s: %w", e.Name(), err)
 		}
 		r := &run{id: info.ID, dir: dir, info: info, hub: newHub()}
@@ -408,11 +400,14 @@ func (r *run) persistResult(rep *flow.Report) error {
 	return nil
 }
 
-// submit registers a new run and enqueues it.
+// submit persists a new run, registers it and enqueues it. The run is
+// registered only once its run.json is in place, so a submission that fails
+// to persist (a full disk) is neither listed nor left behind for recovery.
 func (s *server) submit(spec runSpec) (*run, error) {
 	s.mu.Lock()
 	id := fmt.Sprintf("run-%06d", s.nextID)
 	s.nextID++
+	s.mu.Unlock()
 	dir := filepath.Join(s.data, "runs", id)
 	r := &run{
 		id:   id,
@@ -420,16 +415,17 @@ func (s *server) submit(spec runSpec) (*run, error) {
 		info: runInfo{ID: id, Spec: spec, State: runQueued},
 		hub:  newHub(),
 	}
-	s.runs[id] = r
-	s.order = append(s.order, id)
-	s.mu.Unlock()
-
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	if err := writeJSONAtomic(filepath.Join(dir, "run.json"), r.info); err != nil {
+		os.RemoveAll(dir) //nolint:errcheck // recovery skips a directory without run.json
 		return nil, err
 	}
+	s.mu.Lock()
+	s.runs[id] = r
+	s.order = append(s.order, id)
+	s.mu.Unlock()
 	select {
 	case s.queue <- r:
 		return r, nil

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"olfui/internal/bench"
 	"olfui/internal/obs"
 	"olfui/internal/wire"
 )
@@ -68,7 +71,7 @@ func TestServerHTTP(t *testing.T) {
 	defer hs.Close()
 
 	// Bad specs are rejected before anything is queued, each for its own
-	// cause: out-of-range knobs, a worker budget above maxWorkers, unknown
+	// cause: out-of-range knobs, a worker budget above bench.MaxWorkers, unknown
 	// fields (a typo, a retired knob), content after the spec object, and a
 	// body over the size limit. They go to a listener of their own, closed
 	// before any run starts: the server drops the oversized body's
@@ -203,11 +206,11 @@ func TestServerHTTP(t *testing.T) {
 	}
 
 	// Cancelling a queued run cancels it without executing.
-	r2, err := srv.submit(runSpec{Width: 2, Frames: 1, DeltaDelayMS: 1000})
+	r2, err := srv.submit(runSpec{Spec: bench.Spec{Width: 2, Frames: 1}, DeltaDelayMS: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, err := srv.submit(runSpec{Width: 2, Frames: 1})
+	r3, err := srv.submit(runSpec{Spec: bench.Spec{Width: 2, Frames: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +231,7 @@ func TestServerHTTP(t *testing.T) {
 // classification digest as an uninterrupted reference — having skipped the
 // providers the dead server already finished.
 func TestCrashResume(t *testing.T) {
-	ref := digestOf(t, runSpec{Width: 4, Frames: 2, Serial: true})
+	ref := digestOf(t, runSpec{Spec: bench.Spec{Width: 4, Frames: 2}, Serial: true})
 
 	// Interrupted server: pacing slows the campaign so the kill lands
 	// mid-run, after at least one provider completed but before the rest.
@@ -241,7 +244,7 @@ func TestCrashResume(t *testing.T) {
 	srv.start(ctx)
 	// Serial execution means providers after the kill point have not
 	// started, so their work is genuinely missing from the journal.
-	r, err := srv.submit(runSpec{Width: 4, Frames: 2, Serial: true, DeltaDelayMS: 250})
+	r, err := srv.submit(runSpec{Spec: bench.Spec{Width: 4, Frames: 2}, Serial: true, DeltaDelayMS: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +317,7 @@ func TestCrashResume(t *testing.T) {
 func TestRecoveryListsCompletedRuns(t *testing.T) {
 	data := t.TempDir()
 	srv := startTestServer(t, data)
-	r, err := srv.submit(runSpec{Width: 2, Frames: 1})
+	r, err := srv.submit(runSpec{Spec: bench.Spec{Width: 2, Frames: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +340,7 @@ func TestRecoveryListsCompletedRuns(t *testing.T) {
 		t.Fatalf("recovered status %+v, want %+v", st, want)
 	}
 	// A fresh submission picks a fresh id, not a recycled one.
-	r3, err := srv2.submit(runSpec{Width: 2, Frames: 1})
+	r3, err := srv2.submit(runSpec{Spec: bench.Spec{Width: 2, Frames: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,6 +349,90 @@ func TestRecoveryListsCompletedRuns(t *testing.T) {
 	}
 	if r3.finishQueuedForTest() {
 		t.Log("drained") // keep executor-less server tidy; nothing to assert
+	}
+}
+
+// TestFailedSubmitLeavesNothingBehind: a submission whose run.json cannot
+// be written, as on a full disk (here a directory squats on the file's
+// path), is refused with 503, is not listed, and leaves no run directory
+// behind to block a restart.
+func TestFailedSubmitLeavesNothingBehind(t *testing.T) {
+	data := t.TempDir()
+	srv, err := newServer(data, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(data, "runs", "run-000000") // the next run's directory
+	if err := os.MkdirAll(filepath.Join(dir, "run.json", "squat"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.routes())
+	defer hs.Close()
+	resp, err := http.Post(hs.URL+"/runs", "application/json", strings.NewReader(`{"width":2,"frames":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit with an unwritable run.json: got %d, want 503", resp.StatusCode)
+	}
+	resp, err = http.Get(hs.URL + "/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list struct{ Runs []status }
+	err = json.NewDecoder(resp.Body).Decode(&list)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Runs) != 0 {
+		t.Fatalf("failed submission listed: %+v", list.Runs)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("failed submission left %s behind (stat err %v)", dir, err)
+	}
+	if _, err := newServer(data, obs.New()); err != nil {
+		t.Fatalf("restart after a failed submission: %v", err)
+	}
+}
+
+// TestRecoverySkipsRunWithoutRunJSON: a run directory without run.json
+// belongs to a submission that died before it was acknowledged. Recovery
+// skips it instead of refusing to start, and the next submission may reuse
+// its id; a run.json that exists but does not parse stays a hard error.
+func TestRecoverySkipsRunWithoutRunJSON(t *testing.T) {
+	data := t.TempDir()
+	dir := filepath.Join(data, "runs", "run-000000")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// The temporary file an interrupted atomic write leaves.
+	if err := os.WriteFile(filepath.Join(dir, "run.json.tmp"), []byte(`{"id":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(data, obs.New())
+	if err != nil {
+		t.Fatalf("recovery refused a run directory without run.json: %v", err)
+	}
+	if len(srv.order) != 0 || srv.recoveredCount() != 0 {
+		t.Fatalf("recovery listed %v and re-enqueued %d runs, want none", srv.order, srv.recoveredCount())
+	}
+	r, err := srv.submit(runSpec{Spec: bench.Spec{Width: 2, Frames: 1}})
+	if err != nil {
+		t.Fatalf("submit over the skipped directory: %v", err)
+	}
+	r.finishQueuedForTest()
+
+	bad := filepath.Join(data, "runs", "run-000001")
+	if err := os.MkdirAll(bad, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(bad, "run.json"), []byte(`{"id":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newServer(data, obs.New()); err == nil || !strings.Contains(err.Error(), "recover run-000001") {
+		t.Fatalf("unparseable run.json: err %v, want a recovery error naming the run", err)
 	}
 }
 

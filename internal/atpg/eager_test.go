@@ -116,7 +116,7 @@ func eagerCase(t *testing.T, netSeed int64, tied uint8, unroll bool, obsSeed int
 	if unroll {
 		ts = append(ts, constraint.Unroll{Frames: 2})
 	}
-	sm, err := constraint.ApplyMapped(n, ts...)
+	_, sm, err := constraint.Apply(n, ts...)
 	if err != nil {
 		t.Fatal(err)
 	}

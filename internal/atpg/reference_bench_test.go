@@ -22,7 +22,7 @@ import (
 func benchClone(t testing.TB, sc flow.Scenario) (*netlist.Netlist, *fault.SiteMap, []sim.ObsPoint) {
 	t.Helper()
 	clone := bench.Build(8)
-	sm, err := constraint.ApplyMapped(clone, sc.Transforms...)
+	_, sm, err := constraint.Apply(clone, sc.Transforms...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestConeSearchMatchesReference(t *testing.T) {
 	}
 	n := testutil.RandomNetlist(7, testutil.RandOpts{Inputs: 4, Gates: 30, FFs: 3, Outputs: 2})
 	clone := n.Clone()
-	sm, err := constraint.ApplyMapped(clone, constraint.Unroll{Frames: 3})
+	_, sm, err := constraint.Apply(clone, constraint.Unroll{Frames: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

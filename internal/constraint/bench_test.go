@@ -22,7 +22,7 @@ func BenchmarkUnrollApply(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clone := n.Clone()
-		if _, err := ApplyMapped(clone, Unroll{Frames: 6}); err != nil {
+		if _, _, err := Apply(clone, Unroll{Frames: 6}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkUnrollRebuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clone := n.Clone()
-		if _, err := ApplyMapped(clone, Unroll{Frames: 6}); err != nil {
+		if _, _, err := Apply(clone, Unroll{Frames: 6}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := clone.Annotate(); err != nil {
@@ -84,7 +84,7 @@ func unrolledBench(b *testing.B, o testutil.RandOpts, frames int) (
 	b.Helper()
 	n := testutil.RandomNetlist(7, o)
 	clone := n.Clone()
-	sm, err := ApplyMapped(clone, Unroll{Frames: frames})
+	_, sm, err := Apply(clone, Unroll{Frames: frames})
 	if err != nil {
 		b.Fatal(err)
 	}

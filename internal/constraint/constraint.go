@@ -16,29 +16,19 @@
 // constrained clone. Then "Untestable on the clone" implies "untestable in
 // mission mode", which is the direction the identification flow needs —
 // constraints may only ever remove spurious test-mode freedom (scan inputs,
-// debug pins, unreachable states), never functional freedom. Where a
-// transform is configurable beyond this guarantee (see Unroll.ResetInit) the
-// caveat is documented at the option.
+// debug pins, unreachable states), never functional freedom.
 //
 // # Multi-frame fault injection
 //
 // Transforms that replicate original gates — Unroll's Frames-1 time-frame
-// copies — implement SiteMapper and record each original gate's replicas in
-// a fault.SiteMap (collect it with ApplyMapped). A permanent stuck-at is
-// present in every clock cycle, so on a time-expanded clone the faithful
-// model injects the stuck value at the original site and at every frame
-// replica simultaneously; the ATPG engine, the grading simulators and the
-// exhaustive oracle all accept the map and reason about that joint
-// injection, making Untestable a proof about the permanent fault rather
-// than about a fault that winks into existence in the final frame.
-//
-// Discarding the map (plain Apply) falls back to final-frame-only injection
-// — the classical single-observation-time approximation. It remains useful
-// as a cheaper model when the fault's cone does not reach state feeding the
-// final frame (the two models coincide there), but it both misses detection
-// paths through earlier frames and ignores earlier-frame divergence that can
-// mask the final-frame effect, so its verdicts are statements about the
-// approximated model, not about the permanent fault.
+// copies — record each original gate's replicas in the fault.SiteMap that
+// Apply hands every transform and returns. A permanent stuck-at is present
+// in every clock cycle, so on a time-expanded clone the faithful model
+// injects the stuck value at the original site and at every frame replica
+// simultaneously; the ATPG engine, the grading simulators and the exhaustive
+// oracle all accept the map and reason about that joint injection, making
+// Untestable a proof about the permanent fault rather than about a fault
+// that winks into existence in the final frame.
 //
 // # Stem attribution on rewired nets
 //
@@ -65,95 +55,44 @@ import (
 )
 
 // Transform is one mission-mode constraint, applied in place to a clone.
+// Transforms are stateless: the site map belongs to the caller, which keeps
+// a shared Scenario value safe to apply to any number of clones
+// concurrently.
 type Transform interface {
 	// Describe renders the transform for reports.
 	Describe() string
-	// Apply mutates the clone, preserving the identity contract.
-	Apply(c *netlist.Netlist) error
+	// Apply mutates the clone, preserving the identity contract, and records
+	// in sm every replica it makes of an original gate, so faults enumerated
+	// on the clone expand to joint multi-site injections. Transforms that
+	// replicate nothing (Tie, OneHot) ignore sm.
+	Apply(c *netlist.Netlist, sm *fault.SiteMap) error
 }
 
-// SiteMapper is a Transform that replicates original gates and can record
-// the replicas in a fault.SiteMap, so faults enumerated on the transformed
-// clone expand to joint multi-site injections (one per replica plus the
-// original). ApplySites with a nil map must behave exactly like Apply.
-// Transforms stay stateless: the map belongs to the caller, which keeps a
-// shared Scenario value safe to apply to any number of clones concurrently.
-type SiteMapper interface {
-	Transform
-	ApplySites(c *netlist.Netlist, sm *fault.SiteMap) error
-}
-
-// Apply runs a list of transforms in order and validates the result,
-// discarding any replica site maps (single-site fault semantics).
-func Apply(c *netlist.Netlist, ts ...Transform) error {
-	return applyInto(c, nil, ts)
-}
-
-// ApplyMapped runs a list of transforms in order, validates the result, and
-// returns the merged replica site map recorded by the SiteMapper transforms
-// among them. The map is empty (but non-nil) when no transform replicates
-// gates; Empty() distinguishes the two so callers can skip multi-site
-// machinery on purely combinational constraint stacks.
-func ApplyMapped(c *netlist.Netlist, ts ...Transform) (*fault.SiteMap, error) {
+// Apply runs a transform stack on the clone in order, validates the result,
+// and returns the merged replica site map (empty, never nil, when no
+// transform replicates gates; Empty() tells the two apart so callers can
+// skip multi-site machinery on purely combinational stacks). When the stack
+// ends in an Unroll it also returns that unroll's Unroller, so the caller
+// can Extend the same clone to deeper frame counts; the Unroller is nil
+// exactly when the stack does not end in an Unroll.
+func Apply(c *netlist.Netlist, ts ...Transform) (*Unroller, *fault.SiteMap, error) {
 	sm := fault.NewSiteMap()
-	if err := applyInto(c, sm, ts); err != nil {
-		return nil, err
-	}
-	return sm, nil
-}
-
-// BuildUnroller applies a transform stack whose LAST transform is an Unroll
-// and returns the live Unroller handle alongside the merged site map, so the
-// caller can Extend the same clone to deeper frame counts afterwards (the
-// depth sweep's clone preparation). The leading transforms are applied in
-// order exactly like ApplyMapped, the clone is validated at the initial
-// depth, and the returned map already holds the initial frames' replicas.
-func BuildUnroller(c *netlist.Netlist, ts []Transform) (*Unroller, *fault.SiteMap, error) {
-	if len(ts) == 0 {
-		return nil, nil, fmt.Errorf("constraint: empty transform stack")
-	}
-	u, ok := ts[len(ts)-1].(Unroll)
-	if !ok {
-		return nil, nil, fmt.Errorf("constraint: last transform is %s, not an Unroll",
-			ts[len(ts)-1].Describe())
-	}
-	sm := fault.NewSiteMap()
-	if err := applyTransforms(c, sm, ts[:len(ts)-1]); err != nil {
-		return nil, nil, err
-	}
-	ur, err := NewUnroller(c, sm, u)
-	if err != nil {
-		return nil, nil, fmt.Errorf("constraint %s: %w", u.Describe(), err)
+	var ur *Unroller
+	for i, t := range ts {
+		var err error
+		if u, ok := t.(Unroll); ok && i == len(ts)-1 {
+			ur, err = NewUnroller(c, sm, u)
+		} else {
+			err = t.Apply(c, sm)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("constraint %s: %w", t.Describe(), err)
+		}
 	}
 	if err := c.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("constraint: transformed clone invalid: %w", err)
 	}
 	return ur, sm, nil
-}
-
-func applyInto(c *netlist.Netlist, sm *fault.SiteMap, ts []Transform) error {
-	if err := applyTransforms(c, sm, ts); err != nil {
-		return err
-	}
-	if err := c.Validate(); err != nil {
-		return fmt.Errorf("constraint: transformed clone invalid: %w", err)
-	}
-	return nil
-}
-
-func applyTransforms(c *netlist.Netlist, sm *fault.SiteMap, ts []Transform) error {
-	for _, t := range ts {
-		var err error
-		if ms, ok := t.(SiteMapper); ok {
-			err = ms.ApplySites(c, sm)
-		} else {
-			err = t.Apply(c)
-		}
-		if err != nil {
-			return fmt.Errorf("constraint %s: %w", t.Describe(), err)
-		}
-	}
-	return nil
 }
 
 // Tie pins a named net to a constant: every reader of the net is rewired to a
@@ -170,7 +109,7 @@ type Tie struct {
 func (t Tie) Describe() string { return fmt.Sprintf("tie(%s=%s)", t.Net, t.Value) }
 
 // Apply implements Transform.
-func (t Tie) Apply(c *netlist.Netlist) error {
+func (t Tie) Apply(c *netlist.Netlist, _ *fault.SiteMap) error {
 	if !t.Value.IsKnown() {
 		return fmt.Errorf("tie value must be 0 or 1, got %s", t.Value)
 	}
@@ -203,7 +142,7 @@ type OneHot struct {
 func (o OneHot) Describe() string { return fmt.Sprintf("onehot(%v)", o.Nets) }
 
 // Apply implements Transform.
-func (o OneHot) Apply(c *netlist.Netlist) error {
+func (o OneHot) Apply(c *netlist.Netlist, _ *fault.SiteMap) error {
 	k := len(o.Nets)
 	if k < 2 {
 		return fmt.Errorf("one-hot field needs >= 2 nets, got %d", k)

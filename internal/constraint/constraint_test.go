@@ -44,7 +44,7 @@ func TestTieScanEnableMakesScanPathUntestable(t *testing.T) {
 
 	// Mission mode: scan_en and scan_in both tied to 0.
 	c := n.Clone()
-	if err := Apply(c, Tie{Net: "scan_en", Value: logic.Zero}, Tie{Net: "scan_in", Value: logic.Zero}); err != nil {
+	if _, _, err := Apply(c, Tie{Net: "scan_en", Value: logic.Zero}, Tie{Net: "scan_in", Value: logic.Zero}); err != nil {
 		t.Fatal(err)
 	}
 	cu := fault.NewUniverse(c)
@@ -81,7 +81,7 @@ func TestTiePreservesIdentityContract(t *testing.T) {
 	n, mux := scanCell(t)
 	u := fault.NewUniverse(n)
 	c := n.Clone()
-	if err := Apply(c, Tie{Net: "scan_en", Value: logic.Zero}); err != nil {
+	if _, _, err := Apply(c, Tie{Net: "scan_en", Value: logic.Zero}); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Gates) <= len(n.Gates) {
@@ -129,7 +129,7 @@ func TestOneHotFieldConstraint(t *testing.T) {
 	}
 
 	c := n.Clone()
-	if err := Apply(c, OneHot{Nets: ops}); err != nil {
+	if _, _, err := Apply(c, OneHot{Nets: ops}); err != nil {
 		t.Fatal(err)
 	}
 	cu := fault.NewUniverse(c)
@@ -155,7 +155,7 @@ func TestOneHotSimulationSemantics(t *testing.T) {
 	n.OutputPort("pa", n.Buf("ba", a))
 	n.OutputPort("pb", n.Buf("bb", b))
 	c := n.Clone()
-	if err := Apply(c, OneHot{Nets: []string{"a", "b"}}); err != nil {
+	if _, _, err := Apply(c, OneHot{Nets: []string{"a", "b"}}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := sim.New(c)
@@ -226,14 +226,15 @@ func TestUnrollProvesUnreachableStateUntestable(t *testing.T) {
 
 	// Two frames of functional logic force q1 != q2.
 	c := n.Clone()
-	if err := Apply(c, Unroll{Frames: 2}); err != nil {
+	_, sm, err := Apply(c, Unroll{Frames: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(c.FlipFlops()); got != 0 {
 		t.Fatalf("unroll left %d live flip-flops", got)
 	}
 	cu := fault.NewUniverse(c)
-	cout, err := atpg.GenerateAll(context.Background(), c, cu, atpg.Options{})
+	cout, err := atpg.GenerateAll(context.Background(), c, cu, atpg.Options{Sites: sm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,29 +243,6 @@ func TestUnrollProvesUnreachableStateUntestable(t *testing.T) {
 	}
 	if got := cout.Status.Get(cu.IDOf(sa1)); got != fault.Detected {
 		t.Errorf("unrolled eq/Z s-a-1: %v, want detected", got)
-	}
-}
-
-func TestUnrollResetInit(t *testing.T) {
-	n, eq := unrollPair(t)
-	_ = eq
-	c := n.Clone()
-	// One frame at reset: q1=q2=0, so the XNOR output is constant 1.
-	if err := Apply(c, Unroll{Frames: 1, ResetInit: true}); err != nil {
-		t.Fatal(err)
-	}
-	cu := fault.NewUniverse(c)
-	sa1 := cu.IDOf(fault.Fault{Site: fault.Site{Gate: eq, Pin: fault.OutputPin}, SA: logic.One})
-	sa0 := cu.IDOf(fault.Fault{Site: fault.Site{Gate: eq, Pin: fault.OutputPin}, SA: logic.Zero})
-	cout, err := atpg.GenerateAll(context.Background(), c, cu, atpg.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cout.Status.Get(sa1); got != fault.Untestable {
-		t.Errorf("reset frame eq/Z s-a-1: %v, want untestable (output stuck good-1)", got)
-	}
-	if got := cout.Status.Get(sa0); got != fault.Detected {
-		t.Errorf("reset frame eq/Z s-a-0: %v, want detected", got)
 	}
 }
 
@@ -279,7 +257,7 @@ func TestUnrollDFFRUsesSynchronousReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := n.Clone()
-	if err := Apply(c, Unroll{Frames: 2}); err != nil {
+	if _, _, err := Apply(c, Unroll{Frames: 2}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := sim.New(c)
@@ -316,7 +294,7 @@ func TestRepeatedTransformsDoNotCollide(t *testing.T) {
 	a, b := n.Input("a"), n.Input("b")
 	n.OutputPort("po", n.And("y", a, b))
 	c := n.Clone()
-	if err := Apply(c, OneHot{Nets: []string{"a", "b"}}, OneHot{Nets: []string{"a", "b"}}); err != nil {
+	if _, _, err := Apply(c, OneHot{Nets: []string{"a", "b"}}, OneHot{Nets: []string{"a", "b"}}); err != nil {
 		t.Fatalf("stacked one-hot: %v", err)
 	}
 
@@ -328,10 +306,10 @@ func TestRepeatedTransformsDoNotCollide(t *testing.T) {
 	q := m.DFF("q", d)
 	m.OutputPort("po", q)
 	cm := m.Clone()
-	if err := Apply(cm, Unroll{Frames: 2}); err != nil {
+	if _, _, err := Apply(cm, Unroll{Frames: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Unroll{Frames: 2}).Apply(cm); err == nil {
+	if _, _, err := Apply(cm, Unroll{Frames: 2}); err == nil {
 		t.Fatal("second unroll should report no flip-flops")
 	}
 }
@@ -348,7 +326,7 @@ func TestApplyErrors(t *testing.T) {
 		Unroll{Frames: 2}, // no flip-flops
 	}
 	for _, tr := range cases {
-		if err := Apply(n.Clone(), tr); err == nil {
+		if _, _, err := Apply(n.Clone(), tr); err == nil {
 			t.Errorf("%s: want error", tr.Describe())
 		}
 	}

@@ -18,7 +18,7 @@ func TestGraphExtendMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		n := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 3, Gates: 14, FFs: 2, Outputs: 2})
 		clone := n.Clone()
-		ur, _, err := BuildUnroller(clone, []Transform{Unroll{Frames: 2}})
+		ur, _, err := Apply(clone, Unroll{Frames: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -11,8 +11,8 @@ import (
 	"olfui/internal/testutil"
 )
 
-// TestUnrollSiteMapRecordsFrameReplicas pins the shape of the map ApplySites
-// emits: every live, non-synthetic gate that is copied per frame — primary
+// TestUnrollSiteMapRecordsFrameReplicas pins the shape of the map Unroll
+// records: every live, non-synthetic gate that is copied per frame — primary
 // inputs and combinational gates — carries exactly Frames-1 replicas of a
 // matching kind, while outputs, flip-flops and ties carry none.
 func TestUnrollSiteMapRecordsFrameReplicas(t *testing.T) {
@@ -30,7 +30,7 @@ func TestUnrollSiteMapRecordsFrameReplicas(t *testing.T) {
 
 	const frames = 3
 	clone := n.Clone()
-	sm, err := ApplyMapped(clone, Unroll{Frames: frames})
+	_, sm, err := Apply(clone, Unroll{Frames: frames})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMultiFrameInjectionTightensApproximation(t *testing.T) {
 	}
 
 	clone := n.Clone()
-	sm, err := ApplyMapped(clone, Unroll{Frames: 2})
+	_, sm, err := Apply(clone, Unroll{Frames: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMultiFrameMonotonicityRandom(t *testing.T) {
 		for _, frames := range []int{2, 3} {
 			nl := testutil.RandomNetlist(seed, testutil.RandOpts{Inputs: 3, Gates: 12, FFs: 2, Outputs: 2})
 			clone := nl.Clone()
-			sm, err := ApplyMapped(clone, Unroll{Frames: frames})
+			_, sm, err := Apply(clone, Unroll{Frames: frames})
 			if err != nil {
 				t.Fatalf("seed %d frames %d: %v", seed, frames, err)
 			}

@@ -17,26 +17,21 @@ const CaptureGroup = "unroll_captures"
 // reach constraint: the clone's flip-flops are tombstoned and their output
 // nets are re-driven by Frames-1 appended synthetic copies of the
 // combinational logic, chained through the next-state function. PODEM then
-// assigns only the frame inputs (and, with FreeInit, the frame-0 state), so
-// every state it can present to the final frame is the image of Frames-1
-// functional clock cycles — pseudo-inputs stop being freely controllable.
+// assigns only the frame inputs and the free frame-0 state, so every state
+// it can present to the final frame is the image of Frames-1 functional
+// clock cycles — pseudo-inputs stop being freely controllable.
 //
-// With the default free initial state this over-approximates mission
-// reachability (every mission state at cycle t >= Frames-1 is the image of
-// Frames-1 functional steps from *some* state), so Untestable verdicts remain
-// sound mission evidence.
+// The free initial state over-approximates mission reachability (every
+// mission state at cycle t >= Frames-1 is the image of Frames-1 functional
+// steps from *some* state), so Untestable verdicts remain sound mission
+// evidence.
 //
 // Frame copies are synthetic, so they contribute no fault sites of their own
 // — but a permanent stuck-at is present in *every* clock cycle, and Unroll
 // records each original gate's per-frame copies in the fault.SiteMap it is
-// handed (ApplySites, surfaced through ApplyMapped). Expanding a fault
-// through that map injects the stuck value at the original site and at every
-// frame replica simultaneously, which is the faithful model of a permanent
-// defect on the time-expanded circuit. Without the map (plain Apply, or
-// ignoring it) the fault exists in the final frame only — the classical
-// single-observation-time approximation, which mis-models faults whose only
-// detection paths run through earlier frames, or whose earlier-frame
-// divergence masks the final-frame effect.
+// handed. Expanding a fault through that map injects the stuck value at the
+// original site and at every frame replica simultaneously, which is the
+// faithful model of a permanent defect on the time-expanded circuit.
 //
 // Faults on the tombstoned flip-flop gates themselves do not exist on the
 // unrolled clone and receive no verdict from this scenario; the flow reports
@@ -47,39 +42,19 @@ const CaptureGroup = "unroll_captures"
 // workhorse).
 type Unroll struct {
 	// Frames is the total frame count including the final observed frame.
-	// Frames=1 with ResetInit degenerates to "combinational at reset".
 	Frames int
-	// ResetInit ties the frame-0 state to the reset value (all zeros)
-	// instead of free synthetic inputs. This UNDER-approximates mission
-	// reachability beyond cycle Frames-1 — use it only for scenarios that
-	// explicitly model "the first Frames cycles after reset"; verdicts are
-	// then relative to that scenario, not to mission mode at large.
-	ResetInit bool
 }
 
 // Describe implements Transform.
-func (u Unroll) Describe() string {
-	init := "free"
-	if u.ResetInit {
-		init = "reset"
-	}
-	return fmt.Sprintf("unroll(frames=%d,init=%s)", u.Frames, init)
-}
+func (u Unroll) Describe() string { return fmt.Sprintf("unroll(frames=%d,init=free)", u.Frames) }
 
-// Apply implements Transform, discarding the replica site map (single-site,
-// final-frame-only fault semantics). Prefer ApplyMapped/ApplySites wherever
-// faults will be injected on the unrolled clone.
-func (u Unroll) Apply(c *netlist.Netlist) error { return u.ApplySites(c, nil) }
-
-// ApplySites implements SiteMapper: it unrolls the clone and records every
+// Apply implements Transform: it unrolls the clone and records every
 // original gate's per-frame combinational copy (and every primary input's
-// per-frame synthetic input) as replicas in sm, so faults enumerated on the
-// clone expand to multi-frame injections. Replicas are recorded only for
-// non-synthetic originals — synthetic gates contribute no fault sites.
-//
-// This is the one-shot form: the Unroller handle is discarded. Use
-// NewUnroller to keep it and Extend the clone to deeper frame counts later.
-func (u Unroll) ApplySites(c *netlist.Netlist, sm *fault.SiteMap) error {
+// per-frame synthetic input) as replicas in sm. Replicas are recorded only
+// for non-synthetic originals — synthetic gates contribute no fault sites.
+// The Unroller is discarded; constraint.Apply keeps it when the Unroll ends
+// the stack.
+func (u Unroll) Apply(c *netlist.Netlist, sm *fault.SiteMap) error {
 	_, err := NewUnroller(c, sm, u)
 	return err
 }
@@ -106,7 +81,7 @@ type unrollFF struct {
 // Unroller is the incremental time-expansion builder behind Unroll: depth is
 // a dimension, not a parameter baked in at clone-build time. NewUnroller
 // performs the initial k-frame unroll (structurally identical to the one-shot
-// Unroll.ApplySites) and keeps the pre-unroll structure it needs to Extend
+// Unroll.Apply) and keeps the pre-unroll structure it needs to Extend
 // the same clone from k to k+1 frames in place: append one frame's synthetic
 // copies just before the final frame, re-splice the state chain onto the new
 // frame's next-state nets, and extend the fault.SiteMap replicas. The capture
@@ -170,9 +145,9 @@ func (b *Unroller) Instrument(reg *obs.Registry) {
 }
 
 // NewUnroller unrolls the clone to u.Frames frames — producing exactly the
-// structure Unroll.ApplySites pins — and returns the builder that can Extend
-// it. sm may be nil (single-site fault semantics; Extend then maintains no
-// replicas, preserving the nil-map identity).
+// structure Unroll.Apply pins — and returns the builder that can Extend it.
+// Extend keeps appending the new frames' replicas to sm (a nil sm records
+// none).
 func NewUnroller(c *netlist.Netlist, sm *fault.SiteMap, u Unroll) (*Unroller, error) {
 	buildStart := time.Now()
 	if u.Frames < 1 {
@@ -228,10 +203,10 @@ func NewUnroller(c *netlist.Netlist, sm *fault.SiteMap, u Unroll) (*Unroller, er
 	// The appended volume is known up front: per earlier frame, one
 	// synthetic input per live primary input, one copy per non-output gate
 	// of the levelized order, and one next-state AND per KDFFR; per
-	// flip-flop, at most one free initial-state input (or, with ResetInit,
-	// one shared reset tie), one capture probe and one splice buffer
-	// (splices reuse the existing output net). Reserving once avoids the
-	// append growth doublings on the gate and net tables.
+	// flip-flop, one free initial-state input, at most one capture probe
+	// and one splice buffer (splices reuse the existing output net).
+	// Reserving once avoids the append growth doublings on the gate and net
+	// tables.
 	combCopies := 0
 	for _, gid := range order {
 		if c.Gate(gid).Kind != netlist.KOutput {
@@ -245,19 +220,12 @@ func NewUnroller(c *netlist.Netlist, sm *fault.SiteMap, u Unroll) (*Unroller, er
 		}
 	}
 	b.perFrameGates = len(b.livePIs) + combCopies + dffrs
-	extraGates := (u.Frames-1)*b.perFrameGates + 3*len(b.ffs) + 1
+	extraGates := (u.Frames-1)*b.perFrameGates + 3*len(b.ffs)
 	c.Reserve(extraGates, extraGates)
 
 	b.state = make([]netlist.NetID, len(b.ffs))
-	if u.ResetInit {
-		z := c.AddSyntheticTie(b.prefix+"_rst0", false)
-		for i := range b.state {
-			b.state[i] = z
-		}
-	} else {
-		for i, ff := range b.ffs {
-			b.state[i] = c.AddSyntheticInput(fmt.Sprintf("%s_s0_%s", b.prefix, ff.name))
-		}
+	for i, ff := range b.ffs {
+		b.state[i] = c.AddSyntheticInput(fmt.Sprintf("%s_s0_%s", b.prefix, ff.name))
 	}
 
 	b.nmap = make([]netlist.NetID, b.numNets)
@@ -377,9 +345,7 @@ func (b *Unroller) Frames() int { return b.frames }
 // final frame read until now — and re-splices the final frame onto the new
 // frame's next-state nets by rewiring the splice buffers' input pins. The
 // site map gains the new frame's replicas (appended after the existing ones,
-// preserving frame order), the capture probes stay where they are, and with
-// ResetInit the frame-0 reset tie keeps anchoring the chain, so the result
-// models the first k+1 cycles after reset.
+// preserving frame order), and the capture probes stay where they are.
 //
 // The extended clone is structurally equivalent to a fresh (k+1)-frame
 // unroll; Extend itself performs no validation — callers interleaving other

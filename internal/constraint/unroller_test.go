@@ -127,25 +127,22 @@ func extendTo(t *testing.T, n *netlist.Netlist, u Unroll, end int) (*netlist.Net
 // TestUnrollerExtendEquivalentToFresh is the tentpole's acceptance pin:
 // extending an unrolled clone from k to k+1 (and further) yields a clone,
 // capture set and site map equivalent to a fresh unroll at the final depth,
-// for free and reset initial state and from every starting depth including 1.
+// from every starting depth including 1.
 func TestUnrollerExtendEquivalentToFresh(t *testing.T) {
 	n := testutil.RandomNetlist(11, testutil.RandOpts{Inputs: 4, Gates: 30, FFs: 3, Outputs: 3})
 	for _, tc := range []struct {
 		name       string
 		start, end int
-		resetInit  bool
 	}{
-		{"k1-to-2", 1, 2, false},
-		{"k2-to-3", 2, 3, false},
-		{"k2-to-5", 2, 5, false},
-		{"reset-k2-to-4", 2, 4, true},
+		{"k1-to-2", 1, 2},
+		{"k2-to-3", 2, 3},
+		{"k2-to-5", 2, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			u := Unroll{Frames: tc.start, ResetInit: tc.resetInit}
-			got, gotSM, _ := extendTo(t, n, u, tc.end)
+			got, gotSM, _ := extendTo(t, n, Unroll{Frames: tc.start}, tc.end)
 
 			fresh := n.Clone()
-			freshSM, err := ApplyMapped(fresh, Unroll{Frames: tc.end, ResetInit: tc.resetInit})
+			_, freshSM, err := Apply(fresh, Unroll{Frames: tc.end})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +162,7 @@ func TestUnrollerExtendVerdictEquivalence(t *testing.T) {
 	const finalFrames = 3
 	got, gotSM, _ := extendTo(t, n, Unroll{Frames: 2}, finalFrames)
 	fresh := n.Clone()
-	freshSM, err := ApplyMapped(fresh, Unroll{Frames: finalFrames})
+	_, freshSM, err := Apply(fresh, Unroll{Frames: finalFrames})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +209,7 @@ func TestUnrollerNilSiteMapIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := n.Clone()
-	if err := Apply(fresh, Unroll{Frames: 3}); err != nil {
+	if _, _, err := Apply(fresh, Unroll{Frames: 3}); err != nil {
 		t.Fatal(err)
 	}
 	assertNetlistsEquivalent(t, clone, fresh)
@@ -259,22 +256,35 @@ func TestUnrollerAnnotationOrderMatchesAnnotate(t *testing.T) {
 	}
 }
 
-// TestBuildUnrollerStackErrors pins BuildUnroller's contract: the stack must
-// be non-empty and end in an Unroll; leading transforms apply in order.
-func TestBuildUnrollerStackErrors(t *testing.T) {
+// TestApplyReturnsTrailingUnroller pins Apply's Unroller contract: it
+// returns one exactly when the stack ends in an Unroll, leading transforms
+// apply in order first, and an Unroll earlier in the stack still records
+// its replicas.
+func TestApplyReturnsTrailingUnroller(t *testing.T) {
 	n := testutil.RandomNetlist(3, testutil.RandOpts{Inputs: 3, Gates: 10, FFs: 2, Outputs: 2})
-	if _, _, err := BuildUnroller(n.Clone(), nil); err == nil {
-		t.Error("empty stack: want error")
-	}
-	if _, _, err := BuildUnroller(n.Clone(), []Transform{Unroll{Frames: 2}, Tie{Net: "i0", Value: logic.Zero}}); err == nil {
-		t.Error("unroll not last: want error")
-	}
-	clone := n.Clone()
-	ur, sm, err := BuildUnroller(clone, []Transform{Unroll{Frames: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ur.Frames() != 2 || sm.Empty() {
-		t.Fatalf("frames=%d, sm.Len=%d", ur.Frames(), sm.Len())
+	tie := Tie{Net: "i0", Value: logic.Zero}
+	for _, tc := range []struct {
+		name     string
+		ts       []Transform
+		unroller bool
+		replicas bool
+	}{
+		{"empty", nil, false, false},
+		{"tie", []Transform{tie}, false, false},
+		{"unroll-then-tie", []Transform{Unroll{Frames: 2}, tie}, false, true},
+		{"unroll", []Transform{Unroll{Frames: 2}}, true, true},
+		{"tie-then-unroll", []Transform{tie, Unroll{Frames: 2}}, true, true},
+	} {
+		ur, sm, err := Apply(n.Clone(), tc.ts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if (ur != nil) != tc.unroller || sm == nil || sm.Empty() == tc.replicas {
+			t.Fatalf("%s: unroller %v, replicas %v; want %v, %v",
+				tc.name, ur != nil, sm != nil && !sm.Empty(), tc.unroller, tc.replicas)
+		}
+		if ur != nil && ur.Frames() != 2 {
+			t.Fatalf("%s: unroller at %d frames, want 2", tc.name, ur.Frames())
+		}
 	}
 }

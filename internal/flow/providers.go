@@ -220,19 +220,19 @@ func verdictStatus(v atpg.Verdict) fault.Status {
 // constraint.Unroll sets the starting depth, and after each depth the clone
 // is Extended from k to k+1 frames in place (constraint.Unroller), the
 // annotations updated append-aware (netlist.AnnotateAppended), and the next
-// depth targets every class not yet proven untestable. Deepening a
-// free-init unroll only tightens the reach over-approximation — every
-// (k+1)-frame faulty behavior is reproducible at k frames by choosing the
-// free initial state — so untestability proofs persist across depths,
-// dropping them is sound, and the projected untestable set grows
-// monotonically toward the converged classification. Each depth streams its
-// newly proven verdicts as its own delta source ("sweep:<name>@k=<frames>"),
-// so the merged accumulator attributes every fault to the depth that proved
-// it. The sweep stops when a depth adds nothing to the projected set (the
-// set is stable across two consecutive depths) or when MaxFrames is
-// reached; the converged Result is equivalent to a one-shot run at the final
-// depth (absent aborts), with per-depth stats in Result.Sweep. Without
-// MaxFrames the scenario runs once, at the depth its transforms give it.
+// depth targets every class not yet proven untestable. Deepening an unroll
+// only tightens the reach over-approximation — every (k+1)-frame faulty
+// behavior is reproducible at k frames by choosing the free initial state —
+// so untestability proofs persist across depths, dropping them is sound,
+// and the projected untestable set grows monotonically toward the converged
+// classification. Each depth streams its newly proven verdicts as its own
+// delta source ("sweep:<name>@k=<frames>"), so the merged accumulator
+// attributes every fault to the depth that proved it. The sweep stops when
+// a depth adds nothing to the projected set (the set is stable across two
+// consecutive depths) or when MaxFrames is reached; the converged Result is
+// equivalent to a one-shot run at the final depth (absent aborts), with
+// per-depth stats in Result.Sweep. Without MaxFrames the scenario runs
+// once, at the depth its transforms give it.
 //
 // Before any search, the first depth replays the full-scan baseline's tests,
 // lifted onto the clone (when RunCampaign wires the provider to a baseline
@@ -255,8 +255,8 @@ func verdictStatus(v atpg.Verdict) fault.Status {
 type ScenarioProvider struct {
 	Scenario Scenario
 	// MaxFrames, when nonzero, sweeps the scenario up to this depth budget:
-	// its transform stack must end in a free-init constraint.Unroll, whose
-	// Frames is the starting depth and at most MaxFrames.
+	// its transform stack must end in a constraint.Unroll, whose Frames is
+	// the starting depth and at most MaxFrames.
 	MaxFrames int
 	// OnDepth, when non-nil, observes every completed depth of a sweep
 	// synchronously on the provider's goroutine; a non-nil return fails the
@@ -302,21 +302,18 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		return err
 	}
 	clone := env.N.Clone()
-	var (
-		ur  *constraint.Unroller // the sweep's handle on the clone's depth
-		sm  *fault.SiteMap
-		err error
-	)
-	if p.MaxFrames == 0 {
-		sm, err = constraint.ApplyMapped(clone, p.Scenario.Transforms...)
-	} else if _, ok := sweepableUnroll(p.Scenario); !ok {
-		err = fmt.Errorf("scenario's transform stack must end in a free-init Unroll " +
-			"(reset-anchored untestability does not persist across depths)")
-	} else if ur, sm, err = constraint.BuildUnroller(clone, p.Scenario.Transforms); err == nil {
-		ur.Instrument(env.Metrics)
-		if p.MaxFrames < ur.Frames() {
+	// ur is the sweep's handle on the clone's depth: non-nil exactly when
+	// the stack ends in an Unroll.
+	ur, sm, err := constraint.Apply(clone, p.Scenario.Transforms...)
+	if err == nil && p.MaxFrames > 0 {
+		switch {
+		case ur == nil:
+			err = fmt.Errorf("scenario's transform stack must end in an Unroll to sweep")
+		case p.MaxFrames < ur.Frames():
 			err = fmt.Errorf("max frames %d below the scenario's %d starting frames",
 				p.MaxFrames, ur.Frames())
+		default:
+			ur.Instrument(env.Metrics)
 		}
 	}
 	if err != nil {
@@ -368,7 +365,7 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		sweep    *SweepResult
 		targeted map[fault.FID]bool // classes some depth of a sweep targeted
 	)
-	if ur != nil {
+	if p.MaxFrames > 0 {
 		cum = fault.NewStatusMap(cu)
 		sweep = &SweepResult{}
 		targeted = map[fault.FID]bool{}
@@ -407,10 +404,9 @@ func (p *ScenarioProvider) Run(ctx context.Context, env Env, emit EmitFn) error 
 		var emitErr error
 		opts := env.ATPG
 		opts.ObsPoints = obsPts
-		// Multi-frame injection is the default for unrolled scenarios: the
-		// permanent fault is injected in every time frame at once, so the
-		// streamed Untestable proofs are about the permanent fault rather
-		// than the final-frame-only approximation.
+		// Multi-frame injection: on an unrolled clone the permanent fault is
+		// injected in every time frame at once, so the streamed Untestable
+		// proofs are about the permanent fault.
 		opts.Sites = sm
 		opts.Annotations = ann
 		opts.Grader = grader

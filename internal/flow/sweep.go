@@ -78,17 +78,12 @@ type SweepDepth struct {
 }
 
 // sweepableUnroll returns the trailing constraint.Unroll of a scenario's
-// transform stack when the scenario can be swept — the shape RunCampaign
-// sweeps under MaxFrames. Reset-anchored unrolls are NOT sweepable: with
-// ResetInit, depth k models exactly the first k cycles after reset, so a
-// fault undetectable within k cycles may become detectable at k+1 —
-// untestability does not persist across depths and dropping resolved classes
-// (the sweep's core amortization) would be unsound. Only the free-init form
-// has the monotone tightening the sweep relies on.
+// transform stack, the shape RunCampaign sweeps under MaxFrames; a stack
+// that does not end in an Unroll runs once.
 func sweepableUnroll(sc Scenario) (constraint.Unroll, bool) {
 	if len(sc.Transforms) == 0 {
 		return constraint.Unroll{}, false
 	}
 	u, ok := sc.Transforms[len(sc.Transforms)-1].(constraint.Unroll)
-	return u, ok && !u.ResetInit
+	return u, ok
 }

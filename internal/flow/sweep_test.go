@@ -9,6 +9,7 @@ import (
 	"olfui/internal/atpg"
 	"olfui/internal/constraint"
 	"olfui/internal/fault"
+	"olfui/internal/logic"
 	"olfui/internal/obs"
 	"olfui/internal/testutil"
 )
@@ -147,7 +148,7 @@ func TestSweepDepthAttribution(t *testing.T) {
 func TestSweepClassesDropsResolved(t *testing.T) {
 	n := testutil.RandomNetlist(13, testutil.RandOpts{Inputs: 3, Gates: 10, FFs: 2, Outputs: 2})
 	clone := n.Clone()
-	if err := constraint.Apply(clone, constraint.Unroll{Frames: 2}); err != nil {
+	if _, _, err := constraint.Apply(clone, constraint.Unroll{Frames: 2}); err != nil {
 		t.Fatal(err)
 	}
 	cu := fault.NewUniverse(clone)
@@ -229,25 +230,22 @@ func TestSweepConfigErrors(t *testing.T) {
 	if _, err := RunCampaign(context.Background(), n, u, []Scenario{noUnroll}, Options{MaxFrames: 3}); err == nil {
 		t.Error("MaxFrames with no sweepable scenario: want error")
 	}
-	// Reset-anchored unrolls are not sweepable: depth k models exactly the
-	// first k cycles, so untestability does not persist across depths and
-	// dropping resolved classes would be unsound. RunCampaign refuses the
-	// budget when they are the only candidate, and a directly constructed
-	// swept ScenarioProvider fails its Run.
-	resetReach := Scenario{
-		Name:       "reset-reach",
-		Transforms: []constraint.Transform{constraint.Unroll{Frames: 2, ResetInit: true}},
-		Observe:    constraint.ObserveOutputsAndCaptures,
+	// A directly constructed swept ScenarioProvider checks the same shape:
+	// its Run fails unless the stack ends in an Unroll.
+	unrollFirst := Scenario{
+		Name: "unroll-first",
+		Transforms: []constraint.Transform{constraint.Unroll{Frames: 2},
+			constraint.Tie{Net: "i0", Value: logic.Zero}},
+		Observe: constraint.ObserveOutputsAndCaptures,
 	}
-	if _, err := RunCampaign(context.Background(), n, u, []Scenario{resetReach}, Options{MaxFrames: 3}); err == nil {
-		t.Error("MaxFrames with only a reset-init unroll: want error")
-	}
-	c := NewCampaign(n, u, CampaignOptions{})
-	if err := c.Add(&ScenarioProvider{Scenario: resetReach, MaxFrames: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(context.Background()); err == nil {
-		t.Error("direct swept ScenarioProvider over a reset-init unroll: want error")
+	for _, sc := range []Scenario{noUnroll, unrollFirst} {
+		c := NewCampaign(n, u, CampaignOptions{})
+		if err := c.Add(&ScenarioProvider{Scenario: sc, MaxFrames: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(context.Background()); err == nil {
+			t.Errorf("direct swept ScenarioProvider over %q: want error", sc.Name)
+		}
 	}
 }
 

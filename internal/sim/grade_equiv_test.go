@@ -330,7 +330,7 @@ func BenchmarkGradeReplayUnrolled(b *testing.B) {
 	for _, width := range []int{8, 32} {
 		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
 			n := bench.Build(width)
-			sm, err := constraint.ApplyMapped(n, bench.Scenarios(2)[2].Transforms...) // mission-reach
+			_, sm, err := constraint.Apply(n, bench.Scenarios(2)[2].Transforms...) // mission-reach
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -35,7 +35,7 @@ func screenCase(t *testing.T, netSeed int64, tied uint8, unroll bool, obsSeed in
 	if unroll {
 		ts = append(ts, constraint.Unroll{Frames: 2})
 	}
-	sm, err := constraint.ApplyMapped(n, ts...)
+	_, sm, err := constraint.Apply(n, ts...)
 	if err != nil {
 		t.Fatal(err)
 	}
