@@ -70,15 +70,19 @@ type config struct {
 
 // validate resolves the sweep's depth budget (-max-frames when set, which
 // implies -sweep; -frames+4 under a bare -sweep; 0 when sweeping is off)
-// into MaxFrames, then rejects out-of-range knobs with bench.Spec's bounds
-// and inconsistent flag combinations with a one-line error, before any
-// netlist, transform or provider work starts.
+// into MaxFrames, then rejects out-of-range knobs (bench.Spec's bounds, and
+// a negative -limit, which the search would otherwise read as unset) and
+// inconsistent flag combinations with a one-line error, before any netlist,
+// transform or provider work starts.
 func (cfg *config) validate() error {
 	if cfg.sweep && cfg.MaxFrames == 0 {
 		cfg.MaxFrames = cfg.Frames + 4
 	}
 	if err := cfg.Spec.Validate(); err != nil {
 		return err
+	}
+	if cfg.limit < 0 {
+		return fmt.Errorf("-limit must be >= 0, got %d", cfg.limit)
 	}
 	if cfg.resume && cfg.journalDir == "" {
 		return fmt.Errorf("-resume requires -journal")
@@ -99,9 +103,10 @@ func main() {
 	flag.IntVar(&cfg.MaxFrames, "max-frames", 0,
 		"depth budget for the sweep (0 = -frames+4); setting it implies -sweep")
 	flag.StringVar(&cfg.patterns, "patterns", "", "mission stimulus file to grade (see cmd/olfui/patterns.go for the format)")
-	flag.BoolVar(&cfg.progress, "progress", false, "print per-provider delta merges and completions")
+	flag.BoolVar(&cfg.progress, "progress", false,
+		"print each provider's completion and a once-per-second rate summary on stderr")
 	flag.BoolVar(&cfg.selfcheck, "selfcheck", false,
-		"exhaustively verify sampled untestability verdicts (small widths only)")
+		"exhaustively re-prove every untestability verdict of each clone within the oracle's input limit (small widths only)")
 	flag.StringVar(&cfg.metricsOut, "metrics-out", "",
 		"write the final telemetry snapshot (counters, histograms, span tree) to this JSON file")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "",

@@ -367,6 +367,7 @@ func TestFlagValidation(t *testing.T) {
 		"frames 40":  {config{Spec: bench.Spec{Width: 2, Frames: 40}}, "frames must be in [1,12]"},
 		"max-frames": {config{Spec: bench.Spec{Width: 2, Frames: 3, MaxFrames: 2}}, "max_frames (2) must be 0 or >= frames (3)"},
 		"workers -5": {config{Spec: bench.Spec{Width: 2, Frames: 2, Workers: -5}}, "workers must be in [0,256]"},
+		"limit -5":   {config{Spec: bench.Spec{Width: 2, Frames: 2}, limit: -5}, "-limit must be >= 0, got -5"},
 		"resume":     {config{Spec: bench.Spec{Width: 2, Frames: 2}, resume: true}, "-resume"},
 	} {
 		_, _, err := runCampaign(context.Background(), tc.cfg, nil)

@@ -115,9 +115,9 @@ func (t Tie) Apply(c *netlist.Netlist, _ *fault.SiteMap) error {
 	}
 	net, ok := c.NetByName(t.Net)
 	if !ok {
-		return fmt.Errorf("no net %q", t.Net)
+		return fmt.Errorf("net %q is missing or ambiguous", t.Net)
 	}
-	tie := c.AddSyntheticTie(uniqueName(c, "tie$"+t.Net), t.Value == logic.One)
+	tie := c.AddSyntheticTie(uniquePrefix(c, "tie$"+t.Net), t.Value == logic.One)
 	c.RewireFanout(net, tie)
 	return nil
 }
@@ -151,7 +151,7 @@ func (o OneHot) Apply(c *netlist.Netlist, _ *fault.SiteMap) error {
 	for i, name := range o.Nets {
 		id, ok := c.NetByName(name)
 		if !ok {
-			return fmt.Errorf("no net %q", name)
+			return fmt.Errorf("net %q is missing or ambiguous", name)
 		}
 		nets[i] = id
 	}
@@ -181,25 +181,11 @@ func (o OneHot) Apply(c *netlist.Netlist, _ *fault.SiteMap) error {
 	return nil
 }
 
-// uniqueName returns name, suffixed if a gate of that name already exists
-// (repeated application of similar transforms must not collide).
-func uniqueName(c *netlist.Netlist, name string) string {
-	if _, dup := c.GateByName(name); !dup {
-		return name
-	}
-	for i := 2; ; i++ {
-		cand := fmt.Sprintf("%s$%d", name, i)
-		if _, dup := c.GateByName(cand); !dup {
-			return cand
-		}
-	}
-}
-
 // uniquePrefix returns base, suffixed if any existing gate or net name
-// already lives under it (equals it, or starts with it plus "_"). Transforms
-// that derive whole families of names from one prefix (OneHot, Unroll) use
-// this so repeated application cannot collide with earlier applications or
-// with the design's own names.
+// already lives under it (equals it, or starts with it plus "_"). Every
+// transform names what it adds from such a prefix (Tie its tie, OneHot and
+// Unroll whole families of names), so repeated application cannot collide
+// with earlier applications or with the design's own names.
 func uniquePrefix(c *netlist.Netlist, base string) string {
 	free := func(p string) bool {
 		pre := p + "_"
@@ -287,16 +273,19 @@ func ObserveOnline(c *netlist.Netlist) []sim.ObsPoint {
 	return pts
 }
 
-// ObserveOutputsAndCaptures observes primary outputs plus the capture probes
-// Unroll planted on observable next-state nets — the sound observation model
-// for time-expanded scenarios: a fault effect the final frame writes into
-// output-reaching state counts as (eventually) observed, while state that
-// never surfaces functionally does not. On clones without an Unroll
-// transform it degrades to ObserveOutputs.
+// ObserveOutputsAndCaptures observes primary outputs plus, in gate order,
+// the capture probes (netlist.FProbe) Unroll planted on observable
+// next-state nets — the sound observation model for time-expanded
+// scenarios: a fault effect the final frame writes into output-reaching
+// state counts as (eventually) observed, while state that never surfaces
+// functionally does not. On clones without an Unroll transform it degrades
+// to ObserveOutputs.
 func ObserveOutputsAndCaptures(c *netlist.Netlist) []sim.ObsPoint {
 	pts := sim.OutputObsPoints(c)
-	for _, g := range c.Groups[CaptureGroup] {
-		pts = append(pts, sim.ObsPoint{Gate: g, Pin: 0})
+	for i := range c.Gates {
+		if c.Gates[i].Flags&netlist.FProbe != 0 {
+			pts = append(pts, sim.ObsPoint{Gate: netlist.GateID(i), Pin: 0})
+		}
 	}
 	return pts
 }

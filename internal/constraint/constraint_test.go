@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"olfui/internal/atpg"
@@ -9,6 +10,7 @@ import (
 	"olfui/internal/logic"
 	"olfui/internal/netlist"
 	"olfui/internal/sim"
+	"olfui/internal/testutil"
 )
 
 // scanCell builds the paper's Fig. 2 structure: a scan mux in front of a
@@ -287,27 +289,34 @@ func TestUnrollDFFRUsesSynchronousReset(t *testing.T) {
 }
 
 func TestRepeatedTransformsDoNotCollide(t *testing.T) {
-	// Re-applying a prefix-deriving transform (or stacking two with the
-	// same base name) must pick fresh name prefixes instead of panicking
-	// on duplicate gate names.
+	// Re-applying a transform (or stacking two with the same base name)
+	// must pick fresh name prefixes. No build-time check guards names, so
+	// the test asserts that no two gates and no two nets share one.
 	n := netlist.New("rep")
 	a, b := n.Input("a"), n.Input("b")
 	n.OutputPort("po", n.And("y", a, b))
 	c := n.Clone()
-	if _, _, err := Apply(c, OneHot{Nets: []string{"a", "b"}}, OneHot{Nets: []string{"a", "b"}}); err != nil {
-		t.Fatalf("stacked one-hot: %v", err)
+	if _, _, err := Apply(c, OneHot{Nets: []string{"a", "b"}}, OneHot{Nets: []string{"a", "b"}},
+		Tie{Net: "y", Value: logic.Zero}, Tie{Net: "y", Value: logic.One}); err != nil {
+		t.Fatalf("stacked one-hot and ties: %v", err)
+	}
+	if dups := testutil.DuplicateNames(c); len(dups) > 0 {
+		t.Errorf("stacked one-hot and ties reuse names: %v", dups)
 	}
 
-	// Same for unroll stacked twice on a sequential circuit: the second
-	// application fails cleanly (no flip-flops left) rather than
-	// colliding on names.
+	// Unroll stacked twice on a sequential circuit: the second application
+	// fails cleanly (no flip-flops left), and the first names every frame
+	// copy apart from the design's own names.
 	m := netlist.New("rep2")
 	d := m.Input("d")
 	q := m.DFF("q", d)
 	m.OutputPort("po", q)
 	cm := m.Clone()
-	if _, _, err := Apply(cm, Unroll{Frames: 2}); err != nil {
+	if _, _, err := Apply(cm, Unroll{Frames: 3}); err != nil {
 		t.Fatal(err)
+	}
+	if dups := testutil.DuplicateNames(cm); len(dups) > 0 {
+		t.Errorf("unroll reuses names: %v", dups)
 	}
 	if _, _, err := Apply(cm, Unroll{Frames: 2}); err == nil {
 		t.Fatal("second unroll should report no flip-flops")
@@ -328,6 +337,20 @@ func TestApplyErrors(t *testing.T) {
 	for _, tr := range cases {
 		if _, _, err := Apply(n.Clone(), tr); err == nil {
 			t.Errorf("%s: want error", tr.Describe())
+		}
+	}
+
+	// A name two nets share is no name: Tie and OneHot refuse it as they
+	// refuse a missing one.
+	amb := netlist.New("ambiguous")
+	amb.OutputPort("po", amb.Or("y", amb.Input("a"), amb.Input("a"), amb.Input("b")))
+	for _, tr := range []Transform{
+		Tie{Net: "a", Value: logic.Zero},
+		OneHot{Nets: []string{"b", "a"}},
+	} {
+		_, _, err := Apply(amb.Clone(), tr)
+		if err == nil || !strings.Contains(err.Error(), `net "a" is missing or ambiguous`) {
+			t.Errorf("%s: err = %v, want net \"a\" missing or ambiguous", tr.Describe(), err)
 		}
 	}
 }

@@ -9,10 +9,6 @@ import (
 	"olfui/internal/obs"
 )
 
-// CaptureGroup is the netlist group collecting the synthetic capture probes
-// Unroll plants on the final frame's observable next-state nets.
-const CaptureGroup = "unroll_captures"
-
 // Unroll replaces the full-scan state assumption by a k-frame sequential
 // reach constraint: the clone's flip-flops are tombstoned and their output
 // nets are re-driven by Frames-1 appended synthetic copies of the
@@ -235,13 +231,13 @@ func NewUnroller(c *netlist.Netlist, sm *fault.SiteMap, u Unroll) (*Unroller, er
 
 	// Capture probes: the final frame's next-state values ARE observed in
 	// mission mode — one cycle later, through any flip-flop whose state
-	// reaches a primary output. A synthetic buffer per such flip-flop
-	// keeps its D-net addressable as an observation point after the
-	// flip-flop itself is tombstoned (ObserveOutputsAndCaptures); without
-	// them, output-only observation would wrongly condemn the entire
-	// D-cone of the final frame. The probes read the original D nets, which
-	// Extend never touches — capture identity across depths is structural,
-	// not maintained.
+	// reaches a primary output. A synthetic buffer per such flip-flop,
+	// flagged FProbe, keeps its D-net addressable as an observation point
+	// after the flip-flop itself is tombstoned (ObserveOutputsAndCaptures);
+	// without them, output-only observation would wrongly condemn the
+	// entire D-cone of the final frame. The probes read the original D
+	// nets, which Extend never touches — capture identity across depths is
+	// structural, not maintained.
 	reaching := outputCone(c)
 	var captures []netlist.GateID
 	for _, ff := range b.ffs {
@@ -250,7 +246,7 @@ func NewUnroller(c *netlist.Netlist, sm *fault.SiteMap, u Unroll) (*Unroller, er
 		}
 		probe := c.AddSyntheticGate(netlist.KBuf,
 			fmt.Sprintf("%s_cap_%s", b.prefix, ff.name), ff.d)
-		c.AddGroup(CaptureGroup, probe)
+		c.Gates[probe].Flags |= netlist.FProbe
 		captures = append(captures, probe)
 	}
 

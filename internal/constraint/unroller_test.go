@@ -14,11 +14,11 @@ import (
 
 // assertNetlistsEquivalent pins structural equivalence up to gate/net
 // numbering: both clones carry the same live gates by name — same kind,
-// synthetic flag, input net names and output net name — and the same capture
-// group contents. Gate IDs differ between an extended clone and a fresh
-// unroll (frames append in a different order relative to captures and
-// splices), so identity is checked through names, which the Unroller derives
-// deterministically from frame indices.
+// flags, input net names and output net name — and the same capture probes
+// (netlist.FProbe) in gate order. Gate IDs differ between an extended clone
+// and a fresh unroll (frames append in a different order relative to
+// captures and splices), so identity is checked through names, which the
+// Unroller derives deterministically from frame indices.
 func assertNetlistsEquivalent(t *testing.T, got, want *netlist.Netlist) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
@@ -52,8 +52,8 @@ func assertNetlistsEquivalent(t *testing.T, got, want *netlist.Netlist) {
 		if gg.Kind != wg.Kind {
 			t.Errorf("gate %q: kind %v, want %v", wg.Name, gg.Kind, wg.Kind)
 		}
-		if gg.Flags&netlist.FSynthetic != wg.Flags&netlist.FSynthetic {
-			t.Errorf("gate %q: synthetic flag mismatch", wg.Name)
+		if gg.Flags != wg.Flags {
+			t.Errorf("gate %q: flags %b, want %b", wg.Name, gg.Flags, wg.Flags)
 		}
 		if len(gg.Ins) != len(wg.Ins) {
 			t.Fatalf("gate %q: %d inputs, want %d", wg.Name, len(gg.Ins), len(wg.Ins))
@@ -67,11 +67,25 @@ func assertNetlistsEquivalent(t *testing.T, got, want *netlist.Netlist) {
 			t.Errorf("gate %q drives %q, want %q", wg.Name, g, w)
 		}
 	}
-	gotCaps := gateNames(got, got.Groups[CaptureGroup])
-	wantCaps := gateNames(want, want.Groups[CaptureGroup])
-	if fmt.Sprint(gotCaps) != fmt.Sprint(wantCaps) {
-		t.Errorf("capture group %v, want %v", gotCaps, wantCaps)
+	gotCaps, wantCaps := probeNames(got), probeNames(want)
+	if len(wantCaps) == 0 {
+		t.Fatal("fresh clone has no capture probes")
 	}
+	if fmt.Sprint(gotCaps) != fmt.Sprint(wantCaps) {
+		t.Errorf("capture probes %v, want %v", gotCaps, wantCaps)
+	}
+}
+
+// probeNames lists the names of n's capture probes in gate order, the order
+// ObserveOutputsAndCaptures observes them in.
+func probeNames(n *netlist.Netlist) []string {
+	var out []string
+	for i := range n.Gates {
+		if n.Gates[i].Flags&netlist.FProbe != 0 {
+			out = append(out, n.Gates[i].Name)
+		}
+	}
+	return out
 }
 
 func gateNames(n *netlist.Netlist, ids []netlist.GateID) []string {

@@ -313,13 +313,6 @@ func (c *Campaign) Run(ctx context.Context) (*EvidenceSet, error) {
 				if err := js.j.AppendDelta(p.Channel().String(), p.Name(), d); err != nil {
 					return fail(pi, fmt.Errorf("flow: journal: %w", err))
 				}
-				if js.j.WantCompact() {
-					// Under the merge lock, so the two channel snapshots are
-					// mutually consistent and no delta commits mid-compaction.
-					if err := js.compact(ev); err != nil {
-						return fail(pi, fmt.Errorf("flow: journal: %w", err))
-					}
-				}
 			}
 			if c.opts.Progress != nil {
 				// Time is stamped under the merge lock so a Progress observer

@@ -77,14 +77,12 @@ type resultRecorder interface {
 }
 
 // journalState is a campaign run's journaling context: the open journal, the
-// campaign fingerprint, and the provider completions to include in the next
-// compaction. skip freezes the completions recovered at start — the
-// providers this run must not re-execute.
+// campaign fingerprint, and what recovery found of earlier runs — the
+// providers this run must not re-execute (skip) and their journaled results.
 type journalState struct {
 	j       *journal.Journal
 	meta    json.RawMessage
 	skip    map[string]int // recovered at start: provider → merged count
-	done    map[string]int // grows as providers finish this run
 	results map[string]*journal.ProviderResult
 }
 
@@ -140,7 +138,6 @@ func (c *Campaign) recover(ev *EvidenceSet) (*journalState, error) {
 		j:       j,
 		meta:    c.fingerprint(),
 		skip:    map[string]int{},
-		done:    map[string]int{},
 		results: map[string]*journal.ProviderResult{},
 	}
 	st := j.Recovered()
@@ -193,13 +190,7 @@ func (c *Campaign) recover(ev *EvidenceSet) (*journalState, error) {
 		}
 		sources[ch][d.D.Source] = true
 	}
-	for p, n := range st.Done {
-		js.skip[p] = n
-		js.done[p] = n
-	}
-	for p, r := range st.Results {
-		js.results[p] = r
-	}
+	js.skip, js.results = st.Done, st.Results
 
 	// Reset the sequence state of every source not owned by a finished
 	// provider: the owner re-executes and its fresh stream restarts at seq
@@ -223,28 +214,23 @@ func (c *Campaign) recover(ev *EvidenceSet) (*journalState, error) {
 	}
 
 	// Rotate the wal so the re-executed sources' restarted numbering never
-	// shares a wal with their old stream.
+	// shares a wal with their old stream. No provider runs yet, so the
+	// snapshot holds exactly the recovered state.
 	if reset {
-		if err := js.compact(ev); err != nil {
+		err := j.Compact(&journal.CompactState{
+			Meta: js.meta,
+			Channels: map[string]*fault.AccumulatorSnapshot{
+				ChannelFullScan.String(): ev.FullScan.Snapshot(),
+				ChannelMission.String():  ev.Mission.Snapshot(),
+			},
+			Done:    js.skip,
+			Results: js.results,
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
 	return js, nil
-}
-
-// compact snapshots the full campaign state into a new journal generation.
-// During a run it is called with the campaign merge lock held, which is what
-// makes the two channel snapshots mutually consistent.
-func (js *journalState) compact(ev *EvidenceSet) error {
-	return js.j.Compact(&journal.CompactState{
-		Meta: js.meta,
-		Channels: map[string]*fault.AccumulatorSnapshot{
-			ChannelFullScan.String(): ev.FullScan.Snapshot(),
-			ChannelMission.String():  ev.Mission.Snapshot(),
-		},
-		Done:    js.done,
-		Results: js.results,
-	})
 }
 
 // finish journals a provider's completion: its result record (when it has
@@ -260,14 +246,9 @@ func (js *journalState) finish(p Provider, merged int) error {
 			if err := js.j.AppendResult(rec); err != nil {
 				return err
 			}
-			js.results[p.Name()] = rec
 		}
 	}
-	if err := js.j.AppendDone(p.Name(), merged); err != nil {
-		return err
-	}
-	js.done[p.Name()] = merged
-	return nil
+	return js.j.AppendDone(p.Name(), merged)
 }
 
 // --- provider result records ---

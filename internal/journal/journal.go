@@ -1,7 +1,7 @@
 // Package journal persists campaign evidence durably: an append-only
-// write-ahead log of merged deltas plus periodic compacted snapshots, so a
-// crashed or killed campaign resumes paying only for providers that had not
-// finished.
+// write-ahead log of merged deltas plus the compacted snapshot a resume
+// writes when it restarts a provider's stream, so a crashed or killed
+// campaign resumes paying only for providers that had not finished.
 //
 // # Layout
 //
@@ -83,16 +83,11 @@ const magic = "OLFJNL1\n"
 // as tail corruption, not an allocation request.
 const maxRecord = 1 << 28
 
-// DefaultCompactEvery is the delta count between automatic compactions when
-// Options.CompactEvery is zero.
-const DefaultCompactEvery = 512
-
-// Options configures a journal. Durability has no knob: the wal syncs at the
-// campaign fingerprint and at every done marker, and nowhere else (see
-// "Durability and crash windows" in the package doc).
-type Options struct {
-	CompactEvery int // deltas between WantCompact signals; 0 = DefaultCompactEvery
-}
+// Options configures a journal. It has no fields: durability has no knob
+// (the wal syncs at the campaign fingerprint and at every done marker, and
+// nowhere else; see "Durability and crash windows" in the package doc), and
+// compaction happens only when the caller asks for it.
+type Options struct{}
 
 // ProviderResult is a provider's journaled terminal result: the payload a
 // skipped (already-finished) provider contributes to the final Report on
@@ -162,13 +157,11 @@ type doneRecord struct {
 // merge lock, in commit order.
 type Journal struct {
 	dir string
-	opt Options
 
 	mu        sync.Mutex
 	wal       *os.File
 	gen       uint64
 	recovered *State
-	sinceComp int            // deltas appended since the last compaction
 	appended  map[string]int // per-source deltas appended this process
 	closed    bool
 }
@@ -176,14 +169,11 @@ type Journal struct {
 // Open opens (or creates) the journal in dir and recovers its state. A
 // truncated wal tail is repaired in place; see the package comment for what
 // recovery tolerates versus rejects.
-func Open(dir string, opt Options) (*Journal, error) {
-	if opt.CompactEvery <= 0 {
-		opt.CompactEvery = DefaultCompactEvery
-	}
+func Open(dir string, _ Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: dir, opt: opt, appended: map[string]int{}}
+	j := &Journal{dir: dir, appended: map[string]int{}}
 
 	gen, haveManifest, err := readManifest(dir)
 	if err != nil {
@@ -272,7 +262,6 @@ func Open(dir string, opt Options) (*Journal, error) {
 	if !empty {
 		j.recovered = st
 	}
-	j.sinceComp = len(st.Deltas)
 	j.cleanStale(true)
 	return j, nil
 }
@@ -335,7 +324,6 @@ func (j *Journal) AppendDelta(channel, provider string, d fault.Delta) error {
 	}}, false)
 	if err == nil {
 		j.mu.Lock()
-		j.sinceComp++
 		j.appended[d.Source]++
 		j.mu.Unlock()
 	}
@@ -356,14 +344,6 @@ func (j *Journal) AppendResult(r *ProviderResult) error {
 // record are durable, and resume will skip the provider.
 func (j *Journal) AppendDone(provider string, merged int) error {
 	return j.append(record{Kind: "done", Done: &doneRecord{Provider: provider, Merged: merged}}, true)
-}
-
-// WantCompact reports whether enough deltas accumulated since the last
-// compaction that the caller should snapshot state via Compact.
-func (j *Journal) WantCompact() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sinceComp >= j.opt.CompactEvery
 }
 
 // AppendedDeltas returns how many deltas this process appended per source
@@ -449,7 +429,6 @@ func (j *Journal) Compact(s *CompactState) error {
 		return err
 	}
 	j.gen = gen
-	j.sinceComp = 0
 	oldWal.Close()
 	os.Remove(filepath.Join(j.dir, walName(oldGen)))
 	os.Remove(filepath.Join(j.dir, snapName(oldGen)))

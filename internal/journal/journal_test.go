@@ -294,7 +294,7 @@ func TestForeignFileRejected(t *testing.T) {
 func TestCompactRotatesGenerations(t *testing.T) {
 	dir := t.TempDir()
 	u := jUniverse(t)
-	j, err := Open(dir, Options{CompactEvery: 3})
+	j, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,9 +312,6 @@ func TestCompactRotatesGenerations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !j.WantCompact() {
-		t.Fatal("WantCompact false after CompactEvery deltas")
-	}
 	err = j.Compact(&CompactState{
 		Meta:     meta,
 		Channels: map[string]*fault.AccumulatorSnapshot{"full-scan": acc.Snapshot()},
@@ -323,9 +320,6 @@ func TestCompactRotatesGenerations(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if j.WantCompact() {
-		t.Fatal("WantCompact true right after Compact")
 	}
 	// Old generation files are gone; the new pair exists.
 	if _, err := os.Stat(filepath.Join(dir, "wal-0.log")); !os.IsNotExist(err) {

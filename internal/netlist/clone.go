@@ -5,13 +5,10 @@ package netlist
 // sites (gate, pin) on the original remain valid on every clone.
 func (n *Netlist) Clone() *Netlist {
 	c := &Netlist{
-		Name:       n.Name,
-		Gates:      make([]Gate, len(n.Gates)),
-		Nets:       make([]Net, len(n.Nets)),
-		Groups:     make(map[string][]GateID, len(n.Groups)),
-		netByName:  make(map[string]NetID, len(n.netByName)),
-		gateByName: make(map[string]GateID, len(n.gateByName)),
-		anon:       n.anon,
+		Name:  n.Name,
+		Gates: make([]Gate, len(n.Gates)),
+		Nets:  make([]Net, len(n.Nets)),
+		anon:  n.anon,
 	}
 	for i := range n.Gates {
 		g := n.Gates[i]
@@ -23,20 +20,11 @@ func (n *Netlist) Clone() *Netlist {
 		net.Fanout = append([]Pin(nil), net.Fanout...)
 		c.Nets[i] = net
 	}
-	for k, v := range n.Groups {
-		c.Groups[k] = append([]GateID(nil), v...)
-	}
-	for k, v := range n.netByName {
-		c.netByName[k] = v
-	}
-	for k, v := range n.gateByName {
-		c.gateByName[k] = v
-	}
 	return c
 }
 
-// Mutators used by the manip package. They maintain the driver/fanout
-// invariants that Validate checks.
+// Mutators used by package constraint's transforms. They maintain the
+// driver/fanout invariants that Validate checks.
 
 // RewirePin disconnects input pin p and reconnects it to net to.
 func (n *Netlist) RewirePin(p Pin, to NetID) {

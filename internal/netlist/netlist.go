@@ -10,8 +10,16 @@
 // or rewire pins; it must never renumber. Fault universes built on the
 // original netlist therefore remain valid — fault site (gate, pin) — on every
 // derived netlist, which is what lets analyses compare fault lists across
-// manipulated variants of one design. The KDead and FSynthetic markers exist
-// to support this convention; no manipulation package exists yet.
+// manipulated variants of one design. The KDead, FSynthetic and FProbe
+// markers exist to support this convention; package constraint holds the
+// manipulations.
+//
+// # Names
+//
+// Gate and net names are labels for reports, tests and transform lookups,
+// not an index: a netlist keeps no name map, and nothing stops two gates or
+// two nets from sharing a name. NetByName and GateByName scan the tables and
+// succeed only on a unique match, so an ambiguous name reads as not found.
 package netlist
 
 import (
@@ -110,6 +118,9 @@ const (
 	// excluded from fault universes: they exist only to model the mission
 	// configuration, not to be tested.
 	FSynthetic Flags = 1 << iota
+	// FProbe marks the synthetic capture probes a time expansion plants on
+	// observable next-state nets: observation points, not logic.
+	FProbe
 )
 
 // Pin addresses one input pin of a gate.
@@ -145,30 +156,17 @@ type Net struct {
 	Fanout []Pin
 }
 
-// Netlist is a flat gate-level circuit.
+// Netlist is a flat gate-level circuit: its gate and net tables.
 type Netlist struct {
 	Name  string
 	Gates []Gate
 	Nets  []Net
 
-	// Groups collects named sets of gates filled in by generators (e.g.
-	// "scan_mux", "addr_reg/pc") and consumed by the identification flow.
-	Groups map[string][]GateID
-
-	netByName  map[string]NetID
-	gateByName map[string]GateID
-	anon       int
+	anon int // counter behind auto-generated names
 }
 
 // New returns an empty netlist.
-func New(name string) *Netlist {
-	return &Netlist{
-		Name:       name,
-		Groups:     map[string][]GateID{},
-		netByName:  map[string]NetID{},
-		gateByName: map[string]GateID{},
-	}
-}
+func New(name string) *Netlist { return &Netlist{Name: name} }
 
 // NumGates returns the number of live (non-dead) gates.
 func (n *Netlist) NumGates() int {
@@ -187,21 +185,34 @@ func (n *Netlist) Gate(id GateID) *Gate { return &n.Gates[id] }
 // Net returns the net with the given ID.
 func (n *Netlist) Net(id NetID) *Net { return &n.Nets[id] }
 
-// NetByName looks a net up by name.
+// NetByName returns the one net carrying name. It reports false when no net
+// or more than one net has the name.
 func (n *Netlist) NetByName(name string) (NetID, bool) {
-	id, ok := n.netByName[name]
-	return id, ok
+	found := InvalidNet
+	for i := range n.Nets {
+		if n.Nets[i].Name == name {
+			if found != InvalidNet {
+				return InvalidNet, false
+			}
+			found = NetID(i)
+		}
+	}
+	return found, found != InvalidNet
 }
 
-// GateByName looks a gate up by name.
+// GateByName returns the one gate carrying name. It reports false when no
+// gate or more than one gate has the name.
 func (n *Netlist) GateByName(name string) (GateID, bool) {
-	id, ok := n.gateByName[name]
-	return id, ok
-}
-
-// AddGroup appends gates to a named group.
-func (n *Netlist) AddGroup(name string, gates ...GateID) {
-	n.Groups[name] = append(n.Groups[name], gates...)
+	found := InvalidGate
+	for i := range n.Gates {
+		if n.Gates[i].Name == name {
+			if found != InvalidGate {
+				return InvalidGate, false
+			}
+			found = GateID(i)
+		}
+	}
+	return found, found != InvalidGate
 }
 
 // Reserve grows the gate and net slices' capacity so at least the given
@@ -224,16 +235,8 @@ func (n *Netlist) Reserve(gates, nets int) {
 
 // NewNet creates a net. An empty name is auto-generated.
 func (n *Netlist) NewNet(name string) NetID {
-	if name == "" {
-		name = fmt.Sprintf("n$%d", n.anon)
-		n.anon++
-	}
-	if _, dup := n.netByName[name]; dup {
-		panic(fmt.Sprintf("netlist: duplicate net name %q", name))
-	}
 	id := NetID(len(n.Nets))
-	n.Nets = append(n.Nets, Net{Name: name, Driver: InvalidGate})
-	n.netByName[name] = id
+	n.Nets = append(n.Nets, Net{Name: n.autoName(name, "n"), Driver: InvalidGate})
 	return id
 }
 
@@ -241,29 +244,12 @@ func (n *Netlist) NewNet(name string) NetID {
 // a fresh output net (except KOutput, which has none). The output net is
 // named after the gate. An empty gate name is auto-generated.
 func (n *Netlist) AddGate(kind Kind, name string, ins ...NetID) GateID {
-	if name == "" {
-		name = fmt.Sprintf("g$%d", n.anon)
-		n.anon++
-	}
-	if _, dup := n.gateByName[name]; dup {
-		panic(fmt.Sprintf("netlist: duplicate gate name %q", name))
-	}
-	if err := checkPinCount(kind, len(ins)); err != nil {
-		panic(fmt.Sprintf("netlist: gate %q: %v", name, err))
-	}
-	id := GateID(len(n.Gates))
+	name = n.autoName(name, "g")
 	out := InvalidNet
 	if kind != KOutput {
 		out = n.NewNet(name)
-		n.Nets[out].Driver = id
 	}
-	g := Gate{Kind: kind, Name: name, Ins: append([]NetID(nil), ins...), Out: out}
-	n.Gates = append(n.Gates, g)
-	n.gateByName[name] = id
-	for pin, in := range g.Ins {
-		n.connect(in, Pin{Gate: id, In: int32(pin)})
-	}
-	return id
+	return n.addGate(kind, name, out, ins)
 }
 
 // AddGateOut is AddGate with a caller-provided (pre-created, undriven)
@@ -274,25 +260,33 @@ func (n *Netlist) AddGateOut(kind Kind, name string, out NetID, ins ...NetID) Ga
 	if kind == KOutput || kind == KDead {
 		panic("netlist: AddGateOut cannot create " + kind.String())
 	}
-	if name == "" {
-		name = fmt.Sprintf("g$%d", n.anon)
-		n.anon++
-	}
-	if _, dup := n.gateByName[name]; dup {
-		panic(fmt.Sprintf("netlist: duplicate gate name %q", name))
-	}
-	if err := checkPinCount(kind, len(ins)); err != nil {
-		panic(fmt.Sprintf("netlist: gate %q: %v", name, err))
-	}
 	if n.Nets[out].Driver != InvalidGate {
 		panic(fmt.Sprintf("netlist: AddGateOut: net %q already driven", n.Nets[out].Name))
 	}
+	return n.addGate(kind, n.autoName(name, "g"), out, ins)
+}
+
+// autoName returns name, or a fresh "prefix$N" name when name is empty.
+func (n *Netlist) autoName(name, prefix string) string {
+	if name == "" {
+		name = fmt.Sprintf("%s$%d", prefix, n.anon)
+		n.anon++
+	}
+	return name
+}
+
+// addGate appends the gate, makes it the driver of out (unless InvalidNet)
+// and connects its input pins.
+func (n *Netlist) addGate(kind Kind, name string, out NetID, ins []NetID) GateID {
+	if err := checkPinCount(kind, len(ins)); err != nil {
+		panic(fmt.Sprintf("netlist: gate %q: %v", name, err))
+	}
 	id := GateID(len(n.Gates))
-	n.Nets[out].Driver = id
-	g := Gate{Kind: kind, Name: name, Ins: append([]NetID(nil), ins...), Out: out}
-	n.Gates = append(n.Gates, g)
-	n.gateByName[name] = id
-	for pin, in := range g.Ins {
+	if out != InvalidNet {
+		n.Nets[out].Driver = id
+	}
+	n.Gates = append(n.Gates, Gate{Kind: kind, Name: name, Ins: append([]NetID(nil), ins...), Out: out})
+	for pin, in := range ins {
 		n.connect(in, Pin{Gate: id, In: int32(pin)})
 	}
 	return id

@@ -41,15 +41,35 @@ func TestBuilderBasics(t *testing.T) {
 	}
 }
 
-func TestDuplicateNamesPanic(t *testing.T) {
+// TestDuplicateNamesAreAmbiguous pins that names are labels, not an index:
+// a netlist with two inputs named "a" builds and validates, and the lookups
+// succeed only on a unique match — none, one and two matches.
+func TestDuplicateNamesAreAmbiguous(t *testing.T) {
 	n := New("dup")
 	n.Input("a")
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate name should panic")
-		}
-	}()
 	n.Input("a")
+	b := n.Input("b")
+	if err := n.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if id, ok := n.NetByName("a"); ok || id != InvalidNet {
+		t.Errorf("NetByName(a) = %d, %v; want not found", id, ok)
+	}
+	if id, ok := n.GateByName("a"); ok || id != InvalidGate {
+		t.Errorf("GateByName(a) = %d, %v; want not found", id, ok)
+	}
+	if id, ok := n.NetByName("b"); !ok || id != b {
+		t.Errorf("NetByName(b) = %d, %v; want %d", id, ok, b)
+	}
+	if id, ok := n.GateByName("b"); !ok || id != n.Net(b).Driver {
+		t.Errorf("GateByName(b) = %d, %v; want %d", id, ok, n.Net(b).Driver)
+	}
+	if _, ok := n.NetByName("c"); ok {
+		t.Error("NetByName(c) found a net that does not exist")
+	}
+	if _, ok := n.GateByName("c"); ok {
+		t.Error("GateByName(c) found a gate that does not exist")
+	}
 }
 
 func TestPinCountEnforced(t *testing.T) {
